@@ -267,22 +267,22 @@ def cmd_verify(args) -> int:
     for name in suites:
         kwargs = {}
         if name == "arith":
-            if args.q_max:
+            if args.q_max is not None:
                 kwargs["r_bound"] = args.q_max
         elif name == "local":
-            if args.q_max:
+            if args.q_max is not None:
                 kwargs["q_bound"] = args.q_max
                 kwargs["product_q_bound"] = min(args.q_max, 200)
                 kwargs["pair_bound"] = min(args.q_max, 200)
-            if args.qprime:
+            if args.qprime is not None:
                 kwargs["qprime_bound"] = args.qprime
             kwargs["seed"] = args.seed
         else:
-            if args.q1:
+            if args.q1 is not None:
                 kwargs["q1_bound"] = args.q1
-            if args.q2:
+            if args.q2 is not None:
                 kwargs["q2_bound"] = args.q2
-            if args.n:
+            if args.n is not None:
                 kwargs["length_bound"] = args.n[0]
             kwargs["seed"] = args.seed
         results.extend(SUITES[name](tables, **kwargs))
@@ -523,6 +523,14 @@ def cmd_sieve_selftest(cfg: ExperimentConfig) -> int:
 # wiring
 
 
+def positive_int(text: str) -> int:
+    """argparse type for every bound flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _add_output_flags(sub, default_format: str = "csv") -> None:
     sub.add_argument("--format", choices=["csv", "json"], default=default_format)
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
@@ -540,34 +548,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run exact identity suites")
     v.add_argument("suite", choices=[*SUITES, "all"])
-    v.add_argument("--q-max", type=int, default=None,
+    v.add_argument("--q-max", type=positive_int, default=None,
                    help="primary sweep bound (r for arith, q for local)")
-    v.add_argument("--qprime", type=int, default=None)
-    v.add_argument("--q1", type=int, default=None)
-    v.add_argument("--q2", type=int, default=None)
-    v.add_argument("--n", action="append", type=int, default=None,
+    v.add_argument("--qprime", type=positive_int, default=None)
+    v.add_argument("--q1", type=positive_int, default=None)
+    v.add_argument("--q2", type=positive_int, default=None)
+    v.add_argument("--n", action="append", type=positive_int, default=None,
                    help="lift length for the estimator suite")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     c = sub.add_parser(
         "compare", help="count vs singular-series prediction per progression"
     )
-    c.add_argument("--n", action="append", type=int, required=True)
-    c.add_argument("--q-max", type=int, default=12)
-    c.add_argument("--q", type=int, default=None, help="single modulus")
+    c.add_argument("--n", action="append", type=positive_int, required=True)
+    c.add_argument("--q-max", type=positive_int, default=12)
+    c.add_argument("--q", type=positive_int, default=None, help="single modulus")
     c.add_argument("--a", type=int, default=None, help="single residue class")
     c.add_argument("--p-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=positive_int, default=1)
     c.add_argument("--tolerance", type=float, default=0.05,
                    help="gate on the median |ratio - 1| (default 0.05)")
     _add_output_flags(c)
 
     e = sub.add_parser("estimate", help="bilinear estimator experiment")
-    e.add_argument("--n", action="append", type=int, required=True)
-    e.add_argument("--qprime", type=int, default=1)
+    e.add_argument("--n", action="append", type=positive_int, required=True)
+    e.add_argument("--qprime", type=positive_int, default=1)
     e.add_argument("--aprime", type=int, default=0)
-    e.add_argument("--q1", type=int, default=8)
-    e.add_argument("--q2", type=int, default=2)
+    e.add_argument("--q1", type=positive_int, default=8)
+    e.add_argument("--q2", type=positive_int, default=2)
     e.add_argument("--weights", choices=["exact", "paper"], default="exact")
     e.add_argument("--padding-constant", type=float, default=1e4,
                    help="paper-form additive padding scale (default 1e4)")
@@ -581,17 +589,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(e)
 
     s = sub.add_parser("series", help="both singular-series forms")
-    s.add_argument("--n", action="append", type=int, required=True)
-    s.add_argument("--q", type=int, default=1)
+    s.add_argument("--n", action="append", type=positive_int, required=True)
+    s.add_argument("--q", type=positive_int, default=1)
     s.add_argument("--a", type=int, default=0)
     s.add_argument("--p-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
     _add_output_flags(s, default_format="json")
 
     n = sub.add_parser("count", help="representation counts by segmented sieve")
-    n.add_argument("--n", action="append", type=int, required=True)
-    n.add_argument("--q", type=int, default=1)
+    n.add_argument("--n", action="append", type=positive_int, required=True)
+    n.add_argument("--q", type=positive_int, default=1)
     n.add_argument("--a", type=int, default=0)
-    n.add_argument("--threads", type=int, default=1)
+    n.add_argument("--threads", type=positive_int, default=1)
     _add_output_flags(n)
 
     t = sub.add_parser(
@@ -608,14 +616,14 @@ _WEIGHT_MODES = {"exact": EXACT_MODE, "paper": PAPER_MODE}
 def _config_from(args) -> ExperimentConfig:
     return ExperimentConfig(
         targets=tuple(args.n) if getattr(args, "n", None) else (),
-        q_max=getattr(args, "q_max", 12) or 12,
+        q_max=getattr(args, "q_max", 12),
         q=getattr(args, "q", None),
         a=getattr(args, "a", None),
-        qprime=getattr(args, "qprime", 1) or 1,
-        aprime=getattr(args, "aprime", 0) or 0,
+        qprime=getattr(args, "qprime", 1),
+        aprime=getattr(args, "aprime", 0),
         p_cutoff=getattr(args, "p_cutoff", DEFAULT_PRIME_CUTOFF),
-        q1_bound=getattr(args, "q1", 8) or 8,
-        q2_bound=getattr(args, "q2", 2) or 2,
+        q1_bound=getattr(args, "q1", 8),
+        q2_bound=getattr(args, "q2", 2),
         weight_mode=_WEIGHT_MODES[getattr(args, "weights", "exact")],
         padding_constant=getattr(args, "padding_constant", 1e4),
         padding_exponent=getattr(args, "padding_exponent", 0.1),

@@ -2,11 +2,17 @@
 
 Everything here is a brute-force oracle: the weighted representation count,
 its von Mangoldt variant, square-free counts along progressions, and the
-prime-power tally psi restricted to a progression.  Windows of a bounded
-size are sieved one at a time so the memory footprint never depends on the
-target, and every floating reduction is a compensated sum taken in a fixed
-window order, so results are bit-identical for a given input regardless of
-the thread count.
+prime-power tally psi restricted to a progression.  All of them, and the
+estimator's global functions, come from one windowed scan: windows of a
+bounded size are sieved one at a time, so the memory footprint never
+depends on the target.
+
+Sums of logarithms are exact and rounded once.  For n >= 2 the double
+log n is an integer multiple of 2**-53 below 2**5, so it is stored as the
+int64 numerator log n * 2**53; numerators are summed exactly and the total
+is rounded to a float at the very end.  A result is therefore the correctly
+rounded sum of its terms, bit-identical for every thread count and every
+window size.
 
 The base tables must reach the square root of the largest value touched: a
 window is accepted only while hi - 1 <= tables.limit**2.
@@ -17,15 +23,26 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from sqfrep.arith import CapacityError, SieveTables
 
 DEFAULT_WINDOW = 1 << 20
+
+# A log weight is the int64 numerator of value * LOG_SCALE.
+LOG_BITS = 53
+LOG_SCALE = 1 << LOG_BITS
+# Numerators stay below 2**62 in magnitude, so the high limb (x >> 32) is
+# below 2**30 in magnitude and the low limb (x & 0xFFFFFFFF) below 2**32:
+# int64 sums of either limb are exact for fewer than 2**31 terms.  A log
+# below 2**5 has a numerator below 2**58.
+NUMERATOR_BOUND = 1 << 62
+_LOW_LIMB = (1 << 32) - 1
+_NO_HITS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -103,12 +120,6 @@ def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     return out
 
 
-def _windows(lo: int, hi: int, length: int):
-    while lo < hi:
-        yield lo, min(lo + length, hi)
-        lo += length
-
-
 def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray]:
     """Sorted proper prime powers p^k <= top (k >= 2) with their log p."""
     vals: list[int] = []
@@ -129,11 +140,119 @@ def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.n
     )
 
 
-def _map_windows(work, spans, threads: int):
+def log_numerators(values: np.ndarray) -> np.ndarray:
+    """The exact int64 numerators of log n, for integers n >= 2."""
+    return np.ldexp(np.log(values.astype(np.float64)), LOG_BITS).astype(np.int64)
+
+
+def exact_sum(numerators: np.ndarray) -> int:
+    """The exact sum of int64 numerators below NUMERATOR_BOUND."""
+    return (int(np.add.reduce(numerators >> 32)) << 32) + int(
+        np.add.reduce(numerators & _LOW_LIMB)
+    )
+
+
+def exact_class_sums(
+    numerators: np.ndarray, classes: np.ndarray, count: int
+) -> list[int]:
+    """out[r] = exact sum of the numerators whose class is r, r < count."""
+    high = np.zeros(count, dtype=np.int64)
+    low = np.zeros(count, dtype=np.int64)
+    np.add.at(high, classes, numerators >> 32)
+    np.add.at(low, classes, numerators & _LOW_LIMB)
+    return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
+
+
+def _scan(
+    lo: int, hi: int, residue: int, modulus: int, sieve, reduce, threads: int = 1
+) -> list:
+    """reduce(w_lo, flags) for every window [w_lo, w_hi) of [lo, hi), in order.
+
+    Windows are window_length() integers long and run on `threads` workers.
+    flags is sieve(w_lo, w_hi), cleared off the lane n ≡ residue (mod modulus).
+    """
+    length = window_length()
+    # lane[s + i] is True iff s + i ≡ 0 (mod modulus); shared, read-only.
+    lane = np.zeros(length + modulus, dtype=bool)
+    lane[::modulus] = True
+
+    def work(w_lo: int):
+        w_hi = min(w_lo + length, hi)
+        flags = sieve(w_lo, w_hi)
+        if modulus > 1:
+            shift = (w_lo - residue) % modulus
+            flags &= lane[shift : shift + w_hi - w_lo]
+        return reduce(w_lo, flags)
+
+    starts = range(lo, hi, length)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, spans))
-    return [work(span) for span in spans]
+            return list(ex.map(work, starts))
+    return [work(w) for w in starts]
+
+
+def _log_scan(
+    top: int,
+    residue: int,
+    modulus: int,
+    tables: SieveTables,
+    reduce,
+    threads: int = 1,
+    mirror: int | None = None,
+) -> list:
+    """reduce(hits, numerators, powers) per window over the prime powers
+    n = p^k <= top on the lane, in order.
+
+    numerators are those of log p; powers lists, as Python ints, the
+    numerators of the proper powers among the hits.  With a mirror, only n
+    with mirror - n square-free are hits.
+    """
+    power_vals, power_logs = proper_prime_powers(top, tables)
+    power_nums = np.ldexp(power_logs, LOG_BITS).astype(np.int64)
+    # Most windows hold no proper power; bisecting a list finds that cheaply.
+    power_list = power_vals.tolist()
+
+    def powers_in(lo: int, hi: int) -> slice:
+        return slice(bisect_left(power_list, lo), bisect_left(power_list, hi))
+
+    def sieve(lo: int, hi: int) -> np.ndarray:
+        flags = segmented_prime_sieve(lo, hi, tables)
+        span = powers_in(lo, hi)
+        if span.start < span.stop:
+            flags[power_vals[span] - lo] = True
+        if mirror is not None:
+            # Square-freeness of mirror - n, reversed so index i is n = lo + i.
+            flags &= segmented_squarefree_sieve(
+                mirror - hi + 1, mirror - lo + 1, tables
+            )[::-1]
+        return flags
+
+    def window(lo: int, flags: np.ndarray):
+        hits = np.flatnonzero(flags) + lo
+        nums = log_numerators(hits)
+        powers = []
+        span = powers_in(lo, lo + flags.size)
+        if span.start < span.stop:
+            kept = flags[power_vals[span] - lo]
+            nums[np.searchsorted(hits, power_vals[span][kept])] = power_nums[span][kept]
+            powers = power_nums[span][kept].tolist()
+        return reduce(hits, nums, powers)
+
+    return _scan(2, top + 1, residue, modulus, sieve, window, threads)
+
+
+def _check_unit(residue: int, modulus: int) -> int:
+    residue %= modulus
+    if math.gcd(residue, modulus) != 1:
+        raise ValueError(f"class {residue} is not a unit mod {modulus}")
+    return residue
+
+
+def _check_coverage(target: int, tables: SieveTables) -> None:
+    if target > tables.limit**2:
+        raise CapacityError(
+            f"target {target} beyond sieve coverage {tables.limit**2}"
+        )
 
 
 def count_representations(
@@ -146,55 +265,27 @@ def count_representations(
     the progression (still damped by mu^2(target - n)); target - n = 0 is
     not square-free, so n = target never contributes.
     """
-    residue %= modulus
-    if math.gcd(residue, modulus) != 1:
-        raise ValueError(f"class {residue} is not a unit mod {modulus}")
+    residue = _check_unit(residue, modulus)
     if target < 3:
         raise ValueError("target must be at least 3")
-    if target > tables.limit**2:
-        raise CapacityError(
-            f"target {target} beyond sieve coverage {tables.limit**2}"
-        )
+    _check_coverage(target, tables)
     started = time.perf_counter()
-    power_vals, power_logs = proper_prime_powers(target - 1, tables)
-    spans = list(_windows(2, target, window_length()))
 
-    def work(span: tuple[int, int]) -> tuple[float, int, float]:
-        lo, hi = span
-        primes = segmented_prime_sieve(lo, hi, tables)
-        # The mirror window: flag square-freeness of target - p, reversed so
-        # index i lines up with p = lo + i.
-        mirror = segmented_squarefree_sieve(target - hi + 1, target - lo + 1, tables)[
-            ::-1
-        ]
-        keep = primes & mirror
-        if modulus > 1:
-            lane = np.zeros(hi - lo, dtype=bool)
-            lane[(residue - lo) % modulus :: modulus] = True
-            keep &= lane
-        hits = np.flatnonzero(keep) + lo
-        weighted = (
-            math.fsum(np.log(hits.astype(np.float64)).tolist()) if hits.size else 0.0
-        )
-        lo_i, hi_i = np.searchsorted(power_vals, [lo, hi]).tolist()
-        extra = math.fsum(
-            power_logs[i]
-            for i in range(lo_i, hi_i)
-            if (int(power_vals[i]) - residue) % modulus == 0
-            and mirror[int(power_vals[i]) - lo]
-        )
-        return weighted, int(hits.size), extra
+    def window(hits, nums, powers):
+        return hits.size - len(powers), exact_sum(nums), sum(powers)
 
-    parts = _map_windows(work, spans, threads)
-    weighted = math.fsum(p[0] for p in parts)
-    lam = math.fsum(chain((p[0] for p in parts), (p[2] for p in parts)))
+    parts = _log_scan(
+        target - 1, residue, modulus, tables, window, threads, mirror=target
+    )
+    total = sum(p[1] for p in parts)
+    extra = sum(p[2] for p in parts)
     return CountResult(
         target=target,
         residue=residue,
         modulus=modulus,
-        weighted=weighted,
-        unweighted=sum(p[1] for p in parts),
-        lambda_weighted=lam,
+        weighted=(total - extra) / LOG_SCALE,
+        unweighted=sum(p[0] for p in parts),
+        lambda_weighted=total / LOG_SCALE,
         elapsed=time.perf_counter() - started,
     )
 
@@ -206,17 +297,46 @@ def squarefree_count_in_ap(
     target - n square-free (so n = target drops out via mu^2(0) = 0)."""
     if modulus < 1 or target < 1:
         raise ValueError("target and modulus must be positive")
-    residue %= modulus
     # Count over m = target - n instead: m in [0, target), one fixed class.
-    m_class = (target - residue) % modulus
-    spans = list(_windows(0, target, window_length()))
+    parts = _scan(
+        0,
+        target,
+        target - residue,
+        modulus,
+        lambda lo, hi: segmented_squarefree_sieve(lo, hi, tables),
+        lambda lo, flags: int(np.count_nonzero(flags)),
+        threads,
+    )
+    return sum(parts)
 
-    def work(span: tuple[int, int]) -> int:
-        lo, hi = span
-        flags = segmented_squarefree_sieve(lo, hi, tables)
-        return int(flags[(m_class - lo) % modulus :: modulus].sum())
 
-    return sum(_map_windows(work, spans, threads))
+def squarefree_flags(hi: int, tables: SieveTables) -> np.ndarray:
+    """Boolean flags for [0, hi), True where the value is square-free,
+    sieved window by window."""
+    return np.concatenate(
+        _scan(
+            0,
+            hi,
+            0,
+            1,
+            lambda lo, w_hi: segmented_squarefree_sieve(lo, w_hi, tables),
+            lambda lo, flags: flags,
+        )
+    )
+
+
+def prime_power_logs(
+    target: int, residue: int, modulus: int, tables: SieveTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n = p^k <= target with n ≡ residue (mod modulus), in
+    increasing order, and the numerators of their weights log p."""
+    parts = _log_scan(
+        target, residue, modulus, tables, lambda hits, nums, powers: (hits, nums)
+    )
+    return (
+        np.concatenate([_NO_HITS, *(p[0] for p in parts)]),
+        np.concatenate([_NO_HITS, *(p[1] for p in parts)]),
+    )
 
 
 def psi_in_ap(
@@ -224,36 +344,16 @@ def psi_in_ap(
 ) -> float:
     """Chebyshev psi along a progression: sum of log p over prime powers
     p^k <= target with p^k ≡ residue (mod modulus)."""
-    residue %= modulus
-    if math.gcd(residue, modulus) != 1:
-        raise ValueError(f"class {residue} is not a unit mod {modulus}")
+    residue = _check_unit(residue, modulus)
     if target < 1:
         raise ValueError("target must be positive")
-    if target > tables.limit**2:
-        raise CapacityError(
-            f"target {target} beyond sieve coverage {tables.limit**2}"
-        )
-    power_vals, power_logs = proper_prime_powers(target, tables)
-    spans = list(_windows(2, target + 1, window_length()))
-
-    def work(span: tuple[int, int]) -> tuple[float, float]:
-        lo, hi = span
-        primes = segmented_prime_sieve(lo, hi, tables)
-        if modulus > 1:
-            lane = np.zeros(hi - lo, dtype=bool)
-            lane[(residue - lo) % modulus :: modulus] = True
-            primes &= lane
-        hits = np.flatnonzero(primes) + lo
-        base = (
-            math.fsum(np.log(hits.astype(np.float64)).tolist()) if hits.size else 0.0
-        )
-        lo_i, hi_i = np.searchsorted(power_vals, [lo, hi]).tolist()
-        extra = math.fsum(
-            power_logs[i]
-            for i in range(lo_i, hi_i)
-            if (int(power_vals[i]) - residue) % modulus == 0
-        )
-        return base, extra
-
-    parts = _map_windows(work, spans, threads)
-    return math.fsum(chain((p[0] for p in parts), (p[1] for p in parts)))
+    _check_coverage(target, tables)
+    parts = _log_scan(
+        target,
+        residue,
+        modulus,
+        tables,
+        lambda hits, nums, powers: exact_sum(nums),
+        threads,
+    )
+    return sum(parts) / LOG_SCALE

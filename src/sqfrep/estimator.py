@@ -6,9 +6,9 @@ rank-|family| bilinear form <f|g> that approximates the true inner product
 [f|g].  With exact-cross-sum weights the Bessel-type inequality
 sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every product here
 is computed in exact rational arithmetic: the canonical log-weighted
-function stores its float logs as exact binary rationals, the mirror
-indicator is a 0/1 array, and cross products of periodic vectors reduce to
-one period plus a remainder.
+function stores its float logs as exact int64 numerators over 2**53, the
+mirror indicator is a 0/1 array, and cross products of periodic vectors
+reduce to one period plus a remainder.
 """
 
 from __future__ import annotations
@@ -22,10 +22,13 @@ import numpy as np
 
 from sqfrep.arith import CapacityError, SieveTables, euler_phi, factorize
 from sqfrep.counting import (
-    proper_prime_powers,
-    segmented_prime_sieve,
-    segmented_squarefree_sieve,
-    window_length,
+    LOG_BITS,
+    LOG_SCALE,
+    NUMERATOR_BOUND,
+    exact_class_sums,
+    exact_sum,
+    prime_power_logs,
+    squarefree_flags,
 )
 from sqfrep.localmodel import (
     LocalVector,
@@ -80,39 +83,45 @@ class Weights:
                     raise ValueError(f"{name}[{q}] = {value} is not positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseFunction:
     """A function on [1, length] that is zero off the stored indices.
 
-    Values are kept twice: as floats for reporting and as exact binary
-    rationals for the estimator's arithmetic (a float IS a rational, so
-    nothing is lost).
+    indices is a sorted int64 array; the value at indices[i] is
+    numerators[i] / LOG_SCALE, an int64 numerator below NUMERATOR_BOUND in
+    magnitude, so sums of values are exact integer sums.  Every value is a
+    float, which float_values gives back without loss.
     """
 
     length: int
-    indices: tuple[int, ...]
-    float_values: tuple[float, ...]
-    exact_values: tuple[Fraction, ...]
+    indices: np.ndarray
+    numerators: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (
-            len(self.indices) == len(self.float_values) == len(self.exact_values)
-        ):
+        if self.indices.shape != self.numerators.shape:
             raise ValueError("index/value arrays must align")
-        if self.indices and not (
+        if self.indices.size and not (
             1 <= self.indices[0] and self.indices[-1] <= self.length
         ):
             raise ValueError("indices must lie in [1, length]")
+
+    @property
+    def float_values(self) -> np.ndarray:
+        return np.ldexp(self.numerators.astype(np.float64), -LOG_BITS)
 
     @classmethod
     def from_floats(
         cls, length: int, indices: Sequence[int], values: Sequence[float]
     ) -> "SparseFunction":
+        """Raises ValueError for a value that is not a multiple of 2**-53
+        or whose numerator would reach NUMERATOR_BOUND."""
+        scaled = np.ldexp(np.asarray(values, dtype=np.float64), LOG_BITS)
+        if not np.all(np.abs(scaled) < NUMERATOR_BOUND) or np.any(
+            scaled != np.trunc(scaled)
+        ):
+            raise ValueError("values must be multiples of 2**-53 below 2**9")
         return cls(
-            length,
-            tuple(int(i) for i in indices),
-            tuple(float(v) for v in values),
-            tuple(Fraction(float(v)) for v in values),
+            length, np.asarray(indices, dtype=np.int64), scaled.astype(np.int64)
         )
 
 
@@ -136,29 +145,10 @@ def lambda_progression_function(
     _check_cap(ctx.target)
     if ctx.target > tables.limit**2:
         raise CapacityError("sieve tables do not cover the target")
-    idx: list[int] = []
-    vals: list[float] = []
-    lo = 2
-    while lo <= ctx.target:
-        hi = min(lo + window_length(), ctx.target + 1)
-        flags = segmented_prime_sieve(lo, hi, tables)
-        if ctx.modulus > 1:
-            lane = np.zeros(hi - lo, dtype=bool)
-            lane[(ctx.residue - lo) % ctx.modulus :: ctx.modulus] = True
-            flags &= lane
-        hits = (np.flatnonzero(flags) + lo).tolist()
-        idx.extend(hits)
-        vals.extend(np.log(np.array(hits, dtype=np.float64)).tolist())
-        lo = hi
-    power_vals, power_logs = proper_prime_powers(ctx.target, tables)
-    for v, lg in zip(power_vals.tolist(), power_logs.tolist()):
-        if (v - ctx.residue) % ctx.modulus == 0:
-            idx.append(v)
-            vals.append(lg)
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    return SparseFunction.from_floats(
-        ctx.target, [idx[i] for i in order], [vals[i] for i in order]
+    indices, numerators = prime_power_logs(
+        ctx.target, ctx.residue, ctx.modulus, tables
     )
+    return SparseFunction(ctx.target, indices, numerators)
 
 
 def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
@@ -167,23 +157,15 @@ def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
     _check_cap(target)
     if target - 1 > tables.limit**2:
         raise CapacityError("sieve tables do not cover the target")
-    pieces = []
-    lo = 0
-    while lo < target:
-        hi = min(lo + window_length(), target)
-        pieces.append(segmented_squarefree_sieve(lo, hi, tables))
-        lo = hi
-    # piece index i holds m = i, and n = target - m; reversing maps to n-1.
-    return np.concatenate(pieces)[::-1].copy()
+    # index i holds m = i, and n = target - m; reversing maps to n-1.
+    return squarefree_flags(target, tables)[::-1].copy()
 
 
 def _class_sums(h: GlobalValues, modulus: int):
     """Exact per-class sums: out[r] = sum of h(n) over n ≡ r (mod modulus)."""
     if isinstance(h, SparseFunction):
-        out = [Fraction(0)] * modulus
-        for n, v in zip(h.indices, h.exact_values):
-            out[n % modulus] += v
-        return out
+        sums = exact_class_sums(h.numerators, h.indices % modulus, modulus)
+        return [Fraction(s, LOG_SCALE) for s in sums]
     if isinstance(h, np.ndarray) and h.dtype != object:
         # index i holds n = i + 1
         return [
@@ -215,27 +197,30 @@ def global_inner(f: GlobalValues, g: GlobalValues):
     if isinstance(f, SparseFunction) and isinstance(g, SparseFunction):
         if f.length != g.length:
             raise ValueError("length mismatch")
-        values = dict(zip(g.indices, g.exact_values))
-        return sum(
-            (v * values[n] for n, v in zip(f.indices, f.exact_values) if n in values),
-            Fraction(0),
+        _, i, j = np.intersect1d(
+            f.indices, g.indices, assume_unique=True, return_indices=True
         )
+        # products of numerators overflow int64: multiply as Python ints
+        total = sum(
+            a * b for a, b in zip(f.numerators[i].tolist(), g.numerators[j].tolist())
+        )
+        return Fraction(total, LOG_SCALE * LOG_SCALE)
     if isinstance(f, SparseFunction):
         if f.length != len(g):
             raise ValueError("length mismatch")
         if isinstance(g, np.ndarray) and g.dtype != object:
-            return sum(
-                (
-                    v * int(g[n - 1])
-                    for n, v in zip(f.indices, f.exact_values)
-                    if g[n - 1]
-                ),
-                Fraction(0),
+            # group by the value of g so every sum stays an exact limb sum
+            weights = g[f.indices - 1].astype(np.int64)
+            total = sum(
+                v * exact_sum(f.numerators[weights == v])
+                for v in np.unique(weights[weights != 0]).tolist()
             )
-        return sum(
-            (v * Fraction(g[n - 1]) for n, v in zip(f.indices, f.exact_values)),
-            Fraction(0),
+            return Fraction(total, LOG_SCALE)
+        total = sum(
+            v * Fraction(g[n - 1])
+            for n, v in zip(f.indices.tolist(), f.numerators.tolist())
         )
+        return Fraction(total, LOG_SCALE)
     if len(f) != len(g):
         raise ValueError("length mismatch")
     if (

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
 from sqfrep.counting import (
@@ -278,3 +279,121 @@ class TestCapacityAndElapsed:
         small = build_sieve(100)
         with pytest.raises(CapacityError):
             psi_in_ap(100**2 + 1, 0, 1, small)
+
+
+def _dense_flags(top):
+    """Prime and square-free flags on [0, top] from a plain dense sieve,
+    independent of the segmented code under test."""
+    is_prime = np.ones(top + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    squarefree = np.ones(top + 1, dtype=bool)
+    squarefree[0] = False
+    for p in np.flatnonzero(is_prime[: math.isqrt(top) + 1]).tolist():
+        squarefree[p * p :: p * p] = False
+    return is_prime, squarefree
+
+
+def _brute_sums(target, residue, modulus, is_prime, squarefree):
+    """(unweighted, weighted, lambda_weighted, psi) for one class, each the
+    correctly rounded math.fsum of every log it adds: the double log n at a
+    prime n, and log p at a proper power n = p^k."""
+    residue %= modulus
+    primes = np.flatnonzero(is_prime[: target + 1])
+    lane = primes[primes % modulus == residue]
+    below = lane[lane < target]
+    hits = below[squarefree[target - below]]
+    hit_logs = np.log(hits.astype(np.float64)).tolist()
+    psi_logs = np.log(lane.astype(np.float64)).tolist()
+    power_logs = []
+    for p in primes[: int(np.searchsorted(primes, math.isqrt(target), "right"))]:
+        lg = math.log(int(p))
+        v = int(p) * int(p)
+        while v <= target:
+            if v % modulus == residue:
+                psi_logs.append(lg)
+                if v < target and squarefree[target - v]:
+                    power_logs.append(lg)
+            v *= int(p)
+    return (
+        hits.size,
+        math.fsum(hit_logs),
+        math.fsum(hit_logs + power_logs),
+        math.fsum(psi_logs),
+    )
+
+
+def _set_window_cap(mp, cap):
+    if cap is None:
+        mp.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+    else:
+        mp.setenv("SQFREP_MAX_WINDOW_BYTES", str(cap))
+
+
+class TestExactReduction:
+    """Log sums are exact and rounded once, so neither the window size nor
+    the thread count changes a bit of any result."""
+
+    def test_window_size_and_threads_never_change_a_bit(self, tables, monkeypatch):
+        target, residue, modulus = 10**7, 3, 7
+        is_prime, squarefree = _dense_flags(target)
+        unweighted, weighted, lam, psi = _brute_sums(
+            target, residue, modulus, is_prime, squarefree
+        )
+        for cap in (None, 16 << 20, 64 << 10):
+            _set_window_cap(monkeypatch, cap)
+            for threads in (1, 2):
+                r = count_representations(target, residue, modulus, tables, threads)
+                got_psi = psi_in_ap(target, residue, modulus, tables, threads)
+                assert (r.unweighted, r.weighted.hex(), r.lambda_weighted.hex()) == (
+                    unweighted,
+                    weighted.hex(),
+                    lam.hex(),
+                ), (cap, threads)
+                assert got_psi.hex() == psi.hex(), (cap, threads)
+
+
+def _unit_class(q):
+    return st.sampled_from([a for a in range(q) if math.gcd(a, q) == 1])
+
+
+class TestScanProperties:
+    """The windowed scan against brute force, with many windows in play."""
+
+    scan_settings = settings(derandomize=True, max_examples=100, deadline=None)
+    inputs = dict(
+        # a second range so that a fair share of targets spans many windows
+        target=st.one_of(st.integers(3, 2_000), st.integers(2_000, 20_000)),
+        unit=st.integers(1, 30).flatmap(lambda q: st.tuples(st.just(q), _unit_class(q))),
+        cap=st.sampled_from((8 << 10, 16 << 10, None)),
+        threads=st.sampled_from((1, 2)),
+    )
+
+    @scan_settings
+    @given(**inputs)
+    def test_count_matches_brute_force(self, tables, target, unit, cap, threads):
+        modulus, residue = unit
+        is_prime = tables.smallest_prime_factor == np.arange(tables.limit + 1)
+        is_prime[:2] = False
+        want = _brute_sums(target, residue, modulus, is_prime, tables.is_squarefree)
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            r = count_representations(target, residue, modulus, tables, threads)
+        assert (r.unweighted, r.weighted, r.lambda_weighted) == want[:3]
+
+    @scan_settings
+    @given(**inputs)
+    def test_squarefree_count_matches_brute_force(
+        self, tables, target, unit, cap, threads
+    ):
+        modulus, residue = unit
+        n = np.arange(1, target + 1)
+        want = int(
+            np.count_nonzero((n % modulus == residue) & tables.is_squarefree[target - n])
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            got = squarefree_count_in_ap(target, residue, modulus, tables, threads)
+        assert got == want

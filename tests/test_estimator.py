@@ -134,6 +134,11 @@ class TestGlobalBuilders:
             SparseFunction.from_floats(10, [0], [1.0])
         with pytest.raises(ValueError):
             SparseFunction.from_floats(10, [11], [1.0])
+        # values must be whole multiples of 2**-53 with numerators below 2**62
+        for value in (2.0**-60, 512.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SparseFunction.from_floats(10, [3], [value])
+        assert SparseFunction.from_floats(10, [3], [511.5]).float_values[0] == 511.5
 
     def test_global_inner_variants(self, tables):
         g = squarefree_mirror_function(10, tables)

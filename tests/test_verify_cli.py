@@ -118,7 +118,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_invalid_value(self, capsys):
-        assert main(["count", "--n", "0"]) == EXIT_USAGE
+        for argv in (
+            ["count", "--n", "0"],
+            ["compare", "--n", "1000", "--q-max", "0"],
+            ["estimate", "--n", "1000", "--q1", "0"],
+            ["verify", "arith", "--q-max", "0"],
+        ):
+            assert main(argv) == EXIT_USAGE, argv
         capsys.readouterr()
 
     def test_capacity_error(self, capsys):
