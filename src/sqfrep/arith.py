@@ -22,6 +22,10 @@ Rational = Fraction
 
 _CHUNK = 1 << 22
 
+# Every int64 numerator array in the package (log weights, local vectors)
+# stays below this in magnitude, so two of them add without overflow.
+NUMERATOR_BOUND = 1 << 62
+
 
 class CapacityError(RuntimeError):
     """An input exceeds what the current sieve tables can cover."""
@@ -212,14 +216,6 @@ def euler_phi(f: FactoredInt) -> int:
     return out
 
 
-def sigma(f: FactoredInt) -> int:
-    """Sum of divisors."""
-    out = 1
-    for p, e in f.factors:
-        out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
 def mobius(f: FactoredInt) -> int:
     """Moebius function: 0 on a square factor, else (-1)^(number of primes)."""
     if not f.is_squarefree:
@@ -283,18 +279,6 @@ def cubefree_split(q: FactoredInt) -> tuple[FactoredInt, FactoredInt]:
     v1 = math.prod(p for p, _ in f1)
     v2 = math.prod(p for p, _ in f2)
     return FactoredInt(v1, tuple(f1)), FactoredInt(v2, tuple(f2))
-
-
-def valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n (n != 0)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def ramanujan_sum(r: FactoredInt, n: int) -> int:

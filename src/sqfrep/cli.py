@@ -5,7 +5,8 @@ Output contract: rows are data only (no timestamps, no timings; those go
 to stderr), so a fixed configuration reproduces byte-identical output.
 CSV carries a `# <schema> v1 columns=name:type,...` comment; the JSON
 form is an array of objects with the same field names, and the two
-round-trip losslessly (floats are emitted via repr).
+round-trip losslessly (floats are emitted via repr; JSON writes a
+non-finite float as null).
 """
 
 from __future__ import annotations
@@ -201,16 +202,21 @@ def encode_csv(schema: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value, kind: str):
+    if kind == "bool":
+        return bool(value)
+    if kind == "float":
+        value = float(value)
+        return value if math.isfinite(value) else None
+    return int(value)
+
+
 def encode_json(schema: str, rows: list[dict]) -> str:
+    """JSON array of rows; a non-finite float becomes null (RFC 8259 has no
+    Infinity or NaN)."""
     cols = SCHEMAS[schema]
-    shaped = [
-        {
-            n: bool(r[n]) if t == "bool" else float(r[n]) if t == "float" else int(r[n])
-            for n, t in cols
-        }
-        for r in rows
-    ]
-    return json.dumps(shaped, indent=2) + "\n"
+    shaped = [{n: _json_cell(r[n], t) for n, t in cols} for r in rows]
+    return json.dumps(shaped, indent=2, allow_nan=False) + "\n"
 
 
 def parse_csv(text: str) -> tuple[str, list[dict]]:
@@ -379,14 +385,31 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
                 padding_constant=cfg.padding_constant,
                 padding_exponent=cfg.padding_exponent,
             )
-        direct = float(global_inner(f, g))
+        exact_direct = global_inner(f, g)
+        direct = float(exact_direct)
         approx = float(estimate_inner(f, g, ms, w, tables))
         sv = singular_series(factorize(n, tables), cfg.aprime, fqp, cfg.p_cutoff)
         series_n = sv.value * n
         defect_f = float(bessel_defect(f, ms, w, tables))
         defect_g = float(bessel_defect(g, ms, w, tables))
-        rel_direct = abs(approx / direct - 1.0) if direct else math.inf
-        rel_series = abs(approx / series_n - 1.0) if series_n else math.inf
+        if sv.vanished:
+            # obstructed context: nothing to compare against, as in compare
+            rel_direct = rel_series = 0.0
+            print(
+                f"N={n}: obstructed context (qprime={cfg.qprime}, "
+                f"aprime={cfg.aprime})",
+                file=sys.stderr,
+            )
+            if exact_direct != 0:
+                breached = True
+                print(
+                    f"obstructed context at N={n} has nonzero direct product "
+                    f"{direct!r}",
+                    file=sys.stderr,
+                )
+        else:
+            rel_direct = abs(approx / direct - 1.0) if direct else math.inf
+            rel_series = abs(approx / series_n - 1.0)
         rows.append(
             {
                 "N": n,

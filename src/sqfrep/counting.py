@@ -36,11 +36,10 @@ DEFAULT_WINDOW = 1 << 20
 # A log weight is the int64 numerator of value * LOG_SCALE.
 LOG_BITS = 53
 LOG_SCALE = 1 << LOG_BITS
-# Numerators stay below 2**62 in magnitude, so the high limb (x >> 32) is
-# below 2**30 in magnitude and the low limb (x & 0xFFFFFFFF) below 2**32:
-# int64 sums of either limb are exact for fewer than 2**31 terms.  A log
-# below 2**5 has a numerator below 2**58.
-NUMERATOR_BOUND = 1 << 62
+# Numerators stay below arith.NUMERATOR_BOUND = 2**62 in magnitude, so the
+# high limb (x >> 32) is below 2**30 in magnitude and the low limb
+# (x & 0xFFFFFFFF) below 2**32: int64 sums of either limb are exact for
+# fewer than 2**31 terms.  A log below 2**5 has a numerator below 2**58.
 _LOW_LIMB = (1 << 32) - 1
 _NO_HITS = np.zeros(0, dtype=np.int64)
 

@@ -7,8 +7,9 @@ rank-|family| bilinear form <f|g> that approximates the true inner product
 sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every product here
 is computed in exact rational arithmetic: the canonical log-weighted
 function stores its float logs as exact int64 numerators over 2**53, the
-mirror indicator is a 0/1 array, and cross products of periodic vectors
-reduce to one period plus a remainder.
+mirror indicator is a 0/1 array, model vectors hold int64 numerators over
+2, and the cross product of two periodic vectors is an integer sum of
+numerator products over one lcm period, plus a remainder.
 """
 
 from __future__ import annotations
@@ -20,11 +21,19 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from sqfrep.arith import CapacityError, SieveTables, euler_phi, factorize
+from sqfrep.arith import (
+    NUMERATOR_BOUND,
+    CapacityError,
+    SieveTables,
+    cubefree_split,
+    euler_phi,
+    factorize,
+    mobius,
+    star_scale,
+)
 from sqfrep.counting import (
     LOG_BITS,
     LOG_SCALE,
-    NUMERATOR_BOUND,
     exact_class_sums,
     exact_sum,
     prime_power_logs,
@@ -33,14 +42,12 @@ from sqfrep.counting import (
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
-    ScaledValue,
     alignment_term,
-    build_local_vector,
     local_product,
-    mirror_density_star,
     model_diff,
     model_sum,
-    prime_density_star,
+    progression_split,
+    require_int64,
 )
 
 MATERIALIZE_CAP = 10**7
@@ -161,33 +168,36 @@ def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
     return squarefree_flags(target, tables)[::-1].copy()
 
 
-def _class_sums(h: GlobalValues, modulus: int):
-    """Exact per-class sums: out[r] = sum of h(n) over n ≡ r (mod modulus)."""
+def _class_sums(h: GlobalValues, modulus: int) -> tuple[list, int]:
+    """Exact per-class sums over one scale: out[r] / scale is the sum of
+    h(n) over n ≡ r (mod modulus)."""
     if isinstance(h, SparseFunction):
         sums = exact_class_sums(h.numerators, h.indices % modulus, modulus)
-        return [Fraction(s, LOG_SCALE) for s in sums]
+        return sums, LOG_SCALE
     if isinstance(h, np.ndarray) and h.dtype != object:
         # index i holds n = i + 1
         return [
             int(h[(r - 1) % modulus :: modulus].sum()) for r in range(modulus)
-        ]
+        ], 1
     out = [Fraction(0)] * modulus
     for i, v in enumerate(h):
         if v:
             out[(i + 1) % modulus] += Fraction(v)
-    return out
+    return out, 1
 
 
-def _local_dot(h: GlobalValues, vec: LocalVector, length: int):
+def _local_dot(h: GlobalValues, vec: LocalVector, length: int) -> Fraction:
     """[h | periodized vec] = sum over n <= length of h(n) vec(n mod q),
-    exact."""
+    exact: q products of class sums and numerators, in Python ints because
+    the class sums of a log-weighted function exceed int64."""
     if isinstance(h, SparseFunction):
         if h.length != length:
             raise ValueError("length mismatch")
     elif len(h) != length:
         raise ValueError("length mismatch")
-    sums = _class_sums(h, vec.modulus)
-    return sum(e * s for e, s in zip(vec.entries, sums))
+    sums, scale = _class_sums(h, vec.modulus)
+    total = sum(s * e for s, e in zip(sums, vec.numerators.tolist()))
+    return Fraction(total) / (scale * vec.denominator)
 
 
 def global_inner(f: GlobalValues, g: GlobalValues):
@@ -283,14 +293,23 @@ def model_family(ms: ModuliSet, tables: SieveTables) -> dict:
 
 def periodic_cross(u: LocalVector, v: LocalVector, length: int) -> Fraction:
     """sum over n <= length of u(n mod q_u) v(n mod q_v), via one shared
-    period plus the remainder."""
+    period plus the remainder.
+
+    The period is an int64 array of numerator products, so every partial
+    sum is below lcm * max|u| * max|v|.  Model vectors have |numerator| <=
+    2 phi(q), so that is below 4 lcm phi(q_u) phi(q_v) < 1e13 for moduli up
+    to the verify cap of 1000.
+    """
     span = math.lcm(u.modulus, v.modulus)
-    period = [
-        u.entries[n % u.modulus] * v.entries[n % v.modulus]
-        for n in range(1, span + 1)
-    ]
+    require_int64(span * u.max_abs * v.max_abs)
+    # period[n] is the product at n = 0..span-1; n = span wraps to 0, so the
+    # sum over n = 1..rem is period[1 : rem + 1]
+    period = np.tile(u.numerators, span // u.modulus) * np.tile(
+        v.numerators, span // v.modulus
+    )
     whole, rem = divmod(length, span)
-    return whole * sum(period) + sum(period[:rem])
+    total = whole * int(period.sum()) + int(period[1 : rem + 1].sum())
+    return Fraction(total, u.denominator * v.denominator)
 
 
 def compute_weights(
@@ -389,10 +408,22 @@ def predicted_main_terms(
     n = ctx.target
     fq = factorize(q, tables)
     eta, kappa = model_sum(ctx, fq, tables), model_diff(ctx, fq, tables)
-    rho = build_local_vector(
-        q, lambda a: ScaledValue(prime_density_star(ctx, fq, a, tables), 0)
+    # eta + kappa = mirror_density_star / t(q) and eta - kappa = rho_weight
+    # prime_density_star_ungated (verify checks both entrywise); the gated
+    # density is the ungated one when q2^2 divides q', and zero otherwise
+    g1, _ = progression_split(ctx, fq, tables)
+    _, q2 = cubefree_split(fq)
+    gate = int(ctx.modulus % (q2.value * q2.value) == 0)
+    t = star_scale(fq)
+    theta = LocalVector.from_numerators(
+        q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator, 1
     )
-    theta = build_local_vector(q, lambda a: mirror_density_star(ctx, fq, a))
+    rho = LocalVector.from_numerators(
+        q,
+        gate * mobius(g1) * (eta.numerators - kappa.numerators),
+        2 * euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1),
+        0,
+    )
     return {
         "f_phi": n * local_product(eta, rho).to_float(),
         "phi_g": n * local_product(eta, theta).to_float(),

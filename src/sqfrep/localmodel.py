@@ -5,11 +5,14 @@ sharpened, and mirrored through N - a) and the prime-progression family
 (plain, sharpened, and ungated), together with the sum/difference vectors
 built from them.  Values are exact: rational coefficients with the
 transcendental 6/pi^2 carried as a formal exponent, so every stated identity
-reduces to a Fraction comparison.
+reduces to an exact comparison.  A LocalVector holds int64 numerators over
+one positive denominator, so local products are integer dot products.
 
-Sharpened densities are computed from their defining divisor sums; the
-closed forms are asserted or tested against them, never substituted
-silently.
+Sharpened densities are computed from their defining divisor sums.  The
+model vectors are built in closed form from Ramanujan-sum tables,
+(c_q(N - a) +/- c_{g1}(a) c_{m2}(a - a'))/2; `verify` (the
+model-norm-identities check) compares every entry with the defining
+combination of the sharpened densities.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from sqfrep.arith import (
+    NUMERATOR_BOUND,
     FactoredInt,
     SieveTables,
     cubefree_split,
@@ -28,7 +34,7 @@ from sqfrep.arith import (
     factorize,
     mobius,
     ramanujan_sum,
-    star_scale,
+    ramanujan_table,
 )
 
 PI_SQ_OVER_6 = math.pi * math.pi / 6
@@ -97,23 +103,79 @@ class ScaledValue:
         return float(self.coeff) / PI_SQ_OVER_6**self.pi_power
 
 
-@dataclass(frozen=True)
+def require_int64(bound: int) -> None:
+    """Guard for an int64 reduction: bound must cap every partial sum."""
+    if bound >= 1 << 63:
+        raise OverflowError(f"int64 reduction bound {bound} reaches 2**63")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LocalVector:
-    """A function on Z/qZ: rational entries sharing one formal pi exponent."""
+    """A function on Z/qZ: entry a is numerators[a] / denominator, times
+    (6/pi^2)**pi_power.
+
+    numerators is a read-only int64 array below NUMERATOR_BOUND in
+    magnitude and denominator one positive int, so products of vectors are
+    integer reductions.  LocalVector(modulus, entries, pi_power) takes
+    rational entries and stores them over their least common denominator;
+    it raises ValueError when the entry count is not the modulus or a
+    numerator would reach NUMERATOR_BOUND.
+    """
 
     modulus: int
-    entries: tuple[Fraction, ...]
+    numerators: np.ndarray
+    denominator: int
     pi_power: int
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.modulus:
+    def __init__(self, modulus: int, entries: Sequence, pi_power: int) -> None:
+        values = [Fraction(e) for e in entries]
+        denominator = math.lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (denominator // v.denominator) for v in values]
+        self._store(modulus, numerators, denominator, pi_power)
+
+    @classmethod
+    def from_numerators(
+        cls, modulus: int, numerators, denominator: int, pi_power: int
+    ) -> "LocalVector":
+        """Entries numerators[a] / denominator, with the constructor's checks."""
+        vec = cls.__new__(cls)
+        vec._store(modulus, numerators, denominator, pi_power)
+        return vec
+
+    def _store(self, modulus, numerators, denominator, pi_power) -> None:
+        # Python ints beyond int64 give an object array, still comparable
+        values = np.asarray(numerators)
+        if values.shape != (modulus,):
             raise ValueError("entry count must equal the modulus")
+        if denominator < 1:
+            raise ValueError("denominator must be positive")
+        if not np.all(np.abs(values) < NUMERATOR_BOUND):
+            raise ValueError("entry numerators must stay below 2**62")
+        array = values.astype(np.int64)
+        array.flags.writeable = False
+        for name, value in (
+            ("modulus", modulus),
+            ("numerators", array),
+            ("denominator", int(denominator)),
+            ("pi_power", pi_power),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as exact rationals, derived from the numerators."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators.tolist())
+
+    @property
+    def max_abs(self) -> int:
+        """The largest numerator magnitude."""
+        return int(np.abs(self.numerators).max(initial=0))
 
     def value_at(self, a: int) -> Fraction:
-        return self.entries[a % self.modulus]
+        return Fraction(int(self.numerators[a % self.modulus]), self.denominator)
 
     def entry(self, a: int) -> ScaledValue:
-        return ScaledValue(self.entries[a % self.modulus], self.pi_power)
+        return ScaledValue(self.value_at(a), self.pi_power)
 
 
 def build_local_vector(
@@ -133,8 +195,11 @@ def local_product(f: LocalVector, g: LocalVector) -> ScaledValue:
     if f.modulus != g.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
     q = f.modulus
-    total = sum((x * y for x, y in zip(f.entries, g.entries)), Fraction(0))
-    return ScaledValue(total / q, f.pi_power + g.pi_power)
+    require_int64(q * f.max_abs * g.max_abs)
+    total = int(np.dot(f.numerators, g.numerators))
+    return ScaledValue(
+        Fraction(total, q * f.denominator * g.denominator), f.pi_power + g.pi_power
+    )
 
 
 def _require_cubefree(q: FactoredInt) -> None:
@@ -274,29 +339,18 @@ def alignment_term(
 def _model_vector(
     ctx: ProgressionContext, q: FactoredInt, tables: SieveTables, sign: int
 ) -> LocalVector:
+    """Entries (c_q(N - a) + sign c_{g1}(a) c_{m2}(a - a'))/2, the closed
+    form of (mirror_density_star / t(q) + sign rho_weight
+    prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1).
+    |numerator| <= 2 phi(q), since |c_r(n)| <= phi(r)."""
     _require_cubefree(q)
     g1, m2 = progression_split(ctx, q, tables)
-    mu_g1 = mobius(g1)
-    assert mu_g1 != 0
-    t_q = star_scale(q)
-    rho_weight = Fraction(
-        euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1), mu_g1
+    a = np.arange(q.value, dtype=np.int64)
+    twice = ramanujan_table(q)[(ctx.target - a) % q.value] + sign * (
+        ramanujan_table(g1)[a % g1.value]
+        * ramanujan_table(m2)[(a - ctx.residue) % m2.value]
     )
-    entries = []
-    for a in range(q.value):
-        mirror = mirror_density_star(ctx, q, a)
-        lifted = mirror.scale(1 / t_q, -1)  # strip the 6t(q)/pi^2 prefactor
-        rho_t = prime_density_star_ungated(ctx, q, a, tables)
-        value = (lifted.coeff + sign * rho_weight * rho_t) / 2
-        # The combination must collapse to a half-integer Ramanujan form.
-        reduced = Fraction(
-            ramanujan_sum(q, ctx.target - a)
-            + sign * ramanujan_sum(g1, a) * ramanujan_sum(m2, a - ctx.residue),
-            2,
-        )
-        assert value == reduced, (q.value, a, value, reduced)
-        entries.append(value)
-    return LocalVector(q.value, tuple(entries), 0)
+    return LocalVector.from_numerators(q.value, twice, 2, 0)
 
 
 def model_sum(
@@ -337,18 +391,12 @@ def prime_model_twist(
     return total
 
 
-def periodize(h: LocalVector, length: int) -> tuple[Fraction, ...]:
-    """Lift a local vector to [1, length] by reducing the argument mod q."""
-    if h.pi_power != 0:
-        raise ValueError("periodize expects a dimensionless vector; scale first")
-    return tuple(h.entries[n % h.modulus] for n in range(1, length + 1))
-
-
 def collect(values: Sequence, q: int) -> LocalVector:
     """Collapse a function on [1, N] to residues mod q, scaled by q so that
     the local product against any h equals the plain sum of values * h(n).
 
-    Adjoint to periodize: [collect(j) | h]_q = sum_n j(n) h(n mod q).
+    Adjoint to the periodic lift of h:
+    [collect(j) | h]_q = sum_n j(n) h(n mod q).
     """
     sums = [Fraction(0)] * q
     for offset, v in enumerate(values):
@@ -356,17 +404,3 @@ def collect(values: Sequence, q: int) -> LocalVector:
             sums[(offset + 1) % q] += v
     return LocalVector(q, tuple(s * q for s in sums), 0)
 
-
-def global_product(f: Sequence, g: Sequence):
-    """Sum of f(n) g(n) over the common index range.
-
-    Exact (int/Fraction) when both inputs are exact; compensated float
-    summation as soon as either side carries floats.
-    """
-    if len(f) != len(g):
-        raise ValueError(f"length mismatch: {len(f)} vs {len(g)}")
-    if any(isinstance(x, float) for x in f) or any(
-        isinstance(x, float) for x in g
-    ):
-        return math.fsum(float(x) * float(y) for x, y in zip(f, g))
-    return sum(x * y for x, y in zip(f, g))

@@ -28,6 +28,7 @@ from sqfrep.arith import (
     factorize,
     mobius,
     mobius_divisor_indicator,
+    ramanujan_row,
     ramanujan_sum,
     ramanujan_table,
     star_scale,
@@ -299,6 +300,68 @@ def _scaled_star_row(
     return total, shared
 
 
+def _squarefree_density_row(d: FactoredInt) -> tuple[np.ndarray, int]:
+    """squarefree_density(d, a) / (6/pi^2) over all residues mod d, as
+    integers over prod (p^2 - 1) for p | d."""
+    a = np.arange(d.value, dtype=np.int64)
+    num = np.ones(d.value, dtype=np.int64)
+    for p, e in d.factors:
+        if e == 1:
+            num *= np.where(a % p == 0, p * (p - 1), p * p)
+        else:
+            num *= np.where(a % (p * p) == 0, 0, p * p)
+    return num, math.prod(p * p - 1 for p, _ in d.factors)
+
+
+def _squarefree_star_row(q: FactoredInt) -> tuple[np.ndarray, int]:
+    """squarefree_density_star(q, a) / (6/pi^2) over all residues mod q from
+    its defining Moebius sum over divisors, as integers over a shared
+    denominator."""
+    shared = math.prod(p * p - 1 for p, _ in q.factors)
+    a = np.arange(q.value, dtype=np.int64)
+    total = np.zeros(q.value, dtype=np.int64)
+    for d, cof_mu in divisors_with_cofactor_mobius(q):
+        num, den = _squarefree_density_row(d)
+        total += cof_mu * (shared // den) * num[a % d.value]
+    return total, shared
+
+
+def _model_mismatches(
+    ctx: ProgressionContext,
+    q: FactoredInt,
+    eta: LocalVector,
+    kappa: LocalVector,
+    star_row: tuple[np.ndarray, int],
+    tables: SieveTables,
+) -> int:
+    """Entries of eta = model_sum and kappa = model_diff that differ from the
+    defining route (mirror_density_star / t(q) +/- rho_weight
+    prime_density_star_ungated)/2, rho_weight = phi(q') phi(g1) / mu(g1)."""
+    qv = q.value
+    a = np.arange(qv, dtype=np.int64)
+    star_num, star_den = star_row
+    mirror = star_num[(ctx.target - a) % qv]  # times 6/pi^2, over star_den
+    g1, m2 = progression_split(ctx, q, tables)
+    mu_g1 = mobius(g1)
+    # prime_density_star_ungated: the Ramanujan-sum product over its denominator
+    ungated = mu_g1 * (
+        ramanujan_row(g1, a) * ramanujan_row(m2, np.abs(a - ctx.residue))
+    )
+    ungated_den = _phi_int(ctx.modulus, tables) * euler_phi(g1)
+    lift = 1 / (star_den * star_scale(q))
+    weight = Fraction(ungated_den, mu_g1) / ungated_den  # rho_weight / den
+    bad = 0
+    for vec, sign in ((eta, 1), (kappa, -1)):
+        # 2 vec = lift * mirror + sign * weight * ungated, denominators cleared
+        lhs = 2 * vec.numerators * (lift.denominator * weight.denominator)
+        rhs = vec.denominator * (
+            lift.numerator * weight.denominator * mirror
+            + sign * weight.numerator * lift.denominator * ungated
+        )
+        bad += int(np.count_nonzero(lhs != rhs))
+    return bad
+
+
 def _twist_closed_form(
     ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
 ) -> Fraction:
@@ -454,7 +517,8 @@ def run_local_suite(
     rec = _Recorder("mirror-norm-identity")
     for ctx in sample_ctx[:4]:
         for f in cubefree_products:
-            norm = local_product(_mirror_vector(ctx, f), _mirror_vector(ctx, f))
+            theta = _mirror_vector(ctx, f)
+            norm = local_product(theta, theta)
             scale = star_scale(f)
             rec.check(
                 norm.pi_power == 2 and norm.coeff == scale * scale * euler_phi(f),
@@ -488,8 +552,11 @@ def run_local_suite(
             )
     results.append(rec.result())
 
+    # model-norm-identities also checks every model-vector entry against
+    # its defining route, with the square-free side from divisor sums
     rec_norm = _Recorder("model-norm-identities")
     rec_sandwich = _Recorder("model-norm-sandwich")
+    star_rows = {f.value: _squarefree_star_row(f) for f in cubefree_products}
     for ctx in sample_ctx:
         for f in cubefree_products:
             eta = model_sum(ctx, f, tables)
@@ -506,6 +573,8 @@ def run_local_suite(
                 nsum == Fraction(phi_q + align, 2)
                 and ndiff == Fraction(phi_q - align, 2)
                 and cross == 0
+                and _model_mismatches(ctx, f, eta, kappa, star_rows[f.value], tables)
+                == 0
             )
             rec_norm.check(
                 ok, lambda f=f, ctx=ctx: f"q={f.value} qprime={ctx.modulus}"

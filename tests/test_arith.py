@@ -21,9 +21,7 @@ from sqfrep.arith import (
     ramanujan_row,
     ramanujan_sum,
     ramanujan_table,
-    sigma,
     star_scale,
-    valuation,
 )
 
 
@@ -137,13 +135,6 @@ class TestMultiplicativeFunctions:
             direct = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
             assert euler_phi(factorize(n, tables)) == direct
 
-    def test_sigma(self, tables):
-        assert sigma(factorize(28, tables)) == 56  # perfect number
-        assert sigma(factorize(1, tables)) == 1
-        for n in range(1, 200):
-            direct = sum(d for d in range(1, n + 1) if n % d == 0)
-            assert sigma(factorize(n, tables)) == direct
-
     def test_mobius_agrees_with_table(self, tables):
         for n in range(1, 500):
             assert mobius(factorize(n, tables)) == tables.mobius[n]
@@ -159,13 +150,6 @@ class TestMultiplicativeFunctions:
             assert (q1.value, q2.value) == parts
         with pytest.raises(ValueError):
             cubefree_split(factorize(8, tables))
-
-    def test_valuation(self):
-        assert valuation(24, 2) == 3
-        assert valuation(24, 5) == 0
-        assert valuation(-8, 2) == 3
-        with pytest.raises(ValueError):
-            valuation(0, 2)
 
 
 def ramanujan_brute(r: int, n: int) -> int:

@@ -203,6 +203,33 @@ class TestWeights:
             diagonal = 10_000 * local_product(fam[q][0], fam[q][0]).coeff
             assert abs(weight / diagonal - 1) <= Fraction(1, 4)
 
+    def test_exact_rationals_pinned(self, tables):
+        # recorded from the Fraction implementation of the cross sums and
+        # local dots; the integer reductions must give the same rationals
+        ctx = ProgressionContext(10007, 5, 6)
+        ms = build_moduli_set(6, 2, ctx, tables)
+        w = compute_weights(ms, tables)
+        assert w.m_phi == {
+            1: Fraction(10023),
+            2: Fraction(10024),
+            3: Fraction(20037),
+            5: Fraction(30083, 2),
+            6: Fraction(20039),
+            20: Fraction(50105),
+        }
+        assert w.m_psi == {
+            4: Fraction(20030),
+            5: Fraction(50145, 2),
+            12: Fraction(40062),
+            20: Fraction(30065),
+        }
+        f = lambda_progression_function(ctx, tables)
+        g = squarefree_mirror_function(ctx.target, tables)
+        assert estimate_inner(f, g, ms, w, tables) == Fraction(
+            236491402238115587836713019525263867253221247908890207189,
+            159351973694776134992082822446136809016850487370055680,
+        )
+
     def test_paper_form_values(self, tables):
         ctx = ProgressionContext(10**6, 1, 1)
         ms = build_moduli_set(4, 1, ctx, tables)

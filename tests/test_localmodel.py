@@ -21,12 +21,10 @@ from sqfrep.localmodel import (
     alignment_term,
     build_local_vector,
     collect,
-    global_product,
     local_product,
     mirror_density_star,
     model_diff,
     model_sum,
-    periodize,
     prime_density,
     prime_density_star,
     prime_density_star_ungated,
@@ -83,6 +81,9 @@ class TestLocalVector:
     def test_entry_count_enforced(self):
         with pytest.raises(ValueError):
             LocalVector(3, (F(1), F(2)), 0)
+        # 2**61 over the common denominator 2 reaches the 2**62 bound
+        with pytest.raises(ValueError):
+            LocalVector(2, (F(2**61), F(1, 2)), 0)
 
     def test_value_wraps_mod_q(self):
         h = LocalVector(3, (F(1), F(2), F(3)), 0)
@@ -98,6 +99,10 @@ class TestLocalVector:
         g = LocalVector(3, (F(1), F(1), F(1)), 0)
         with pytest.raises(ValueError):
             local_product(h, g)
+        # 2 * 2**40 * 2**40 can reach 2**63: the int64 dot refuses
+        big = LocalVector(2, (F(2**40), F(1)), 0)
+        with pytest.raises(OverflowError):
+            local_product(big, big)
 
     def test_product_value_and_power(self):
         h = LocalVector(2, (F(1), F(-1)), 1)
@@ -533,14 +538,6 @@ class TestPrimeModelTwist:
 
 
 class TestPeriodizeCollect:
-    def test_periodize_values(self):
-        h = LocalVector(3, (F(1), F(2), F(3)), 0)
-        assert periodize(h, 7) == (F(2), F(3), F(1), F(2), F(3), F(1), F(2))
-
-    def test_periodize_rejects_scaled_vectors(self):
-        with pytest.raises(ValueError):
-            periodize(LocalVector(2, (F(1), F(1)), 1), 5)
-
     def test_collect_counts(self):
         flat = collect([1] * 23, 5)
         assert flat.entries == (F(20), F(25), F(25), F(25), F(20))
@@ -554,13 +551,5 @@ class TestPeriodizeCollect:
             j = [int(v) for v in rng.integers(-5, 6, size=n)]
             h = LocalVector(q, tuple(F(int(v)) for v in rng.integers(-9, 10, size=q)), 0)
             lhs = local_product(collect(j, q), h)
-            rhs = global_product(j, periodize(h, n))
+            rhs = sum(v * h.entries[m % q] for m, v in enumerate(j, start=1))
             assert lhs == ScaledValue(F(rhs), 0)
-
-    def test_global_product_exact_vs_float(self):
-        exact = global_product([F(1, 3), F(2, 3)], [3, 3])
-        assert exact == F(3)
-        mixed = global_product([1 / 3, 2 / 3], [3, 3])
-        assert mixed == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            global_product([1], [1, 2])

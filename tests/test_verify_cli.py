@@ -2,9 +2,11 @@
 round-trips, determinism, and the corrupted-fixture drill."""
 
 import json
+import math
 
 import pytest
 
+from sqfrep.arith import star_scale
 from sqfrep.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -17,13 +19,16 @@ from sqfrep.cli import (
     parse_csv,
 )
 from sqfrep.counting import count_representations, psi_in_ap, squarefree_count_in_ap
-from sqfrep.localmodel import star_scale
 from sqfrep.verify import (
     run_arith_suite,
     run_estimator_suite,
     run_local_suite,
     run_suites,
 )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 class TestSuites:
@@ -158,15 +163,26 @@ class TestConfig:
 
 class TestRoundTrip:
     def test_csv_json_lossless(self, tmp_path):
-        csv_path = tmp_path / "rows.csv"
-        json_path = tmp_path / "rows.json"
-        base = ["compare", "--n", "10000", "--q-max", "5"]
-        assert main([*base, "--out", str(csv_path)]) == EXIT_OK
-        assert main([*base, "--format", "json", "--out", str(json_path)]) == EXIT_OK
-        schema, csv_rows = parse_csv(csv_path.read_text())
-        json_rows = json.loads(json_path.read_text())
-        assert schema == "sqfrep-compare"
-        assert csv_rows == json_rows
+        for want_schema, base in (
+            ("sqfrep-compare", ["compare", "--n", "10000", "--q-max", "5"]),
+            # obstructed: 4 divides both the modulus and 1001 - 1
+            (
+                "sqfrep-estimate",
+                ["estimate", "--n", "1001", "--qprime", "4", "--aprime", "1"],
+            ),
+        ):
+            csv_path = tmp_path / f"{want_schema}.csv"
+            json_path = tmp_path / f"{want_schema}.json"
+            assert main([*base, "--out", str(csv_path)]) == EXIT_OK
+            assert (
+                main([*base, "--format", "json", "--out", str(json_path)]) == EXIT_OK
+            )
+            schema, csv_rows = parse_csv(csv_path.read_text())
+            json_rows = json.loads(
+                json_path.read_text(), parse_constant=_reject_constant
+            )
+            assert schema == want_schema
+            assert csv_rows == json_rows
 
     def test_every_cell_survives_reencoding(self, tmp_path):
         path = tmp_path / "est.csv"
@@ -178,6 +194,10 @@ class TestRoundTrip:
         schema, rows = parse_csv(text)
         assert encode_csv(schema, rows) == text
         assert json.loads(encode_json(schema, rows)) == rows
+        blown = [{**rows[0], "rel_error_direct": math.inf, "defect_f": math.nan}]
+        cells = json.loads(encode_json(schema, blown), parse_constant=_reject_constant)
+        assert cells[0]["rel_error_direct"] is None
+        assert cells[0]["defect_f"] is None
 
     def test_header_names_schema_and_types(self, capsys):
         assert main(["count", "--n", "500"]) == EXIT_OK
