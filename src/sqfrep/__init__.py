@@ -13,6 +13,7 @@ from sqfrep.arith import (
 )
 from sqfrep.counting import (
     CountResult,
+    count_classes,
     count_representations,
     psi_in_ap,
     squarefree_count_in_ap,
@@ -63,6 +64,7 @@ __all__ = [
     "build_moduli_set",
     "build_sieve",
     "compute_weights",
+    "count_classes",
     "count_representations",
     "estimate_inner",
     "factorize",

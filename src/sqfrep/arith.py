@@ -27,6 +27,15 @@ _CHUNK = 1 << 22
 NUMERATOR_BOUND = 1 << 62
 
 
+def require_int64(bound: int) -> None:
+    """Guard for an int64 computation: bound must cap every value it forms.
+
+    Raises OverflowError instead of asserting, so the check survives -O.
+    """
+    if bound >= 1 << 63:
+        raise OverflowError(f"int64 reduction bound {bound} reaches 2**63")
+
+
 class CapacityError(RuntimeError):
     """An input exceeds what the current sieve tables can cover."""
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
 from sqfrep.counting import (
+    count_classes,
     count_representations,
     segmented_prime_sieve,
     segmented_squarefree_sieve,
@@ -308,11 +309,20 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     tables = _tables_for(max(cfg.targets))
+    q_values = [cfg.q] if cfg.q is not None else list(range(1, cfg.q_max + 1))
+    if cfg.a is not None:
+        for q in q_values:
+            if math.gcd(cfg.a, q) != 1:
+                raise ValueError(f"class {cfg.a % q} is not a unit mod {q}")
     rows = []
     consistent = True
     for n in cfg.targets:
         fn = factorize(n, tables)
-        q_values = [cfg.q] if cfg.q is not None else list(range(1, cfg.q_max + 1))
+        counts = count_classes(n, q_values, tables, cfg.threads)
+        elapsed = next(iter(counts.values())).elapsed
+        print(
+            f"count N={n} classes={len(counts)}: {elapsed:.3f}s", file=sys.stderr
+        )
         for q in q_values:
             fq = factorize(q, tables)
             residues = (
@@ -322,11 +332,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             )
             for a in residues:
                 sv = singular_series(fn, a, fq, cfg.p_cutoff)
-                res = count_representations(n, a, q, tables, cfg.threads)
-                print(
-                    f"count N={n} q={q} a={a}: {res.elapsed:.3f}s",
-                    file=sys.stderr,
-                )
+                res = counts[q, a]
                 if sv.vanished:
                     ratio = 0.0
                     if res.weighted != 0.0 or res.unweighted != 0:

@@ -14,6 +14,18 @@ is rounded to a float at the very end.  A result is therefore the correctly
 rounded sum of its terms, bit-identical for every thread count and every
 window size.
 
+Both segmented sieves strike through one helper, _strike.  The first
+offset of every base prime (or prime square) in the window is computed at
+once as an int64 array.  A step shorter than 1/32 of the window is struck
+as one numpy slice; every longer step lands at most 32 times, and all of
+those hits are cleared in one vectorised pass, so a small window costs a
+few numpy calls rather than a Python loop over every base prime.
+
+`compare` needs every unit class a mod q for many q.  count_classes makes
+one scan of [2, N) for all of them: each window's hits are reduced to exact
+per-class sums for every modulus, so the cost is one sieve, not one per
+class, and no hit is kept past its window.
+
 The base tables must reach the square root of the largest value touched: a
 window is accepted only while hi - 1 <= tables.limit**2.
 """
@@ -26,10 +38,12 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import add
+from typing import Iterator
 
 import numpy as np
 
-from sqfrep.arith import CapacityError, SieveTables
+from sqfrep.arith import CapacityError, SieveTables, require_int64
 
 DEFAULT_WINDOW = 1 << 20
 
@@ -87,35 +101,73 @@ def _base_primes(top: int, tables: SieveTables) -> np.ndarray:
     return tables.primes[:pos]
 
 
+# A step shorter than 1/_SLICE_SPLIT of the window is struck as one slice;
+# every longer step lands at most _SLICE_SPLIT times in the window.
+_SLICE_SPLIT = 32
+
+
+def _strike(out: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> None:
+    """Clear out[o], out[o + s], out[o + 2s], ... for every first offset o
+    >= 0 and its step s; steps ascend.
+
+    Short steps are one numpy slice each.  All the longer ones are struck
+    in one pass: the gaps between consecutive hits, step by step, are laid
+    out with one np.repeat, their running sum gives every hit, and one
+    fancy-indexed store clears them.
+
+    The offsets are int64, computed from lo, p^2 and ceil(lo/p) p for
+    base primes p <= sqrt(hi - 1).  _check_window bounds hi - 1 by
+    tables.limit**2, so each of these is below tables.limit**2 +
+    tables.limit; _sieve_primes checks that bound against 2**63 (build_sieve
+    keeps the limit below 2**31, so the check only fails for hand-built
+    tables).  Hit positions lie in [0, out.size).
+    """
+    length = out.size
+    short = int(steps.searchsorted(-(-length // _SLICE_SPLIT)))
+    for off, step in zip(offsets[:short].tolist(), steps[:short].tolist()):
+        out[off::step] = False
+    offsets, steps = offsets[short:], steps[short:]
+    near = offsets < length
+    off, step = offsets[near], steps[near]
+    if off.size:
+        hits = (length - 1 - off) // step + 1
+        last = off + (hits - 1) * step
+        gaps = step.repeat(hits)
+        # each step's first hit follows the previous step's last one
+        gaps[(hits.cumsum() - hits)[1:]] = off[1:] - last[:-1]
+        gaps[0] = off[0]
+        out[gaps.cumsum()] = False
+
+
+def _sieve_primes(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
+    """The base primes of the window [lo, hi), after checking it."""
+    _check_window(lo, hi, tables)
+    require_int64(tables.limit**2 + tables.limit)
+    return _base_primes(math.isqrt(hi - 1), tables)
+
+
 def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is square-free.
 
     Strikes multiples of p^2 for p up to sqrt(hi-1); the value 0 counts as
     not square-free.
     """
-    _check_window(lo, hi, tables)
+    squares = _sieve_primes(lo, hi, tables) ** 2
     out = np.ones(hi - lo, dtype=bool)
     if lo == 0:
         out[0] = False
-    for p in _base_primes(math.isqrt(hi - 1), tables).tolist():
-        p2 = p * p
-        start = ((lo + p2 - 1) // p2) * p2
-        if start < hi:
-            out[start - lo :: p2] = False
+    _strike(out, -lo % squares, squares)
     return out
 
 
 def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is prime."""
-    _check_window(lo, hi, tables)
+    primes = _sieve_primes(lo, hi, tables)
     out = np.ones(hi - lo, dtype=bool)
     for v in (0, 1):
         if lo <= v < hi:
             out[v - lo] = False
-    for p in _base_primes(math.isqrt(hi - 1), tables).tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            out[start - lo :: p] = False
+    _strike(out, np.maximum(primes**2, -(-lo // primes) * primes) - lo, primes)
     return out
 
 
@@ -164,8 +216,9 @@ def exact_class_sums(
 
 def _scan(
     lo: int, hi: int, residue: int, modulus: int, sieve, reduce, threads: int = 1
-) -> list:
-    """reduce(w_lo, flags) for every window [w_lo, w_hi) of [lo, hi), in order.
+) -> Iterator:
+    """Yield reduce(w_lo, flags) for every window [w_lo, w_hi) of [lo, hi),
+    in order.
 
     Windows are window_length() integers long and run on `threads` workers.
     flags is sieve(w_lo, w_hi), cleared off the lane n ≡ residue (mod modulus).
@@ -186,8 +239,9 @@ def _scan(
     starts = range(lo, hi, length)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, starts))
-    return [work(w) for w in starts]
+            yield from ex.map(work, starts)
+    else:
+        yield from map(work, starts)
 
 
 def _log_scan(
@@ -198,13 +252,13 @@ def _log_scan(
     reduce,
     threads: int = 1,
     mirror: int | None = None,
-) -> list:
-    """reduce(hits, numerators, powers) per window over the prime powers
-    n = p^k <= top on the lane, in order.
+) -> Iterator:
+    """reduce(hits, numerators, power_values, power_numerators) per window
+    over the prime powers n = p^k <= top on the lane, in order.
 
-    numerators are those of log p; powers lists, as Python ints, the
-    numerators of the proper powers among the hits.  With a mirror, only n
-    with mirror - n square-free are hits.
+    numerators are those of log p; power_values and power_numerators list,
+    as Python ints, the proper powers among the hits and their numerators.
+    With a mirror, only n with mirror - n square-free are hits.
     """
     power_vals, power_logs = proper_prime_powers(top, tables)
     power_nums = np.ldexp(power_logs, LOG_BITS).astype(np.int64)
@@ -229,13 +283,14 @@ def _log_scan(
     def window(lo: int, flags: np.ndarray):
         hits = np.flatnonzero(flags) + lo
         nums = log_numerators(hits)
-        powers = []
+        kept_vals, kept_nums = [], []
         span = powers_in(lo, lo + flags.size)
         if span.start < span.stop:
             kept = flags[power_vals[span] - lo]
-            nums[np.searchsorted(hits, power_vals[span][kept])] = power_nums[span][kept]
-            powers = power_nums[span][kept].tolist()
-        return reduce(hits, nums, powers)
+            vals, pnums = power_vals[span][kept], power_nums[span][kept]
+            nums[np.searchsorted(hits, vals)] = pnums
+            kept_vals, kept_nums = vals.tolist(), pnums.tolist()
+        return reduce(hits, nums, kept_vals, kept_nums)
 
     return _scan(2, top + 1, residue, modulus, sieve, window, threads)
 
@@ -270,23 +325,84 @@ def count_representations(
     _check_coverage(target, tables)
     started = time.perf_counter()
 
-    def window(hits, nums, powers):
-        return hits.size - len(powers), exact_sum(nums), sum(powers)
+    def window(hits, nums, power_vals, power_nums):
+        return hits.size - len(power_vals), exact_sum(nums), sum(power_nums)
 
-    parts = _log_scan(
+    unweighted = total = extra = 0
+    for hits, sums, powers in _log_scan(
         target - 1, residue, modulus, tables, window, threads, mirror=target
-    )
-    total = sum(p[1] for p in parts)
-    extra = sum(p[2] for p in parts)
+    ):
+        unweighted += hits
+        total += sums
+        extra += powers
     return CountResult(
         target=target,
         residue=residue,
         modulus=modulus,
         weighted=(total - extra) / LOG_SCALE,
-        unweighted=sum(p[0] for p in parts),
+        unweighted=unweighted,
         lambda_weighted=total / LOG_SCALE,
         elapsed=time.perf_counter() - started,
     )
+
+
+def count_classes(
+    target: int, moduli, tables: SieveTables, threads: int = 1
+) -> dict[tuple[int, int], CountResult]:
+    """count_representations for every unit class a mod q and every q in
+    moduli, keyed (q, a) in the order of moduli and then of a.
+
+    One scan of [2, target) on modulus 1 finds every hit; each window is
+    reduced to exact per-class sums for every q, so no hit outlives its
+    window.  Every result carries the elapsed time of the whole scan.
+    """
+    moduli = list(dict.fromkeys(moduli))
+    if any(q < 1 for q in moduli):
+        raise ValueError("moduli must be positive")
+    if target < 3:
+        raise ValueError("target must be at least 3")
+    _check_coverage(target, tables)
+    started = time.perf_counter()
+
+    def window(hits, nums, power_vals, power_nums):
+        per_q = []
+        for q in moduli:
+            classes = hits % q
+            per_q.append(
+                (
+                    np.bincount(classes, minlength=q).tolist(),
+                    exact_class_sums(nums, classes, q),
+                )
+            )
+        return per_q, power_vals, power_nums
+
+    counts = {q: [0] * q for q in moduli}
+    totals = {q: [0] * q for q in moduli}
+    extras = {q: [0] * q for q in moduli}
+    for per_q, power_vals, power_nums in _log_scan(
+        target - 1, 0, 1, tables, window, threads, mirror=target
+    ):
+        for q, (window_counts, window_sums) in zip(moduli, per_q):
+            counts[q] = list(map(add, counts[q], window_counts))
+            totals[q] = list(map(add, totals[q], window_sums))
+            for v, num in zip(power_vals, power_nums):
+                counts[q][v % q] -= 1
+                extras[q][v % q] += num
+    elapsed = time.perf_counter() - started
+    return {
+        (q, a): CountResult(
+            target=target,
+            residue=a,
+            modulus=q,
+            weighted=(totals[q][a] - extras[q][a]) / LOG_SCALE,
+            unweighted=counts[q][a],
+            lambda_weighted=totals[q][a] / LOG_SCALE,
+            elapsed=elapsed,
+        )
+        for q in moduli
+        for a in range(q)
+        if math.gcd(a, q) == 1
+    }
 
 
 def squarefree_count_in_ap(
@@ -313,13 +429,15 @@ def squarefree_flags(hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [0, hi), True where the value is square-free,
     sieved window by window."""
     return np.concatenate(
-        _scan(
-            0,
-            hi,
-            0,
-            1,
-            lambda lo, w_hi: segmented_squarefree_sieve(lo, w_hi, tables),
-            lambda lo, flags: flags,
+        list(
+            _scan(
+                0,
+                hi,
+                0,
+                1,
+                lambda lo, w_hi: segmented_squarefree_sieve(lo, w_hi, tables),
+                lambda lo, flags: flags,
+            )
         )
     )
 
@@ -329,8 +447,10 @@ def prime_power_logs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n = p^k <= target with n ≡ residue (mod modulus), in
     increasing order, and the numerators of their weights log p."""
-    parts = _log_scan(
-        target, residue, modulus, tables, lambda hits, nums, powers: (hits, nums)
+    parts = list(
+        _log_scan(
+            target, residue, modulus, tables, lambda hits, nums, *powers: (hits, nums)
+        )
     )
     return (
         np.concatenate([_NO_HITS, *(p[0] for p in parts)]),
@@ -352,7 +472,7 @@ def psi_in_ap(
         residue,
         modulus,
         tables,
-        lambda hits, nums, powers: exact_sum(nums),
+        lambda hits, nums, *powers: exact_sum(nums),
         threads,
     )
     return sum(parts) / LOG_SCALE

@@ -29,6 +29,7 @@ from sqfrep.arith import (
     euler_phi,
     factorize,
     mobius,
+    require_int64,
     star_scale,
 )
 from sqfrep.counting import (
@@ -47,7 +48,6 @@ from sqfrep.localmodel import (
     model_diff,
     model_sum,
     progression_split,
-    require_int64,
 )
 
 MATERIALIZE_CAP = 10**7
@@ -223,7 +223,7 @@ def global_inner(f: GlobalValues, g: GlobalValues):
             weights = g[f.indices - 1].astype(np.int64)
             total = sum(
                 v * exact_sum(f.numerators[weights == v])
-                for v in np.unique(weights[weights != 0]).tolist()
+                for v in sorted(set(weights.tolist()) - {0})
             )
             return Fraction(total, LOG_SCALE)
         total = sum(
@@ -335,12 +335,18 @@ def compute_weights(
             raise ValueError("padding applies to paper-form only")
         vectors = [("phi", q, family[q][0]) for q in phi_members]
         vectors += [("psi", q, family[q][1]) for q in psi_members]
+        # periodic_cross is symmetric: each unordered pair is computed once
+        # and its magnitude added to both sides
+        totals = [Fraction(0)] * len(vectors)
+        for i, (_, _, vec) in enumerate(vectors):
+            for j in range(i, len(vectors)):
+                cross = abs(periodic_cross(vec, vectors[j][2], n))
+                totals[i] += cross
+                if j != i:
+                    totals[j] += cross
         m_phi = {}
         m_psi = {}
-        for kind, q, vec in vectors:
-            total = Fraction(0)
-            for _, _, other in vectors:
-                total += abs(periodic_cross(vec, other, n))
+        for (kind, q, _), total in zip(vectors, totals):
             if kind == "phi":
                 m_phi[q] = total
             else:

@@ -35,6 +35,7 @@ from sqfrep.arith import (
     mobius,
     ramanujan_sum,
     ramanujan_table,
+    require_int64,
 )
 
 PI_SQ_OVER_6 = math.pi * math.pi / 6
@@ -101,12 +102,6 @@ class ScaledValue:
 
     def to_float(self) -> float:
         return float(self.coeff) / PI_SQ_OVER_6**self.pi_power
-
-
-def require_int64(bound: int) -> None:
-    """Guard for an int64 reduction: bound must cap every partial sum."""
-    if bound >= 1 << 63:
-        raise OverflowError(f"int64 reduction bound {bound} reaches 2**63")
 
 
 @dataclass(frozen=True, eq=False, init=False)

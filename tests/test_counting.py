@@ -1,6 +1,7 @@
 """Segmented sieves and the brute-force counting oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
 from sqfrep.counting import (
+    count_classes,
     count_representations,
     psi_in_ap,
     segmented_prime_sieve,
@@ -397,3 +399,132 @@ class TestScanProperties:
             _set_window_cap(mp, cap)
             got = squarefree_count_in_ap(target, residue, modulus, tables, threads)
         assert got == want
+
+
+def _brute_window(lo, hi, primes):
+    """(prime flags, square-free flags) for [lo, hi) by trial division of
+    every value by every base prime."""
+    vals = np.arange(lo, hi, dtype=np.int64)
+    prime = vals >= 2
+    squarefree = vals != 0
+    for p in primes[primes * primes < hi].tolist():
+        prime &= (vals % p != 0) | (vals == p)
+        squarefree &= vals % (p * p) != 0
+    return prime, squarefree
+
+
+def _slice_window(lo, hi, primes):
+    """(prime flags, square-free flags) for [lo, hi), striking one slice per
+    base prime: the plain segmented sieve."""
+    prime = np.ones(hi - lo, dtype=bool)
+    prime[: max(0, 2 - lo)] = False
+    squarefree = np.ones(hi - lo, dtype=bool)
+    if lo == 0:
+        squarefree[0] = False
+    for p in primes[primes * primes < hi].tolist():
+        prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        squarefree[-lo % (p * p) :: p * p] = False
+    return prime, squarefree
+
+
+class TestSieveProperties:
+    """Both segmented sieves against brute force, with steps on both sides
+    of the split between sliced and vectorised striking."""
+
+    @staticmethod
+    def _window(tables, data, lengths):
+        top = tables.limit**2 + 1
+        length = data.draw(lengths)
+        lo = data.draw(
+            st.one_of(
+                st.integers(0, 10**6),
+                st.integers(0, top - length),
+                # windows that end at or near the end of coverage
+                st.integers(top - 2 * length, top - length).map(lambda v: max(v, 0)),
+            )
+        )
+        return lo, lo + length
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_sieves_match_brute_force(self, tables, data):
+        # the split sits at length / 32: short windows put most steps above
+        # it, and every length here has base primes below it too
+        lengths = st.one_of(
+            st.sampled_from((1, 2, 31, 32, 33, 64, 65, 1023, 1024, 1025, 2048, 2049)),
+            st.integers(1, 4096),
+        )
+        lo, hi = self._window(tables, data, lengths)
+        prime, squarefree = _brute_window(lo, hi, tables.primes)
+        assert np.array_equal(segmented_prime_sieve(lo, hi, tables), prime)
+        assert np.array_equal(segmented_squarefree_sieve(lo, hi, tables), squarefree)
+
+    @pytest.mark.parametrize("cap", (8 << 10, 16 << 10, None))
+    def test_cap_windows_strike_both_ways(self, cap, monkeypatch):
+        # limit 40,000 puts base primes above 2**20 / 32 = 32,768, so even a
+        # default window has steps on both sides of the split
+        wide = build_sieve(40_000)
+        _set_window_cap(monkeypatch, cap)
+        length = window_length()
+        top = wide.limit**2 + 1
+        for lo in (top - length, top - length - 12_345, 10**9 + 7):
+            for hi in (lo + length, lo + length - 33):
+                assert 32 * wide.primes[0] < hi - lo < 32 * wide.primes[-1]
+                prime, squarefree = _slice_window(lo, hi, wide.primes)
+                assert np.array_equal(segmented_prime_sieve(lo, hi, wide), prime)
+                assert np.array_equal(
+                    segmented_squarefree_sieve(lo, hi, wide), squarefree
+                )
+
+    def test_rejects_tables_beyond_int64(self, tables):
+        huge = replace(tables, limit=1 << 32)
+        with pytest.raises(OverflowError):
+            segmented_prime_sieve(0, 100, huge)
+        with pytest.raises(OverflowError):
+            segmented_squarefree_sieve(0, 100, huge)
+
+
+class TestCountClasses:
+    """One scan for every class equals one masked scan per class."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        target=st.one_of(
+            st.sampled_from((3, 4, 10, 101, 1000, 1001)), st.integers(3, 20_000)
+        ),
+        cap=st.sampled_from((8 << 10, 16 << 10, None)),
+        threads=st.sampled_from((1, 2)),
+    )
+    def test_matches_count_representations(self, tables, target, cap, threads):
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            got = count_classes(target, range(1, 13), tables, threads)
+            keys = [
+                (q, a) for q in range(1, 13) for a in range(q) if math.gcd(a, q) == 1
+            ]
+            assert list(got) == keys
+            for (q, a), r in got.items():
+                want = count_representations(target, a, q, tables, threads)
+                assert (
+                    r.target,
+                    r.residue,
+                    r.modulus,
+                    r.unweighted,
+                    r.weighted,
+                    r.lambda_weighted,
+                ) == (
+                    want.target,
+                    want.residue,
+                    want.modulus,
+                    want.unweighted,
+                    want.weighted,
+                    want.lambda_weighted,
+                ), (q, a)
+
+    def test_rejects_bad_input(self, tables):
+        with pytest.raises(ValueError):
+            count_classes(2, [1], tables)
+        with pytest.raises(ValueError):
+            count_classes(100, [3, 0], tables)
+        with pytest.raises(CapacityError):
+            count_classes(101**2, [1], build_sieve(100))

@@ -258,6 +258,20 @@ class TestRows:
         assert rows[0]["unweighted"] == want.unweighted
         assert rows[0]["lambda_weighted"] == want.lambda_weighted
 
+    def test_compare_rows_match_library(self, tables, capsys):
+        assert main(["compare", "--n", "3000", "--n", "3001", "--q-max", "6"]) == EXIT_OK
+        captured = capsys.readouterr()
+        _, rows = parse_csv(captured.out)
+        assert len(rows) == 2 * sum(
+            1 for q in range(1, 7) for a in range(q) if math.gcd(a, q) == 1
+        )
+        for row in rows:
+            want = count_representations(row["N"], row["a"], row["q"], tables)
+            assert row["weighted"] == want.weighted, row
+        # one scan, and one timing line, per target
+        timings = [ln for ln in captured.err.splitlines() if ln.startswith("count N=")]
+        assert [ln.split()[1] for ln in timings] == ["N=3000", "N=3001"]
+
     def test_compare_obstructed_rows_exact(self, capsys):
         # 4 divides both the modulus and 101 - 1, so the class is obstructed
         assert main(["compare", "--n", "101", "--q", "4", "--a", "1"]) == EXIT_OK
