@@ -7,6 +7,16 @@ estimator's global functions, come from one windowed scan: windows of a
 bounded size are sieved one at a time, so the memory footprint never
 depends on the target.
 
+A scan walks lane indices, not integers.  Its lane is the progression
+first + step*j, 0 <= j < count, that the result needs (n ≡ a mod q for a
+count mod q), and a window is a run of consecutive lane indices, so no
+integer off the lane is ever sieved.  Each base prime strikes one residue
+class of lane indices; its first member and its period are solved once per
+scan, and a window only shifts them.  The square-free mirror target - n
+of an ascending lane is the descending lane target - first - step*j,
+struck at the same indices.  The public window sieves are the step-1 case
+of the same code.
+
 Sums of logarithms are exact and rounded once.  For n >= 2 the double
 log n is an integer multiple of 2**-53 below 2**5, so it is stored as the
 int64 numerator log n * 2**53; numerators are summed exactly and the total
@@ -14,12 +24,11 @@ is rounded to a float at the very end.  A result is therefore the correctly
 rounded sum of its terms, bit-identical for every thread count and every
 window size.
 
-Both segmented sieves strike through one helper, _strike.  The first
-offset of every base prime (or prime square) in the window is computed at
-once as an int64 array.  A step shorter than 1/32 of the window is struck
-as one numpy slice; every longer step lands at most 32 times, and all of
-those hits are cleared in one vectorised pass, so a small window costs a
-few numpy calls rather than a Python loop over every base prime.
+Both sieves strike through one helper, _strike.  A period shorter than
+1/32 of the window is struck as one numpy slice; every longer period lands
+at most 32 times, and all of those hits are cleared in one vectorised pass,
+so a small window costs a few numpy calls rather than a Python loop over
+every base prime.
 
 `compare` needs every unit class a mod q for many q.  count_classes makes
 one scan of [2, N) for all of them: each window's hits are reduced to exact
@@ -27,7 +36,7 @@ per-class sums for every modulus, so the cost is one sieve, not one per
 class, and no hit is kept past its window.
 
 The base tables must reach the square root of the largest value touched: a
-window is accepted only while hi - 1 <= tables.limit**2.
+lane is accepted only while its largest value is at most tables.limit**2.
 """
 
 from __future__ import annotations
@@ -73,8 +82,9 @@ class CountResult:
 
 
 def window_length() -> int:
-    """Sieve window size in integers; SQFREP_MAX_WINDOW_BYTES caps the
-    transient allocation (roughly eight bytes per integer of window)."""
+    """Sieve window size in lane entries: a scan mod q covers q integers per
+    entry.  SQFREP_MAX_WINDOW_BYTES caps the transient allocation (roughly
+    eight bytes per entry of window)."""
     raw = os.environ.get("SQFREP_MAX_WINDOW_BYTES")
     if raw is None:
         return DEFAULT_WINDOW
@@ -101,8 +111,8 @@ def _base_primes(top: int, tables: SieveTables) -> np.ndarray:
     return tables.primes[:pos]
 
 
-# A step shorter than 1/_SLICE_SPLIT of the window is struck as one slice;
-# every longer step lands at most _SLICE_SPLIT times in the window.
+# A period shorter than 1/_SLICE_SPLIT of the window is struck as one slice;
+# every longer period lands at most _SLICE_SPLIT times in the window.
 _SLICE_SPLIT = 32
 
 
@@ -113,14 +123,7 @@ def _strike(out: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> None:
     Short steps are one numpy slice each.  All the longer ones are struck
     in one pass: the gaps between consecutive hits, step by step, are laid
     out with one np.repeat, their running sum gives every hit, and one
-    fancy-indexed store clears them.
-
-    The offsets are int64, computed from lo, p^2 and ceil(lo/p) p for
-    base primes p <= sqrt(hi - 1).  _check_window bounds hi - 1 by
-    tables.limit**2, so each of these is below tables.limit**2 +
-    tables.limit; _sieve_primes checks that bound against 2**63 (build_sieve
-    keeps the limit below 2**31, so the check only fails for hand-built
-    tables).  Hit positions lie in [0, out.size).
+    fancy-indexed store clears them.  Hit positions lie in [0, out.size).
     """
     length = out.size
     short = int(steps.searchsorted(-(-length // _SLICE_SPLIT)))
@@ -139,11 +142,82 @@ def _strike(out: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> None:
         out[gaps.cumsum()] = False
 
 
-def _sieve_primes(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
-    """The base primes of the window [lo, hi), after checking it."""
-    _check_window(lo, hi, tables)
-    require_int64(tables.limit**2 + tables.limit)
-    return _base_primes(math.isqrt(hi - 1), tables)
+class _LaneSieve:
+    """Flags along one lane, the values first + step*j at lane indices
+    0 <= j < count: with exponent 1 True where the value is prime, with
+    exponent 2 True where it is square-free.
+
+    A base prime p strikes the indices whose value p**exponent divides (for
+    primes, only values of at least p*p).  With g = gcd(step, p**exponent)
+    those indices are empty unless g divides first, and are otherwise one
+    class modulo the period p**exponent / g, so non-unit classes and primes
+    dividing step need no special case.  Its first member (the anchor) and
+    its period are solved once per lane; a window starting at index w then
+    strikes from anchor - w if that is >= 0, else from (anchor - w) mod
+    period.
+
+    Overflow: the lane is checked to lie in [0, tables.limit**2], and only
+    base primes p <= tables.limit strike it.  A square anchor is below its
+    period p*p; a prime anchor lies within one period p past the index of
+    the value p*p, which is at most p*p; and a window start is a lane index,
+    at most tables.limit**2.  So every anchor, period and offset is below
+    tables.limit**2 + tables.limit in magnitude, which require_int64 checks
+    against 2**63 (build_sieve keeps the limit below 2**31, so the check
+    only fails for hand-built tables).
+    """
+
+    def __init__(
+        self, first: int, step: int, count: int, exponent: int, tables: SieveTables
+    ) -> None:
+        if count < 1 or step == 0:
+            raise ValueError(f"empty lane: {count} values of step {step}")
+        if count == 1:
+            # one value has no step; 1 keeps any modulus out of int64 products
+            step = 1
+        last = first + step * (count - 1)
+        _check_window(min(first, last), max(first, last) + 1, tables)
+        require_int64(tables.limit**2 + tables.limit)
+        self.step = step
+        primes = _base_primes(math.isqrt(max(first, last)), tables)
+        powers = primes**exponent
+        # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0
+        c, a = (first, step) if step > 0 else (-first, -step)
+        if a == 1:
+            periods, anchors = powers, -c % powers
+        else:
+            solved = []
+            for p, power in zip(primes.tolist(), powers.tolist()):
+                g = math.gcd(a, power)
+                if c % g == 0:
+                    period = power // g
+                    anchor = -(c // g) * pow(a // g, -1, period) % period
+                    solved.append((period, anchor, p))
+            # _strike takes ascending periods, and p**exponent / g can
+            # undercut a smaller prime's period
+            table = np.array(sorted(solved), dtype=np.int64).reshape(-1, 3)
+            periods, anchors, primes = table.T.copy()
+        if exponent == 1:
+            # strike composites only: from the lane index of p*p on, which
+            # needs an ascending lane; 0 and 1 are not prime
+            start = np.maximum(-((first - primes**2) // step), 0)
+            anchors = start + (anchors - start) % periods
+            self.cleared = range(max(0, -((first - 2) // step)))
+        else:
+            # 0 is not square-free (nor struck when no base prime reaches 4)
+            zero = -first // step
+            self.cleared = range(zero, zero + 1) if first % step == 0 else range(0)
+        self.anchors, self.periods = anchors, periods
+
+    def flags(self, lo: int, hi: int) -> np.ndarray:
+        """Flags for the lane indices [lo, hi).
+
+        Every base prime of the lane strikes every window: one whose power
+        exceeds the window's values finds nothing to strike there."""
+        shift = self.anchors - lo
+        out = np.ones(hi - lo, dtype=bool)
+        _strike(out, np.maximum(shift, shift % self.periods), self.periods)
+        out[max(self.cleared.start - lo, 0) : max(self.cleared.stop - lo, 0)] = False
+        return out
 
 
 def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
@@ -152,23 +226,12 @@ def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndar
     Strikes multiples of p^2 for p up to sqrt(hi-1); the value 0 counts as
     not square-free.
     """
-    squares = _sieve_primes(lo, hi, tables) ** 2
-    out = np.ones(hi - lo, dtype=bool)
-    if lo == 0:
-        out[0] = False
-    _strike(out, -lo % squares, squares)
-    return out
+    return _LaneSieve(lo, 1, hi - lo, 2, tables).flags(0, hi - lo)
 
 
 def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is prime."""
-    primes = _sieve_primes(lo, hi, tables)
-    out = np.ones(hi - lo, dtype=bool)
-    for v in (0, 1):
-        if lo <= v < hi:
-            out[v - lo] = False
-    _strike(out, np.maximum(primes**2, -(-lo // primes) * primes) - lo, primes)
-    return out
+    return _LaneSieve(lo, 1, hi - lo, 1, tables).flags(0, hi - lo)
 
 
 def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray]:
@@ -214,29 +277,19 @@ def exact_class_sums(
     return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
 
 
-def _scan(
-    lo: int, hi: int, residue: int, modulus: int, sieve, reduce, threads: int = 1
-) -> Iterator:
-    """Yield reduce(w_lo, flags) for every window [w_lo, w_hi) of [lo, hi),
-    in order.
+def _scan(count: int, sieve, reduce, threads: int = 1) -> Iterator:
+    """Yield reduce(lo, sieve(lo, hi)) for every window [lo, hi) of the lane
+    indices [0, count), in order.
 
-    Windows are window_length() integers long and run on `threads` workers.
-    flags is sieve(w_lo, w_hi), cleared off the lane n ≡ residue (mod modulus).
+    Windows are window_length() lane entries long and run on `threads`
+    workers.
     """
     length = window_length()
-    # lane[s + i] is True iff s + i ≡ 0 (mod modulus); shared, read-only.
-    lane = np.zeros(length + modulus, dtype=bool)
-    lane[::modulus] = True
 
-    def work(w_lo: int):
-        w_hi = min(w_lo + length, hi)
-        flags = sieve(w_lo, w_hi)
-        if modulus > 1:
-            shift = (w_lo - residue) % modulus
-            flags &= lane[shift : shift + w_hi - w_lo]
-        return reduce(w_lo, flags)
+    def work(lo: int):
+        return reduce(lo, sieve(lo, min(lo + length, count)))
 
-    starts = range(lo, hi, length)
+    starts = range(0, count, length)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             yield from ex.map(work, starts)
@@ -254,45 +307,57 @@ def _log_scan(
     mirror: int | None = None,
 ) -> Iterator:
     """reduce(hits, numerators, power_values, power_numerators) per window
-    over the prime powers n = p^k <= top on the lane, in order.
+    over the prime powers n = p^k <= top with n ≡ residue (mod modulus), in
+    order.
 
-    numerators are those of log p; power_values and power_numerators list,
-    as Python ints, the proper powers among the hits and their numerators.
-    With a mirror, only n with mirror - n square-free are hits.
+    hits are the values n; numerators are those of log p; power_values and
+    power_numerators list, as Python ints, the proper powers among the hits
+    and their numerators.  With a mirror, only n with mirror - n square-free
+    are hits.
     """
+    first = 2 + (residue - 2) % modulus
+    count = (top - first) // modulus + 1
+    if count < 1:
+        return iter(())
+    primes = _LaneSieve(first, modulus, count, 1, tables)
+    # the modulus, or 1 on a lane of one value
+    step = primes.step
+    squares = (
+        None if mirror is None else _LaneSieve(mirror - first, -step, count, 2, tables)
+    )
     power_vals, power_logs = proper_prime_powers(top, tables)
-    power_nums = np.ldexp(power_logs, LOG_BITS).astype(np.int64)
+    on_lane = (power_vals - first) % step == 0
+    power_vals = power_vals[on_lane]
+    power_nums = np.ldexp(power_logs[on_lane], LOG_BITS).astype(np.int64)
+    power_idx = (power_vals - first) // step
     # Most windows hold no proper power; bisecting a list finds that cheaply.
-    power_list = power_vals.tolist()
+    power_list = power_idx.tolist()
 
     def powers_in(lo: int, hi: int) -> slice:
         return slice(bisect_left(power_list, lo), bisect_left(power_list, hi))
 
     def sieve(lo: int, hi: int) -> np.ndarray:
-        flags = segmented_prime_sieve(lo, hi, tables)
+        flags = primes.flags(lo, hi)
         span = powers_in(lo, hi)
         if span.start < span.stop:
-            flags[power_vals[span] - lo] = True
-        if mirror is not None:
-            # Square-freeness of mirror - n, reversed so index i is n = lo + i.
-            flags &= segmented_squarefree_sieve(
-                mirror - hi + 1, mirror - lo + 1, tables
-            )[::-1]
+            flags[power_idx[span] - lo] = True
+        if squares is not None:
+            flags &= squares.flags(lo, hi)
         return flags
 
     def window(lo: int, flags: np.ndarray):
-        hits = np.flatnonzero(flags) + lo
+        hits = first + step * (np.flatnonzero(flags) + lo)
         nums = log_numerators(hits)
         kept_vals, kept_nums = [], []
         span = powers_in(lo, lo + flags.size)
         if span.start < span.stop:
-            kept = flags[power_vals[span] - lo]
+            kept = flags[power_idx[span] - lo]
             vals, pnums = power_vals[span][kept], power_nums[span][kept]
             nums[np.searchsorted(hits, vals)] = pnums
             kept_vals, kept_nums = vals.tolist(), pnums.tolist()
         return reduce(hits, nums, kept_vals, kept_nums)
 
-    return _scan(2, top + 1, residue, modulus, sieve, window, threads)
+    return _scan(count, sieve, window, threads)
 
 
 def _check_unit(residue: int, modulus: int) -> int:
@@ -412,34 +477,23 @@ def squarefree_count_in_ap(
     target - n square-free (so n = target drops out via mu^2(0) = 0)."""
     if modulus < 1 or target < 1:
         raise ValueError("target and modulus must be positive")
-    # Count over m = target - n instead: m in [0, target), one fixed class.
-    parts = _scan(
-        0,
-        target,
-        target - residue,
-        modulus,
-        lambda lo, hi: segmented_squarefree_sieve(lo, hi, tables),
-        lambda lo, flags: int(np.count_nonzero(flags)),
-        threads,
+    # Count over m = target - n instead: the lane m ≡ target - residue in
+    # [0, target).
+    first = (target - residue) % modulus
+    count = -(-(target - first) // modulus)
+    if count < 1:
+        return 0
+    lane = _LaneSieve(first, modulus, count, 2, tables)
+    return sum(
+        _scan(count, lane.flags, lambda lo, flags: int(np.count_nonzero(flags)), threads)
     )
-    return sum(parts)
 
 
 def squarefree_flags(hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [0, hi), True where the value is square-free,
     sieved window by window."""
-    return np.concatenate(
-        list(
-            _scan(
-                0,
-                hi,
-                0,
-                1,
-                lambda lo, w_hi: segmented_squarefree_sieve(lo, w_hi, tables),
-                lambda lo, flags: flags,
-            )
-        )
-    )
+    lane = _LaneSieve(0, 1, hi, 2, tables)
+    return np.concatenate(list(_scan(hi, lane.flags, lambda lo, flags: flags)))
 
 
 def prime_power_logs(

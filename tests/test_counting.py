@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
 from sqfrep.counting import (
+    LOG_BITS,
+    _LaneSieve,
     count_classes,
     count_representations,
+    prime_power_logs,
     psi_in_ap,
     segmented_prime_sieve,
     segmented_squarefree_sieve,
@@ -401,16 +404,22 @@ class TestScanProperties:
         assert got == want
 
 
-def _brute_window(lo, hi, primes):
-    """(prime flags, square-free flags) for [lo, hi) by trial division of
-    every value by every base prime."""
-    vals = np.arange(lo, hi, dtype=np.int64)
+def _trial_division(vals, primes):
+    """(prime flags, square-free flags) of the int64 values by trial
+    division of every value by every base prime."""
     prime = vals >= 2
     squarefree = vals != 0
-    for p in primes[primes * primes < hi].tolist():
+    top = int(vals.max(initial=0))
+    for p in primes[primes * primes <= top].tolist():
         prime &= (vals % p != 0) | (vals == p)
         squarefree &= vals % (p * p) != 0
     return prime, squarefree
+
+
+def _brute_window(lo, hi, primes):
+    """(prime flags, square-free flags) for [lo, hi) by trial division of
+    every value by every base prime."""
+    return _trial_division(np.arange(lo, hi, dtype=np.int64), primes)
 
 
 def _slice_window(lo, hi, primes):
@@ -528,3 +537,176 @@ class TestCountClasses:
             count_classes(100, [3, 0], tables)
         with pytest.raises(CapacityError):
             count_classes(101**2, [1], build_sieve(100))
+
+
+# Primes whose squares sit low enough for a lane to straddle them.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class TestLaneSieveProperties:
+    """The progression sieve against trial division: random lanes, windows
+    of lane indices on both sides of the slice split, windows straddling
+    p*p (where prime striking starts) and windows ending at limit**2."""
+
+    @staticmethod
+    def _lane(tables, data):
+        top = tables.limit**2
+        step = data.draw(st.integers(1, 60), label="step")
+        length = data.draw(
+            st.one_of(
+                st.sampled_from((1, 2, 31, 32, 33, 64, 65, 1023, 1024, 1025)),
+                st.integers(1, 2048),
+            ),
+            label="length",
+        )
+        kind = data.draw(st.sampled_from(("random", "square", "end")), label="kind")
+        if kind == "random":
+            first = data.draw(st.integers(0, top), label="first")
+            count = data.draw(st.integers(1, (top - first) // step + 1), label="count")
+            lo = data.draw(st.integers(0, count - 1), label="lo")
+        elif kind == "square":
+            # the lane holds p*p at index `before`, inside the window
+            p = data.draw(st.sampled_from(_SMALL_PRIMES), label="p")
+            before = min(data.draw(st.integers(0, 2 * length)), p * p // step)
+            first = p * p - step * before
+            count = before + 1 + data.draw(st.integers(0, 3 * length), label="after")
+            lo = max(0, before - data.draw(st.integers(0, length - 1), label="back"))
+        else:
+            count = data.draw(st.integers(1, 10**6), label="count")
+            first = top - step * (count - 1)
+            lo = max(0, count - length)
+        return first, step, count, lo, min(lo + length, count)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lanes_match_trial_division(self, tables, data):
+        first, step, count, lo, hi = self._lane(tables, data)
+        last = first + step * (count - 1)
+        vals = first + step * np.arange(lo, hi, dtype=np.int64)
+        prime, squarefree = _trial_division(vals, tables.primes)
+        got = _LaneSieve(first, step, count, 1, tables).flags(lo, hi)
+        assert np.array_equal(got, prime)
+        got = _LaneSieve(first, step, count, 2, tables).flags(lo, hi)
+        assert np.array_equal(got, squarefree)
+        # the same values read downwards, as the mirror of a count reads them
+        down = _LaneSieve(last, -step, count, 2, tables)
+        assert np.array_equal(down.flags(count - hi, count - lo), squarefree[::-1])
+
+    @pytest.mark.parametrize(
+        "first, step", ((6, 12), (4, 8), (0, 4), (18, 36), (9, 27), (2, 2), (3, 6))
+    )
+    @pytest.mark.parametrize("length", (1024, 4096))
+    def test_classes_sharing_a_factor_with_the_step(self, tables, first, step, length):
+        # g = gcd(step, p*p) is p or p*p for some p dividing step
+        count = 300_000 // step
+        vals = first + step * np.arange(count, dtype=np.int64)
+        prime, squarefree = _trial_division(vals, tables.primes)
+        primes = _LaneSieve(first, step, count, 1, tables)
+        squares = _LaneSieve(first, step, count, 2, tables)
+        for lo in range(0, count, length):
+            hi = min(lo + length, count)
+            assert np.array_equal(primes.flags(lo, hi), prime[lo:hi]), lo
+            assert np.array_equal(squares.flags(lo, hi), squarefree[lo:hi]), lo
+
+    def test_rejects_empty_and_uncovered_lanes(self, tables):
+        small = build_sieve(100)
+        with pytest.raises(ValueError):
+            _LaneSieve(5, 3, 0, 1, small)
+        with pytest.raises(ValueError):
+            _LaneSieve(5, -3, 3, 2, small)
+        with pytest.raises(CapacityError):
+            _LaneSieve(9_000, 500, 4, 2, small)
+
+
+def _brute_prime_powers(target, residue, modulus, is_prime):
+    """(values, numerators of log p) of the prime powers p^k <= target in
+    the class, in increasing order."""
+    found = []
+    for p in np.flatnonzero(is_prime[: target + 1]).tolist():
+        v = p
+        while v <= target:
+            if v % modulus == residue % modulus:
+                found.append((v, math.log(p)))
+            v *= p
+    found.sort()
+    vals = np.array([v for v, _ in found], dtype=np.int64)
+    logs = np.array([lg for _, lg in found], dtype=np.float64)
+    return vals, np.ldexp(logs, LOG_BITS).astype(np.int64)
+
+
+class TestLaneInvariance:
+    """Every single-class scan gives the same bits for every modulus, window
+    cap and thread count, and equals brute force."""
+
+    MODULI = (1, 2, 7, 12, 30)
+    CAPS = (8 << 10, 16 << 10, None)
+
+    # 29 and 3 leave some lanes empty (q > N) or with one value; at 8 KiB
+    # a lane mod 30 up to 100,003 spans four windows
+    @pytest.mark.parametrize("target", (3, 29, 4_097, 100_003))
+    def test_all_scans_match_brute_force(self, tables, monkeypatch, target):
+        is_prime, squarefree = _dense_flags(target)
+        n = np.arange(1, target + 1)
+        for modulus in self.MODULI:
+            for residue in range(modulus):
+                unit = math.gcd(residue, modulus) == 1
+                if unit:
+                    sums = _brute_sums(target, residue, modulus, is_prime, squarefree)
+                want_sf = int(
+                    np.count_nonzero(
+                        (n % modulus == residue) & squarefree[target - n]
+                    )
+                )
+                want_pp = _brute_prime_powers(target, residue, modulus, is_prime)
+                for cap in self.CAPS:
+                    _set_window_cap(monkeypatch, cap)
+                    vals, nums = prime_power_logs(target, residue, modulus, tables)
+                    assert np.array_equal(vals, want_pp[0]), (modulus, residue, cap)
+                    assert np.array_equal(nums, want_pp[1]), (modulus, residue, cap)
+                    for threads in (1, 2):
+                        key = (modulus, residue, cap, threads)
+                        got = squarefree_count_in_ap(
+                            target, residue, modulus, tables, threads
+                        )
+                        assert got == want_sf, key
+                        if not unit:
+                            continue
+                        r = count_representations(
+                            target, residue, modulus, tables, threads
+                        )
+                        psi = psi_in_ap(target, residue, modulus, tables, threads)
+                        assert (r.unweighted, r.weighted, r.lambda_weighted) == sums[
+                            :3
+                        ], key
+                        assert psi == sums[3], key
+
+    def test_pinned_weighted_count(self, tables, monkeypatch):
+        want = float.fromhex("0x1.193ed2afa286fp+20")
+        for cap in self.CAPS:
+            _set_window_cap(monkeypatch, cap)
+            for threads in (1, 2):
+                got = count_representations(10**7, 3, 7, tables, threads)
+                assert got.weighted == want, (cap, threads)
+
+    def test_one_value_lane_of_a_huge_modulus(self, tables):
+        modulus = 7**40
+        r = count_representations(101, 97, modulus, tables)
+        assert (r.unweighted, r.weighted) == (0, 0.0)  # 101 - 97 = 4
+        r = count_representations(101, 99 + modulus, modulus, tables)
+        assert (r.unweighted, r.lambda_weighted) == (0, 0.0)  # 99 = 9 * 11
+        assert count_representations(100, 97, modulus, tables).weighted == math.log(97)
+        assert psi_in_ap(101, 97, modulus, tables) == math.log(97)
+        assert psi_in_ap(101, 64, modulus, tables) == math.log(2)
+        assert squarefree_count_in_ap(101, 97, modulus, tables) == 0
+        assert squarefree_count_in_ap(101, 96, modulus, tables) == 1
+
+    def test_tables_beyond_int64_raise_from_every_scan(self, tables):
+        huge = replace(tables, limit=1 << 32)
+        with pytest.raises(OverflowError):
+            count_representations(1000, 1, 3, huge)
+        with pytest.raises(OverflowError):
+            psi_in_ap(1000, 1, 3, huge)
+        with pytest.raises(OverflowError):
+            squarefree_count_in_ap(1000, 6, 12, huge)
+        with pytest.raises(OverflowError):
+            count_classes(1000, [1, 3], huge)
