@@ -272,6 +272,12 @@ def divisors_with_cofactor_mobius(f: FactoredInt):
             yield divisor_factored(f, exps), mu
 
 
+def require_cubefree(q: FactoredInt) -> None:
+    """Reject q with a cubic prime factor (ValueError)."""
+    if not q.is_cubefree:
+        raise ValueError(f"{q.value} has a cubic prime factor")
+
+
 def cubefree_split(q: FactoredInt) -> tuple[FactoredInt, FactoredInt]:
     """Split cubefree q as q1 * q2**2 with q1*q2 square-free.
 

@@ -507,6 +507,37 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _trial_division(lo: int, hi: int, primes: np.ndarray):
+    """Square-free and prime flags of [lo, hi) by trial division against
+    primes, sharing no code with the sieves it checks: n is square-free when
+    no p^2 divides it, and prime when n >= 2 and no p <= sqrt(n) divides it.
+
+    primes must include every prime up to sqrt(hi - 1).  Each p with p^2 up
+    to the width is tried on every value.  A larger p^2 divides at most one
+    value, the one at offset (-lo) mod p^2, and a larger p is tried only on
+    the values no smaller prime has divided.
+    """
+    n = np.arange(lo, hi, dtype=np.int64)
+    primes = primes[primes * primes < hi]
+    squares = primes * primes
+    whole = squares <= hi - lo
+    squarefree = ~(n[:, None] % squares[whole] == 0).any(axis=1)
+    offsets = (-lo) % squares[~whole]
+    squarefree[offsets[offsets < hi - lo]] = False
+
+    def divided(values, ps):
+        column = values[:, None]
+        return ((column % ps == 0) & (ps * ps <= column)).any(axis=1)
+
+    left = np.flatnonzero((n >= 2) & ~divided(n, primes[whole]))
+    rest = primes[~whole]
+    for start in range(0, len(rest), 512):
+        left = left[~divided(n[left], rest[start : start + 512])]
+    prime = np.zeros(hi - lo, dtype=bool)
+    prime[left] = True
+    return squarefree, prime
+
+
 def cmd_sieve_selftest(cfg: ExperimentConfig) -> int:
     tables = build_sieve(20_000)
     top = tables.limit**2
@@ -518,21 +549,11 @@ def cmd_sieve_selftest(cfg: ExperimentConfig) -> int:
     ok_all = True
     for lo in starts:
         hi = lo + width
+        want_sf, want_pr = _trial_division(lo, hi, tables.primes)
         sf = segmented_squarefree_sieve(lo, hi, tables)
         pr = segmented_prime_sieve(lo, hi, tables)
-        sf_bad = 0
-        pr_bad = 0
-        for off in range(width):
-            n = lo + off
-            if n < 2:
-                want_sf = n == 1
-                want_pr = False
-            else:
-                f = factorize(n, tables)
-                want_sf = f.is_squarefree
-                want_pr = f.factors == ((n, 1),)
-            sf_bad += bool(sf[off]) != want_sf
-            pr_bad += bool(pr[off]) != want_pr
+        sf_bad = int(np.count_nonzero(sf != want_sf))
+        pr_bad = int(np.count_nonzero(pr != want_pr))
         ok = sf_bad == 0 and pr_bad == 0
         ok_all = ok_all and ok
         rows.append(

@@ -1,18 +1,17 @@
-"""Local densities on Z/qZ and their exact Hermitian products.
+"""The closed-form local model on Z/qZ and its exact Hermitian products.
 
-Two families of densities live here: the square-free family (plain,
-sharpened, and mirrored through N - a) and the prime-progression family
-(plain, sharpened, and ungated), together with the sum/difference vectors
-built from them.  Values are exact: rational coefficients with the
-transcendental 6/pi^2 carried as a formal exponent, so every stated identity
-reduces to an exact comparison.  A LocalVector holds int64 numerators over
-one positive denominator, so local products are integer dot products.
+A LocalVector holds int64 numerators over one positive denominator, times
+(6/pi^2)**pi_power, so local products are integer dot products.  The model
+vectors are built in closed form from Ramanujan-sum tables,
+(c_q(N - a) +/- c_{g1}(a) c_{m2}(a - a'))/2, where q = g1 m2 is the split of
+cubefree q against the progression modulus.
 
-Sharpened densities are computed from their defining divisor sums.  The
-model vectors are built in closed form from Ramanujan-sum tables,
-(c_q(N - a) +/- c_{g1}(a) c_{m2}(a - a'))/2; `verify` (the
-model-norm-identities check) compares every entry with the defining
-combination of the sharpened densities.
+The densities these vectors stand for (the square-free family, plain,
+sharpened and mirrored through N - a, and the prime-progression family,
+plain, sharpened and ungated) are computed from their defining sums in
+`sqfrep.oracle`, which only `verify` and the tests import; `verify` (the
+model-norm-identities check) compares every model-vector entry with the
+defining combination of the sharpened densities.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +28,9 @@ from sqfrep.arith import (
     FactoredInt,
     SieveTables,
     cubefree_split,
-    divisors_with_cofactor_mobius,
-    euler_phi,
-    factorize,
-    mobius,
     ramanujan_sum,
     ramanujan_table,
+    require_cubefree,
     require_int64,
 )
 
@@ -173,18 +169,6 @@ class LocalVector:
         return ScaledValue(self.value_at(a), self.pi_power)
 
 
-def build_local_vector(
-    modulus: int, fn: Callable[[int], ScaledValue]
-) -> LocalVector:
-    """Evaluate fn on 0..modulus-1 and pack the result, checking that the
-    entries share one pi_power."""
-    values = [fn(a) for a in range(modulus)]
-    powers = {v.pi_power for v in values}
-    if len(powers) != 1:
-        raise ValueError(f"mixed pi_powers {sorted(powers)} in local vector")
-    return LocalVector(modulus, tuple(v.coeff for v in values), powers.pop())
-
-
 def local_product(f: LocalVector, g: LocalVector) -> ScaledValue:
     """(1/q) sum of f*g over residues; real entries, so no conjugation."""
     if f.modulus != g.modulus:
@@ -195,85 +179,6 @@ def local_product(f: LocalVector, g: LocalVector) -> ScaledValue:
     return ScaledValue(
         Fraction(total, q * f.denominator * g.denominator), f.pi_power + g.pi_power
     )
-
-
-def _require_cubefree(q: FactoredInt) -> None:
-    if not q.is_cubefree:
-        raise ValueError(f"{q.value} has a cubic prime factor")
-
-
-def squarefree_density(q: FactoredInt, a: int) -> ScaledValue:
-    """Density of square-free integers in the class a mod q, as a multiple
-    of 6/pi^2.
-
-    Zero exactly when some p^2 divides both a and q; otherwise the local
-    correction for each p | q depends on whether p divides a.  Any modulus
-    is fine here (square-freeness only sees a mod p^2); the cube-free
-    restriction belongs to the sharpened vectors, not the plain density.
-    """
-    a %= q.value
-    coeff = Fraction(1)
-    for p, e in q.factors:
-        if e >= 2 and a % (p * p) == 0:
-            return ScaledValue(Fraction(0), 1)
-        coeff *= Fraction(p * p, p * p - 1)
-        if e == 1 and a % p == 0:
-            coeff *= Fraction(p - 1, p)
-    return ScaledValue(coeff, 1)
-
-
-def squarefree_density_star(q: FactoredInt, a: int) -> ScaledValue:
-    """Moebius sharpening of the square-free density over divisors of q.
-
-    Computed from the defining sum; equals t(q) c_q(a) times 6/pi^2 for
-    cubefree q (the closed form is exercised in the tests).  Vanishes when q
-    has a cubic factor.
-    """
-    if not q.is_cubefree:
-        return ScaledValue(Fraction(0), 1)
-    total = Fraction(0)
-    for d, mu in divisors_with_cofactor_mobius(q):
-        total += mu * squarefree_density(d, a).coeff
-    return ScaledValue(total, 1)
-
-
-def mirror_density_star(ctx: ProgressionContext, q: FactoredInt, a: int) -> ScaledValue:
-    """The sharpened square-free density reflected through the target:
-    evaluated at target - a."""
-    return squarefree_density_star(q, (ctx.target - a) % q.value)
-
-
-def prime_density(
-    ctx: ProgressionContext, q: FactoredInt, a: int, tables: SieveTables
-) -> Fraction:
-    """Expected density (times q) of prime-power mass on the class a mod q
-    inside the fixed progression.
-
-    Nonzero only when the pair of congruences mod q and mod the context
-    modulus is consistent and a is a unit mod q; the value q/phi(lcm) is
-    what the Chinese remainder theorem predicts.
-    """
-    _require_cubefree(q)
-    a %= q.value
-    if math.gcd(a, q.value) != 1:
-        return Fraction(0)
-    shared = math.gcd(q.value, ctx.modulus)
-    if (a - ctx.residue) % shared != 0:
-        return Fraction(0)
-    lcm = q.value // shared * ctx.modulus
-    return Fraction(q.value, euler_phi(factorize(lcm, tables)))
-
-
-def prime_density_star(
-    ctx: ProgressionContext, q: FactoredInt, a: int, tables: SieveTables
-) -> Fraction:
-    """Moebius sharpening of prime_density over divisors of q (defining sum;
-    the closed form is a tested identity)."""
-    _require_cubefree(q)
-    total = Fraction(0)
-    for d, mu in divisors_with_cofactor_mobius(q):
-        total += mu * prime_density(ctx, d, a, tables)
-    return total
 
 
 def progression_split(
@@ -301,20 +206,6 @@ def progression_split(
     return g1, m2
 
 
-def prime_density_star_ungated(
-    ctx: ProgressionContext, q: FactoredInt, a: int, tables: SieveTables
-) -> Fraction:
-    """The sharpened prime density with the square-part divisibility gate
-    removed: defined directly by its Ramanujan-sum product."""
-    _require_cubefree(q)
-    g1, m2 = progression_split(ctx, q, tables)
-    mu_g1 = mobius(g1)
-    assert mu_g1 != 0  # g1 divides a square-free number
-    num = mu_g1 * ramanujan_sum(g1, a) * ramanujan_sum(m2, a - ctx.residue)
-    den = euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1)
-    return Fraction(num, den)
-
-
 def alignment_term(
     ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
 ) -> int:
@@ -338,7 +229,7 @@ def _model_vector(
     form of (mirror_density_star / t(q) + sign rho_weight
     prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1).
     |numerator| <= 2 phi(q), since |c_r(n)| <= phi(r)."""
-    _require_cubefree(q)
+    require_cubefree(q)
     g1, m2 = progression_split(ctx, q, tables)
     a = np.arange(q.value, dtype=np.int64)
     twice = ramanujan_table(q)[(ctx.target - a) % q.value] + sign * (
@@ -363,39 +254,3 @@ def model_diff(
     """The difference of the two rescaled densities; identically zero
     exactly when alignment_term(q) = phi(q)."""
     return _model_vector(ctx, q, tables, -1)
-
-
-def prime_model_twist(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
-) -> Fraction:
-    """Twisted sum of the sharpened prime density against the Ramanujan sum
-    at target - a; multiplicative in q.
-
-    The defining double sum over roots of unity collapses: the inner sum
-    over r coprime to q of e_q(r (target - a)) is the Ramanujan sum itself.
-    Not an integer in general (already q = 3 with a target not divisible
-    by 3 and coprime context gives 3/2).
-    """
-    _require_cubefree(q)
-    phi_ctx = euler_phi(factorize(ctx.modulus, tables))
-    total = Fraction(0)
-    for a in range(q.value):
-        rho_s = prime_density_star(ctx, q, a, tables)
-        if rho_s:
-            total += phi_ctx * rho_s * ramanujan_sum(q, ctx.target - a)
-    return total
-
-
-def collect(values: Sequence, q: int) -> LocalVector:
-    """Collapse a function on [1, N] to residues mod q, scaled by q so that
-    the local product against any h equals the plain sum of values * h(n).
-
-    Adjoint to the periodic lift of h:
-    [collect(j) | h]_q = sum_n j(n) h(n mod q).
-    """
-    sums = [Fraction(0)] * q
-    for offset, v in enumerate(values):
-        if v:
-            sums[(offset + 1) % q] += v
-    return LocalVector(q, tuple(s * q for s in sums), 0)
-

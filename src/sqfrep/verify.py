@@ -2,19 +2,26 @@
 
 Every check is an exact equality of rationals, or of integers after
 clearing denominators; floats appear only in the exponential-sum oracles,
-which compare against the rational value with a slack far below 1.  The
-heavy sweeps clear denominators and run on int64 arrays.  Magnitudes stay
-far below 2^63 for the documented bound caps; the one place that depends
-on an lcm of totients asserts it.
+which compare against the rational value with a slack far below 1.
+
+The checks are row reductions: a check whose cases are residues compares
+whole residue rows, or stacks of rows over progression contexts, as int64
+arrays and records them with `_Recorder.bulk`; a check whose case is one
+(context, q) pair, or one call of a scalar function, records it with
+`_Recorder.check`.  The defining-sum oracles the checks compare against
+(the divisor-sum forms of the square-free and prime densities, and
+`collect`) live in `sqfrep.oracle`, so a closed form is never checked
+against a copy of itself.  Every int64 reduction has a bound stated next
+to it, or checked with `require_int64`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -23,7 +30,6 @@ from sqfrep.arith import (
     SieveTables,
     cubefree_split,
     divisors,
-    divisors_with_cofactor_mobius,
     euler_phi,
     factorize,
     mobius,
@@ -31,6 +37,7 @@ from sqfrep.arith import (
     ramanujan_row,
     ramanujan_sum,
     ramanujan_table,
+    require_int64,
     star_scale,
 )
 from sqfrep.estimator import (
@@ -43,15 +50,16 @@ from sqfrep.estimator import (
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
-    collect,
     local_product,
-    mirror_density_star,
     model_diff,
     model_sum,
-    prime_density_star,
-    prime_model_twist,
     progression_split,
-    squarefree_density_star,
+)
+from sqfrep.oracle import (
+    collect,
+    scaled_prime_density_rows,
+    scaled_star_rows,
+    squarefree_star_row,
 )
 
 DEFAULT_SEED = 20260819
@@ -94,12 +102,17 @@ class _Recorder:
             if self.example is None:
                 self.example = describe() if callable(describe) else str(describe)
 
-    def bulk(self, total: int, bad_count: int, describe) -> None:
-        self.cases += total
-        if bad_count:
-            self.failures += bad_count
+    def bulk(self, bad: np.ndarray, describe, cases: int | None = None) -> None:
+        """Record the failures tallied in bad (a flag or a count per entry),
+        one case per entry unless cases says otherwise; describe receives
+        the index of the first nonzero entry in row-major order."""
+        self.cases += bad.size if cases is None else cases
+        failures = int(bad.sum())
+        if failures:
+            self.failures += failures
             if self.example is None:
-                self.example = describe() if callable(describe) else str(describe)
+                first = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+                self.example = describe(*first)
 
     def result(self) -> CheckResult:
         return CheckResult(
@@ -128,15 +141,6 @@ def _cubefree_values(top: int, tables: SieveTables) -> list[FactoredInt]:
 # arithmetic suite
 
 
-def _holder_value(r: FactoredInt, n: int, tables: SieveTables) -> Fraction:
-    m = r.value // math.gcd(r.value, n)
-    fm = factorize(m, tables)
-    mu = mobius(fm)
-    if mu == 0:
-        return Fraction(0)
-    return Fraction(mu * euler_phi(r), euler_phi(fm))
-
-
 def run_arith_suite(
     tables: SieveTables,
     *,
@@ -159,78 +163,86 @@ def run_arith_suite(
     results = []
     factored = [factorize(r, tables) for r in range(1, r_bound + 1)]
     rows = {f.value: ramanujan_table(f) for f in factored}
+    # phi[m] and mu[m] for m = 1..r_bound; every value compared below is at
+    # most r_bound^2 in magnitude
+    phi = np.array([0] + [euler_phi(f) for f in factored], dtype=np.int64)
+    mu = np.array([0] + [mobius(f) for f in factored], dtype=np.int64)
+    ns = np.arange(n_bound + 1, dtype=np.int64)
 
+    # Hoelder: c_r(n) = mu(m) phi(r) / phi(m) with m = r / (r, n), where
+    # phi(m) divides phi(r)
     rec = _Recorder("ramanujan-closed-form")
     for f in factored:
-        row = rows[f.value]
-        for n in range(0, n_bound + 1):
-            want = _holder_value(f, n, tables)
-            rec.check(
-                int(row[n % f.value]) == want,
-                lambda f=f, n=n, w=want: f"r={f.value} n={n}: expected {w}",
-            )
+        m = f.value // np.gcd(ns, f.value)
+        got = rows[f.value][ns % f.value]
+        rec.bulk(
+            got * phi[m] != mu[m] * phi[f.value],
+            lambda n, f=f, m=m: (
+                f"r={f.value} n={n}: expected "
+                f"{Fraction(int(mu[m[n]] * phi[f.value]), int(phi[m[n]]))}"
+            ),
+        )
     results.append(rec.result())
 
     # the totient form of |c_r(n)| needs square-free r; composite prime
     # powers only satisfy the gcd bound
     rec = _Recorder("ramanujan-magnitude")
     for f in factored:
-        row = rows[f.value]
-        for n in range(0, n_bound + 1):
-            g = math.gcd(f.value, n)
-            got = abs(int(row[n % f.value]))
-            if f.is_squarefree:
-                ok = got == euler_phi(factorize(g, tables))
-            else:
-                ok = got <= max(g, 1)
-            rec.check(ok, lambda f=f, n=n, got=got: f"r={f.value} n={n}: |c|={got}")
+        g = np.gcd(ns, f.value)
+        got = np.abs(rows[f.value][ns % f.value])
+        ok = got == phi[g] if f.is_squarefree else got <= g
+        rec.bulk(
+            ~ok, lambda n, f=f, got=got: f"r={f.value} n={n}: |c|={int(got[n])}"
+        )
     results.append(rec.result())
 
+    # c_r(n) = sum of d mu(r/d) over divisors d of r that divide n
     rec = _Recorder("ramanujan-divisor-sum")
     for f in factored:
-        row = rows[f.value]
-        for n in range(0, n_bound + 1):
-            g = factorize(math.gcd(f.value, n) if n else f.value, tables)
-            want = sum(
-                d * mobius(factorize(f.value // d, tables)) for d in divisors(g)
-            )
-            rec.check(
-                int(row[n % f.value]) == want,
-                lambda f=f, n=n, w=want: f"r={f.value} n={n}: expected {w}",
-            )
+        want = np.zeros(len(ns), dtype=np.int64)
+        for d in divisors(f):
+            want += d * mu[f.value // d] * (ns % d == 0)
+        rec.bulk(
+            rows[f.value][ns % f.value] != want,
+            lambda n, f=f, want=want: f"r={f.value} n={n}: expected {int(want[n])}",
+        )
     results.append(rec.result())
 
     rec = _Recorder("ramanujan-multiplicativity")
     small = [f for f in factored if f.value <= mult_r_bound]
+    mult_ns = np.arange(mult_n_bound + 1, dtype=np.int64)
     for fr in small:
-        row_r = rows[fr.value]
+        row_r = rows[fr.value][mult_ns % fr.value]
         for fs in small:
             if fs.value <= fr.value or math.gcd(fr.value, fs.value) != 1:
                 continue
             merged = FactoredInt(
                 fr.value * fs.value, tuple(sorted(fr.factors + fs.factors))
             )
-            row_s = rows[fs.value]
-            for n in range(0, mult_n_bound + 1):
-                prod = int(row_r[n % fr.value]) * int(row_s[n % fs.value])
-                rec.check(
-                    ramanujan_sum(merged, n) == prod,
-                    lambda fr=fr, fs=fs, n=n: f"r={fr.value} s={fs.value} n={n}",
-                )
+            prod = row_r * rows[fs.value][mult_ns % fs.value]
+            rec.bulk(
+                ramanujan_row(merged, mult_ns) != prod,
+                lambda n, fr=fr, fs=fs: f"r={fr.value} s={fs.value} n={n}",
+            )
     results.append(rec.result())
 
+    # one grid of roots of unity per r: rows n, columns the units a mod r
     rec = _Recorder("ramanujan-exponential-oracle")
+    oracle_ns = np.arange(oracle_bound + 1, dtype=np.int64)
     for f in factored:
         if f.value > oracle_bound:
             continue
-        row = rows[f.value]
-        units = [a for a in range(1, f.value + 1) if math.gcd(a, f.value) == 1]
-        for n in range(0, oracle_bound + 1):
-            z = sum(cmath.exp(2j * cmath.pi * a * n / f.value) for a in units)
-            ok = abs(z.imag) < 1e-6 and abs(z.real - int(row[n % f.value])) < 1e-6
-            rec.check(ok, lambda f=f, n=n, z=z: f"r={f.value} n={n}: sum={z}")
+        a = np.arange(1, f.value + 1, dtype=np.int64)
+        units = a[np.gcd(a, f.value) == 1]
+        angles = (oracle_ns[:, None] * units) % f.value / f.value
+        z = np.exp(2j * np.pi * angles).sum(axis=1)
+        want = rows[f.value][oracle_ns % f.value]
+        ok = (np.abs(z.imag) < 1e-6) & (np.abs(z.real - want) < 1e-6)
+        rec.bulk(~ok, lambda n, f=f, z=z: f"r={f.value} n={n}: sum={complex(z[n])}")
     results.append(rec.result())
 
+    # mobius_divisor_indicator is a scalar function; it is checked one
+    # divisor at a time
     rec = _Recorder("divisor-detection")
     for a in range(1, detect_bound + 1):
         fa = factorize(a, tables)
@@ -243,15 +255,16 @@ def run_arith_suite(
     results.append(rec.result())
 
     rec = _Recorder("ramanujan-orthogonality")
+    orth_ns = np.arange(orth_bound + 21, dtype=np.int64)
     for k in range(1, orth_bound + 1):
-        fk = factorize(k, tables)
-        divs = [factorize(d, tables) for d in divisors(fk)]
-        for r in range(0, orth_bound + 21):
-            total = sum(ramanujan_sum(fd, r) for fd in divs)
-            want = k if r % k == 0 else 0
-            rec.check(
-                total == want, lambda k=k, r=r, t=total: f"k={k} r={r}: {t}"
-            )
+        total = sum(
+            ramanujan_row(factorize(d, tables), orth_ns)
+            for d in divisors(factorize(k, tables))
+        )
+        want = np.where(orth_ns % k == 0, k, 0)
+        rec.bulk(
+            total != want, lambda r, k=k, total=total: f"k={k} r={r}: {int(total[r])}"
+        )
     results.append(rec.result())
     return results
 
@@ -262,68 +275,6 @@ def run_arith_suite(
 
 def _phi_int(n: int, tables: SieveTables) -> int:
     return euler_phi(factorize(n, tables))
-
-
-def _scaled_prime_density_row(
-    ctx: ProgressionContext, qv: int, tables: SieveTables
-) -> tuple[np.ndarray, int]:
-    """phi(q') * (prime local density) over all residues mod qv, as an
-    integer array over a shared denominator."""
-    a = np.arange(qv, dtype=np.int64)
-    share = math.gcd(qv, ctx.modulus)
-    mask = (np.gcd(a, qv) == 1) & ((a - ctx.residue) % share == 0)
-    scalar = Fraction(
-        qv * _phi_int(ctx.modulus, tables),
-        _phi_int(math.lcm(qv, ctx.modulus), tables),
-    )
-    return mask.astype(np.int64) * scalar.numerator, scalar.denominator
-
-
-def _scaled_star_row(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
-) -> tuple[np.ndarray, int]:
-    """phi(q') * (Moebius-inverted prime density) over all residues mod q,
-    as integers over a shared denominator."""
-    qv = q.value
-    terms = []
-    for d, cof_mu in divisors_with_cofactor_mobius(q):
-        if cof_mu == 0:
-            continue
-        num, den = _scaled_prime_density_row(ctx, d.value, tables)
-        terms.append((cof_mu, num, den, d.value))
-    shared = math.lcm(*(den for _, _, den, _ in terms))
-    assert shared < 1 << 40, "denominator blow-up; bounds exceed documented caps"
-    a = np.arange(qv, dtype=np.int64)
-    total = np.zeros(qv, dtype=np.int64)
-    for cof_mu, num, den, dv in terms:
-        total += cof_mu * (shared // den) * num[a % dv]
-    return total, shared
-
-
-def _squarefree_density_row(d: FactoredInt) -> tuple[np.ndarray, int]:
-    """squarefree_density(d, a) / (6/pi^2) over all residues mod d, as
-    integers over prod (p^2 - 1) for p | d."""
-    a = np.arange(d.value, dtype=np.int64)
-    num = np.ones(d.value, dtype=np.int64)
-    for p, e in d.factors:
-        if e == 1:
-            num *= np.where(a % p == 0, p * (p - 1), p * p)
-        else:
-            num *= np.where(a % (p * p) == 0, 0, p * p)
-    return num, math.prod(p * p - 1 for p, _ in d.factors)
-
-
-def _squarefree_star_row(q: FactoredInt) -> tuple[np.ndarray, int]:
-    """squarefree_density_star(q, a) / (6/pi^2) over all residues mod q from
-    its defining Moebius sum over divisors, as integers over a shared
-    denominator."""
-    shared = math.prod(p * p - 1 for p, _ in q.factors)
-    a = np.arange(q.value, dtype=np.int64)
-    total = np.zeros(q.value, dtype=np.int64)
-    for d, cof_mu in divisors_with_cofactor_mobius(q):
-        num, den = _squarefree_density_row(d)
-        total += cof_mu * (shared // den) * num[a % d.value]
-    return total, shared
 
 
 def _model_mismatches(
@@ -402,14 +353,19 @@ def _sample_contexts(qprime_bound: int) -> list[ProgressionContext]:
     ]
 
 
-def _mirror_vector(
-    ctx: ProgressionContext, q: FactoredInt
-) -> LocalVector:
-    return LocalVector(
-        q.value,
-        tuple(mirror_density_star(ctx, q, a).coeff for a in range(q.value)),
-        1,
-    )
+def _modulus_groups(contexts: list[ProgressionContext]) -> list[tuple[int, slice]]:
+    """(modulus, slice of contexts) for each run of one modulus."""
+    out = []
+    start = 0
+    for modulus, run in groupby(contexts, key=lambda c: c.modulus):
+        size = len(list(run))
+        out.append((modulus, slice(start, start + size)))
+        start += size
+    return out
+
+
+def _context_label(ctx: ProgressionContext, f: FactoredInt) -> str:
+    return f"q={f.value} qprime={ctx.modulus} aprime={ctx.residue}"
 
 
 def run_local_suite(
@@ -430,17 +386,20 @@ def run_local_suite(
     cubefree = _cubefree_values(q_bound, tables)
     cubefree_products = [f for f in cubefree if f.value <= product_q_bound]
     sample_ctx = _sample_contexts(qprime_bound)
+    small_ctx = _unit_contexts(min(qprime_bound, 12), 10_007)
+    star_rows = {f.value: squarefree_star_row(f) for f in cubefree_products}
 
+    # star numerators are below 2^omega rad(q)^2 and the scale's
+    # denominator below rad(q)^2, so both sides stay below 2^45 for q <= 1000
     rec = _Recorder("squarefree-density-star-closed-form")
     for f in cubefree:
-        row = ramanujan_table(f)
+        num, den = star_rows.get(f.value) or squarefree_star_row(f)
         scale = star_scale(f)
-        for a in range(f.value):
-            got = squarefree_density_star(f, a)
-            rec.check(
-                got.pi_power == 1 and got.coeff == scale * int(row[a]),
-                lambda f=f, a=a: f"q={f.value} a={a}",
-            )
+        rec.bulk(
+            num * scale.denominator
+            != den * scale.numerator * ramanujan_table(f),
+            lambda a, f=f: f"q={f.value} a={a}",
+        )
     results.append(rec.result())
 
     rec = _Recorder("density-periodicity")
@@ -448,70 +407,78 @@ def run_local_suite(
     for f in cubefree:
         if f.value > 60:
             continue
-        for a in range(f.value):
-            same = (
-                squarefree_density_star(f, a)
-                == squarefree_density_star(f, a + f.value)
-                and prime_density_star(probe, f, a, tables)
-                == prime_density_star(probe, f, a + f.value, tables)
-            )
-            rec.check(same, lambda f=f, a=a: f"q={f.value} a={a}")
+        qv = f.value
+        sq_row, _ = squarefree_star_row(f, periods=2)
+        pr_row, _ = scaled_star_rows([probe], f, tables, periods=2)
+        rec.bulk(
+            (sq_row[:qv] != sq_row[qv:]) | (pr_row[0, :qv] != pr_row[0, qv:]),
+            lambda a, f=f: f"q={f.value} a={a}",
+        )
     results.append(rec.result())
 
+    # numerators are at most q phi(q') and denominators at most phi(q), so
+    # both products stay below 2^40 for q <= 900 and q' <= 12
     rec = _Recorder("prime-density-multiplicativity")
     cubefree_30 = [f for f in cubefree if f.value <= 30]
-    for ctx in _unit_contexts(min(qprime_bound, 12), 97):
-        rows = {
-            f.value: _scaled_prime_density_row(ctx, f.value, tables)
-            for f in cubefree_30
-        }
-        for f1 in cubefree_30:
-            n1, d1 = rows[f1.value]
-            for f2 in cubefree_30:
-                if f2.value < f1.value or math.gcd(f1.value, f2.value) != 1:
-                    continue
-                n2, d2 = rows[f2.value]
-                qv = f1.value * f2.value
-                n12, d12 = _scaled_prime_density_row(ctx, qv, tables)
-                a = np.arange(qv, dtype=np.int64)
-                lhs = n12 * (d1 * d2)
-                rhs = n1[a % f1.value] * n2[a % f2.value] * d12
-                rec.bulk(
-                    qv,
-                    int(np.count_nonzero(lhs != rhs)),
-                    lambda f1=f1, f2=f2, ctx=ctx: (
-                        f"q1={f1.value} q2={f2.value} "
-                        f"qprime={ctx.modulus} aprime={ctx.residue}"
-                    ),
-                )
+    mult_ctx = _unit_contexts(min(qprime_bound, 12), 97)
+    rows = {
+        f.value: scaled_prime_density_rows(mult_ctx, f.value, tables)
+        for f in cubefree_30
+    }
+    pairs = []
+    bad = []
+    for f1 in cubefree_30:
+        n1, d1 = rows[f1.value]
+        for f2 in cubefree_30:
+            if f2.value < f1.value or math.gcd(f1.value, f2.value) != 1:
+                continue
+            n2, d2 = rows[f2.value]
+            qv = f1.value * f2.value
+            n12, d12 = scaled_prime_density_rows(mult_ctx, qv, tables)
+            a = np.arange(qv, dtype=np.int64)
+            lhs = n12 * (d1 * d2)[:, None]
+            rhs = n1[:, a % f1.value] * n2[:, a % f2.value] * d12[:, None]
+            pairs.append((f1, f2))
+            bad.append(np.count_nonzero(lhs != rhs, axis=1))
+    rec.bulk(
+        np.stack(bad, axis=1),  # contexts x pairs: the first failure is context-major
+        lambda c, p: (
+            f"q1={pairs[p][0].value} q2={pairs[p][1].value} "
+            f"qprime={mult_ctx[c].modulus} aprime={mult_ctx[c].residue}"
+        ),
+        cases=len(mult_ctx) * sum(f1.value * f2.value for f1, f2 in pairs),
+    )
     results.append(rec.result())
 
+    # one stack of rows per q over every unit context; the closed form
+    # depends on the context through q' (the split, the gate) and a'
     rec = _Recorder("prime-density-star-closed-form")
-    for ctx in _unit_contexts(qprime_bound, 10_007):
-        for f in cubefree:
-            qv = f.value
-            num, den = _scaled_star_row(ctx, f, tables)
-            g1, m2 = progression_split(ctx, f, tables)
-            _, q2f = cubefree_split(f)
-            mu_g1 = mobius(g1)
-            a = np.arange(qv, dtype=np.int64)
-            if ctx.modulus % (q2f.value**2) == 0:
-                c1 = ramanujan_table(g1)[a % g1.value].astype(np.int64)
-                c2 = ramanujan_table(m2)[(a - ctx.residue) % m2.value].astype(
-                    np.int64
-                )
-                lhs = num * euler_phi(g1)
-                rhs = den * mu_g1 * c1 * c2
+    contexts = _unit_contexts(qprime_bound, 10_007)
+    groups = _modulus_groups(contexts)
+    residues = np.array([c.residue for c in contexts], dtype=np.int64)
+    bad = np.zeros((len(contexts), len(cubefree)), dtype=np.int64)
+    for j, f in enumerate(cubefree):
+        qv = f.value
+        num, den = scaled_star_rows(contexts, f, tables)
+        # |c_{g1} c_{m2}| <= phi(g1) phi(m2) = phi(q) bounds both sides
+        require_int64((int(np.abs(num).max(initial=0)) + den) * euler_phi(f))
+        _, q2f = cubefree_split(f)
+        a = np.arange(qv, dtype=np.int64)
+        for modulus, rows_of in groups:
+            part = num[rows_of]
+            if modulus % (q2f.value**2) == 0:
+                g1, m2 = progression_split(contexts[rows_of.start], f, tables)
+                c1 = ramanujan_table(g1)[a % g1.value]
+                c2 = ramanujan_table(m2)[(a - residues[rows_of, None]) % m2.value]
+                mismatch = part * euler_phi(g1) != den * mobius(g1) * c1 * c2
             else:
-                lhs = num
-                rhs = np.zeros(qv, dtype=np.int64)
-            rec.bulk(
-                qv,
-                int(np.count_nonzero(lhs != rhs)),
-                lambda qv=qv, ctx=ctx: (
-                    f"q={qv} qprime={ctx.modulus} aprime={ctx.residue}"
-                ),
-            )
+                mismatch = part != 0
+            bad[rows_of, j] = np.count_nonzero(mismatch, axis=1)
+    rec.bulk(
+        bad,
+        lambda c, j: _context_label(contexts[c], cubefree[j]),
+        cases=len(contexts) * sum(f.value for f in cubefree),
+    )
     results.append(rec.result())
 
     rec = _Recorder("mirror-norm-identity")
@@ -521,7 +488,11 @@ def run_local_suite(
         for f in cubefree_products:
             key = (ctx.target, f.value)
             if key not in mirror_norms:
-                theta = _mirror_vector(ctx, f)
+                num, den = star_rows[f.value]
+                a = np.arange(f.value, dtype=np.int64)
+                theta = LocalVector.from_numerators(
+                    f.value, num[(ctx.target - a) % f.value], den, 1
+                )
                 mirror_norms[key] = local_product(theta, theta)
             norm = mirror_norms[key]
             scale = star_scale(f)
@@ -532,15 +503,16 @@ def run_local_suite(
     results.append(rec.result())
 
     rec = _Recorder("prime-norm-identity")
-    for ctx in _unit_contexts(min(qprime_bound, 12), 10_007):
-        phi_qp = _phi_int(ctx.modulus, tables)
-        for f in cubefree_products:
-            num, den = _scaled_star_row(ctx, f, tables)
-            q1f, q2f = cubefree_split(f)
-            got = Fraction(
-                sum(int(x) * int(x) for x in num.tolist()),
-                f.value * den * den * phi_qp * phi_qp,
-            )
+    phi_small = [_phi_int(ctx.modulus, tables) for ctx in small_ctx]
+    ok = np.zeros((len(small_ctx), len(cubefree_products)), dtype=bool)
+    for j, f in enumerate(cubefree_products):
+        num, den = scaled_star_rows(small_ctx, f, tables)
+        require_int64(f.value * int(np.abs(num).max(initial=0)) ** 2)
+        squares = (num * num).sum(axis=1).tolist()
+        q1f, q2f = cubefree_split(f)
+        for c, ctx in enumerate(small_ctx):
+            phi_qp = phi_small[c]
+            got = Fraction(squares[c], f.value * den * den * phi_qp * phi_qp)
             if ctx.modulus % (q2f.value**2) == 0:
                 shared = math.gcd(q1f.value, ctx.modulus)
                 want = Fraction(
@@ -549,19 +521,14 @@ def run_local_suite(
                 )
             else:
                 want = Fraction(0)
-            rec.check(
-                got == want,
-                lambda f=f, ctx=ctx: (
-                    f"q={f.value} qprime={ctx.modulus} aprime={ctx.residue}"
-                ),
-            )
+            ok[c, j] = got == want
+    rec.bulk(~ok, lambda c, j: _context_label(small_ctx[c], cubefree_products[j]))
     results.append(rec.result())
 
     # model-norm-identities also checks every model-vector entry against
     # its defining route, with the square-free side from divisor sums
     rec_norm = _Recorder("model-norm-identities")
     rec_sandwich = _Recorder("model-norm-sandwich")
-    star_rows = {f.value: _squarefree_star_row(f) for f in cubefree_products}
     for ctx in sample_ctx:
         for f in cubefree_products:
             eta = model_sum(ctx, f, tables)
@@ -592,113 +559,116 @@ def run_local_suite(
     results.append(rec_norm.result())
     results.append(rec_sandwich.result())
 
+    # [theta|rho*] = t(q)/(q den phi(q')) * sum c_q(N-a) num[a]; |c_q| <= q
     rec = _Recorder("mirror-prime-cross-product")
-    for ctx in sample_ctx:
-        phi_qp = _phi_int(ctx.modulus, tables)
-        for f in cubefree_products:
-            qv = f.value
-            num, den = _scaled_star_row(ctx, f, tables)
-            row = ramanujan_table(f)
-            mirror = row[(ctx.target - np.arange(qv)) % qv].astype(np.int64)
-            # [theta|rho*] = t(q)/(q den phi(q')) * sum c_q(N-a) num[a]
-            got = star_scale(f) * Fraction(
-                int(np.dot(num, mirror)), qv * den * phi_qp
-            )
-            g1, m2 = progression_split(ctx, f, tables)
-            _, q2f = cubefree_split(f)
+    phi_sample = [_phi_int(ctx.modulus, tables) for ctx in sample_ctx]
+    targets = np.array([ctx.target for ctx in sample_ctx], dtype=np.int64)
+    ok = np.zeros((len(sample_ctx), len(cubefree_products)), dtype=bool)
+    for j, f in enumerate(cubefree_products):
+        qv = f.value
+        num, den = scaled_star_rows(sample_ctx, f, tables)
+        require_int64(qv * qv * int(np.abs(num).max(initial=0)))
+        a = np.arange(qv, dtype=np.int64)
+        mirror = ramanujan_table(f)[(targets[:, None] - a) % qv]
+        dots = (num * mirror).sum(axis=1).tolist()
+        _, q2f = cubefree_split(f)
+        for c, ctx in enumerate(sample_ctx):
+            got = star_scale(f) * Fraction(dots[c], qv * den * phi_sample[c])
             if ctx.modulus % (q2f.value**2) == 0:
+                g1, m2 = progression_split(ctx, f, tables)
                 align = int(ramanujan_table(g1)[ctx.target % g1.value]) * int(
                     ramanujan_table(m2)[(ctx.target - ctx.residue) % m2.value]
                 )
                 want = star_scale(f) * Fraction(
-                    align, phi_qp * mobius(g1) * euler_phi(g1)
+                    align, phi_sample[c] * mobius(g1) * euler_phi(g1)
                 )
             else:
                 want = Fraction(0)
-            rec.check(
-                got == want,
-                lambda f=f, ctx=ctx: (
-                    f"q={f.value} qprime={ctx.modulus} aprime={ctx.residue}"
-                ),
-            )
+            ok[c, j] = got == want
+    rec.bulk(~ok, lambda c, j: _context_label(sample_ctx[c], cubefree_products[j]))
     results.append(rec.result())
 
+    # every small context shares the target 10_007, so one mirror row per q
     rec = _Recorder("prime-model-twist-closed-form")
-    for ctx in _unit_contexts(min(qprime_bound, 12), 10_007):
-        for f in cubefree_products:
-            num, den = _scaled_star_row(ctx, f, tables)
-            row = ramanujan_table(f)
-            mirror = row[(ctx.target - np.arange(f.value)) % f.value].astype(
-                np.int64
-            )
-            got = Fraction(int(np.dot(num, mirror)), den)
-            rec.check(
-                got == _twist_closed_form(ctx, f, tables),
-                lambda f=f, ctx=ctx: (
-                    f"q={f.value} qprime={ctx.modulus} aprime={ctx.residue}"
-                ),
-            )
+    ok = np.zeros((len(small_ctx), len(cubefree_products)), dtype=bool)
+    for j, f in enumerate(cubefree_products):
+        qv = f.value
+        num, den = scaled_star_rows(small_ctx, f, tables)
+        require_int64(qv * qv * int(np.abs(num).max(initial=0)))
+        mirror = ramanujan_table(f)[(10_007 - np.arange(qv)) % qv]
+        dots = (num @ mirror).tolist()
+        for c, ctx in enumerate(small_ctx):
+            ok[c, j] = Fraction(dots[c], den) == _twist_closed_form(ctx, f, tables)
+    rec.bulk(~ok, lambda c, j: _context_label(small_ctx[c], cubefree_products[j]))
     results.append(rec.result())
 
+    # the root-of-unity double sum, sum over units r of e(rN/q) times the
+    # DFT of the sharpened row at r, against the same closed form
     rec = _Recorder("prime-model-twist-exponential")
-    for ctx in sample_ctx[:6]:
-        for f in cubefree_products:
-            if f.value > 36:
-                continue
-            qv = f.value
-            total = 0j
-            for r in range(1, qv + 1):
-                if math.gcd(r, qv) != 1:
-                    continue
-                h = sum(
-                    float(prime_density_star(ctx, f, a, tables))
-                    * cmath.exp(-2j * cmath.pi * r * a / qv)
-                    for a in range(qv)
-                )
-                total += cmath.exp(2j * cmath.pi * r * ctx.target / qv) * h
-            total *= _phi_int(ctx.modulus, tables)
-            want = float(prime_model_twist(ctx, f, tables))
-            ok = abs(total.imag) < 1e-8 and abs(total.real - want) < 1e-8
-            rec.check(ok, lambda f=f, ctx=ctx: f"q={f.value} qprime={ctx.modulus}")
+    twist_ctx = sample_ctx[:6]
+    twist_q = [f for f in cubefree_products if f.value <= 36]
+    targets = np.array([ctx.target for ctx in twist_ctx], dtype=np.int64)
+    ok = np.zeros((len(twist_ctx), len(twist_q)), dtype=bool)
+    for j, f in enumerate(twist_q):
+        qv = f.value
+        num, den = scaled_star_rows(twist_ctx, f, tables)
+        a = np.arange(qv, dtype=np.int64)
+        r = np.arange(1, qv + 1, dtype=np.int64)
+        r = r[np.gcd(r, qv) == 1]
+        # contexts x residues x units; summed elementwise, since a complex
+        # matmul would load BLAS for a few hundred products
+        roots = np.exp(-2j * np.pi * ((a[:, None] * r) % qv) / qv)
+        dft = (num[:, :, None] * roots).sum(axis=1) / den
+        twist = np.exp(2j * np.pi * ((targets[:, None] * r) % qv) / qv)
+        total = (twist * dft).sum(axis=1)
+        for c, ctx in enumerate(twist_ctx):
+            want = float(_twist_closed_form(ctx, f, tables))
+            ok[c, j] = abs(total[c].imag) < 1e-8 and abs(total[c].real - want) < 1e-8
+    rec.bulk(
+        ~ok, lambda c, j: f"q={twist_q[j].value} qprime={twist_ctx[c].modulus}"
+    )
     results.append(rec.result())
 
+    # sum over d1 | m, d2 | n of mu(m/d1) mu(n/d2) gcd(d1, d2) is the entry
+    # (m, n) of D G D^T, with D[m, d] = mu(m/d) for d | m and G the gcd
+    # matrix; each entry is below 2^omega(m) 2^omega(n) pair_bound
     rec = _Recorder("double-moebius-identity")
     cubefree_pairs = [f for f in cubefree if f.value <= pair_bound]
-    divmob = {
-        f.value: [
-            (d, mu)
-            for d in divisors(f)
-            if (mu := mobius(factorize(f.value // d, tables)))
-        ]
-        for f in cubefree_pairs
-    }
-    for fm in cubefree_pairs:
-        for fn in cubefree_pairs:
-            total = sum(
-                mu1 * mu2 * math.gcd(d1, d2)
-                for d1, mu1 in divmob[fm.value]
-                for d2, mu2 in divmob[fn.value]
-            )
-            want = euler_phi(fm) if fm.value == fn.value else 0
-            rec.check(
-                total == want,
-                lambda fm=fm, fn=fn, t=total: f"m={fm.value} n={fn.value}: {t}",
-            )
+    moebius_rows = np.zeros((len(cubefree_pairs), pair_bound + 1), dtype=np.int64)
+    for i, f in enumerate(cubefree_pairs):
+        for d in divisors(f):
+            moebius_rows[i, d] = mobius(factorize(f.value // d, tables))
+    k = np.arange(pair_bound + 1, dtype=np.int64)
+    totals = moebius_rows @ np.gcd(k[:, None], k) @ moebius_rows.T
+    want = np.diag([euler_phi(f) for f in cubefree_pairs])
+    rec.bulk(
+        totals != want,
+        lambda i, j: (
+            f"m={cubefree_pairs[i].value} n={cubefree_pairs[j].value}: "
+            f"{int(totals[i, j])}"
+        ),
+    )
     results.append(rec.result())
 
+    # the plain sum side is an int64 dot over the lcm L <= 60 of the entry
+    # denominators: below 1000 * 20 * 9 * 60
     rec = _Recorder("adjoint-identity")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         q = int(rng.integers(1, 21))
         length = int(rng.integers(q, 1001))
-        j = rng.integers(-20, 21, size=length).tolist()
+        j = rng.integers(-20, 21, size=length)
         entries = tuple(
             Fraction(int(p), int(r))
             for p, r in zip(rng.integers(-9, 10, size=q), rng.integers(1, 7, size=q))
         )
         h = LocalVector(q, entries, 0)
         got = local_product(collect(j, q), h).coeff
-        want = sum(Fraction(v) * entries[(i + 1) % q] for i, v in enumerate(j))
+        lcm = math.lcm(*(e.denominator for e in entries))
+        scaled = np.array(
+            [e.numerator * (lcm // e.denominator) for e in entries], dtype=np.int64
+        )
+        want = Fraction(int(np.dot(j, scaled[np.arange(1, length + 1) % q])), lcm)
         rec.check(got == want, lambda q=q, length=length: f"q={q} N={length}")
     results.append(rec.result())
     return results
@@ -741,22 +711,26 @@ def run_estimator_suite(
             [periodic_cross(u, v, ctx.target) for v, _ in vectors]
             for u, _ in vectors
         ]
+        # the form is integer once the crosses and weights are scaled by the
+        # lcm of their denominators (4, from the half-integer model entries)
+        # and xi = p/r with r <= 4 by 12
+        scale = math.lcm(
+            *(c.denominator for row in crosses for c in row),
+            *(m.denominator for _, m in vectors),
+        )
+        cross = np.array(
+            [[int(c * scale) for c in row] for row in crosses], dtype=np.int64
+        ).reshape(len(vectors), len(vectors))
+        weight = np.array([int(m * scale) for _, m in vectors], dtype=np.int64)
+        top = max(int(np.abs(cross).max(initial=0)), int(weight.max(initial=0)))
+        require_int64(len(vectors) ** 2 * 108**2 * top)
         for _ in range(per_ctx):
-            xi = [
-                Fraction(int(p), int(r))
-                for p, r in zip(
-                    rng.integers(-9, 10, size=len(vectors)),
-                    rng.integers(1, 5, size=len(vectors)),
-                )
-            ]
-            lhs = sum(
-                xi[i] * xi[j] * crosses[i][j]
-                for i in range(len(vectors))
-                for j in range(len(vectors))
-            )
-            rhs = sum(x * x * m for x, (_, m) in zip(xi, vectors))
+            p = rng.integers(-9, 10, size=len(vectors))
+            r = rng.integers(1, 5, size=len(vectors))
+            x = p * (12 // r)
             rec.check(
-                lhs <= rhs, lambda ctx=ctx: f"qprime={ctx.modulus} N={ctx.target}"
+                int(x @ cross @ x) <= int((x * x) @ weight),
+                lambda ctx=ctx: f"qprime={ctx.modulus} N={ctx.target}",
             )
     results.append(rec.result())
 

@@ -29,7 +29,8 @@ from sqfrep.estimator import (
     lambda_progression_function,
     squarefree_mirror_function,
 )
-from sqfrep.localmodel import PI_SQ_OVER_6, ProgressionContext, squarefree_density
+from sqfrep.localmodel import PI_SQ_OVER_6, ProgressionContext
+from sqfrep.oracle import squarefree_density
 from sqfrep.series import singular_series, singular_series_eulerform
 from sqfrep.verify import (
     DEFAULT_SEED,
@@ -55,18 +56,47 @@ def estimator_results(tables):
     return run_estimator_suite(tables)
 
 
+# Case counts of every lemma check at default bounds: the sweep ranges the
+# suites promise, whatever route a check takes through them.
+DEFAULT_CASES = {
+    "ramanujan-closed-form": 90300,
+    "ramanujan-magnitude": 90300,
+    "ramanujan-divisor-sum": 90300,
+    "ramanujan-multiplicativity": 2767097,
+    "ramanujan-exponential-oracle": 10100,
+    "divisor-detection": 3190,
+    "ramanujan-orthogonality": 44200,
+    "squarefree-density-star-closed-form": 66288,
+    "density-periodicity": 1525,
+    "prime-density-multiplicativity": 2165036,
+    "prime-density-star-closed-form": 18428064,
+    "mirror-norm-identity": 668,
+    "prime-norm-identity": 7682,
+    "model-norm-identities": 2004,
+    "model-norm-sandwich": 4008,
+    "mirror-prime-cross-product": 2004,
+    "prime-model-twist-closed-form": 7682,
+    "prime-model-twist-exponential": 186,
+    "double-moebius-identity": 27889,
+    "adjoint-identity": 100,
+}
+
+
 def test_exact_lemma_suites(lemma_results):
-    """Every identity check at full default bounds, exact, inside 10 min."""
+    """Every identity check at full default bounds, exact, inside 10 min,
+    with the pinned case count of each check."""
     results, elapsed = lemma_results
     broken = [r.name for r in results if not r.passed]
     cases = sum(r.cases for r in results)
-    ok = not broken and elapsed <= 600.0
+    counts = {r.name: r.cases for r in results}
+    ok = not broken and elapsed <= 600.0 and counts == DEFAULT_CASES
     _line(
         "exact-lemma-suite",
         ok,
         f"{len(results)} checks, {cases} exact cases, {elapsed:.1f}s"
         + (f", broken: {broken}" if broken else ""),
     )
+    assert counts == DEFAULT_CASES
     assert ok, broken or f"over budget: {elapsed:.1f}s"
 
 

@@ -20,7 +20,7 @@ from sqfrep.counting import (
     squarefree_count_in_ap,
     window_length,
 )
-from sqfrep.localmodel import squarefree_density
+from sqfrep.oracle import squarefree_density
 
 
 class TestSegmentedSquarefree:

@@ -19,17 +19,19 @@ from sqfrep.localmodel import (
     ProgressionContext,
     ScaledValue,
     alignment_term,
-    build_local_vector,
-    collect,
     local_product,
-    mirror_density_star,
     model_diff,
     model_sum,
+    progression_split,
+)
+from sqfrep.oracle import (
+    build_local_vector,
+    collect,
+    mirror_density_star,
     prime_density,
     prime_density_star,
     prime_density_star_ungated,
     prime_model_twist,
-    progression_split,
     squarefree_density,
     squarefree_density_star,
 )

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from sqfrep.arith import star_scale
+import numpy as np
+
+from sqfrep.arith import ramanujan_table, star_scale
 from sqfrep.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -19,6 +21,8 @@ from sqfrep.cli import (
     parse_csv,
 )
 from sqfrep.counting import count_representations, psi_in_ap, squarefree_count_in_ap
+from sqfrep.localmodel import LocalVector
+from sqfrep.oracle import collect, scaled_star_rows
 from sqfrep.verify import (
     run_arith_suite,
     run_estimator_suite,
@@ -73,6 +77,128 @@ class TestSuites:
     def test_unknown_suite_rejected(self, tables):
         with pytest.raises(KeyError):
             run_suites(["nonsense"], tables)
+
+
+# Case counts printed by the three verify jobs of the benchmark; they pin
+# the sweep ranges, which a vectorised check must cover case for case.
+CASES_ARITH_80 = {
+    "ramanujan-closed-form": 24080,
+    "ramanujan-magnitude": 24080,
+    "ramanujan-divisor-sum": 24080,
+    "ramanujan-multiplicativity": 198465,
+    "ramanujan-exponential-oracle": 8080,
+    "divisor-detection": 3190,
+    "ramanujan-orthogonality": 44200,
+}
+CASES_LOCAL_24_4 = {
+    "squarefree-density-star-closed-form": 252,
+    "density-periodicity": 252,
+    "prime-density-multiplicativity": 124878,
+    "prime-density-star-closed-form": 1512,
+    "mirror-norm-identity": 84,
+    "prime-norm-identity": 126,
+    "model-norm-identities": 84,
+    "model-norm-sandwich": 168,
+    "mirror-prime-cross-product": 84,
+    "prime-model-twist-closed-form": 126,
+    "prime-model-twist-exponential": 84,
+    "double-moebius-identity": 441,
+    "adjoint-identity": 100,
+}
+CASES_ESTIMATOR = {
+    "almost-orthogonality": 100,
+    "bessel-defect-nonnegative": 20,
+    "estimate-symmetry-bilinearity": 10,
+    "exceptional-membership": 32,
+}
+
+
+class TestCaseCounts:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["verify", "arith", "--q-max", "80"], CASES_ARITH_80),
+            (["verify", "local", "--q-max", "24", "--qprime", "4"], CASES_LOCAL_24_4),
+            (["verify", "estimator", "--seed", "1"], CASES_ESTIMATOR),
+        ],
+    )
+    def test_pinned_counts(self, argv, want, capsys):
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        got = {}
+        for line in lines:
+            status, name, cases = line.split(" ")
+            assert status == "PASS"
+            got[name] = int(cases.removeprefix("cases="))
+        assert list(got) == list(want)
+        assert got == want
+
+
+def _small_local_suite(tables):
+    return {
+        r.name: r
+        for r in run_local_suite(
+            tables,
+            q_bound=24,
+            qprime_bound=6,
+            product_q_bound=24,
+            pair_bound=24,
+            trials=10,
+        )
+    }
+
+
+class TestMutations:
+    """Faults planted in what the vectorised checks read must be caught by
+    the checks that own them."""
+
+    def test_ramanujan_sign_flip_at_prime_power(self, tables, monkeypatch):
+        def flipped(r):
+            row = ramanujan_table(r)
+            return -row if r.value == 9 else row
+
+        monkeypatch.setattr("sqfrep.verify.ramanujan_table", flipped)
+        results = run_arith_suite(
+            tables,
+            r_bound=20,
+            n_bound=20,
+            mult_r_bound=20,
+            mult_n_bound=10,
+            oracle_bound=10,
+            detect_bound=20,
+            orth_bound=10,
+        )
+        by_name = {r.name: r for r in results}
+        for name in ("ramanujan-closed-form", "ramanujan-divisor-sum"):
+            assert not by_name[name].passed, name
+            assert by_name[name].counterexample.startswith("r=9 "), name
+
+    def test_shifted_star_row_fails_both_twist_checks(self, tables, monkeypatch):
+        def shifted(contexts, q, tables, periods=1):
+            num, den = scaled_star_rows(contexts, q, tables, periods)
+            return np.roll(num, 1, axis=1), den
+
+        monkeypatch.setattr("sqfrep.verify.scaled_star_rows", shifted)
+        by_name = _small_local_suite(tables)
+        for name in ("prime-model-twist-closed-form", "prime-model-twist-exponential"):
+            assert not by_name[name].passed, name
+            assert by_name[name].failures > 0
+
+    def test_off_by_one_collect_fails_adjoint(self, tables, monkeypatch):
+        def off_by_one(values, q):
+            v = collect(values, q)
+            return LocalVector.from_numerators(
+                q, np.roll(v.numerators, 1), v.denominator, v.pi_power
+            )
+
+        monkeypatch.setattr("sqfrep.verify.collect", off_by_one)
+        adjoint = _small_local_suite(tables)["adjoint-identity"]
+        assert not adjoint.passed
+        assert adjoint.counterexample.startswith("q=")
+
+    def test_untouched_small_suite_passes(self, tables):
+        for r in _small_local_suite(tables).values():
+            assert r.passed, r.name
 
 
 class TestCorruptedFixture:
