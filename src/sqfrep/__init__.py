@@ -1,84 +1,65 @@
 """Exact toolkit for representations N = p + n with p prime in a progression
 and n square-free: local densities, singular series, direct counts, and a
 dispersion-style estimator, plus identity-verification suites over ranges.
+
+`import sqfrep` loads nothing else, not even numpy: each name in `__all__`
+is imported from its home module on first access (PEP 562), so that
+`python -m sqfrep.cli` can act before numpy loads.  Submodules import as
+usual (`from sqfrep import cli`).
 """
 
-from sqfrep.arith import (
-    CapacityError,
-    FactoredInt,
-    Rational,
-    SieveTables,
-    build_sieve,
-    factorize,
-)
-from sqfrep.counting import (
-    CountResult,
-    count_classes,
-    count_representations,
-    psi_in_ap,
-    squarefree_count_in_ap,
-)
-from sqfrep.estimator import (
-    ModuliSet,
-    Weights,
-    bessel_defect,
-    build_moduli_set,
-    compute_weights,
-    estimate_inner,
-    global_inner,
-    lambda_progression_function,
-    squarefree_mirror_function,
-)
-from sqfrep.localmodel import (
-    LocalVector,
-    ProgressionContext,
-    ScaledValue,
-    local_product,
-    model_diff,
-    model_sum,
-)
-from sqfrep.series import (
-    SeriesValue,
-    series_lower_bound,
-    singular_series,
-    singular_series_eulerform,
-)
-from sqfrep.verify import CheckResult, run_suites
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "CheckResult",
-    "CountResult",
-    "FactoredInt",
-    "LocalVector",
-    "ModuliSet",
-    "ProgressionContext",
-    "Rational",
-    "ScaledValue",
-    "SeriesValue",
-    "SieveTables",
-    "Weights",
-    "bessel_defect",
-    "build_moduli_set",
-    "build_sieve",
-    "compute_weights",
-    "count_classes",
-    "count_representations",
-    "estimate_inner",
-    "factorize",
-    "global_inner",
-    "lambda_progression_function",
-    "local_product",
-    "model_diff",
-    "model_sum",
-    "psi_in_ap",
-    "run_suites",
-    "series_lower_bound",
-    "singular_series",
-    "singular_series_eulerform",
-    "squarefree_count_in_ap",
-    "squarefree_mirror_function",
-    "__version__",
-]
+# public name -> home module
+_HOMES = {
+    "CapacityError": "arith",
+    "FactoredInt": "arith",
+    "Rational": "arith",
+    "SieveTables": "arith",
+    "build_sieve": "arith",
+    "factorize": "arith",
+    "CountResult": "counting",
+    "count_classes": "counting",
+    "count_representations": "counting",
+    "psi_in_ap": "counting",
+    "squarefree_count_in_ap": "counting",
+    "ModuliSet": "estimator",
+    "Weights": "estimator",
+    "bessel_defect": "estimator",
+    "build_moduli_set": "estimator",
+    "compute_weights": "estimator",
+    "estimate_inner": "estimator",
+    "global_inner": "estimator",
+    "lambda_progression_function": "estimator",
+    "squarefree_mirror_function": "estimator",
+    "LocalVector": "localmodel",
+    "ProgressionContext": "localmodel",
+    "ScaledValue": "localmodel",
+    "local_product": "localmodel",
+    "model_diff": "localmodel",
+    "model_sum": "localmodel",
+    "SeriesValue": "series",
+    "series_lower_bound": "series",
+    "singular_series": "series",
+    "singular_series_eulerform": "series",
+    "CheckResult": "verify",
+    "run_suites": "verify",
+}
+
+__all__ = [*sorted(_HOMES), "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        # lets `from sqfrep import <submodule>` fall back to importing it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

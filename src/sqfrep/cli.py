@@ -7,15 +7,25 @@ CSV carries a `# <schema> v1 columns=name:type,...` comment; the JSON
 form is an array of objects with the same field names, and the two
 round-trip losslessly (floats are emitted via repr; JSON writes a
 non-finite float as null).
+
+Start-up: nothing in sqfrep calls BLAS (every matrix product is int64), so
+the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, which spares each
+process the start of an OpenBLAS thread pool.  It does so only when numpy is
+not yet imported and the variable is unset; a value set by the user wins.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import json
 import math
 import statistics
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,9 +278,11 @@ def _tables_for(max_target: int):
 
 
 def cmd_verify(args) -> int:
+    """Run the suites in order, printing each suite's lines as soon as it
+    finishes, so that a suite that raises leaves the earlier verdicts."""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     tables = build_sieve(20_000)
-    results = []
+    failures = 0
     for name in suites:
         kwargs = {}
         if name == "arith":
@@ -292,18 +304,17 @@ def cmd_verify(args) -> int:
             if args.n is not None:
                 kwargs["length_bound"] = args.n[0]
             kwargs["seed"] = args.seed
-        results.extend(SUITES[name](tables, **kwargs))
-    failures = 0
-    for r in results:
-        if r.passed:
-            print(f"PASS {r.name} cases={r.cases}")
-        else:
-            failures += 1
-            print(
-                f"FAIL {r.name} cases={r.cases} failures={r.failures}"
-                f" counterexample: {r.counterexample}"
-            )
-        print(f"  {r.name}: {r.elapsed:.2f}s", file=sys.stderr)
+        for r in SUITES[name](tables, **kwargs):
+            if r.passed:
+                print(f"PASS {r.name} cases={r.cases}")
+            else:
+                failures += 1
+                print(
+                    f"FAIL {r.name} cases={r.cases} failures={r.failures}"
+                    f" counterexample: {r.counterexample}"
+                )
+            print(f"  {r.name}: {r.elapsed:.2f}s", file=sys.stderr)
+        sys.stdout.flush()
     return EXIT_VERIFY if failures else EXIT_OK
 
 

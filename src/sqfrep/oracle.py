@@ -234,6 +234,25 @@ def squarefree_star_row(q: FactoredInt, periods: int = 1) -> tuple[np.ndarray, i
     return total, shared
 
 
+# (dv, q') -> dv phi(q') / phi(lcm(dv, q')); cleared when it reaches
+# _SCALE_CACHE_SIZE entries.  The value does not depend on the tables, which
+# only factor the arguments.
+_SCALES: dict[tuple[int, int], Fraction] = {}
+_SCALE_CACHE_SIZE = 1 << 14
+
+
+def _density_scale(dv: int, m: int, tables: SieveTables) -> Fraction:
+    """dv phi(m) / phi(lcm(dv, m)), from the totients of both moduli,
+    memoised on (dv, m)."""
+    scale = _SCALES.get((dv, m))
+    if scale is None:
+        scale = Fraction(dv * _phi(m, tables), _phi(math.lcm(dv, m), tables))
+        if len(_SCALES) >= _SCALE_CACHE_SIZE:
+            _SCALES.clear()
+        _SCALES[dv, m] = scale
+    return scale
+
+
 def scaled_prime_density_rows(
     contexts: Sequence[ProgressionContext], dv: int, tables: SieveTables
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,10 +267,7 @@ def scaled_prime_density_rows(
     moduli = np.array([ctx.modulus for ctx in contexts], dtype=np.int64)
     residues = np.array([ctx.residue for ctx in contexts], dtype=np.int64)
     distinct = sorted(set(moduli.tolist()))
-    scales = [
-        Fraction(dv * _phi(m, tables), _phi(math.lcm(dv, m), tables))
-        for m in distinct
-    ]
+    scales = [_density_scale(dv, m, tables) for m in distinct]
     require_int64(max(s.numerator for s in scales))
     which = np.searchsorted(distinct, moduli)
     nums = np.array([s.numerator for s in scales], dtype=np.int64)[which]

@@ -5,6 +5,14 @@ corrections are spelled out per divisibility class, and the Euler-product
 form driven by Ramanujan sums.  Both truncate one infinite product over
 primes and report a rigorous relative tail bound, so agreement between them
 is a meaningful cross-check rather than a tautology.
+
+Both forms share one bulk: the log of the factor 1 - 1/((p^2-1)(p-1)) for
+every prime up to the cutoff.  Its float64 terms and their exact sum (an
+integer in units of 2**-bits) are built once per cutoff and cached.  A call
+subtracts the terms of the primes it excludes, adds the Euler form's patched
+terms for p | target, and rounds once, so the log of the truncated product is
+the correctly rounded sum of its terms: the value math.fsum gives, without
+rebuilding and summing ~1e5 terms per call.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -55,23 +65,88 @@ def _shared_square(q: FactoredInt, diff: int) -> bool:
     return any(e >= 2 and diff % (p * p) == 0 for p, e in q.factors)
 
 
-def _bulk_primes(prime_cutoff: int, excluded: frozenset) -> np.ndarray:
-    ps = primes_up_to(prime_cutoff)
-    if not excluded:
-        return ps
-    keep = np.ones(ps.shape, dtype=bool)
-    for p in excluded:
-        i = int(np.searchsorted(ps, p))
-        if i < len(ps) and ps[i] == p:
-            keep[i] = False
-    return ps[keep]
+# Limbs of 26 bits: a chunk of 2**12 limbs below 2**27 in magnitude sums to
+# less than 2**39 in float64, far inside the 2**53 of exact integers.  The
+# short chunks also keep the build's transient arrays small.
+_LIMB_BITS = 26
+_CHUNK = 1 << 12
 
 
-def _log_product(terms: np.ndarray) -> float:
-    # Compensated summation of the logs: the truncated product has ~1e5
-    # factors near 1 and a plain running product would drown the tail bound
-    # in roundoff.
-    return math.fsum(terms.tolist())
+@dataclass(frozen=True)
+class _BulkSum:
+    """The bulk of the log product up to one cutoff: the float64 term
+    log1p(-1/((p^2-1)(p-1))) of every prime p <= cutoff, a scale 2**-bits
+    of which every term is an integer multiple, and their exact sum in
+    units of that scale."""
+
+    primes: np.ndarray
+    terms: np.ndarray
+    bits: int
+    total: int
+
+    def term(self, p: int) -> float:
+        return float(self.terms[int(np.searchsorted(self.primes, p))])
+
+
+@lru_cache(maxsize=4)
+def _bulk_sum(prime_cutoff: int) -> _BulkSum:
+    """Build the cutoff's bulk sum once.
+
+    Each term is m * 2**(e - 53) with m an integer below 2**53 in magnitude
+    (np.frexp); m splits into a high and a low 26-bit limb, and per chunk
+    np.bincount sums each limb per exponent e exactly in float64.  The
+    per-exponent sums are then combined as Python integers.
+    """
+    primes = primes_up_to(prime_cutoff)
+    terms = np.empty(primes.size)
+    limbs: dict[int, int] = {}
+    for start in range(0, primes.size, _CHUNK):
+        pf = primes[start : start + _CHUNK].astype(np.float64)
+        chunk = terms[start : start + _CHUNK]
+        np.log1p(-1.0 / ((pf * pf - 1.0) * (pf - 1.0)), out=chunk)
+        mant, exps = np.frexp(chunk)
+        whole = np.ldexp(mant, 53)
+        high = np.floor(np.ldexp(whole, -_LIMB_BITS))
+        low = whole - np.ldexp(high, _LIMB_BITS)
+        base = int(exps.min())
+        shifted = exps - base
+        for e, h, lo in zip(
+            range(base, base + int(shifted.max()) + 1),
+            np.bincount(shifted, weights=high).tolist(),
+            np.bincount(shifted, weights=low).tolist(),
+        ):
+            limbs[e] = limbs.get(e, 0) + (int(h) << _LIMB_BITS) + int(lo)
+    terms.flags.writeable = False
+    low_exp = min(limbs, default=53)
+    total = sum(v << (e - low_exp) for e, v in limbs.items())
+    return _BulkSum(primes, terms, 53 - low_exp, total)
+
+
+def _log_product(
+    prime_cutoff: int, dropped: Iterable[int], added: Iterable[float] = ()
+) -> float:
+    """The correctly rounded sum of the bulk terms of every prime up to the
+    cutoff except those in dropped, plus the added terms.
+
+    Dropped terms are subtracted from the cached exact total, added ones
+    joined to it exactly, and the result is divided once (int / int rounds
+    correctly).  math.fsum also rounds the exact sum correctly, so this is
+    bit-identical to fsum over the explicit term list.  A plain running
+    sum of the ~1e5 factors near 1 would drown the tail bound in roundoff.
+    """
+    bulk = _bulk_sum(prime_cutoff)
+    total, bits = bulk.total, bulk.bits
+    for p in dropped:
+        if p <= prime_cutoff:
+            total -= int(math.ldexp(bulk.term(p), bits))
+    for t in added:
+        num, den = t.as_integer_ratio()
+        shift = den.bit_length() - 1
+        if shift > bits:
+            total <<= shift - bits
+            bits = shift
+        total += num << (bits - shift)
+    return total / (1 << bits)
 
 
 def singular_series(
@@ -105,9 +180,7 @@ def singular_series(
         else:
             rational *= 1 + Fraction(1, p * p - 1)
 
-    excluded = q_primes | {p for p, _ in n.factors}
-    pf = _bulk_primes(prime_cutoff, excluded).astype(np.float64)
-    log_rest = _log_product(np.log1p(-1.0 / ((pf * pf - 1.0) * (pf - 1.0))))
+    log_rest = _log_product(prime_cutoff, q_primes | {p for p, _ in n.factors})
     value = float(rational) * _SIX_OVER_PI_SQ * math.exp(log_rest)
     return SeriesValue(value, 2.0 / prime_cutoff**2, False, prime_cutoff)
 
@@ -144,20 +217,22 @@ def singular_series_eulerform(
     assert rational != 0  # indicator already excluded the vanishing class
 
     q_primes = frozenset(p for p, _ in q.factors)
-    kept = _bulk_primes(prime_cutoff, q_primes)
-    pf = kept.astype(np.float64)
     # c_p(target) = -1 for the bulk; patch the finitely many p | target.
-    terms = np.log1p(-1.0 / ((pf * pf - 1.0) * (pf - 1.0)))
+    patched = []
     tail = 2.0 / prime_cutoff**2
     for p, _ in n.factors:
         if p in q_primes:
             continue
         if p <= prime_cutoff:
-            i = int(np.searchsorted(kept, p))
-            terms[i] = math.log1p(1.0 / (p * p - 1.0))
+            patched.append(p)
         else:
             tail += 2.0 / (p * p - 1.0)
-    value = float(rational) * _SIX_OVER_PI_SQ * math.exp(_log_product(terms))
+    log_rest = _log_product(
+        prime_cutoff,
+        q_primes | set(patched),
+        [math.log1p(1.0 / (p * p - 1.0)) for p in patched],
+    )
+    value = float(rational) * _SIX_OVER_PI_SQ * math.exp(log_rest)
     return SeriesValue(value, tail, False, prime_cutoff)
 
 

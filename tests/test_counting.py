@@ -9,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
 from sqfrep.counting import (
+    DEFAULT_WINDOW,
     LOG_BITS,
+    MIN_THREADED_WINDOW,
     _LaneSieve,
+    _scan,
     count_classes,
     count_representations,
     prime_power_logs,
     psi_in_ap,
+    scan_workers,
     segmented_prime_sieve,
     segmented_squarefree_sieve,
     squarefree_count_in_ap,
@@ -710,3 +714,72 @@ class TestLaneInvariance:
             squarefree_count_in_ap(1000, 6, 12, huge)
         with pytest.raises(OverflowError):
             count_classes(1000, [1, 3], huge)
+
+
+class TestScanWorkers:
+    """The worker count of a scan: never more workers than windows, and one
+    worker for windows below the threading crossover."""
+
+    def test_rule(self):
+        long = MIN_THREADED_WINDOW
+        assert scan_workers(1, 100, long) == 1
+        assert scan_workers(2, 100, long) == 2
+        assert scan_workers(4, 3, long) == 3
+        assert scan_workers(2, 1, 1 << 20) == 1
+        assert scan_workers(2, 100, long - 1) == 1
+        assert scan_workers(2, 1000, 1 << 10) == 1
+
+    def test_benchmark_two_thread_count_keeps_two_workers(self):
+        # count --n 1.2e8 --q 7 --threads 2 at the default window length
+        windows = len(range(0, (120_000_000 - 2) // 7 + 1, DEFAULT_WINDOW))
+        assert scan_workers(2, windows, DEFAULT_WINDOW) == 2
+
+    def test_scan_starts_the_ruled_workers(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+        length = window_length()
+        for count, threads, want in (
+            (3 * length, 4, [3]),
+            (3 * length, 2, [2]),
+            (length, 2, []),
+            (3 * length, 1, []),
+        ):
+            started.clear()
+            got = list(_scan(count, lambda lo, hi: hi - lo, lambda lo, n: n, threads))
+            assert sum(got) == count
+            assert started == want, (count, threads)
+        monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", str(8 << 10))
+        started.clear()
+        list(_scan(100_000, lambda lo, hi: hi - lo, lambda lo, n: n, 2))
+        assert started == []
+
+    def test_threaded_short_windows_change_no_bit(self, tables, monkeypatch):
+        # force the thread pool onto 1 Ki windows, below the crossover
+        monkeypatch.setattr("sqfrep.counting.MIN_THREADED_WINDOW", 1)
+        monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", str(8 << 10))
+        target = 100_003
+        one = count_representations(target, 2, 5, tables, 1)
+        two = count_representations(target, 2, 5, tables, 2)
+        assert (one.weighted.hex(), one.unweighted, one.lambda_weighted.hex()) == (
+            two.weighted.hex(),
+            two.unweighted,
+            two.lambda_weighted.hex(),
+        )
+        assert squarefree_count_in_ap(target, 4, 9, tables, 1) == (
+            squarefree_count_in_ap(target, 4, 9, tables, 2)
+        )
+        assert psi_in_ap(target, 1, 4, tables, 1) == psi_in_ap(target, 1, 4, tables, 2)
+        classes_one = count_classes(target, range(1, 7), tables, 1)
+        classes_two = count_classes(target, range(1, 7), tables, 2)
+        assert [(r.weighted, r.unweighted) for r in classes_one.values()] == [
+            (r.weighted, r.unweighted) for r in classes_two.values()
+        ]

@@ -1,10 +1,14 @@
 """Singular-series evaluation: both forms, tails, vanishing, the floor."""
 
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sqfrep import series
 from sqfrep.arith import factorize, primes_up_to
 from sqfrep.series import (
     SeriesValue,
@@ -200,3 +204,78 @@ class TestLowerBound:
                     got = singular_series(n, a, q, P_UNIT)
                     if not got.vanished:
                         assert got.value >= floor, (qv, a, nv)
+
+
+def fsum_log_product(cutoff, dropped, added=()):
+    """Oracle for series._log_product: math.fsum over the explicit list of
+    bulk terms of the primes up to the cutoff that are not dropped, each
+    computed as the series once did per call, plus the added terms."""
+    kept = [p for p in primes_up_to(cutoff).tolist() if p not in set(dropped)]
+    pf = np.array(kept, dtype=np.float64)
+    terms = np.log1p(-1.0 / ((pf * pf - 1.0) * (pf - 1.0)))
+    return math.fsum([*terms.tolist(), *added])
+
+
+BULK_CUTOFFS = (2, 3, 5, 97, 10**5, 10**6)
+
+
+class TestExactBulkSum:
+    """The cached exact bulk sum is bit-identical to math.fsum."""
+
+    def test_matches_fsum_of_the_term_list(self):
+        rng = random.Random(11)
+        for cutoff in BULK_CUTOFFS:
+            primes = primes_up_to(max(cutoff, 100) * 2).tolist()
+            for _ in range(12 if cutoff < 10**6 else 4):
+                dropped = set(rng.sample(primes, rng.randint(0, 6)))
+                added = [
+                    math.log1p(1.0 / (p * p - 1.0))
+                    for p in rng.sample(primes, rng.randint(0, 3))
+                ]
+                got = series._log_product(cutoff, dropped, added)
+                want = fsum_log_product(cutoff, dropped, added)
+                assert got.hex() == want.hex(), (cutoff, sorted(dropped), added)
+
+    def test_empty_bulk(self):
+        assert series._log_product(2, {2}) == 0.0
+
+    @pytest.mark.parametrize("cutoff", BULK_CUTOFFS)
+    def test_both_forms_match_the_fsum_route(self, tables, monkeypatch, cutoff):
+        rng = random.Random(cutoff)
+        # random targets, plus ones with prime factors on both sides of a
+        # cutoff: 2310 = 2*3*5*7*11 straddles 2, 3 and 5, 997 * 1009 lies
+        # between 97 and 10^5, 2 * 999983 straddles 10^5, 3 * 1000003 10^6
+        targets = [rng.randint(1, 10**8) for _ in range(6)]
+        targets += [2310, 997 * 1009, 2 * 999983, 3 * 1000003, 1 << 20]
+        cases = []
+        for nv in targets:
+            qv = rng.randint(1, 60)
+            a = rng.choice([a for a in range(qv) if math.gcd(a, qv) == 1])
+            cases.append((factorize(nv, tables), a, factorize(qv, tables)))
+        forms = (singular_series, singular_series_eulerform)
+        got = [form(n, a, q, cutoff) for n, a, q in cases for form in forms]
+        monkeypatch.setattr(series, "_log_product", fsum_log_product)
+        want = [form(n, a, q, cutoff) for n, a, q in cases for form in forms]
+        assert got == want
+
+
+class TestFormAgreementProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        nv=st.one_of(st.integers(1, 10**8), st.integers(1, 500)),
+        unit=st.integers(1, 60).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.sampled_from([a for a in range(q) if math.gcd(a, q) == 1]),
+            )
+        ),
+        cutoff=st.one_of(st.integers(2, 200), st.sampled_from((10**4, 10**5))),
+    )
+    def test_forms_agree_within_summed_tails(self, tables, nv, unit, cutoff):
+        qv, a = unit
+        n, q = factorize(nv, tables), factorize(qv, tables)
+        rud = singular_series(n, a, q, cutoff)
+        eul = singular_series_eulerform(n, a, q, cutoff)
+        assert rud.vanished == eul.vanished
+        allow = (rud.tail_bound + eul.tail_bound) * abs(rud.value)
+        assert abs(rud.value - eul.value) <= allow + 1e-15

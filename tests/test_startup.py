@@ -1,0 +1,79 @@
+"""Start-up: `import sqfrep` is lazy, and the CLI defaults OpenBLAS to one
+thread before numpy loads.  Each check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sqfrep
+
+SRC = str(Path(sqfrep.__file__).resolve().parent.parent)
+
+
+def _fresh(code: str, **env_overrides) -> dict:
+    """Run code in a fresh interpreter that imports sqfrep from this tree;
+    the code prints one JSON value, which is returned."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    env.update(env_overrides)
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+class TestLazyPackage:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        loaded = _fresh(
+            "import sys, json, sqfrep; print(json.dumps(sorted("
+            "m for m in sys.modules if m == 'numpy' or m.startswith('sqfrep'))))"
+        )
+        assert loaded == ["sqfrep"]
+
+    def test_every_public_name_resolves_to_its_home(self):
+        assert set(sqfrep.__all__) == {*sqfrep._HOMES, "__version__"}
+        strays = _fresh(
+            "import importlib, json, sqfrep; print(json.dumps([n for n, m in "
+            "sqfrep._HOMES.items() if getattr(sqfrep, n) is not "
+            "getattr(importlib.import_module('sqfrep.' + m), n)]))"
+        )
+        assert strays == []
+
+    def test_from_import_of_names_and_submodules(self):
+        from sqfrep import cli, count_representations
+        from sqfrep.counting import count_representations as home
+
+        assert count_representations is home
+        assert cli.main is sys.modules["sqfrep.cli"].main
+
+    def test_dir_lists_every_public_name(self):
+        assert set(sqfrep.__all__) <= set(dir(sqfrep))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            sqfrep.no_such_name  # noqa: B018
+
+
+BLAS_PROBE = (
+    "import json, os; {before}import sqfrep.cli; "
+    "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+)
+
+
+class TestBlasDefault:
+    def test_cli_sets_one_thread(self):
+        assert _fresh(BLAS_PROBE.format(before="")) == "1"
+
+    def test_user_value_wins(self):
+        assert _fresh(BLAS_PROBE.format(before=""), OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_untouched_when_numpy_came_first(self):
+        assert _fresh(BLAS_PROBE.format(before="import numpy; ")) is None
+
+    def test_package_import_leaves_it_unset(self):
+        assert _fresh(BLAS_PROBE.replace("sqfrep.cli", "sqfrep").format(before="")) is None

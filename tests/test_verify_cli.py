@@ -24,6 +24,7 @@ from sqfrep.counting import count_representations, psi_in_ap, squarefree_count_i
 from sqfrep.localmodel import LocalVector
 from sqfrep.oracle import collect, scaled_star_rows
 from sqfrep.verify import (
+    CheckResult,
     run_arith_suite,
     run_estimator_suite,
     run_local_suite,
@@ -241,6 +242,41 @@ class TestCorruptedFixture:
         for line in out.strip().split("\n"):
             assert line.startswith("PASS ")
             assert "cases=" in line
+
+
+class TestVerifyStreaming:
+    """Each suite's lines are printed when that suite finishes, so a suite
+    that raises leaves the earlier verdicts on stdout."""
+
+    @staticmethod
+    def _suite(name, failures=0):
+        def run(tables, **kwargs):
+            example = "n=1" if failures else None
+            return [CheckResult(f"{name}-check", 3, failures, example, 0.0)]
+
+        return run
+
+    @staticmethod
+    def _broken(tables, **kwargs):
+        raise ValueError("suite broke")
+
+    def test_earlier_suites_survive_a_raising_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sqfrep.cli.SUITES",
+            {
+                "arith": self._suite("a"),
+                "local": self._suite("b", failures=2),
+                "estimator": self._broken,
+            },
+        )
+        rc = main(["verify", "all"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert captured.out == (
+            "PASS a-check cases=3\n"
+            "FAIL b-check cases=3 failures=2 counterexample: n=1\n"
+        )
+        assert "suite broke" in captured.err
 
 
 class TestExitCodes:
