@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "CapacityError": "arith",
     "FactoredInt": "arith",
-    "Rational": "arith",
     "SieveTables": "arith",
     "build_sieve": "arith",
     "factorize": "arith",

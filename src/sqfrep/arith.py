@@ -16,10 +16,6 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-# Exact rational carrier.  The stdlib keeps values in lowest terms with a
-# positive denominator, which is exactly the contract the identity suites need.
-Rational = Fraction
-
 _CHUNK = 1 << 22
 
 # Every int64 numerator array in the package (log weights, local vectors)

@@ -8,6 +8,12 @@ form is an array of objects with the same field names, and the two
 round-trip losslessly (floats are emitted via repr; JSON writes a
 non-finite float as null).
 
+There is no config object: each `cmd_*` function reads the argparse
+namespace, and every default lives once, in `build_parser`.  Each flag's
+value is checked once, by its argparse type; what depends on two flags (a
+residue that is not a unit, padding without paper weights) is a ValueError
+from the command.  Either way the exit code is 2.
+
 Start-up: nothing in sqfrep calls BLAS (every matrix product is int64), so
 the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, which spares each
 process the start of an OpenBLAS thread pool.  It does so only when numpy is
@@ -26,7 +32,6 @@ import argparse
 import json
 import math
 import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,62 +67,14 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# `estimate --weights paper` pads each weight by C N^eps: C and eps when
+# --padding-constant and --padding-exponent are not given
+PAPER_PADDING_CONSTANT = 1e4
+PAPER_PADDING_EXPONENT = 0.1
+
 # build_sieve above this limit would dwarf any reasonable request; larger
 # targets fail with a capacity error inside the counting layer instead
 MAX_SIEVE_LIMIT = 1 << 26
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Every knob a run depends on, in one place.
-
-    Identical configs (seed and thread count included) must produce
-    byte-identical CSV/JSON; timings never enter the rows.  Tolerances
-    are data here, not constants in code.
-    """
-
-    targets: tuple[int, ...] = ()
-    q_max: int = 12
-    q: int | None = None
-    a: int | None = None
-    qprime: int = 1
-    aprime: int = 0
-    p_cutoff: int = DEFAULT_PRIME_CUTOFF
-    q1_bound: int = 8
-    q2_bound: int = 2
-    weight_mode: str = EXACT_MODE
-    padding_constant: float = 1e4
-    padding_exponent: float = 0.1
-    out_format: str = "csv"
-    out_path: str | None = None
-    threads: int = 1
-    seed: int = DEFAULT_SEED
-    compare_tolerance: float = 0.05
-    estimate_tolerance: float = 0.15
-    per_q: bool = False
-
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("q_max", self.q_max),
-            ("qprime", self.qprime),
-            ("q1", self.q1_bound),
-            ("q2", self.q2_bound),
-            ("threads", self.threads),
-        ):
-            if value < 1:
-                raise ValueError(f"--{name} must be positive")
-        if any(n < 1 for n in self.targets):
-            raise ValueError("--n must be positive")
-        if self.p_cutoff < 2:
-            raise ValueError("--p-cutoff must be at least 2")
-        if self.q is not None and self.q < 1:
-            raise ValueError("--q must be positive")
-        if self.weight_mode not in (EXACT_MODE, PAPER_MODE):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.out_format!r}")
-        if self.compare_tolerance <= 0 or self.estimate_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 SCHEMAS: dict[str, list[tuple[str, str]]] = {
@@ -255,15 +212,18 @@ def parse_csv(text: str) -> tuple[str, list[dict]]:
     return schema, rows
 
 
-def _emit(schema: str, rows: list[dict], cfg: ExperimentConfig) -> None:
+def _emit(schema: str, rows: list[dict], args) -> None:
     text = (
         encode_csv(schema, rows)
-        if cfg.out_format == "csv"
+        if args.format == "csv"
         else encode_json(schema, rows)
     )
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -318,18 +278,18 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
-    tables = _tables_for(max(cfg.targets))
-    q_values = [cfg.q] if cfg.q is not None else list(range(1, cfg.q_max + 1))
-    if cfg.a is not None:
+def cmd_compare(args) -> int:
+    tables = _tables_for(max(args.n))
+    q_values = [args.q] if args.q is not None else list(range(1, args.q_max + 1))
+    if args.a is not None:
         for q in q_values:
-            if math.gcd(cfg.a, q) != 1:
-                raise ValueError(f"class {cfg.a % q} is not a unit mod {q}")
+            if math.gcd(args.a, q) != 1:
+                raise ValueError(f"class {args.a % q} is not a unit mod {q}")
     rows = []
     consistent = True
-    for n in cfg.targets:
+    for n in args.n:
         fn = factorize(n, tables)
-        counts = count_classes(n, q_values, tables, cfg.threads)
+        counts = count_classes(n, q_values, tables, args.threads)
         elapsed = next(iter(counts.values())).elapsed
         print(
             f"count N={n} classes={len(counts)}: {elapsed:.3f}s", file=sys.stderr
@@ -337,12 +297,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         for q in q_values:
             fq = factorize(q, tables)
             residues = (
-                [cfg.a % q]
-                if cfg.a is not None
+                [args.a % q]
+                if args.a is not None
                 else [a for a in range(q) if math.gcd(a, q) == 1]
             )
             for a in residues:
-                sv = singular_series(fn, a, fq, cfg.p_cutoff)
+                sv = singular_series(fn, a, fq, args.p_cutoff)
                 res = counts[q, a]
                 if sv.vanished:
                     ratio = 0.0
@@ -367,45 +327,54 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                         "vanished": sv.vanished,
                     }
                 )
-    _emit("sqfrep-compare", rows, cfg)
+    _emit("sqfrep-compare", rows, args)
     errors = [abs(r["ratio"] - 1.0) for r in rows if not r["vanished"]]
     if errors:
         med = statistics.median(errors)
         print(
             f"median |ratio-1| = {med:.4f} over {len(errors)} classes "
-            f"(tolerance {cfg.compare_tolerance})",
+            f"(tolerance {args.tolerance})",
             file=sys.stderr,
         )
-        if med > cfg.compare_tolerance:
+        if med > args.tolerance:
             return EXIT_VERIFY
     return EXIT_OK if consistent else EXIT_VERIFY
 
 
-def cmd_estimate(cfg: ExperimentConfig) -> int:
-    tables = _tables_for(max(cfg.targets))
-    fqp = factorize(cfg.qprime, tables)
+def _weighting(args) -> dict:
+    """compute_weights keywords for --weights.  The padding flags are None
+    unless given, and only the paper form reads them."""
+    constant, exponent = args.padding_constant, args.padding_exponent
+    if args.weights == "exact":
+        if constant is not None or exponent is not None:
+            raise ValueError(
+                "--padding-constant and --padding-exponent need --weights paper"
+            )
+        return {"mode": EXACT_MODE}
+    return {
+        "mode": PAPER_MODE,
+        "padding_constant": PAPER_PADDING_CONSTANT if constant is None else constant,
+        "padding_exponent": PAPER_PADDING_EXPONENT if exponent is None else exponent,
+    }
+
+
+def cmd_estimate(args) -> int:
+    weighting = _weighting(args)
+    tables = _tables_for(max(args.n))
+    fqp = factorize(args.qprime, tables)
     rows = []
     per_q_rows = []
     breached = False
-    for n in cfg.targets:
-        ctx = ProgressionContext(n, cfg.aprime, cfg.qprime)
+    for n in args.n:
+        ctx = ProgressionContext(n, args.aprime, args.qprime)
         f = lambda_progression_function(ctx, tables)
         g = squarefree_mirror_function(n, tables)
-        ms = build_moduli_set(cfg.q1_bound, cfg.q2_bound, ctx, tables)
-        if cfg.weight_mode == EXACT_MODE:
-            w = compute_weights(ms, tables)
-        else:
-            w = compute_weights(
-                ms,
-                tables,
-                mode=PAPER_MODE,
-                padding_constant=cfg.padding_constant,
-                padding_exponent=cfg.padding_exponent,
-            )
+        ms = build_moduli_set(args.q1, args.q2, ctx, tables)
+        w = compute_weights(ms, tables, **weighting)
         exact_direct = global_inner(f, g)
         direct = float(exact_direct)
         approx = float(estimate_inner(f, g, ms, w, tables))
-        sv = singular_series(factorize(n, tables), cfg.aprime, fqp, cfg.p_cutoff)
+        sv = singular_series(factorize(n, tables), args.aprime, fqp, args.p_cutoff)
         series_n = sv.value * n
         defect_f = float(bessel_defect(f, ms, w, tables))
         defect_g = float(bessel_defect(g, ms, w, tables))
@@ -413,8 +382,8 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
             # obstructed context: nothing to compare against, as in compare
             rel_direct = rel_series = 0.0
             print(
-                f"N={n}: obstructed context (qprime={cfg.qprime}, "
-                f"aprime={cfg.aprime})",
+                f"N={n}: obstructed context (qprime={args.qprime}, "
+                f"aprime={args.aprime})",
                 file=sys.stderr,
             )
             if exact_direct != 0:
@@ -430,10 +399,10 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
         rows.append(
             {
                 "N": n,
-                "q1_bound": cfg.q1_bound,
-                "q2_bound": cfg.q2_bound,
-                "qprime": cfg.qprime,
-                "aprime": cfg.aprime,
+                "q1_bound": args.q1,
+                "q2_bound": args.q2,
+                "qprime": args.qprime,
+                "aprime": args.aprime,
                 "direct": direct,
                 "estimate": approx,
                 "series_times_n": series_n,
@@ -443,21 +412,21 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
                 "rel_error_series": rel_series,
             }
         )
-        if cfg.weight_mode == EXACT_MODE and (defect_f < 0 or defect_g < 0):
+        if args.weights == "exact" and (defect_f < 0 or defect_g < 0):
             breached = True
             print(f"negative defect at N={n}", file=sys.stderr)
-        if rel_direct > cfg.estimate_tolerance or rel_series > cfg.estimate_tolerance:
+        if rel_direct > args.tolerance or rel_series > args.tolerance:
             breached = True
             print(
                 f"N={n}: estimate off by {rel_direct:.3f} (direct) / "
-                f"{rel_series:.3f} (series), tolerance {cfg.estimate_tolerance}",
+                f"{rel_series:.3f} (series), tolerance {args.tolerance}",
                 file=sys.stderr,
             )
-        if cfg.per_q:
+        if args.per_q:
             for row in per_q_breakdown(f, g, ms, w, tables):
                 per_q_rows.append({"N": n, **row})
-    if cfg.per_q:
-        _emit("sqfrep-estimate-per-q", per_q_rows, cfg)
+    if args.per_q:
+        _emit("sqfrep-estimate-per-q", per_q_rows, args)
         for row in rows:
             print(
                 f"N={row['N']}: direct={row['direct']!r} "
@@ -465,25 +434,24 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
                 file=sys.stderr,
             )
     else:
-        _emit("sqfrep-estimate", rows, cfg)
+        _emit("sqfrep-estimate", rows, args)
     return EXIT_VERIFY if breached else EXIT_OK
 
 
-def cmd_series(cfg: ExperimentConfig) -> int:
-    tables = _tables_for(max(cfg.targets))
-    fq = factorize(cfg.q or 1, tables)
-    a = cfg.a if cfg.a is not None else 0
+def cmd_series(args) -> int:
+    tables = _tables_for(max(args.n))
+    fq = factorize(args.q, tables)
     rows = []
-    for n in cfg.targets:
+    for n in args.n:
         fn = factorize(n, tables)
-        rud = singular_series(fn, a, fq, cfg.p_cutoff)
-        eul = singular_series_eulerform(fn, a, fq, cfg.p_cutoff)
+        rud = singular_series(fn, args.a, fq, args.p_cutoff)
+        eul = singular_series_eulerform(fn, args.a, fq, args.p_cutoff)
         rows.append(
             {
                 "N": n,
-                "a": a % fq.value,
+                "a": args.a % fq.value,
                 "q": fq.value,
-                "p_cutoff": cfg.p_cutoff,
+                "p_cutoff": args.p_cutoff,
                 "rudimentary_value": rud.value,
                 "rudimentary_tail": rud.tail_bound,
                 "euler_value": eul.value,
@@ -492,29 +460,27 @@ def cmd_series(cfg: ExperimentConfig) -> int:
                 "vanished": rud.vanished,
             }
         )
-    _emit("sqfrep-series", rows, cfg)
+    _emit("sqfrep-series", rows, args)
     return EXIT_OK
 
 
-def cmd_count(cfg: ExperimentConfig) -> int:
-    tables = _tables_for(max(cfg.targets))
-    q = cfg.q or 1
-    a = cfg.a if cfg.a is not None else 0
+def cmd_count(args) -> int:
+    tables = _tables_for(max(args.n))
     rows = []
-    for n in cfg.targets:
-        res = count_representations(n, a, q, tables, cfg.threads)
+    for n in args.n:
+        res = count_representations(n, args.a, args.q, tables, args.threads)
         print(f"count N={n}: {res.elapsed:.3f}s", file=sys.stderr)
         rows.append(
             {
                 "N": n,
-                "q": q,
-                "a": a % q,
+                "q": args.q,
+                "a": args.a % args.q,
                 "weighted": res.weighted,
                 "unweighted": res.unweighted,
                 "lambda_weighted": res.lambda_weighted,
             }
         )
-    _emit("sqfrep-count", rows, cfg)
+    _emit("sqfrep-count", rows, args)
     return EXIT_OK
 
 
@@ -549,11 +515,11 @@ def _trial_division(lo: int, hi: int, primes: np.ndarray):
     return squarefree, prime
 
 
-def cmd_sieve_selftest(cfg: ExperimentConfig) -> int:
+def cmd_sieve_selftest(args) -> int:
     tables = build_sieve(20_000)
     top = tables.limit**2
     width = 4096
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     starts = [0, top - width]
     starts += sorted(int(x) for x in rng.integers(1, top - width, size=6))
     rows = []
@@ -576,7 +542,7 @@ def cmd_sieve_selftest(cfg: ExperimentConfig) -> int:
                 "ok": ok,
             }
         )
-    _emit("sqfrep-selftest", rows, cfg)
+    _emit("sqfrep-selftest", rows, args)
     return EXIT_OK if ok_all else EXIT_VERIFY
 
 
@@ -589,6 +555,23 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def prime_cutoff(text: str) -> int:
+    """argparse type for --p-cutoff: an integer of at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer of at least 2")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type for tolerances and --padding-constant: a finite float
+    above 0 (a nan tolerance would make every gate pass)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
     return value
 
 
@@ -608,6 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run exact identity suites")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("suite", choices=[*SUITES, "all"])
     v.add_argument("--q-max", type=positive_int, default=None,
                    help="primary sweep bound (r for arith, q for local)")
@@ -621,42 +605,48 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser(
         "compare", help="count vs singular-series prediction per progression"
     )
+    c.set_defaults(run=cmd_compare)
     c.add_argument("--n", action="append", type=positive_int, required=True)
     c.add_argument("--q-max", type=positive_int, default=12)
     c.add_argument("--q", type=positive_int, default=None, help="single modulus")
     c.add_argument("--a", type=int, default=None, help="single residue class")
-    c.add_argument("--p-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
+    c.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
     c.add_argument("--threads", type=positive_int, default=1)
-    c.add_argument("--tolerance", type=float, default=0.05,
-                   help="gate on the median |ratio - 1| (default 0.05)")
+    c.add_argument("--tolerance", type=positive_float, default=0.05,
+                   help="gate on the median |ratio - 1| (default %(default)s)")
     _add_output_flags(c)
 
     e = sub.add_parser("estimate", help="bilinear estimator experiment")
+    e.set_defaults(run=cmd_estimate)
     e.add_argument("--n", action="append", type=positive_int, required=True)
     e.add_argument("--qprime", type=positive_int, default=1)
     e.add_argument("--aprime", type=int, default=0)
     e.add_argument("--q1", type=positive_int, default=8)
     e.add_argument("--q2", type=positive_int, default=2)
     e.add_argument("--weights", choices=["exact", "paper"], default="exact")
-    e.add_argument("--padding-constant", type=float, default=1e4,
-                   help="paper-form additive padding scale (default 1e4)")
-    e.add_argument("--padding-exponent", type=float, default=0.1,
-                   help="paper-form padding exponent of N (default 0.1)")
-    e.add_argument("--p-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
-    e.add_argument("--tolerance", type=float, default=0.15,
-                   help="gate on both relative errors (default 0.15)")
+    e.add_argument("--padding-constant", type=positive_float, default=None,
+                   help="paper-form additive padding scale, --weights paper "
+                   f"only (default {PAPER_PADDING_CONSTANT:g})")
+    e.add_argument("--padding-exponent", type=float, default=None,
+                   help="paper-form padding exponent of N, --weights paper "
+                   f"only (default {PAPER_PADDING_EXPONENT:g})")
+    e.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
+    e.add_argument("--tolerance", type=positive_float, default=0.15,
+                   help="gate on both relative errors (default %(default)s)")
     e.add_argument("--per-q", action="store_true",
                    help="emit the per-modulus breakdown table instead")
     _add_output_flags(e)
 
     s = sub.add_parser("series", help="both singular-series forms")
+    s.set_defaults(run=cmd_series)
     s.add_argument("--n", action="append", type=positive_int, required=True)
     s.add_argument("--q", type=positive_int, default=1)
     s.add_argument("--a", type=int, default=0)
-    s.add_argument("--p-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
+    s.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
     _add_output_flags(s, default_format="json")
 
     n = sub.add_parser("count", help="representation counts by segmented sieve")
+    n.set_defaults(run=cmd_count)
     n.add_argument("--n", action="append", type=positive_int, required=True)
     n.add_argument("--q", type=positive_int, default=1)
     n.add_argument("--a", type=int, default=0)
@@ -666,44 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser(
         "sieve-selftest", help="segmented sieves vs direct factorization"
     )
+    t.set_defaults(run=cmd_sieve_selftest)
     t.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(t)
     return p
-
-
-_WEIGHT_MODES = {"exact": EXACT_MODE, "paper": PAPER_MODE}
-
-
-def _config_from(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        targets=tuple(args.n) if getattr(args, "n", None) else (),
-        q_max=getattr(args, "q_max", 12),
-        q=getattr(args, "q", None),
-        a=getattr(args, "a", None),
-        qprime=getattr(args, "qprime", 1),
-        aprime=getattr(args, "aprime", 0),
-        p_cutoff=getattr(args, "p_cutoff", DEFAULT_PRIME_CUTOFF),
-        q1_bound=getattr(args, "q1", 8),
-        q2_bound=getattr(args, "q2", 2),
-        weight_mode=_WEIGHT_MODES[getattr(args, "weights", "exact")],
-        padding_constant=getattr(args, "padding_constant", 1e4),
-        padding_exponent=getattr(args, "padding_exponent", 0.1),
-        out_format=getattr(args, "format", "csv"),
-        out_path=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        compare_tolerance=(
-            getattr(args, "tolerance", 0.05)
-            if args.command == "compare"
-            else 0.05
-        ),
-        estimate_tolerance=(
-            getattr(args, "tolerance", 0.15)
-            if args.command == "estimate"
-            else 0.15
-        ),
-        per_q=getattr(args, "per_q", False),
-    )
 
 
 def main(argv=None) -> int:
@@ -713,18 +669,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        cfg = _config_from(args)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "series":
-            return cmd_series(cfg)
-        if args.command == "count":
-            return cmd_count(cfg)
-        return cmd_sieve_selftest(cfg)
+        return args.run(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

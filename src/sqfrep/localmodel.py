@@ -92,10 +92,6 @@ class ScaledValue:
         """Multiply by an exact rational and shift the formal exponent."""
         return ScaledValue(self.coeff * Fraction(factor), self.pi_power + pi_shift)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
     def to_float(self) -> float:
         return float(self.coeff) / PI_SQ_OVER_6**self.pi_power
 

@@ -1,6 +1,7 @@
 """Verification suites plus the command-line surface: exit codes, schema
 round-trips, determinism, and the corrupted-fixture drill."""
 
+import inspect
 import json
 import math
 
@@ -8,13 +9,13 @@ import pytest
 
 import numpy as np
 
+from sqfrep import cli
 from sqfrep.arith import ramanujan_table, star_scale
 from sqfrep.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    ExperimentConfig,
     encode_csv,
     encode_json,
     main,
@@ -290,9 +291,48 @@ class TestExitCodes:
             ["compare", "--n", "1000", "--q-max", "0"],
             ["estimate", "--n", "1000", "--q1", "0"],
             ["verify", "arith", "--q-max", "0"],
+            ["count", "--n", "1000", "--threads", "-1"],
+            ["compare", "--n", "1000", "--tolerance", "0.0"],
+            ["compare", "--n", "1000", "--p-cutoff", "1"],
+            ["series", "--n", "1000", "--p-cutoff", "0"],
+            ["estimate", "--n", "1000", "--p-cutoff", "1"],
+            ["estimate", "--n", "1000", "--weights", "guesswork"],
+            ["count", "--n", "1000", "--format", "xml"],
+            ["estimate", "--n", "1000", "--weights", "paper", "--padding-constant", "inf"],
+            ["estimate", "--n", "1000", "--weights", "paper", "--padding-constant", "0"],
         ):
             assert main(argv) == EXIT_USAGE, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["compare", "estimate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_tolerance_must_be_positive_and_finite(self, command, value, capsys):
+        # a nan tolerance makes `error > tolerance` false, so no gate could fail
+        assert main([command, "--n", "1000", "--tolerance", value]) == EXIT_USAGE
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--padding-constant", "5"),
+            ("--padding-exponent", "0.2"),
+            ("--padding-constant", "1e4"),
+        ],
+    )
+    def test_padding_needs_paper_weights(self, flag, value, capsys):
+        argv = ["estimate", "--n", "2000", flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert main([*argv, "--weights", "exact"]) == EXIT_USAGE
+        assert "--weights paper" in capsys.readouterr().err
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["count", "--n", "1000", "--out", str(target)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("usage error: cannot write --out")
+        assert not target.exists()
 
     def test_capacity_error(self, capsys):
         rc = main(["estimate", "--n", "20000001"])
@@ -305,22 +345,151 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-class TestConfig:
-    def test_rejects_nonpositive_bounds(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(100,), q1_bound=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(100,), threads=-1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(0,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(100,), compare_tolerance=0.0)
+def _recorder(monkeypatch, owner, name):
+    """Replace owner.name with a pass-through that keeps each call's
+    arguments by parameter name."""
+    real = getattr(owner, name)
+    signature = inspect.signature(real)
+    calls = []
 
-    def test_rejects_unknown_modes(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(100,), weight_mode="guesswork")
-        with pytest.raises(ValueError):
-            ExperimentConfig(targets=(100,), out_format="xml")
+    def record(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+class TestFlagPlumbing:
+    """Every flag set away from its default reaches the library call that
+    reads it."""
+
+    def test_compare(self, monkeypatch, tmp_path, capsys):
+        classes = _recorder(monkeypatch, cli, "count_classes")
+        series = _recorder(monkeypatch, cli, "singular_series")
+        out = tmp_path / "c.json"
+        rc = main(
+            [
+                "compare", "--n", "3001", "--n", "3002", "--q", "5", "--a", "7",
+                "--p-cutoff", "13", "--threads", "2", "--tolerance", "0.5",
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK
+        assert captured.out == ""
+        assert "(tolerance 0.5)" in captured.err
+        assert [(c["target"], c["moduli"], c["threads"]) for c in classes] == [
+            (3001, [5], 2),
+            (3002, [5], 2),
+        ]
+        assert {(c["a"], c["q"].value, c["prime_cutoff"]) for c in series} == {
+            (2, 5, 13)
+        }
+        rows = json.loads(out.read_text())
+        assert [(r["N"], r["q"], r["a"]) for r in rows] == [(3001, 5, 2), (3002, 5, 2)]
+
+        assert main(["compare", "--n", "3001", "--q-max", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert classes[-1]["moduli"] == [1, 2, 3]
+
+    def test_estimate(self, monkeypatch, tmp_path, capsys):
+        lam = _recorder(monkeypatch, cli, "lambda_progression_function")
+        family = _recorder(monkeypatch, cli, "build_moduli_set")
+        weights = _recorder(monkeypatch, cli, "compute_weights")
+        series = _recorder(monkeypatch, cli, "singular_series")
+        breakdown = _recorder(monkeypatch, cli, "per_q_breakdown")
+        out = tmp_path / "e.json"
+        rc = main(
+            [
+                "estimate", "--n", "3001", "--qprime", "3", "--aprime", "5",
+                "--q1", "4", "--q2", "3", "--weights", "paper",
+                "--padding-constant", "2.5", "--padding-exponent", "0.25",
+                "--p-cutoff", "17", "--tolerance", "0.75", "--per-q",
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        ctx = lam[0]["ctx"]
+        assert (ctx.target, ctx.residue, ctx.modulus) == (3001, 2, 3)
+        assert (family[0]["q1_bound"], family[0]["q2_bound"]) == (4, 3)
+        assert family[0]["ctx"] == ctx
+        w = weights[0]
+        assert (w["mode"], w["padding_constant"], w["padding_exponent"]) == (
+            "paper-form", 2.5, 0.25
+        )
+        sv = series[0]
+        assert (sv["a"], sv["q"].value, sv["prime_cutoff"]) == (5, 3, 17)
+        assert len(breakdown) == 1
+        rows = json.loads(out.read_text())
+        assert rows and all(r["N"] == 3001 and "contribution" in r for r in rows)
+
+    def test_estimate_paper_defaults_and_tolerance(self, monkeypatch, capsys):
+        weights = _recorder(monkeypatch, cli, "compute_weights")
+        rc = main(
+            ["estimate", "--n", "3001", "--weights", "paper", "--tolerance", "1e-9"]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VERIFY
+        assert "tolerance 1e-09" in err
+        w = weights[0]
+        assert (w["padding_constant"], w["padding_exponent"]) == (1e4, 0.1)
+
+        assert main(["estimate", "--n", "3001"]) == EXIT_OK
+        capsys.readouterr()
+        assert weights[-1]["mode"] == "exact-cross-sum"
+        assert weights[-1]["padding_constant"] is None
+
+    def test_series(self, monkeypatch, tmp_path, capsys):
+        rud = _recorder(monkeypatch, cli, "singular_series")
+        eul = _recorder(monkeypatch, cli, "singular_series_eulerform")
+        out = tmp_path / "s.csv"
+        rc = main(
+            [
+                "series", "--n", "3001", "--q", "6", "--a", "11",
+                "--p-cutoff", "19", "--format", "csv", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        for calls in (rud, eul):
+            assert [(c["a"], c["q"].value, c["prime_cutoff"]) for c in calls] == [
+                (11, 6, 19)
+            ]
+        schema, rows = parse_csv(out.read_text())
+        assert schema == "sqfrep-series"
+        assert (rows[0]["q"], rows[0]["a"], rows[0]["p_cutoff"]) == (6, 5, 19)
+
+    def test_count(self, monkeypatch, tmp_path, capsys):
+        counts = _recorder(monkeypatch, cli, "count_representations")
+        out = tmp_path / "n.json"
+        rc = main(
+            [
+                "count", "--n", "3001", "--q", "7", "--a", "-4", "--threads", "3",
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        c = counts[0]
+        assert (c["target"], c["residue"], c["modulus"], c["threads"]) == (3001, -4, 7, 3)
+        rows = json.loads(out.read_text())
+        assert (rows[0]["q"], rows[0]["a"]) == (7, 3)
+
+    def test_sieve_selftest(self, monkeypatch, tmp_path, capsys):
+        seeds = _recorder(monkeypatch, cli.np.random, "default_rng")
+        windows = _recorder(monkeypatch, cli, "segmented_squarefree_sieve")
+        out = tmp_path / "t.json"
+        rc = main(["sieve-selftest", "--seed", "11", "--format", "json",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert [c["seed"] for c in seeds] == [11]
+        rows = json.loads(out.read_text())
+        assert [r["lo"] for r in rows] == [c["lo"] for c in windows]
 
 
 class TestRoundTrip:
