@@ -492,6 +492,30 @@ class TestFlagPlumbing:
         assert [r["lo"] for r in rows] == [c["lo"] for c in windows]
 
 
+class TestConfig:
+    """The run settings are validated where they are parsed: each bad value
+    is a usage error that names its flag."""
+
+    @staticmethod
+    def _rejected(argv, flag, capsys):
+        assert main(argv) == EXIT_USAGE, argv
+        assert f"argument {flag}:" in capsys.readouterr().err, argv
+
+    def test_rejects_nonpositive_bounds(self, capsys):
+        self._rejected(["estimate", "--n", "100", "--q1", "0"], "--q1", capsys)
+        self._rejected(["count", "--n", "100", "--threads", "-1"], "--threads", capsys)
+        self._rejected(["count", "--n", "0"], "--n", capsys)
+        self._rejected(
+            ["compare", "--n", "100", "--tolerance", "0.0"], "--tolerance", capsys
+        )
+
+    def test_rejects_unknown_modes(self, capsys):
+        self._rejected(
+            ["estimate", "--n", "100", "--weights", "guesswork"], "--weights", capsys
+        )
+        self._rejected(["count", "--n", "100", "--format", "xml"], "--format", capsys)
+
+
 class TestRoundTrip:
     def test_csv_json_lossless(self, tmp_path):
         for want_schema, base in (
