@@ -18,6 +18,9 @@ import numpy as np
 
 _CHUNK = 1 << 22
 
+# Seed of every seeded check (verify suites, sieve-selftest) unless given.
+DEFAULT_SEED = 20260819
+
 # Every int64 numerator array in the package (log weights, local vectors)
 # stays below this in magnitude, so two of them add without overflow.
 NUMERATOR_BOUND = 1 << 62

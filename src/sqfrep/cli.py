@@ -11,8 +11,13 @@ non-finite float as null).
 There is no config object: each `cmd_*` function reads the argparse
 namespace, and every default lives once, in `build_parser`.  Each flag's
 value is checked once, by its argparse type; what depends on two flags (a
-residue that is not a unit, padding without paper weights) is a ValueError
-from the command.  Either way the exit code is 2.
+residue that is not a unit, padding without paper weights, a padding
+C N^eps that is not finite) is a ValueError from the command.  Either way
+the exit code is 2.
+
+Only the `verify` subcommand imports sqfrep.verify (and with it
+sqfrep.oracle): SUITES maps each suite name to a function that imports it
+when called.
 
 Start-up: nothing in sqfrep calls BLAS (every matrix product is int64), so
 the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, which spares each
@@ -35,7 +40,7 @@ import statistics
 
 import numpy as np
 
-from sqfrep.arith import CapacityError, build_sieve, factorize
+from sqfrep.arith import DEFAULT_SEED, CapacityError, build_sieve, factorize
 from sqfrep.counting import (
     count_classes,
     count_representations,
@@ -60,7 +65,6 @@ from sqfrep.series import (
     singular_series,
     singular_series_eulerform,
 )
-from sqfrep.verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,6 +75,22 @@ EXIT_CAPACITY = 3
 # --padding-constant and --padding-exponent are not given
 PAPER_PADDING_CONSTANT = 1e4
 PAPER_PADDING_EXPONENT = 0.1
+
+
+def _suite(name: str):
+    """The verify suite `name`, importing sqfrep.verify (and with it
+    sqfrep.oracle) only when the suite runs."""
+
+    def run(tables, **bounds):
+        from sqfrep import verify
+
+        return verify.SUITES[name](tables, **bounds)
+
+    return run
+
+
+# suite name -> runner; `verify` is the only subcommand that loads the suites
+SUITES = {name: _suite(name) for name in ("arith", "local", "estimator")}
 
 # build_sieve above this limit would dwarf any reasonable request; larger
 # targets fail with a capacity error inside the counting layer instead
@@ -370,7 +390,14 @@ def cmd_estimate(args) -> int:
         f = lambda_progression_function(ctx, tables)
         g = squarefree_mirror_function(n, tables)
         ms = build_moduli_set(args.q1, args.q2, ctx, tables)
-        w = compute_weights(ms, tables, **weighting)
+        try:
+            w = compute_weights(ms, tables, **weighting)
+        except ValueError as exc:
+            # what compute_weights rejects here is a paper padding C N^eps
+            # that is not finite
+            raise ValueError(
+                f"--padding-constant / --padding-exponent at N={n}: {exc}"
+            ) from exc
         exact_direct = global_inner(f, g)
         direct = float(exact_direct)
         approx = float(estimate_inner(f, g, ms, w, tables))
@@ -575,6 +602,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def finite_float(text: str) -> float:
+    """argparse type for --padding-exponent: any finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 def _add_output_flags(sub, default_format: str = "csv") -> None:
     sub.add_argument("--format", choices=["csv", "json"], default=default_format)
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
@@ -627,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--padding-constant", type=positive_float, default=None,
                    help="paper-form additive padding scale, --weights paper "
                    f"only (default {PAPER_PADDING_CONSTANT:g})")
-    e.add_argument("--padding-exponent", type=float, default=None,
+    e.add_argument("--padding-exponent", type=finite_float, default=None,
                    help="paper-form padding exponent of N, --weights paper "
                    f"only (default {PAPER_PADDING_EXPONENT:g})")
     e.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)

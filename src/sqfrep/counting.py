@@ -24,11 +24,16 @@ is rounded to a float at the very end.  A result is therefore the correctly
 rounded sum of its terms, bit-identical for every thread count and every
 window size.
 
-Both sieves strike through one helper, _strike.  A period shorter than
-1/32 of the window is struck as one numpy slice; every longer period lands
-at most 32 times, and all of those hits are cleared in one vectorised pass,
-so a small window costs a few numpy calls rather than a Python loop over
-every base prime.
+Every sieve strikes through one _StrikePlan, built once per scan before
+any worker starts.  It holds the (period, anchor, lane) table of one lane,
+or of two: a count's prime lane and its square-free mirror, which share
+their lane indices and so their windows.  Each window sieves the lanes
+into one buffer of k rows.  Periods below 1/32 of the window are struck
+as one numpy slice each; every longer period lands at most 32 times, and
+all of those hits, of both lanes, are cleared by two vectorised stores, so
+a small window costs a few numpy calls rather than a Python loop over
+every base prime, and two lanes cost hardly more than one.  The count
+then ANDs the mirror row into the prime row in place.
 
 `compare` needs every unit class a mod q for many q.  count_classes makes
 one scan of [2, N) for all of them: each window's hits are reduced to exact
@@ -115,36 +120,10 @@ def _base_primes(top: int, tables: SieveTables) -> np.ndarray:
 _SLICE_SPLIT = 32
 
 
-def _strike(out: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> None:
-    """Clear out[o], out[o + s], out[o + 2s], ... for every first offset o
-    >= 0 and its step s; steps ascend.
-
-    Short steps are one numpy slice each.  All the longer ones are struck
-    in one pass: the gaps between consecutive hits, step by step, are laid
-    out with one np.repeat, their running sum gives every hit, and one
-    fancy-indexed store clears them.  Hit positions lie in [0, out.size).
-    """
-    length = out.size
-    short = int(steps.searchsorted(-(-length // _SLICE_SPLIT)))
-    for off, step in zip(offsets[:short].tolist(), steps[:short].tolist()):
-        out[off::step] = False
-    offsets, steps = offsets[short:], steps[short:]
-    near = offsets < length
-    off, step = offsets[near], steps[near]
-    if off.size:
-        hits = (length - 1 - off) // step + 1
-        last = off + (hits - 1) * step
-        gaps = step.repeat(hits)
-        # each step's first hit follows the previous step's last one
-        gaps[(hits.cumsum() - hits)[1:]] = off[1:] - last[:-1]
-        gaps[0] = off[0]
-        out[gaps.cumsum()] = False
-
-
 class _LaneSieve:
-    """Flags along one lane, the values first + step*j at lane indices
-    0 <= j < count: with exponent 1 True where the value is prime, with
-    exponent 2 True where it is square-free.
+    """The strike table of one lane, the values first + step*j at lane
+    indices 0 <= j < count: with exponent 1 its composites are struck, with
+    exponent 2 its values that are not square-free.
 
     A base prime p strikes the indices whose value p**exponent divides (for
     primes, only values of at least p*p).  With g = gcd(step, p**exponent)
@@ -153,16 +132,21 @@ class _LaneSieve:
     dividing step need no special case.  Its first member (the anchor) and
     its period are solved once per lane; a window starting at index w then
     strikes from anchor - w if that is >= 0, else from (anchor - w) mod
-    period.
+    period.  `cleared` holds the lane indices no base prime strikes but
+    that are still not flagged (0 and 1 for primes, 0 for square-free).
 
     Overflow: the lane is checked to lie in [0, tables.limit**2], and only
     base primes p <= tables.limit strike it.  A square anchor is below its
     period p*p; a prime anchor lies within one period p past the index of
     the value p*p, which is at most p*p; and a window start is a lane index,
     at most tables.limit**2.  So every anchor, period and offset is below
-    tables.limit**2 + tables.limit in magnitude, which require_int64 checks
-    against 2**63 (build_sieve keeps the limit below 2**31, so the check
-    only fails for hand-built tables).
+    tables.limit**2 + tables.limit in magnitude.  A _StrikePlan of k lanes
+    and windows of `length` adds to an offset a stride below length, clips
+    the sum to the window, and adds a lane base of at most
+    (k - 1) * (length + 1), so it checks tables.limit**2 + tables.limit +
+    k * (length + 1) with require_int64 before any lane is solved
+    (build_sieve keeps the limit below 2**31, so the check only fails for
+    hand-built tables or windows of about 2**62 entries).
     """
 
     def __init__(
@@ -175,8 +159,6 @@ class _LaneSieve:
             step = 1
         last = first + step * (count - 1)
         _check_window(min(first, last), max(first, last) + 1, tables)
-        require_int64(tables.limit**2 + tables.limit)
-        self.step = step
         primes = _base_primes(math.isqrt(max(first, last)), tables)
         powers = primes**exponent
         # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0
@@ -191,8 +173,8 @@ class _LaneSieve:
                     period = power // g
                     anchor = -(c // g) * pow(a // g, -1, period) % period
                     solved.append((period, anchor, p))
-            # _strike takes ascending periods, and p**exponent / g can
-            # undercut a smaller prime's period
+            # periods ascend: p**exponent / g can undercut a smaller
+            # prime's period
             table = np.array(sorted(solved), dtype=np.int64).reshape(-1, 3)
             periods, anchors, primes = table.T.copy()
         if exponent == 1:
@@ -207,16 +189,90 @@ class _LaneSieve:
             self.cleared = range(zero, zero + 1) if first % step == 0 else range(0)
         self.anchors, self.periods = anchors, periods
 
-    def flags(self, lo: int, hi: int) -> np.ndarray:
-        """Flags for the lane indices [lo, hi).
 
-        Every base prime of the lane strikes every window: one whose power
+class _StrikePlan:
+    """Flags for k = 1 or 2 lanes of `count` values each, sieved together
+    into one k x (length + 1) buffer per window of at most `length` lane
+    indices.  `lanes` lists each lane as (first, step, exponent), as for
+    _LaneSieve.
+
+    The lanes' (period, anchor, lane) tables are concatenated and cut once,
+    by period, into three groups, lane by lane inside each.  A period below
+    length / 32 is struck as one numpy slice per window, so that each slice
+    strikes a row already in cache.  A period below length lands at most
+    ceil(length / period) <= 32 times in a window: every such hit of every
+    lane, j * period past its period's offset, is laid out once, and a
+    window shifts them all by their offsets and clears them in one store.  A
+    longer period lands at most once, and those hits are a second store.
+    The stores clip each hit to column n of a window of n entries, a sink
+    that no caller reads, so no hit needs a mask.
+
+    The plan is read-only once built, so workers share it.
+    """
+
+    def __init__(self, lanes, count: int, tables: SieveTables, length: int) -> None:
+        require_int64(tables.limit**2 + tables.limit + len(lanes) * (length + 1))
+        solved = [_LaneSieve(f, s, count, e, tables) for f, s, e in lanes]
+        self.width = width = length + 1
+        self.cleared = [lane.cleared for lane in solved]
+        # each lane's periods ascend, so two cuts split them into the three
+        # groups; parts lists (row, span of its table) group by group
+        bounds = (-(-length // _SLICE_SPLIT), length)
+        cuts = [
+            (0, *lane.periods.searchsorted(bounds).tolist(), None) for lane in solved
+        ]
+        parts = [
+            (row, slice(cut[group], cut[group + 1]))
+            for group in range(3)
+            for row, cut in enumerate(cuts)
+        ]
+        periods = [solved[row].periods[span] for row, span in parts]
+        self.periods = np.concatenate(periods)
+        self.anchors = np.concatenate(
+            [solved[row].anchors[span] for row, span in parts]
+        )
+        bases = np.repeat([row * width for row, _ in parts], [p.size for p in periods])
+        k = len(solved)
+        self.slices = [p.tolist() for p in periods[:k]]
+        self.sliced = sliced = sum(p.size for p in periods[:k])
+        self.repeated = repeated = sliced + sum(p.size for p in periods[k : 2 * k])
+        # the j-th hit of each repeated period, j < ceil(length / period)
+        hits = -(-length // self.periods[sliced:repeated])
+        self.entry = np.repeat(np.arange(sliced, repeated), hits)
+        first_hit = np.repeat(hits.cumsum() - hits, hits)
+        jumps = np.arange(self.entry.size) - first_hit
+        self.strides = jumps * self.periods[self.entry]
+        self.repeated_bases = bases[self.entry]
+        self.once_bases = bases[repeated:]
+
+    def flags(self, lo: int, hi: int) -> np.ndarray:
+        """A k x (hi - lo) view of the flags for the lane indices [lo, hi),
+        one row per lane; hi - lo is at most the plan's length.
+
+        Every base prime of a lane strikes every window: one whose power
         exceeds the window's values finds nothing to strike there."""
+        n = hi - lo
+        out = np.ones((len(self.cleared), self.width), dtype=bool)
         shift = self.anchors - lo
-        out = np.ones(hi - lo, dtype=bool)
-        _strike(out, np.maximum(shift, shift % self.periods), self.periods)
-        out[max(self.cleared.start - lo, 0) : max(self.cleared.stop - lo, 0)] = False
-        return out
+        offsets = np.maximum(shift, shift % self.periods)
+        sliced = iter(offsets[: self.sliced].tolist())
+        for row, periods in zip(out, self.slices):
+            # zip stops at the row's last period, so `sliced` moves on to
+            # the next row's offsets
+            for period, off in zip(periods, sliced):
+                row[off::period] = False
+        flat = out.reshape(-1)
+        hits = offsets[self.entry]
+        hits += self.strides
+        np.minimum(hits, n, out=hits)
+        hits += self.repeated_bases
+        flat[hits] = False
+        once = np.minimum(offsets[self.repeated :], n)
+        once += self.once_bases
+        flat[once] = False
+        for row, cleared in zip(out, self.cleared):
+            row[max(cleared.start - lo, 0) : max(cleared.stop - lo, 0)] = False
+        return out[:, :n]
 
 
 def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
@@ -225,12 +281,12 @@ def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndar
     Strikes multiples of p^2 for p up to sqrt(hi-1); the value 0 counts as
     not square-free.
     """
-    return _LaneSieve(lo, 1, hi - lo, 2, tables).flags(0, hi - lo)
+    return _StrikePlan([(lo, 1, 2)], hi - lo, tables, hi - lo).flags(0, hi - lo)[0]
 
 
 def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is prime."""
-    return _LaneSieve(lo, 1, hi - lo, 1, tables).flags(0, hi - lo)
+    return _StrikePlan([(lo, 1, 1)], hi - lo, tables, hi - lo).flags(0, hi - lo)[0]
 
 
 def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +351,18 @@ def scan_workers(threads: int, windows: int, length: int) -> int:
     return max(1, min(threads, windows))
 
 
-def _scan(count: int, sieve, reduce, threads: int = 1) -> Iterator:
+def _scan(
+    count: int, sieve, reduce, threads: int = 1, length: int | None = None
+) -> Iterator:
     """Yield reduce(lo, sieve(lo, hi)) for every window [lo, hi) of the lane
     indices [0, count), in order.
 
-    Windows are window_length() lane entries long and run on up to
-    `threads` workers (see scan_workers).
+    Windows are `length` lane entries long (by default window_length(), the
+    length a _StrikePlan was built for) and run on up to `threads` workers
+    (see scan_workers).
     """
-    length = window_length()
+    if length is None:
+        length = window_length()
 
     def work(lo: int):
         return reduce(lo, sieve(lo, min(lo + length, count)))
@@ -340,12 +400,13 @@ def _log_scan(
     count = (top - first) // modulus + 1
     if count < 1:
         return iter(())
-    primes = _LaneSieve(first, modulus, count, 1, tables)
-    # the modulus, or 1 on a lane of one value
-    step = primes.step
-    squares = (
-        None if mirror is None else _LaneSieve(mirror - first, -step, count, 2, tables)
-    )
+    # one value has no step; 1 keeps any modulus out of int64 products
+    step = modulus if count > 1 else 1
+    lanes = [(first, step, 1)]
+    if mirror is not None:
+        lanes.append((mirror - first, -step, 2))
+    length = window_length()
+    plan = _StrikePlan(lanes, count, tables, length)
     power_vals, power_logs = proper_prime_powers(top, tables)
     on_lane = (power_vals - first) % step == 0
     power_vals = power_vals[on_lane]
@@ -358,16 +419,19 @@ def _log_scan(
         return slice(bisect_left(power_list, lo), bisect_left(power_list, hi))
 
     def sieve(lo: int, hi: int) -> np.ndarray:
-        flags = primes.flags(lo, hi)
+        rows = plan.flags(lo, hi)
+        flags = rows[0]
         span = powers_in(lo, hi)
         if span.start < span.stop:
             flags[power_idx[span] - lo] = True
-        if squares is not None:
-            flags &= squares.flags(lo, hi)
+        if mirror is not None:
+            flags &= rows[1]
         return flags
 
     def window(lo: int, flags: np.ndarray):
-        hits = first + step * (np.flatnonzero(flags) + lo)
+        hits = flags.nonzero()[0]
+        hits *= step
+        hits += first + step * lo
         nums = log_numerators(hits)
         kept_vals, kept_nums = [], []
         span = powers_in(lo, lo + flags.size)
@@ -378,7 +442,7 @@ def _log_scan(
             kept_vals, kept_nums = vals.tolist(), pnums.tolist()
         return reduce(hits, nums, kept_vals, kept_nums)
 
-    return _scan(count, sieve, window, threads)
+    return _scan(count, sieve, window, threads, length)
 
 
 def _check_unit(residue: int, modulus: int) -> int:
@@ -504,17 +568,23 @@ def squarefree_count_in_ap(
     count = -(-(target - first) // modulus)
     if count < 1:
         return 0
-    lane = _LaneSieve(first, modulus, count, 2, tables)
-    return sum(
-        _scan(count, lane.flags, lambda lo, flags: int(np.count_nonzero(flags)), threads)
-    )
+    length = window_length()
+    plan = _StrikePlan([(first, modulus, 2)], count, tables, length)
+
+    def window(lo: int, flags: np.ndarray) -> int:
+        return int(np.count_nonzero(flags[0]))
+
+    return sum(_scan(count, plan.flags, window, threads, length))
 
 
 def squarefree_flags(hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [0, hi), True where the value is square-free,
     sieved window by window."""
-    lane = _LaneSieve(0, 1, hi, 2, tables)
-    return np.concatenate(list(_scan(hi, lane.flags, lambda lo, flags: flags)))
+    length = window_length()
+    plan = _StrikePlan([(0, 1, 2)], hi, tables, length)
+    return np.concatenate(
+        list(_scan(hi, plan.flags, lambda lo, flags: flags[0], length=length))
+    )
 
 
 def prime_power_logs(

@@ -357,7 +357,15 @@ def compute_weights(
             raise ValueError("paper-form needs padding_constant and padding_exponent")
         if padding_constant <= 0:
             raise ValueError("padding_constant must be positive")
-        pad = padding_constant * float(n) ** padding_exponent
+        try:
+            pad = padding_constant * float(n) ** padding_exponent
+        except OverflowError:
+            pad = math.inf
+        if not math.isfinite(pad):
+            raise ValueError(
+                f"padding C N^eps = {padding_constant!r} * {n}^{padding_exponent!r}"
+                " is not finite"
+            )
         m_phi = {
             q: n * local_product(family[q][0], family[q][0]).coeff + pad
             for q in phi_members

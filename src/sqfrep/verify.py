@@ -26,6 +26,7 @@ from itertools import groupby
 import numpy as np
 
 from sqfrep.arith import (
+    DEFAULT_SEED,
     FactoredInt,
     SieveTables,
     cubefree_split,
@@ -61,8 +62,6 @@ from sqfrep.oracle import (
     scaled_star_rows,
     squarefree_star_row,
 )
-
-DEFAULT_SEED = 20260819
 
 # documented caps: the suites are exhaustive small-range sweeps, not scans
 MAX_R_BOUND = 1000

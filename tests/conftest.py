@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sqfrep.arith import build_sieve
+
+# Every property test draws the same examples on every run, with no time
+# limit per example; a test's own settings give only its max_examples.
+settings.register_profile("sqfrep", derandomize=True, deadline=None)
+settings.load_profile("sqfrep")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from sqfrep.counting import (
     LOG_BITS,
     MIN_THREADED_WINDOW,
     _LaneSieve,
+    _StrikePlan,
     _scan,
     count_classes,
     count_representations,
@@ -371,7 +372,7 @@ def _unit_class(q):
 class TestScanProperties:
     """The windowed scan against brute force, with many windows in play."""
 
-    scan_settings = settings(derandomize=True, max_examples=100, deadline=None)
+    scan_settings = settings(max_examples=100)
     inputs = dict(
         # a second range so that a fair share of targets spans many windows
         target=st.one_of(st.integers(3, 2_000), st.integers(2_000, 20_000)),
@@ -458,7 +459,7 @@ class TestSieveProperties:
         )
         return lo, lo + length
 
-    @settings(derandomize=True, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(data=st.data())
     def test_sieves_match_brute_force(self, tables, data):
         # the split sits at length / 32: short windows put most steps above
@@ -500,7 +501,7 @@ class TestSieveProperties:
 class TestCountClasses:
     """One scan for every class equals one masked scan per class."""
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         target=st.one_of(
             st.sampled_from((3, 4, 10, 101, 1000, 1001)), st.integers(3, 20_000)
@@ -543,6 +544,12 @@ class TestCountClasses:
             count_classes(101**2, [1], build_sieve(100))
 
 
+def _lane_flags(lane, count, tables, lo, hi):
+    """Flags of one lane (first, step, exponent) of `count` values on the
+    lane indices [lo, hi), from a plan of that one window's length."""
+    return _StrikePlan([lane], count, tables, hi - lo).flags(lo, hi)[0]
+
+
 # Primes whose squares sit low enough for a lane to straddle them.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -581,20 +588,20 @@ class TestLaneSieveProperties:
             lo = max(0, count - length)
         return first, step, count, lo, min(lo + length, count)
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_lanes_match_trial_division(self, tables, data):
         first, step, count, lo, hi = self._lane(tables, data)
         last = first + step * (count - 1)
         vals = first + step * np.arange(lo, hi, dtype=np.int64)
         prime, squarefree = _trial_division(vals, tables.primes)
-        got = _LaneSieve(first, step, count, 1, tables).flags(lo, hi)
+        got = _lane_flags((first, step, 1), count, tables, lo, hi)
         assert np.array_equal(got, prime)
-        got = _LaneSieve(first, step, count, 2, tables).flags(lo, hi)
+        got = _lane_flags((first, step, 2), count, tables, lo, hi)
         assert np.array_equal(got, squarefree)
         # the same values read downwards, as the mirror of a count reads them
-        down = _LaneSieve(last, -step, count, 2, tables)
-        assert np.array_equal(down.flags(count - hi, count - lo), squarefree[::-1])
+        down = _lane_flags((last, -step, 2), count, tables, count - hi, count - lo)
+        assert np.array_equal(down, squarefree[::-1])
 
     @pytest.mark.parametrize(
         "first, step", ((6, 12), (4, 8), (0, 4), (18, 36), (9, 27), (2, 2), (3, 6))
@@ -605,12 +612,12 @@ class TestLaneSieveProperties:
         count = 300_000 // step
         vals = first + step * np.arange(count, dtype=np.int64)
         prime, squarefree = _trial_division(vals, tables.primes)
-        primes = _LaneSieve(first, step, count, 1, tables)
-        squares = _LaneSieve(first, step, count, 2, tables)
+        primes = _StrikePlan([(first, step, 1)], count, tables, length)
+        squares = _StrikePlan([(first, step, 2)], count, tables, length)
         for lo in range(0, count, length):
             hi = min(lo + length, count)
-            assert np.array_equal(primes.flags(lo, hi), prime[lo:hi]), lo
-            assert np.array_equal(squares.flags(lo, hi), squarefree[lo:hi]), lo
+            assert np.array_equal(primes.flags(lo, hi)[0], prime[lo:hi]), lo
+            assert np.array_equal(squares.flags(lo, hi)[0], squarefree[lo:hi]), lo
 
     def test_rejects_empty_and_uncovered_lanes(self, tables):
         small = build_sieve(100)
@@ -620,6 +627,175 @@ class TestLaneSieveProperties:
             _LaneSieve(5, -3, 3, 2, small)
         with pytest.raises(CapacityError):
             _LaneSieve(9_000, 500, 4, 2, small)
+
+
+# Tables small enough that _dense_flags covers all of limit**2.
+_FUSED_LIMIT = 1_500
+
+
+@pytest.fixture(scope="module")
+def fused_tables():
+    return build_sieve(_FUSED_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def dense_to_limit_squared():
+    return _dense_flags(_FUSED_LIMIT**2)
+
+
+def _count_lanes(target, first, step):
+    """The two lanes of a count: values first + step*j in [0, target]
+    ascending for primes, and their mirrors target - value descending."""
+    return [(first, step, 1), (target - first, -step, 2)]
+
+
+def _check_fused(tables, dense, target, first, step, count, length, lo):
+    """The fused plan's two rows on the window at lo equal each lane's own
+    k = 1 plan and the dense sieve; returns the plan."""
+    is_prime, squarefree = dense
+    lanes = _count_lanes(target, first, step)
+    plan = _StrikePlan(lanes, count, tables, length)
+    hi = min(lo + length, count)
+    fused = plan.flags(lo, hi)
+    vals = first + step * np.arange(lo, hi, dtype=np.int64)
+    assert fused.shape == (2, hi - lo)
+    assert np.array_equal(fused[0], is_prime[vals])
+    assert np.array_equal(fused[1], squarefree[target - vals])
+    for row, lane in enumerate(lanes):
+        single = _StrikePlan([lane], count, tables, length).flags(lo, hi)
+        assert single.shape == (1, hi - lo)
+        assert np.array_equal(single[0], fused[row]), row
+    return plan
+
+
+class TestFusedPlan:
+    """One plan strikes a count's prime lane and its square-free mirror
+    into one buffer; each row must equal that lane sieved alone and a plain
+    dense sieve."""
+
+    CAPS = (8 << 10, 16 << 10, 64 << 10, 1 << 20, None)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_fused_rows_match_single_lanes_and_dense(
+        self, fused_tables, dense_to_limit_squared, data
+    ):
+        top = _FUSED_LIMIT**2
+        step = data.draw(st.integers(1, 60), label="step")
+        # unit and non-unit classes alike
+        first = data.draw(st.integers(0, step - 1), label="first")
+        target = data.draw(
+            st.one_of(
+                st.integers(first, top),
+                # lanes whose values reach limit**2
+                st.integers(max(first, top - 3 * step), top),
+            ),
+            label="target",
+        )
+        count = (target - first) // step + 1
+        cap = data.draw(st.sampled_from(self.CAPS), label="cap")
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            length = window_length()
+        last = (count - 1) // length * length
+        lo = data.draw(
+            st.one_of(
+                st.just(last),  # the last window, often partial
+                st.just(0),
+                st.integers(0, last // length).map(lambda w: w * length),
+            ),
+            label="lo",
+        )
+        _check_fused(
+            fused_tables, dense_to_limit_squared, target, first, step, count, length, lo
+        )
+
+    @pytest.mark.parametrize("step", (1, 6, 7, 30))
+    def test_windows_that_end_at_limit_squared(
+        self, fused_tables, dense_to_limit_squared, step
+    ):
+        top = _FUSED_LIMIT**2
+        for first in range(step):
+            # the prime lane ends at limit**2, the mirror lane starts there
+            count = (top - first) // step + 1
+            for length in (1 << 10, 1 << 20):
+                lo = (count - 1) // length * length
+                _check_fused(
+                    fused_tables, dense_to_limit_squared, top, first, step, count,
+                    length, lo,
+                )
+
+    def test_every_period_at_least_the_window(
+        self, fused_tables, dense_to_limit_squared
+    ):
+        # on a step-1 lane every period is a prime or a square, at least 2
+        target, length = 99_991, 2
+        plan = _check_fused(
+            fused_tables, dense_to_limit_squared, target, 0, 1, target + 1,
+            length, 50_000,
+        )
+        assert plan.periods.min() >= length
+        for lo in (0, 2, 1_000, target - 1, target):
+            _check_fused(
+                fused_tables, dense_to_limit_squared, target, 0, 1, target + 1,
+                length, lo,
+            )
+
+    def test_no_period_reaches_the_window(self, fused_tables, dense_to_limit_squared):
+        # values up to 10**6 take base primes up to 1000, squares up to 10**6
+        target, step, length = 10**6, 3, 1 << 20
+        count = (target - 2) // step + 1
+        plan = _check_fused(
+            fused_tables, dense_to_limit_squared, target, 2, step, count, length, 0
+        )
+        assert 0 < plan.periods.max() < length
+
+    def test_lane_bases_enter_the_int64_bound(self):
+        # the bound is limit**2 + limit + k * (length + 1): a window that
+        # fits one lane below 2**63 does not fit two (no window is sieved)
+        limit = math.isqrt((1 << 63) - 1)
+        headroom = (1 << 63) - limit**2 - limit
+        huge = replace(build_sieve(100), limit=limit)
+        one = [(0, 1, 2)]
+        _StrikePlan(one, 100, huge, headroom - 2)
+        with pytest.raises(OverflowError):
+            _StrikePlan(one, 100, huge, headroom - 1)
+        with pytest.raises(OverflowError):
+            _StrikePlan(one * 2, 100, huge, headroom - 2)
+        _StrikePlan(one * 2, 100, huge, headroom // 2 - 2)
+
+    @pytest.mark.parametrize("cap", (4 << 20, None))
+    def test_threads_change_no_bit_at_long_windows(self, tables, monkeypatch, cap):
+        # windows of 2**19 and 2**20 entries, several per scan, two workers
+        _set_window_cap(monkeypatch, cap)
+        length = window_length()
+        assert length >= MIN_THREADED_WINDOW
+        for target, residue, modulus in ((3_000_017, 0, 1), (12_000_003, 2, 3)):
+            windows = len(range(0, target // modulus, length))
+            assert scan_workers(2, windows, length) == 2
+            one = count_representations(target, residue, modulus, tables, 1)
+            two = count_representations(target, residue, modulus, tables, 2)
+            assert (one.unweighted, one.weighted.hex(), one.lambda_weighted.hex()) == (
+                two.unweighted,
+                two.weighted.hex(),
+                two.lambda_weighted.hex(),
+            )
+            assert squarefree_count_in_ap(target, residue, modulus, tables, 1) == (
+                squarefree_count_in_ap(target, residue, modulus, tables, 2)
+            )
+        classes = [count_classes(3_000_017, (1, 4, 6), tables, t) for t in (1, 2)]
+        assert [(r.unweighted, r.weighted.hex()) for r in classes[0].values()] == [
+            (r.unweighted, r.weighted.hex()) for r in classes[1].values()
+        ]
+
+
+class TestHypothesisProfile:
+    def test_every_property_test_is_derandomized(self):
+        # conftest loads the profile before any test module builds its settings
+        profiles = (settings(), settings(max_examples=5), TestScanProperties.scan_settings)
+        for own in profiles:
+            assert own.derandomize is True
+            assert own.deadline is None
 
 
 def _brute_prime_powers(target, residue, modulus, is_prime):

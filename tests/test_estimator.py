@@ -255,6 +255,20 @@ class TestWeights:
         with pytest.raises(ValueError):
             compute_weights(ms, tables, mode="no-such-mode")
 
+    @pytest.mark.parametrize(
+        "constant, exponent",
+        [(1e4, math.inf), (1e4, math.nan), (1e4, 400.0), (1e308, 2.0)],
+    )
+    def test_paper_form_rejects_padding_that_is_not_finite(
+        self, tables, constant, exponent
+    ):
+        # 100**400 overflows a float; 1e308 * 100**2 rounds to inf
+        ctx = ProgressionContext(100, 1, 1)
+        ms = build_moduli_set(2, 1, ctx, tables)
+        with pytest.raises(ValueError, match="not finite"):
+            compute_weights(ms, tables, mode="paper-form", padding_constant=constant,
+                            padding_exponent=exponent)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             Weights(m_phi={1: 0}, m_psi={}, mode="exact-cross-sum")

@@ -260,7 +260,7 @@ class TestExactBulkSum:
 
 
 class TestFormAgreementProperty:
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         nv=st.one_of(st.integers(1, 10**8), st.integers(1, 500)),
         unit=st.integers(1, 60).flatmap(

@@ -59,6 +59,21 @@ class TestLazyPackage:
             sqfrep.no_such_name  # noqa: B018
 
 
+class TestLazyVerify:
+    def test_cli_import_loads_no_suite(self):
+        loaded = _fresh(
+            "import sys, json, sqfrep.cli; print(json.dumps(sorted("
+            "m for m in ('sqfrep.verify', 'sqfrep.oracle') if m in sys.modules)))"
+        )
+        assert loaded == []
+
+    def test_suites_and_seed_match_verify(self):
+        from sqfrep import cli, verify
+
+        assert list(cli.SUITES) == list(verify.SUITES)
+        assert cli.DEFAULT_SEED == verify.DEFAULT_SEED
+
+
 BLAS_PROBE = (
     "import json, os; {before}import sqfrep.cli; "
     "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"

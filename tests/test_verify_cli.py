@@ -300,9 +300,21 @@ class TestExitCodes:
             ["count", "--n", "1000", "--format", "xml"],
             ["estimate", "--n", "1000", "--weights", "paper", "--padding-constant", "inf"],
             ["estimate", "--n", "1000", "--weights", "paper", "--padding-constant", "0"],
+            ["estimate", "--n", "1000", "--weights", "paper", "--padding-exponent", "inf"],
+            ["estimate", "--n", "1000", "--weights", "paper", "--padding-exponent", "400"],
         ):
             assert main(argv) == EXIT_USAGE, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "400"])
+    def test_padding_exponent_must_give_a_finite_padding(self, value, capsys):
+        # inf used to pass the parser and fail the gate (exit 1); 400 made
+        # C N^eps overflow inside compute_weights (a traceback, exit 1)
+        argv = ["estimate", "--n", "1000", "--weights", "paper"]
+        assert main([*argv, f"--padding-exponent={value}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--padding-exponent" in err.splitlines()[-1]
 
     @pytest.mark.parametrize("command", ["compare", "estimate"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
