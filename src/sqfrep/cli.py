@@ -282,7 +282,7 @@ def cmd_verify(args) -> int:
             if args.q2 is not None:
                 kwargs["q2_bound"] = args.q2
             if args.n is not None:
-                kwargs["length_bound"] = args.n[0]
+                kwargs["length_bound"] = args.n
             kwargs["seed"] = args.seed
         for r in SUITES[name](tables, **kwargs):
             if r.passed:
@@ -585,6 +585,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for --seed: an integer of at least 0, as numpy's
+    default_rng takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return value
+
+
 def prime_cutoff(text: str) -> int:
     """argparse type for --p-cutoff: an integer of at least 2."""
     value = int(text)
@@ -633,9 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--qprime", type=positive_int, default=None)
     v.add_argument("--q1", type=positive_int, default=None)
     v.add_argument("--q2", type=positive_int, default=None)
-    v.add_argument("--n", action="append", type=positive_int, default=None,
+    v.add_argument("--n", type=positive_int, default=None,
                    help="lift length for the estimator suite")
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    v.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
 
     c = sub.add_parser(
         "compare", help="count vs singular-series prediction per progression"
@@ -692,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sieve-selftest", help="segmented sieves vs direct factorization"
     )
     t.set_defaults(run=cmd_sieve_selftest)
-    t.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    t.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     _add_output_flags(t)
     return p
 

@@ -5,11 +5,19 @@ vectors sum/diff lifted to [1, N], dominating weights M per vector, and the
 rank-|family| bilinear form <f|g> that approximates the true inner product
 [f|g].  With exact-cross-sum weights the Bessel-type inequality
 sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every product here
-is computed in exact rational arithmetic: the canonical log-weighted
-function stores its float logs as exact int64 numerators over 2**53, the
-mirror indicator is a 0/1 array, model vectors hold int64 numerators over
-2, and the cross product of two periodic vectors is an integer sum of
-numerator products over one lcm period, plus a remainder.
+is computed in exact rational arithmetic.
+
+A global function on [1, N] is integers over one known denominator, in one
+of two forms: a SparseFunction (int64 numerators at strictly increasing
+indices over its own denominator; the canonical log-weighted function holds
+its float logs over 2**53) or a dense 1-d integer array over denominator 1
+(the 0/1 mirror indicator).  No element is ever a Fraction: an inner product
+is an integer sum of numerator products over the product of the
+denominators, taken in int64 while a stated bound keeps it exact and in
+Python ints beyond.  Model vectors hold int64 numerators over 2, so [h|u~]
+is q products of h's class sums mod q with u's numerators, and the cross
+product of two periodic vectors is an integer sum over one lcm period, plus
+a remainder.
 """
 
 from __future__ import annotations
@@ -94,27 +102,40 @@ class Weights:
 class SparseFunction:
     """A function on [1, length] that is zero off the stored indices.
 
-    indices is a sorted int64 array; the value at indices[i] is
-    numerators[i] / LOG_SCALE, an int64 numerator below NUMERATOR_BOUND in
-    magnitude, so sums of values are exact integer sums.  Every value is a
-    float, which float_values gives back without loss.
+    indices is a strictly increasing int64 array in [1, length]; the value
+    at indices[i] is numerators[i] / denominator, an int64 numerator below
+    NUMERATOR_BOUND in magnitude over one positive int denominator, so sums
+    of values are exact integer sums.  A function built from floats has
+    denominator LOG_SCALE, and float_values gives its floats back without
+    loss.
     """
 
     length: int
     indices: np.ndarray
     numerators: np.ndarray
+    denominator: int
 
     def __post_init__(self) -> None:
-        if self.indices.shape != self.numerators.shape:
-            raise ValueError("index/value arrays must align")
-        if self.indices.size and not (
-            1 <= self.indices[0] and self.indices[-1] <= self.length
+        if not (
+            self.indices.dtype == self.numerators.dtype == np.int64
+            and self.indices.ndim == 1
+            and self.indices.shape == self.numerators.shape
         ):
-            raise ValueError("indices must lie in [1, length]")
+            raise ValueError("indices and numerators must be aligned int64 arrays")
+        if not (isinstance(self.denominator, int) and self.denominator >= 1):
+            raise ValueError("denominator must be an int of at least 1")
+        if self.indices.size and not (
+            1 <= self.indices[0]
+            and self.indices[-1] <= self.length
+            and np.all(self.indices[1:] > self.indices[:-1])
+        ):
+            raise ValueError("indices must increase strictly within [1, length]")
+        if _max_abs(self.numerators) >= NUMERATOR_BOUND:
+            raise ValueError("numerators must stay below 2**62 in magnitude")
 
     @property
     def float_values(self) -> np.ndarray:
-        return np.ldexp(self.numerators.astype(np.float64), -LOG_BITS)
+        return self.numerators / float(self.denominator)
 
     @classmethod
     def from_floats(
@@ -128,11 +149,15 @@ class SparseFunction:
         ):
             raise ValueError("values must be multiples of 2**-53 below 2**9")
         return cls(
-            length, np.asarray(indices, dtype=np.int64), scaled.astype(np.int64)
+            length,
+            np.asarray(indices, dtype=np.int64),
+            scaled.astype(np.int64),
+            LOG_SCALE,
         )
 
 
-GlobalValues = Union[SparseFunction, np.ndarray, Sequence]
+# A dense global function is a 1-d integer array, index i holding n = i + 1.
+GlobalValues = Union[SparseFunction, np.ndarray]
 
 
 def _check_cap(target: int) -> None:
@@ -155,7 +180,7 @@ def lambda_progression_function(
     indices, numerators = prime_power_logs(
         ctx.target, ctx.residue, ctx.modulus, tables
     )
-    return SparseFunction(ctx.target, indices, numerators)
+    return SparseFunction(ctx.target, indices, numerators, LOG_SCALE)
 
 
 def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
@@ -168,79 +193,87 @@ def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
     return squarefree_flags(target, tables)[::-1].copy()
 
 
-def _class_sums(h: GlobalValues, modulus: int) -> tuple[list, int]:
-    """Exact per-class sums over one scale: out[r] / scale is the sum of
-    h(n) over n ≡ r (mod modulus)."""
-    if isinstance(h, SparseFunction):
-        sums = exact_class_sums(h.numerators, h.indices % modulus, modulus)
-        return sums, LOG_SCALE
-    if isinstance(h, np.ndarray) and h.dtype != object:
-        # index i holds n = i + 1
-        return [
-            int(h[(r - 1) % modulus :: modulus].sum()) for r in range(modulus)
-        ], 1
-    out = [Fraction(0)] * modulus
-    for i, v in enumerate(h):
-        if v:
-            out[(i + 1) % modulus] += Fraction(v)
-    return out, 1
+def _max_abs(a: np.ndarray) -> int:
+    """max |a[i]| as a Python int; 0 for an empty array."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def _local_dot(h: GlobalValues, vec: LocalVector, length: int) -> Fraction:
-    """[h | periodized vec] = sum over n <= length of h(n) vec(n mod q),
-    exact: q products of class sums and numerators, in Python ints because
-    the class sums of a log-weighted function exceed int64."""
+def _length(h: GlobalValues) -> int:
+    """The length of a global function; TypeError for anything else."""
     if isinstance(h, SparseFunction):
-        if h.length != length:
-            raise ValueError("length mismatch")
-    elif len(h) != length:
+        return h.length
+    if isinstance(h, np.ndarray) and h.ndim == 1 and np.can_cast(h.dtype, np.int64):
+        return len(h)
+    raise TypeError("a global function is a SparseFunction or a 1-d integer array")
+
+
+def _product_sum(a: np.ndarray, b: np.ndarray) -> int:
+    """sum a[i] b[i], exact.  While every product is below NUMERATOR_BOUND
+    the int64 products are summed in limbs (exact for fewer than 2**31
+    terms); beyond that, in Python ints."""
+    if len(a) < 1 << 31 and _max_abs(a) * _max_abs(b) < NUMERATOR_BOUND:
+        return exact_sum(a.astype(np.int64, copy=False) * b)
+    return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+
+
+def global_inner(f: GlobalValues, g: GlobalValues) -> Fraction:
+    """[f|g] = sum over n <= length of f(n) g(n), exact."""
+    if _length(f) != _length(g):
         raise ValueError("length mismatch")
-    sums, scale = _class_sums(h, vec.modulus)
-    total = sum(s * e for s, e in zip(sums, vec.numerators.tolist()))
-    return Fraction(total) / (scale * vec.denominator)
-
-
-def global_inner(f: GlobalValues, g: GlobalValues):
-    """[f|g] = sum f(n) g(n), exact for the representations used here."""
-    if isinstance(f, np.ndarray) and isinstance(g, SparseFunction):
+    if isinstance(g, SparseFunction) and not isinstance(f, SparseFunction):
         f, g = g, f
-    if isinstance(f, SparseFunction) and isinstance(g, SparseFunction):
-        if f.length != g.length:
-            raise ValueError("length mismatch")
+    if isinstance(g, SparseFunction):
         _, i, j = np.intersect1d(
             f.indices, g.indices, assume_unique=True, return_indices=True
         )
-        # products of numerators overflow int64: multiply as Python ints
-        total = sum(
-            a * b for a, b in zip(f.numerators[i].tolist(), g.numerators[j].tolist())
+        return Fraction(
+            _product_sum(f.numerators[i], g.numerators[j]),
+            f.denominator * g.denominator,
         )
-        return Fraction(total, LOG_SCALE * LOG_SCALE)
     if isinstance(f, SparseFunction):
-        if f.length != len(g):
-            raise ValueError("length mismatch")
-        if isinstance(g, np.ndarray) and g.dtype != object:
-            # group by the value of g so every sum stays an exact limb sum
-            weights = g[f.indices - 1].astype(np.int64)
-            total = sum(
-                v * exact_sum(f.numerators[weights == v])
-                for v in sorted(set(weights.tolist()) - {0})
-            )
-            return Fraction(total, LOG_SCALE)
-        total = sum(
-            v * Fraction(g[n - 1])
-            for n, v in zip(f.indices.tolist(), f.numerators.tolist())
-        )
-        return Fraction(total, LOG_SCALE)
-    if len(f) != len(g):
+        return Fraction(_product_sum(f.numerators, g[f.indices - 1]), f.denominator)
+    # every partial sum of the int64 dot is below length * max|f| * max|g|;
+    # [h|h] widens h once
+    if len(f) * _max_abs(f) * _max_abs(g) < 1 << 63:
+        a = f.astype(np.int64, copy=False)
+        b = a if g is f else g.astype(np.int64, copy=False)
+        return Fraction(int(np.dot(a, b)))
+    return Fraction(_product_sum(f, g))
+
+
+def _class_sums(h: GlobalValues, modulus: int) -> tuple[list[int], int]:
+    """Exact per-class sums over one denominator: out[r] / denominator is
+    the sum of h(n) over n ≡ r (mod modulus)."""
+    if isinstance(h, SparseFunction):
+        sums = exact_class_sums(h.numerators, h.indices % modulus, modulus)
+        return sums, h.denominator
+    # index i holds n = i + 1; every int64 class sum is below
+    # length * max|h|, and Python ints take the sums beyond that
+    classes = [h[(r - 1) % modulus :: modulus] for r in range(modulus)]
+    if len(h) * _max_abs(h) < 1 << 63:
+        return [int(c.sum()) for c in classes], 1
+    return [sum(c.tolist()) for c in classes], 1
+
+
+def _local_dots(
+    h: GlobalValues, modulus: int, vectors: Sequence[LocalVector], length: int
+) -> list[Fraction]:
+    """[h | periodized v] = sum over n <= length of h(n) v(n mod modulus)
+    for each vector v of that modulus, exact.  The class sums of h are
+    taken once and dotted with every vector's numerators in Python ints,
+    because the class sums of a log-weighted function exceed int64."""
+    if _length(h) != length:
         raise ValueError("length mismatch")
-    if (
-        isinstance(f, np.ndarray)
-        and isinstance(g, np.ndarray)
-        and f.dtype != object
-        and g.dtype != object
-    ):
-        return int(np.dot(f.astype(np.int64), g.astype(np.int64)))
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(f, g) if x and y)
+    if any(v.modulus != modulus for v in vectors):
+        raise ValueError("every vector must have the given modulus")
+    sums, denominator = _class_sums(h, modulus)
+    return [
+        Fraction(
+            sum(s * e for s, e in zip(sums, v.numerators.tolist())),
+            denominator * v.denominator,
+        )
+        for v in vectors
+    ]
 
 
 def build_moduli_set(
@@ -378,6 +411,35 @@ def compute_weights(
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
+def _family_products(
+    f: GlobalValues,
+    g: GlobalValues,
+    ms: ModuliSet,
+    weights: Weights,
+    tables: SieveTables,
+):
+    """For each family modulus q in order: q, its (eta, kappa), and one
+    (kind, [f|u~], [g|u~], M(u)) per weighted vector u of q, "phi" for eta
+    before "psi" for kappa.  Each function's class sums are taken once per
+    modulus, and only once when g is f."""
+    n = ms.context.target
+    for q, (eta, kappa) in model_family(ms, tables).items():
+        kept = [
+            (kind, vec, table[q])
+            for kind, vec, table in (
+                ("phi", eta, weights.m_phi),
+                ("psi", kappa, weights.m_psi),
+            )
+            if q in table
+        ]
+        vectors = [vec for _, vec, _ in kept]
+        f_dots = _local_dots(f, q, vectors, n)
+        g_dots = f_dots if g is f else _local_dots(g, q, vectors, n)
+        yield q, eta, kappa, [
+            (kind, a, b, m) for (kind, _, m), a, b in zip(kept, f_dots, g_dots)
+        ]
+
+
 def estimate_inner(
     f: GlobalValues,
     g: GlobalValues,
@@ -386,18 +448,10 @@ def estimate_inner(
     tables: SieveTables,
 ):
     """<f|g>: the weighted bilinear approximation to [f|g] over the family."""
-    n = ms.context.target
-    family = model_family(ms, tables)
     total = 0
-    for q, (eta, kappa) in family.items():
-        if q in weights.m_phi:
-            total += (
-                _local_dot(f, eta, n) * _local_dot(g, eta, n) / weights.m_phi[q]
-            )
-        if q in weights.m_psi:
-            total += (
-                _local_dot(f, kappa, n) * _local_dot(g, kappa, n) / weights.m_psi[q]
-            )
+    for *_, products in _family_products(f, g, ms, weights, tables):
+        for _, a, b, m in products:
+            total += a * b / m
     return total
 
 
@@ -455,10 +509,8 @@ def per_q_breakdown(
 ) -> list[dict]:
     """One row per modulus: norms, weights, the four exact products, the
     row's contribution to <f|g>, and the predicted main terms."""
-    n = ms.context.target
-    family = model_family(ms, tables)
     rows = []
-    for q, (eta, kappa) in family.items():
+    for q, eta, kappa, products in _family_products(f, g, ms, weights, tables):
         predicted = predicted_main_terms(ms, q, tables)
         row = {
             "q": q,
@@ -479,18 +531,10 @@ def per_q_breakdown(
             "predicted_psi_g": predicted["psi_g"],
         }
         contribution = 0.0
-        if q in weights.m_phi:
-            f_phi = _local_dot(f, eta, n)
-            phi_g = _local_dot(g, eta, n)
-            row["f_phi"] = float(f_phi)
-            row["phi_g"] = float(phi_g)
-            contribution += float(f_phi * phi_g / weights.m_phi[q])
-        if q in weights.m_psi:
-            f_psi = _local_dot(f, kappa, n)
-            psi_g = _local_dot(g, kappa, n)
-            row["f_psi"] = float(f_psi)
-            row["psi_g"] = float(psi_g)
-            contribution += float(f_psi * psi_g / weights.m_psi[q])
+        for kind, a, b, m in products:
+            row[f"f_{kind}"] = float(a)
+            row[f"{kind}_g"] = float(b)
+            contribution += float(a * b / m)
         row["contribution"] = contribution
         rows.append(row)
     return rows

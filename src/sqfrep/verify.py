@@ -42,6 +42,7 @@ from sqfrep.arith import (
     star_scale,
 )
 from sqfrep.estimator import (
+    SparseFunction,
     build_moduli_set,
     compute_weights,
     estimate_inner,
@@ -753,7 +754,8 @@ def run_estimator_suite(
         f2 = rng.integers(-5, 6, size=240)
         g = rng.integers(-5, 6, size=240)
         a, b = Fraction(3, 7), Fraction(-2, 9)
-        combo = [a * x + b * y for x, y in zip(f1.tolist(), f2.tolist())]
+        # a f1 + b f2 = (27 f1 - 14 f2) / 63, exactly
+        combo = SparseFunction(240, np.arange(1, 241), 27 * f1 - 14 * f2, 63)
         lhs = estimate_inner(combo, g, ms, w, tables)
         rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
             f2, g, ms, w, tables

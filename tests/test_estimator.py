@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, euler_phi, factorize
 from sqfrep.counting import psi_in_ap, squarefree_count_in_ap
-from sqfrep.localmodel import ProgressionContext, local_product
+from sqfrep.localmodel import LocalVector, ProgressionContext, local_product
 import sqfrep.estimator as est
 from sqfrep.estimator import (
-    _local_dot,
+    _local_dots,
     ModuliSet,
     SparseFunction,
     Weights,
@@ -32,6 +33,67 @@ from sqfrep.estimator import (
 
 def dense_int(values):
     return np.array(values, dtype=np.int64)
+
+
+def brute_values(h, length):
+    """h(1), ..., h(length) as Fractions, one by one."""
+    if isinstance(h, SparseFunction):
+        out = [Fraction(0)] * length
+        for n, v in zip(h.indices.tolist(), h.numerators.tolist()):
+            out[n - 1] = Fraction(v, h.denominator)
+        return out
+    return [Fraction(int(x)) for x in h]
+
+
+def brute_dot(h, vec, length):
+    """[h | periodized vec], summed over n one term at a time."""
+    values = brute_values(h, length)
+    entries = vec.entries
+    return sum(values[n - 1] * entries[n % vec.modulus] for n in range(1, length + 1))
+
+
+# 1 and 2**53 are the denominators the CLI builds; 15 and 63 are the
+# combinations that the bilinearity checks build
+DENOMINATORS = (1, 15, 63, 1 << 53)
+# products of numerators of up to 2**30 stay below the 2**62 bound of the
+# int64 product sums; 2**33 and 2**61 take them past it, and 2**61 takes
+# every dense reduction past 2**63 too
+NUMERATOR_BITS = (3, 30, 33, 61)
+
+
+@st.composite
+def global_functions(draw, length):
+    """A random integer global function on [1, length]: sparse over one of
+    DENOMINATORS, or dense over 1."""
+    top = 1 << draw(st.sampled_from(NUMERATOR_BITS))
+    numbers = st.integers(-top, top)
+    if draw(st.booleans()):
+        return dense_int(draw(st.lists(numbers, min_size=length, max_size=length)))
+    indices = sorted(draw(st.sets(st.integers(1, length), max_size=length)))
+    numerators = draw(st.lists(numbers, min_size=len(indices), max_size=len(indices)))
+    return SparseFunction(
+        length,
+        np.array(indices, dtype=np.int64),
+        np.array(numerators, dtype=np.int64),
+        draw(st.sampled_from(DENOMINATORS)),
+    )
+
+
+CONTEXTS = (
+    ProgressionContext(30, 1, 1),
+    ProgressionContext(61, 1, 2),
+    ProgressionContext(97, 2, 5),
+)
+
+
+@pytest.fixture(scope="module")
+def families(tables):
+    """ctx -> (moduli set, exact weights, model family) over CONTEXTS."""
+    out = {}
+    for ctx in CONTEXTS:
+        ms = build_moduli_set(4, 2, ctx, tables)
+        out[ctx] = (ms, compute_weights(ms, tables), model_family(ms, tables))
+    return out
 
 
 class TestModuliSet:
@@ -134,6 +196,16 @@ class TestGlobalBuilders:
             SparseFunction.from_floats(10, [0], [1.0])
         with pytest.raises(ValueError):
             SparseFunction.from_floats(10, [11], [1.0])
+        # indices must increase strictly: unsorted, repeated, or hiding a 0
+        for indices in ([5, 0, 3], [3, 3], [4, 2], [2, 11, 5]):
+            with pytest.raises(ValueError):
+                SparseFunction.from_floats(10, indices, [1.0] * len(indices))
+        one = np.array([3], dtype=np.int64)
+        for denominator in (0, -1, 1.5):
+            with pytest.raises(ValueError):
+                SparseFunction(10, one, one, denominator)
+        with pytest.raises(ValueError):
+            SparseFunction(10, one, np.array([1 << 62], dtype=np.int64), 1)
         # values must be whole multiples of 2**-53 with numerators below 2**62
         for value in (2.0**-60, 512.0, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -293,7 +365,8 @@ class TestEstimateInner:
         f2 = dense_int(rng.integers(-5, 6, size=60))
         g = dense_int(rng.integers(-5, 6, size=60))
         a, b = Fraction(2, 3), Fraction(-7, 5)
-        combo = [a * x + b * y for x, y in zip(f1.tolist(), f2.tolist())]
+        # a f1 + b f2 = (10 f1 - 21 f2) / 15, exactly
+        combo = SparseFunction(60, np.arange(1, 61), 10 * f1 - 21 * f2, 15)
         lhs = estimate_inner(combo, g, ms, w, tables)
         rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
             f2, g, ms, w, tables
@@ -412,7 +485,7 @@ class TestBreakdownAndPredictions:
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
         f = lambda_progression_function(ctx, tables)
         fam = model_family(ms, tables)
-        empirical = float(_local_dot(f, fam[3][1], ctx.target))
+        empirical = float(_local_dots(f, 3, [fam[3][1]], ctx.target)[0])
         assert empirical > 0
         assert abs(empirical / pred["f_psi"] - 1) < 0.1
 
@@ -423,6 +496,109 @@ class TestBreakdownAndPredictions:
         fam = model_family(ms, tables)
         for q in ms.members:
             pred = predicted_main_terms(ms, q, tables)
-            got = float(_local_dot(g, fam[q][0], ctx.target))
+            got = float(_local_dots(g, q, [fam[q][0]], ctx.target)[0])
             if abs(pred["phi_g"]) > 1:
                 assert got == pytest.approx(pred["phi_g"], rel=0.05)
+
+
+class TestExactGlobalProducts:
+    """The integer reductions against brute-force Fraction sums over n, for
+    sparse and dense functions on both sides of every int64 bound."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_global_inner_matches_brute_force(self, data):
+        length = data.draw(st.integers(1, 40))
+        f = data.draw(global_functions(length))
+        g = data.draw(global_functions(length))
+        want = sum(
+            x * y for x, y in zip(brute_values(f, length), brute_values(g, length))
+        )
+        assert global_inner(f, g) == want
+        assert global_inner(g, f) == want
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_local_dots_match_brute_force(self, families, data):
+        ctx = data.draw(st.sampled_from(CONTEXTS))
+        h = data.draw(global_functions(ctx.target))
+        _, _, fam = families[ctx]
+        for q, (eta, kappa) in fam.items():
+            assert _local_dots(h, q, [eta, kappa], ctx.target) == [
+                brute_dot(h, eta, ctx.target),
+                brute_dot(h, kappa, ctx.target),
+            ]
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_estimate_inner_matches_brute_force(self, tables, families, data):
+        ctx = data.draw(st.sampled_from(CONTEXTS))
+        f = data.draw(global_functions(ctx.target))
+        g = data.draw(global_functions(ctx.target))
+        ms, w, fam = families[ctx]
+        want = 0
+        for q, (eta, kappa) in fam.items():
+            for vec, table in ((eta, w.m_phi), (kappa, w.m_psi)):
+                if q in table:
+                    want += (
+                        brute_dot(f, vec, ctx.target)
+                        * brute_dot(g, vec, ctx.target)
+                        / table[q]
+                    )
+        assert estimate_inner(f, g, ms, w, tables) == want
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_self_product_matches_a_copy(self, tables, families, data):
+        # estimate_inner(h, h) reuses h's dots for g; a copy recomputes them
+        ctx = data.draw(st.sampled_from(CONTEXTS))
+        h = data.draw(global_functions(ctx.target))
+        if isinstance(h, SparseFunction):
+            copy = SparseFunction(
+                h.length, h.indices.copy(), h.numerators.copy(), h.denominator
+            )
+        else:
+            copy = h.copy()
+        ms, w, _ = families[ctx]
+        assert estimate_inner(h, h, ms, w, tables) == estimate_inner(
+            h, copy, ms, w, tables
+        )
+
+    def test_dense_products_past_int64(self):
+        # an int64 dot wrapped 4 * 2**80 to 0, and the int64 class sum of
+        # eight values 2**61 wrapped 2**64 to 0
+        big = np.full(4, 1 << 40)
+        assert global_inner(big, big) == 4 << 80
+        one = LocalVector.from_numerators(1, [1], 1, 0)
+        assert _local_dots(np.full(8, 1 << 61), 1, [one], 8) == [1 << 64]
+
+    def test_rejects_what_is_not_an_integer_function(self):
+        f = dense_int([1, 2, 3])
+        for h in (
+            [1, 2, 3],
+            np.array([1.0, 2.0, 3.0]),
+            np.array([Fraction(1), 2, 3], dtype=object),
+            np.array([1, 2, 3], dtype=np.uint64),
+            dense_int([[1, 2, 3]]),
+        ):
+            with pytest.raises(TypeError):
+                global_inner(f, h)
+            with pytest.raises(TypeError):
+                global_inner(h, f)
+
+    def test_class_sums_once_per_function_and_modulus(self, tables, monkeypatch):
+        ctx = ProgressionContext(2000, 1, 2)
+        ms = build_moduli_set(4, 2, ctx, tables)
+        w = compute_weights(ms, tables)
+        f = lambda_progression_function(ctx, tables)
+        g = squarefree_mirror_function(ctx.target, tables)
+        passes = []
+        class_sums = est._class_sums
+        monkeypatch.setattr(
+            est, "_class_sums", lambda h, q: passes.append(q) or class_sums(h, q)
+        )
+        estimate_inner(f, g, ms, w, tables)
+        assert sorted(passes) == sorted(2 * ms.members)
+        passes.clear()
+        bessel_defect(f, ms, w, tables)
+        assert sorted(passes) == sorted(ms.members)

@@ -302,9 +302,39 @@ class TestExitCodes:
             ["estimate", "--n", "1000", "--weights", "paper", "--padding-constant", "0"],
             ["estimate", "--n", "1000", "--weights", "paper", "--padding-exponent", "inf"],
             ["estimate", "--n", "1000", "--weights", "paper", "--padding-exponent", "400"],
+            ["verify", "all", "--q-max", "5", "--qprime", "2", "--seed", "-5"],
+            ["sieve-selftest", "--seed", "-1"],
         ):
             assert main(argv) == EXIT_USAGE, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--q-max", "5", "--qprime", "2", "--seed", "-5"],
+            ["sieve-selftest", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_fails_before_any_work(self, argv, capsys):
+        # numpy's default_rng used to reject it only after the arith suite
+        # had printed its verdicts, in a message that named no flag
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "estimator", "--n", "999999999"],
+            ["verify", "estimator", "--n", "2000", "--n", "999999999"],
+        ],
+    )
+    def test_verify_reads_the_last_n(self, argv, capsys):
+        # --n is single-valued: a repeat used to be dropped, so the second
+        # command ran at N = 2000 and exited 0
+        assert main(argv) == EXIT_USAGE
+        assert "length_bound" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "400"])
     def test_padding_exponent_must_give_a_finite_padding(self, value, capsys):
