@@ -92,6 +92,9 @@ def _suite(name: str):
 # suite name -> runner; `verify` is the only subcommand that loads the suites
 SUITES = {name: _suite(name) for name in ("arith", "local", "estimator")}
 
+# the largest lift length `verify estimator --n` accepts
+MAX_VERIFY_LENGTH = 10**6
+
 # build_sieve above this limit would dwarf any reasonable request; larger
 # targets fail with a capacity error inside the counting layer instead
 MAX_SIEVE_LIMIT = 1 << 26
@@ -585,6 +588,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def verify_length(text: str) -> int:
+    """argparse type for `verify --n`: an integer in [1, MAX_VERIFY_LENGTH]."""
+    value = positive_int(text)
+    if value > MAX_VERIFY_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"{text} is above the largest lift length {MAX_VERIFY_LENGTH}"
+        )
+    return value
+
+
 def non_negative_int(text: str) -> int:
     """argparse type for --seed: an integer of at least 0, as numpy's
     default_rng takes."""
@@ -642,8 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--qprime", type=positive_int, default=None)
     v.add_argument("--q1", type=positive_int, default=None)
     v.add_argument("--q2", type=positive_int, default=None)
-    v.add_argument("--n", type=positive_int, default=None,
-                   help="lift length for the estimator suite")
+    v.add_argument("--n", type=verify_length, default=None,
+                   help="lift length for the estimator suite, at most "
+                   f"{MAX_VERIFY_LENGTH}")
     v.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
 
     c = sub.add_parser(

@@ -17,6 +17,19 @@ of an ascending lane is the descending lane target - first - step*j,
 struck at the same indices.  The public window sieves are the step-1 case
 of the same code.
 
+A prime lane holds only the odd members of its class.  The prime 2 strikes
+every even n but 2 itself, so sieving them is wasted work: the lane is
+n ≡ r (mod lcm(2, q)) from 3 on, and its mirror descends with the same
+step.  The powers of two in the class, at most log2(N) of them, form the
+even head, checked directly (mu^2(N - 2^k) by trial against the base
+primes) and reduced once before the first window.  For an odd q this halves
+the lane: `count --n 120000000 --q 7` sieves 9 windows of 2**20 entries,
+not 17; at the 8 KiB cap `count --n 8000000 --q 3` sieves 1,303 windows of
+1 Ki, not 2,605; `compare --n 3000000` sieves 2, not 3.  In-process on a
+2-core x86 VM (Python 3.11, numpy 2.4, medians of 9 calls), those take
+0.026 s with 1 thread and 0.027 s with 2 (0.054 and 0.055 s before),
+0.038 s (0.073 s) and 0.013 s (0.028 s).
+
 Sums of logarithms are exact and rounded once.  For n >= 2 the double
 log n is an integer multiple of 2**-53 below 2**5, so it is stored as the
 int64 numerator log n * 2**53; numerators are summed exactly and the total
@@ -35,10 +48,17 @@ a small window costs a few numpy calls rather than a Python loop over
 every base prime, and two lanes cost hardly more than one.  The count
 then ANDs the mirror row into the prime row in place.
 
+An odd lane carries about twice the hits per entry, so a window's hits
+are reduced in pieces of 2**18 lane entries, which keeps their arrays
+smaller than the whole-window arrays of a lane with even entries.
+
 `compare` needs every unit class a mod q for many q.  count_classes makes
 one scan of [2, N) for all of them: each window's hits are reduced to exact
 per-class sums for every modulus, so the cost is one sieve, not one per
-class, and no hit is kept past its window.
+class, and no hit is kept past its window.  A window bins its hits once per
+maximal modulus (one dividing no other in the set: 7 to 12 for 1..12),
+with float64 bincounts of 32-bit limbs, exact in chunks of fewer than
+2**21 hits, and folds every divisor modulus out of those sums.
 
 The base tables must reach the square root of the largest value touched: a
 lane is accepted only while its largest value is at most tables.limit**2.
@@ -51,6 +71,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import Iterator
 
@@ -64,9 +85,10 @@ DEFAULT_WINDOW = 1 << 20
 LOG_BITS = 53
 LOG_SCALE = 1 << LOG_BITS
 # Numerators stay below arith.NUMERATOR_BOUND = 2**62 in magnitude, so the
-# high limb (x >> 32) is below 2**30 in magnitude and the low limb
+# high limb (x >> 32) is at most 2**30 in magnitude and the low limb
 # (x & 0xFFFFFFFF) below 2**32: int64 sums of either limb are exact for
-# fewer than 2**31 terms.  A log below 2**5 has a numerator below 2**58.
+# fewer than 2**31 terms, and so they are for values of magnitude 2**62
+# too.  A log below 2**5 has a numerator below 2**58.
 _LOW_LIMB = (1 << 32) - 1
 _NO_HITS = np.zeros(0, dtype=np.int64)
 
@@ -311,34 +333,76 @@ def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.n
 
 def log_numerators(values: np.ndarray) -> np.ndarray:
     """The exact int64 numerators of log n, for integers n >= 2."""
-    return np.ldexp(np.log(values.astype(np.float64)), LOG_BITS).astype(np.int64)
+    logs = values.astype(np.float64)
+    np.log(logs, out=logs)
+    # scaling by a power of two is exact: these are the bits of np.ldexp
+    logs *= LOG_SCALE
+    return logs.astype(np.int64)
 
 
 def exact_sum(numerators: np.ndarray) -> int:
-    """The exact sum of int64 numerators below NUMERATOR_BOUND."""
+    """The exact sum of fewer than 2**31 int64 values, each at most 2**62 =
+    NUMERATOR_BOUND in magnitude."""
     return (int(np.add.reduce(numerators >> 32)) << 32) + int(
         np.add.reduce(numerators & _LOW_LIMB)
     )
 
 
-def exact_class_sums(
-    numerators: np.ndarray, classes: np.ndarray, count: int
-) -> list[int]:
-    """out[r] = exact sum of the numerators whose class is r, r < count."""
-    high = np.zeros(count, dtype=np.int64)
-    low = np.zeros(count, dtype=np.int64)
-    np.add.at(high, classes, numerators >> 32)
-    np.add.at(low, classes, numerators & _LOW_LIMB)
-    return [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())]
+# A float64 bincount adds its weights in input order, so its class sums are
+# exact while every partial sum is an integer below 2**53 in magnitude.  The
+# limbs of a numerator below NUMERATOR_BOUND lie below 2**32 in magnitude,
+# so that holds for fewer than 2**21 terms per bincount.  Chunks of
+# CLASS_SUM_TERMS stay far below that, and keep a chunk's float limbs and
+# classes at 256 KiB each on long inputs, such as the estimator's log-weighted
+# function (about 665,000 terms at N = 1e7).
+CLASS_SUM_TERMS = 1 << 15
+
+
+def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list:
+    """For each q in moduli, (counts, sums): counts[r] values are ≡ r
+    (mod q), and sums[r] is the exact sum of their numerators, each below
+    NUMERATOR_BOUND.
+
+    Only a maximal modulus (one dividing no other in the set) is binned;
+    each modulus is folded out of a maximal one that it divides.  Every
+    binned entry is below len(values) * 2**32, so fewer than 2**31 values
+    keep them in int64."""
+    require_int64(len(values) << 32)
+    moduli = list(moduli)
+    maximal = [
+        m for m in dict.fromkeys(moduli) if all(o == m or o % m for o in moduli)
+    ]
+    bins = {m: np.zeros((3, m), dtype=np.int64) for m in maximal}
+    for start in range(0, len(values), CLASS_SUM_TERMS):
+        chunk = slice(start, start + CLASS_SUM_TERMS)
+        # bincount weighs in float64: cast each limb once, not per modulus
+        limbs = [
+            (numerators[chunk] >> 32).astype(np.float64),
+            (numerators[chunk] & _LOW_LIMB).astype(np.float64),
+        ]
+        classes = np.empty(len(limbs[0]), dtype=np.int64)
+        for m, (counts, *sums) in bins.items():
+            np.remainder(values[chunk], m, out=classes)
+            counts += np.bincount(classes, minlength=m)
+            for row, limb in zip(sums, limbs):
+                row += np.bincount(classes, limb, m).astype(np.int64)
+    out = []
+    for q in moduli:
+        folded = bins[next(m for m in maximal if m % q == 0)].reshape(3, -1, q)
+        counts, high, low = folded.sum(1).tolist()
+        out.append((counts, [(h << 32) + l for h, l in zip(high, low)]))
+    return out
 
 
 # Windows shorter than this run on one worker.  A long window is mostly
 # numpy work that releases the GIL; a short one is mostly Python and per-call
 # overhead, which threads take turns at.  Measured in-process on a 2-core
-# x86 VM (Python 3.11, numpy 2.4, medians of 5 runs), 2 threads against 1 on
-# count_representations at N = 1.2e8 mod 7, 1e8 mod 1 and 8e6 mod 3: 0.43-0.82x
-# the speed for windows of 2**10 to 2**16 entries, 0.85-1.19x at 2**18,
-# 1.11-1.52x at 2**19 and 1.20-1.56x at the default 2**20.
+# x86 VM (Python 3.11, numpy 2.4, medians of 5 and of 7 runs), 2 threads
+# against 1 on count_representations over odd lanes at N = 1.2e8 mod 7 and
+# 1e8 mod 1: 0.45-1.01x the speed for windows of 2**10 to 2**16 entries,
+# 0.99-1.35x at 2**18, 1.09-1.53x at 2**19 and 1.13-1.69x at the default
+# 2**20.  8e6 mod 3, two to six windows of about 1 ms from 2**18 on, ran at
+# 0.68-1.19x there.
 MIN_THREADED_WINDOW = 1 << 19
 
 
@@ -378,6 +442,24 @@ def _scan(
         yield from map(work, starts)
 
 
+# A window's hits are reduced in pieces of at most this many lane entries,
+# while its flag buffer lives.  An odd lane carries about twice the hits per
+# entry; a piece's hit arrays, a few hundred KiB, stay in cache, and
+# whole-window ones made count_representations(120000000, 3, 7) take 0.036
+# s against 0.026 s (pieces of 2**17 to 2**19 gave 0.026-0.034 s).  Freeing
+# the buffer before the hits are reduced was measured and rejected: its
+# 2 MiB hole then takes the reduction's small allocations, the next
+# window's buffer grows the heap, and a two-thread count at N = 1.2e8 mod 7
+# peaked 2 MB higher in about one run in ten.
+_PIECE = 1 << 18
+
+
+def _is_squarefree(m: int, tables: SieveTables) -> bool:
+    """mu^2(m) for 1 <= m <= tables.limit**2, by trial against the base
+    primes."""
+    return not np.any(m % _base_primes(math.isqrt(m), tables) ** 2 == 0)
+
+
 def _log_scan(
     top: int,
     residue: int,
@@ -387,21 +469,46 @@ def _log_scan(
     threads: int = 1,
     mirror: int | None = None,
 ) -> Iterator:
-    """reduce(hits, numerators, power_values, power_numerators) per window
-    over the prime powers n = p^k <= top with n ≡ residue (mod modulus), in
-    order.
+    """reduce(hits, numerators, power_values, power_numerators) over the
+    prime powers n = p^k <= top with n ≡ residue (mod modulus): first once
+    for the even head, the powers of two in the class, then once per piece
+    of each window of the odd lane, in order.
 
     hits are the values n; numerators are those of log p; power_values and
     power_numerators list, as Python ints, the proper powers among the hits
     and their numerators.  With a mirror, only n with mirror - n square-free
     are hits.
+
+    The prime 2 strikes every even n but 2 itself, so the lane holds only
+    the odd members of the class, n ≡ r (mod lcm(2, modulus)); the even
+    head holds at most log2(top) values, each checked directly.
     """
-    first = 2 + (residue - 2) % modulus
-    count = (top - first) // modulus + 1
+    step = modulus if modulus % 2 == 0 else 2 * modulus
+    # the odd members of the class; an even modulus and residue have none
+    odd = residue if residue % 2 else residue + modulus
+    first = 3 + (odd - 3) % step
+    count = (top - first) // step + 1 if odd % 2 else 0
+    head = [
+        v
+        for v in (1 << k for k in range(1, top.bit_length()))
+        if (v - residue) % modulus == 0
+        and (mirror is None or _is_squarefree(mirror - v, tables))
+    ]
+    # log 2 is the float np.log gives at the prime 2, and math.log(2) at its
+    # proper powers, as for every other prime
+    two = int(log_numerators(np.array([2]))[0])
+    power = int(np.ldexp(math.log(2), LOG_BITS))
+    powers = [v for v in head if v > 2]
+    leading = reduce(
+        np.array(head, dtype=np.int64),
+        np.array([two if v == 2 else power for v in head], dtype=np.int64),
+        powers,
+        [power] * len(powers),
+    )
     if count < 1:
-        return iter(())
+        return iter((leading,))
     # one value has no step; 1 keeps any modulus out of int64 products
-    step = modulus if count > 1 else 1
+    step = step if count > 1 else 1
     lanes = [(first, step, 1)]
     if mirror is not None:
         lanes.append((mirror - first, -step, 2))
@@ -428,21 +535,28 @@ def _log_scan(
             flags &= rows[1]
         return flags
 
-    def window(lo: int, flags: np.ndarray):
-        hits = flags.nonzero()[0]
-        hits *= step
-        hits += first + step * lo
-        nums = log_numerators(hits)
-        kept_vals, kept_nums = [], []
-        span = powers_in(lo, lo + flags.size)
-        if span.start < span.stop:
-            kept = flags[power_idx[span] - lo]
-            vals, pnums = power_vals[span][kept], power_nums[span][kept]
-            nums[np.searchsorted(hits, vals)] = pnums
-            kept_vals, kept_nums = vals.tolist(), pnums.tolist()
-        return reduce(hits, nums, kept_vals, kept_nums)
+    def window(lo: int, flags: np.ndarray) -> list:
+        """reduce over each piece of at most _PIECE lane entries, in order."""
+        parts = []
+        for start in range(0, flags.size, _PIECE):
+            piece = flags[start : start + _PIECE]
+            at = lo + start
+            hits = piece.nonzero()[0]
+            hits *= step
+            hits += first + step * at
+            nums = log_numerators(hits)
+            kept_vals, kept_nums = [], []
+            span = powers_in(at, at + piece.size)
+            if span.start < span.stop:
+                kept = piece[power_idx[span] - at]
+                vals, pnums = power_vals[span][kept], power_nums[span][kept]
+                nums[np.searchsorted(hits, vals)] = pnums
+                kept_vals, kept_nums = vals.tolist(), pnums.tolist()
+            parts.append(reduce(hits, nums, kept_vals, kept_nums))
+        return parts
 
-    return _scan(count, sieve, window, threads, length)
+    windows = _scan(count, sieve, window, threads, length)
+    return chain((leading,), chain.from_iterable(windows))
 
 
 def _check_unit(residue: int, modulus: int) -> int:
@@ -515,16 +629,7 @@ def count_classes(
     started = time.perf_counter()
 
     def window(hits, nums, power_vals, power_nums):
-        per_q = []
-        for q in moduli:
-            classes = hits % q
-            per_q.append(
-                (
-                    np.bincount(classes, minlength=q).tolist(),
-                    exact_class_sums(nums, classes, q),
-                )
-            )
-        return per_q, power_vals, power_nums
+        return exact_class_sums(nums, hits, moduli), power_vals, power_nums
 
     counts = {q: [0] * q for q in moduli}
     totals = {q: [0] * q for q in moduli}
@@ -592,15 +697,14 @@ def prime_power_logs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n = p^k <= target with n ≡ residue (mod modulus), in
     increasing order, and the numerators of their weights log p."""
-    parts = list(
-        _log_scan(
-            target, residue, modulus, tables, lambda hits, nums, *powers: (hits, nums)
-        )
+    (head_vals, head_nums), *parts = _log_scan(
+        target, residue, modulus, tables, lambda hits, nums, *powers: (hits, nums)
     )
-    return (
-        np.concatenate([_NO_HITS, *(p[0] for p in parts)]),
-        np.concatenate([_NO_HITS, *(p[1] for p in parts)]),
-    )
+    vals = np.concatenate([_NO_HITS, *(p[0] for p in parts)])
+    nums = np.concatenate([_NO_HITS, *(p[1] for p in parts)])
+    # the powers of two go back among the odd lane's values
+    at = np.searchsorted(vals, head_vals)
+    return np.insert(vals, at, head_vals), np.insert(nums, at, head_nums)
 
 
 def psi_in_ap(

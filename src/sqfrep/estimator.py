@@ -60,6 +60,8 @@ from sqfrep.localmodel import (
 
 MATERIALIZE_CAP = 10**7
 
+_LOW_31 = (1 << 31) - 1
+
 EXACT_MODE = "exact-cross-sum"
 PAPER_MODE = "paper-form"
 
@@ -208,11 +210,27 @@ def _length(h: GlobalValues) -> int:
 
 
 def _product_sum(a: np.ndarray, b: np.ndarray) -> int:
-    """sum a[i] b[i], exact.  While every product is below NUMERATOR_BOUND
-    the int64 products are summed in limbs (exact for fewer than 2**31
-    terms); beyond that, in Python ints."""
-    if len(a) < 1 << 31 and _max_abs(a) * _max_abs(b) < NUMERATOR_BOUND:
-        return exact_sum(a.astype(np.int64, copy=False) * b)
+    """sum a[i] b[i], exact, summed by exact_sum while it is exact: for
+    fewer than 2**31 terms and, when some product may reach NUMERATOR_BOUND,
+    factors below it.  Each factor then splits into a signed high limb
+    x >> 31, at most 2**31 in magnitude, and a low limb x & (2**31 - 1), so
+    that every partial product is at most 2**62 in magnitude.  Beyond that,
+    which only a dense factor can reach, the sum is taken in Python ints."""
+    if len(a) < 1 << 31:
+        a = a.astype(np.int64, copy=False)
+        b = b.astype(np.int64, copy=False)
+        top_a, top_b = _max_abs(a), _max_abs(b)
+        if top_a * top_b < NUMERATOR_BOUND:
+            return exact_sum(a * b)
+        if max(top_a, top_b) < NUMERATOR_BOUND:
+            high_a, low_a = a >> 31, a & _LOW_31
+            high_b, low_b = b >> 31, b & _LOW_31
+            cross = exact_sum(high_a * low_b) + exact_sum(low_a * high_b)
+            return (
+                (exact_sum(high_a * high_b) << 62)
+                + (cross << 31)
+                + exact_sum(low_a * low_b)
+            )
     return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
 
 
@@ -245,7 +263,7 @@ def _class_sums(h: GlobalValues, modulus: int) -> tuple[list[int], int]:
     """Exact per-class sums over one denominator: out[r] / denominator is
     the sum of h(n) over n ≡ r (mod modulus)."""
     if isinstance(h, SparseFunction):
-        sums = exact_class_sums(h.numerators, h.indices % modulus, modulus)
+        ((_, sums),) = exact_class_sums(h.numerators, h.indices, [modulus])
         return sums, h.denominator
     # index i holds n = i + 1; every int64 class sum is below
     # length * max|h|, and Python ints take the sums beyond that

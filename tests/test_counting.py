@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import CapacityError, build_sieve, factorize
+import sqfrep.counting as counting
 from sqfrep.counting import (
     DEFAULT_WINDOW,
     LOG_BITS,
@@ -17,6 +18,7 @@ from sqfrep.counting import (
     _scan,
     count_classes,
     count_representations,
+    exact_class_sums,
     prime_power_logs,
     psi_in_ap,
     scan_workers,
@@ -906,8 +908,9 @@ class TestScanWorkers:
         assert scan_workers(2, 1000, 1 << 10) == 1
 
     def test_benchmark_two_thread_count_keeps_two_workers(self):
-        # count --n 1.2e8 --q 7 --threads 2 at the default window length
-        windows = len(range(0, (120_000_000 - 2) // 7 + 1, DEFAULT_WINDOW))
+        # count --n 1.2e8 --q 7 --threads 2 at the default window length: the
+        # odd lane mod 14 from 3 up to N - 1
+        windows = len(range(0, (120_000_000 - 1 - 3) // 14 + 1, DEFAULT_WINDOW))
         assert scan_workers(2, windows, DEFAULT_WINDOW) == 2
 
     def test_scan_starts_the_ruled_workers(self, monkeypatch):
@@ -959,3 +962,164 @@ class TestScanWorkers:
         assert [(r.weighted, r.unweighted) for r in classes_one.values()] == [
             (r.weighted, r.unweighted) for r in classes_two.values()
         ]
+
+
+class TestOddLane:
+    """Prime lanes hold only the odd members of their class; the powers of
+    two come from the even head."""
+
+    @pytest.mark.parametrize(
+        "cap, run, windows",
+        [
+            (None, lambda t: count_representations(120_000_000, 3, 7, t, 2), 9),
+            (8 << 10, lambda t: count_representations(8_000_000, 1, 3, t), 1_303),
+            (None, lambda t: count_classes(3_000_000, range(1, 13), t), 2),
+        ],
+        ids=("count-t2", "count-capped", "compare"),
+    )
+    def test_windows_sieved(self, tables, monkeypatch, cap, run, windows):
+        # the benchmark's count, capped count and compare sieved 17, 2,605
+        # and 3 windows when their lanes held every member of the class
+        _set_window_cap(monkeypatch, cap)
+        seen = []
+        flags = _StrikePlan.flags
+
+        def recording(plan, lo, hi):
+            seen.append((lo, hi))
+            return flags(plan, lo, hi)
+
+        monkeypatch.setattr(_StrikePlan, "flags", recording)
+        run(tables)
+        assert len(seen) == windows
+
+    def test_no_even_value_is_sieved(self, tables, monkeypatch):
+        lanes = []
+        plan_init = _StrikePlan.__init__
+
+        def recording(plan, planned, count, *args):
+            lanes.extend((*lane, count) for lane in planned)
+            plan_init(plan, planned, count, *args)
+
+        monkeypatch.setattr(_StrikePlan, "__init__", recording)
+        target = 20_011
+        for modulus in (1, 2, 3, 4, 7, 8, 12, 30):
+            for residue in range(modulus):
+                prime_power_logs(target, residue, modulus, tables)
+                if math.gcd(residue, modulus) == 1:
+                    count_representations(target, residue, modulus, tables)
+                    psi_in_ap(target, residue, modulus, tables)
+        count_classes(target, range(1, 13), tables)
+        primes = [lane for lane in lanes if lane[2] == 1]
+        assert primes
+        for first, step, _, count in primes:
+            assert first % 2 == 1 and first >= 3, (first, step)
+            assert step % 2 == 0 or count == 1, (first, step)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            100_003,  # N - 4 = 9 * 11,111
+            100_007,  # N - 8 = 9 * 11,111
+            4 + 9 * 25 * 49,  # N - 4 = (3 * 5 * 7)**2
+        ],
+    )
+    def test_even_head_skips_what_the_mirror_strikes(self, tables, monkeypatch, target):
+        is_prime, squarefree = _dense_flags(target)
+        assert not (squarefree[target - 4] and squarefree[target - 8])
+        for modulus in (1, 2, 3, 4, 5, 6, 12):
+            for residue in (a for a in range(modulus) if math.gcd(a, modulus) == 1):
+                want = _brute_sums(target, residue, modulus, is_prime, squarefree)
+                for cap in (8 << 10, None):
+                    _set_window_cap(monkeypatch, cap)
+                    for threads in (1, 2):
+                        r = count_representations(
+                            target, residue, modulus, tables, threads
+                        )
+                        got = (r.unweighted, r.weighted, r.lambda_weighted)
+                        assert got == want[:3], (modulus, residue, cap, threads)
+        _set_window_cap(monkeypatch, 8 << 10)
+        classes = count_classes(target, (1, 4, 3, 12), tables)
+        for (q, a), r in classes.items():
+            want = _brute_sums(target, a, q, is_prime, squarefree)
+            assert (r.unweighted, r.weighted, r.lambda_weighted) == want[:3]
+
+
+def _python_class_sums(values, numerators, modulus):
+    counts, sums = [0] * modulus, [0] * modulus
+    for v, x in zip(values, numerators):
+        counts[v % modulus] += 1
+        sums[v % modulus] += x
+    return counts, sums
+
+
+_MODULI_SETS = ((*range(1, 13),), (4, 6, 35), (1,))
+
+
+class TestClassSums:
+    """The binned class sums against Python-int sums, on both sides of the
+    chunk boundary."""
+
+    @settings(max_examples=120)
+    @given(
+        data=st.data(),
+        moduli=st.sampled_from(_MODULI_SETS),
+        chunk=st.sampled_from((1, 2, 7, counting.CLASS_SUM_TERMS)),
+    )
+    def test_matches_python_int_sums(self, data, moduli, chunk):
+        # a few chunks when they are patched short, one chunk otherwise
+        n = data.draw(st.integers(0, min(3 * chunk + 2, 60)))
+        values = data.draw(st.lists(st.integers(0, 1 << 40), min_size=n, max_size=n))
+        bound = (1 << 62) - 1
+        numerators = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(-bound, bound),
+                    st.sampled_from((bound, -bound, 0, (1 << 32) - 1, -(1 << 32))),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "CLASS_SUM_TERMS", chunk)
+            got = exact_class_sums(
+                np.array(numerators, dtype=np.int64),
+                np.array(values, dtype=np.int64),
+                moduli,
+            )
+        assert got == [_python_class_sums(values, numerators, q) for q in moduli]
+
+    def test_chunks_stay_below_the_exact_bound(self, monkeypatch):
+        # float64 limb sums are exact for fewer than 2**21 terms; one chunk of
+        # 2**21 - 1 largest limbs lands just below 2**53 in each class
+        assert counting.CLASS_SUM_TERMS < 1 << 21
+        n, top = (1 << 21) - 1, (1 << 62) - 1
+        monkeypatch.setattr(counting, "CLASS_SUM_TERMS", n)
+        values = np.zeros(n, dtype=np.int64)
+        values[1::2] = 1
+        evens, odds = (n + 1) // 2, n // 2
+        got = exact_class_sums(np.full(n, top, dtype=np.int64), values, [2, 1])
+        assert got == [([evens, odds], [evens * top, odds * top]), ([n], [n * top])]
+
+    @settings(max_examples=25)
+    @given(
+        target=st.integers(3, 20_000),
+        moduli=st.sampled_from(_MODULI_SETS[1:]),
+        chunk=st.sampled_from((3, 64, None)),
+        cap=st.sampled_from((8 << 10, None)),
+    )
+    def test_count_classes_matches_count_representations(
+        self, tables, target, moduli, chunk, cap
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            if chunk is not None:
+                mp.setattr(counting, "CLASS_SUM_TERMS", chunk)
+            got = count_classes(target, moduli, tables)
+            for (q, a), r in got.items():
+                want = count_representations(target, a, q, tables)
+                assert (r.unweighted, r.weighted, r.lambda_weighted) == (
+                    want.unweighted,
+                    want.weighted,
+                    want.lambda_weighted,
+                ), (q, a)

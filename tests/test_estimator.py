@@ -56,8 +56,8 @@ def brute_dot(h, vec, length):
 # combinations that the bilinearity checks build
 DENOMINATORS = (1, 15, 63, 1 << 53)
 # products of numerators of up to 2**30 stay below the 2**62 bound of the
-# int64 product sums; 2**33 and 2**61 take them past it, and 2**61 takes
-# every dense reduction past 2**63 too
+# int64 product sums; 2**33 and 2**61 take them past it, into the limb
+# products, and 2**61 takes every dense reduction past 2**63 too
 NUMERATOR_BITS = (3, 30, 33, 61)
 
 
@@ -571,6 +571,25 @@ class TestExactGlobalProducts:
         assert global_inner(big, big) == 4 << 80
         one = LocalVector.from_numerators(1, [1], 1, 0)
         assert _local_dots(np.full(8, 1 << 61), 1, [one], 8) == [1 << 64]
+
+    def test_limb_products_of_log_numerators(self):
+        # log numerators sit near 2**57: their products pass 2**62, so they
+        # are summed in 31-bit limbs; +-(2**62 - 1) is the extreme a sparse
+        # function admits, where the high limbs multiply to 2**62 itself
+        nums = [(1 << 57) - 1, (1 << 57) + 12_345, -(1 << 57) + 3, (1 << 62) - 1]
+        edge = [-(1 << 62) + 1, -(1 << 62) + 1, (1 << 56) + 1, 5]
+        f = SparseFunction(9, dense_int([1, 3, 4, 9]), dense_int(nums), 1 << 53)
+        g = SparseFunction(9, dense_int([2, 3, 4, 9]), dense_int(edge), 63)
+        assert global_inner(f, f) == Fraction(sum(x * x for x in nums), 1 << 106)
+        assert global_inner(g, g) == Fraction(sum(x * x for x in edge), 63 * 63)
+        cross = nums[1] * edge[1] + nums[2] * edge[2] + nums[3] * edge[3]
+        assert global_inner(f, g) == Fraction(cross, 63 << 53)
+        # a dense factor past the bound, up to the int64 limit, is summed in
+        # Python ints
+        top = (1 << 63) - 25
+        big = np.full(9, top)
+        assert global_inner(big, big) == 9 * top * top
+        assert global_inner(f, big) == Fraction(sum(nums) * top, 1 << 53)
 
     def test_rejects_what_is_not_an_integer_function(self):
         f = dense_int([1, 2, 3])

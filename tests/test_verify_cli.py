@@ -16,6 +16,7 @@ from sqfrep.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     encode_csv,
     encode_json,
     main,
@@ -334,7 +335,21 @@ class TestExitCodes:
         # --n is single-valued: a repeat used to be dropped, so the second
         # command ran at N = 2000 and exited 0
         assert main(argv) == EXIT_USAGE
-        assert "length_bound" in capsys.readouterr().err
+        assert "argument --n:" in capsys.readouterr().err
+
+    def test_verify_length_bound_names_the_flag(self, capsys):
+        # the bound used to live only in the estimator suite, whose message
+        # named its keyword length_bound, not the flag the user typed
+        assert main(["verify", "estimator", "--n", "999999999"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n:" in captured.err
+        assert "length_bound" not in captured.err
+        args = build_parser().parse_args(["verify", "estimator", "--n", "1000000"])
+        assert args.n == 10**6
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "estimator", "--n", "1000001"])
+        capsys.readouterr()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "400"])
     def test_padding_exponent_must_give_a_finite_padding(self, value, capsys):
