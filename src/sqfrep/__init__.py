@@ -22,17 +22,19 @@ _HOMES = {
     "CountResult": "counting",
     "count_classes": "counting",
     "count_representations": "counting",
+    "log_class_sums": "counting",
     "psi_in_ap": "counting",
+    "squarefree_class_counts": "counting",
     "squarefree_count_in_ap": "counting",
     "ModuliSet": "estimator",
+    "Summary": "estimator",
     "Weights": "estimator",
     "bessel_defect": "estimator",
     "build_moduli_set": "estimator",
     "compute_weights": "estimator",
     "estimate_inner": "estimator",
-    "global_inner": "estimator",
-    "lambda_progression_function": "estimator",
-    "squarefree_mirror_function": "estimator",
+    "log_summary": "estimator",
+    "mirror_summary": "estimator",
     "LocalVector": "localmodel",
     "ProgressionContext": "localmodel",
     "ScaledValue": "localmodel",

@@ -21,6 +21,15 @@ _CHUNK = 1 << 22
 # Seed of every seeded check (verify suites, sieve-selftest) unless given.
 DEFAULT_SEED = 20260819
 
+# Caps on the verify suites' sweep bounds: the suites are exhaustive
+# small-range sweeps, not scans.  The suites check them, and the CLI's
+# parser checks them on the flags that set them.
+MAX_R_BOUND = 1000
+MAX_Q_BOUND = 1000
+MAX_QPRIME_BOUND = 100
+MAX_Q1_BOUND = 20
+MAX_Q2_BOUND = 5
+
 # Every int64 numerator array in the package (log weights, local vectors)
 # stays below this in magnitude, so two of them add without overflow.
 NUMERATOR_BOUND = 1 << 62

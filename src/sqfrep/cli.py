@@ -40,7 +40,17 @@ import statistics
 
 import numpy as np
 
-from sqfrep.arith import DEFAULT_SEED, CapacityError, build_sieve, factorize
+from sqfrep.arith import (
+    DEFAULT_SEED,
+    MAX_Q1_BOUND,
+    MAX_Q2_BOUND,
+    MAX_Q_BOUND,
+    MAX_QPRIME_BOUND,
+    MAX_R_BOUND,
+    CapacityError,
+    build_sieve,
+    factorize,
+)
 from sqfrep.counting import (
     count_classes,
     count_representations,
@@ -54,10 +64,9 @@ from sqfrep.estimator import (
     build_moduli_set,
     compute_weights,
     estimate_inner,
-    global_inner,
-    lambda_progression_function,
+    log_summary,
+    mirror_summary,
     per_q_breakdown,
-    squarefree_mirror_function,
 )
 from sqfrep.localmodel import ProgressionContext
 from sqfrep.series import (
@@ -390,9 +399,9 @@ def cmd_estimate(args) -> int:
     breached = False
     for n in args.n:
         ctx = ProgressionContext(n, args.aprime, args.qprime)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(n, tables)
         ms = build_moduli_set(args.q1, args.q2, ctx, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(n, ms.members, tables)
         try:
             w = compute_weights(ms, tables, **weighting)
         except ValueError as exc:
@@ -401,8 +410,13 @@ def cmd_estimate(args) -> int:
             raise ValueError(
                 f"--padding-constant / --padding-exponent at N={n}: {exc}"
             ) from exc
-        exact_direct = global_inner(f, g)
-        direct = float(exact_direct)
+        # [f|g] is the von Mangoldt-weighted count; below 3 there is no n
+        # with both f(n) and g(n) nonzero
+        direct = (
+            count_representations(n, ctx.residue, ctx.modulus, tables).lambda_weighted
+            if n >= 3
+            else 0.0
+        )
         approx = float(estimate_inner(f, g, ms, w, tables))
         sv = singular_series(factorize(n, tables), args.aprime, fqp, args.p_cutoff)
         series_n = sv.value * n
@@ -416,7 +430,7 @@ def cmd_estimate(args) -> int:
                 f"aprime={args.aprime})",
                 file=sys.stderr,
             )
-            if exact_direct != 0:
+            if direct != 0:
                 breached = True
                 print(
                     f"obstructed context at N={n} has nonzero direct product "
@@ -588,14 +602,18 @@ def positive_int(text: str) -> int:
     return value
 
 
-def verify_length(text: str) -> int:
-    """argparse type for `verify --n`: an integer in [1, MAX_VERIFY_LENGTH]."""
-    value = positive_int(text)
-    if value > MAX_VERIFY_LENGTH:
-        raise argparse.ArgumentTypeError(
-            f"{text} is above the largest lift length {MAX_VERIFY_LENGTH}"
-        )
-    return value
+def bounded_int(top: int):
+    """argparse type for a capped `verify` bound: an integer in [1, top]."""
+
+    def parse(text: str) -> int:
+        value = positive_int(text)
+        if value > top:
+            raise argparse.ArgumentTypeError(f"{text} is above the cap {top}")
+        return value
+
+    # argparse names the type in its message for a value that is no integer
+    parse.__name__ = "int"
+    return parse
 
 
 def non_negative_int(text: str) -> int:
@@ -650,12 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run exact identity suites")
     v.set_defaults(run=cmd_verify)
     v.add_argument("suite", choices=[*SUITES, "all"])
-    v.add_argument("--q-max", type=positive_int, default=None,
+    v.add_argument("--q-max", type=bounded_int(min(MAX_R_BOUND, MAX_Q_BOUND)),
+                   default=None,
                    help="primary sweep bound (r for arith, q for local)")
-    v.add_argument("--qprime", type=positive_int, default=None)
-    v.add_argument("--q1", type=positive_int, default=None)
-    v.add_argument("--q2", type=positive_int, default=None)
-    v.add_argument("--n", type=verify_length, default=None,
+    v.add_argument("--qprime", type=bounded_int(MAX_QPRIME_BOUND), default=None)
+    v.add_argument("--q1", type=bounded_int(MAX_Q1_BOUND), default=None)
+    v.add_argument("--q2", type=bounded_int(MAX_Q2_BOUND), default=None)
+    v.add_argument("--n", type=bounded_int(MAX_VERIFY_LENGTH), default=None,
                    help="lift length for the estimator suite, at most "
                    f"{MAX_VERIFY_LENGTH}")
     v.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)

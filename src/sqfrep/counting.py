@@ -2,10 +2,17 @@
 
 Everything here is a brute-force oracle: the weighted representation count,
 its von Mangoldt variant, square-free counts along progressions, and the
-prime-power tally psi restricted to a progression.  All of them, and the
-estimator's global functions, come from one windowed scan: windows of a
-bounded size are sieved one at a time, so the memory footprint never
-depends on the target.
+prime-power tally psi restricted to a progression, with the class sums and
+squares of its log weights that the estimator reads of its log-weighted
+function.  All of them come from one windowed scan: windows of a bounded
+size are sieved one at a time, so the memory footprint never depends on the
+target.
+
+One count needs no sieve: squarefree_class_counts counts the square-free
+m <= X in every class mod q from the Moebius table, Q(X) = sum over d of
+mu(d) floor(X / d^2) (Hardy & Wright, section 18.6) split by class, in
+O(q sqrt(X)) integer work.  The estimator's square-free mirror reads it, and
+it shares no code with the sieves, so each checks the other.
 
 A scan walks lane indices, not integers.  Its lane is the progression
 first + step*j, 0 <= j < count, that the result needs (n ≡ a mod q for a
@@ -90,7 +97,7 @@ LOG_SCALE = 1 << LOG_BITS
 # fewer than 2**31 terms, and so they are for values of magnitude 2**62
 # too.  A log below 2**5 has a numerator below 2**58.
 _LOW_LIMB = (1 << 32) - 1
-_NO_HITS = np.zeros(0, dtype=np.int64)
+_LOW_31 = (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -345,6 +352,19 @@ def exact_sum(numerators: np.ndarray) -> int:
     NUMERATOR_BOUND in magnitude."""
     return (int(np.add.reduce(numerators >> 32)) << 32) + int(
         np.add.reduce(numerators & _LOW_LIMB)
+    )
+
+
+def square_sum(numerators: np.ndarray) -> int:
+    """The exact sum of the squares of fewer than 2**31 int64 values, each
+    at most 2**62 = NUMERATOR_BOUND in magnitude.  With x = h 2**31 + l,
+    |h| <= 2**31 and 0 <= l < 2**31, so each of h h, h l and l l is at most
+    2**62 in magnitude and exact_sum adds them exactly."""
+    high, low = numerators >> 31, numerators & _LOW_31
+    return (
+        (exact_sum(high * high) << 62)
+        + (exact_sum(high * low) << 32)
+        + exact_sum(low * low)
     )
 
 
@@ -682,29 +702,33 @@ def squarefree_count_in_ap(
     return sum(_scan(count, plan.flags, window, threads, length))
 
 
-def squarefree_flags(hi: int, tables: SieveTables) -> np.ndarray:
-    """Boolean flags for [0, hi), True where the value is square-free,
-    sieved window by window."""
-    length = window_length()
-    plan = _StrikePlan([(0, 1, 2)], hi, tables, length)
-    return np.concatenate(
-        list(_scan(hi, plan.flags, lambda lo, flags: flags[0], length=length))
-    )
+def log_class_sums(
+    target: int,
+    residue: int,
+    modulus: int,
+    moduli,
+    tables: SieveTables,
+    threads: int = 1,
+) -> tuple[list[list[int]], int]:
+    """Over the prime powers n = p^k <= target with n ≡ residue (mod
+    modulus), weighted by the numerators of log p: for each q in moduli the
+    exact per-class sums, sums[r] over n ≡ r (mod q), and the exact sum of
+    the squared numerators."""
+    if target < 1:
+        raise ValueError("target must be positive")
+    _check_coverage(target, tables)
+    moduli = list(moduli)
 
+    def piece(hits, nums, *powers):
+        sums = [sums for _, sums in exact_class_sums(nums, hits, moduli)]
+        return sums, square_sum(nums)
 
-def prime_power_logs(
-    target: int, residue: int, modulus: int, tables: SieveTables
-) -> tuple[np.ndarray, np.ndarray]:
-    """The prime powers n = p^k <= target with n ≡ residue (mod modulus), in
-    increasing order, and the numerators of their weights log p."""
-    (head_vals, head_nums), *parts = _log_scan(
-        target, residue, modulus, tables, lambda hits, nums, *powers: (hits, nums)
-    )
-    vals = np.concatenate([_NO_HITS, *(p[0] for p in parts)])
-    nums = np.concatenate([_NO_HITS, *(p[1] for p in parts)])
-    # the powers of two go back among the odd lane's values
-    at = np.searchsorted(vals, head_vals)
-    return np.insert(vals, at, head_vals), np.insert(nums, at, head_nums)
+    totals = [[0] * q for q in moduli]
+    squares = 0
+    for sums, square in _log_scan(target, residue, modulus, tables, piece, threads):
+        totals = [list(map(add, total, part)) for total, part in zip(totals, sums)]
+        squares += square
+    return totals, squares
 
 
 def psi_in_ap(
@@ -713,15 +737,44 @@ def psi_in_ap(
     """Chebyshev psi along a progression: sum of log p over prime powers
     p^k <= target with p^k ≡ residue (mod modulus)."""
     residue = _check_unit(residue, modulus)
-    if target < 1:
-        raise ValueError("target must be positive")
-    _check_coverage(target, tables)
-    parts = _log_scan(
-        target,
-        residue,
-        modulus,
-        tables,
-        lambda hits, nums, *powers: exact_sum(nums),
-        threads,
-    )
-    return sum(parts) / LOG_SCALE
+    ((total,),), _ = log_class_sums(target, residue, modulus, [1], tables, threads)
+    return total / LOG_SCALE
+
+
+# squarefree_class_counts handles about this many (d, c) terms per block,
+# so its transient arrays stay near 1 MiB each whatever the modulus.
+_COUNTER_BLOCK = 1 << 17
+
+
+def squarefree_class_counts(top: int, modulus: int, tables: SieveTables) -> list[int]:
+    """counts[r] is the number of square-free m in [1, top] with m ≡ r
+    (mod modulus), with no sieve.
+
+    m is square-free exactly when sum over d^2 | m of mu(d) is 1, so
+    counts[r] = sum over square-free d <= sqrt(top) of mu(d) times the
+    number of k in [1, top // d^2] with d^2 k ≡ r: for each c in [1,
+    modulus], (top // d^2 - c) // modulus + 1 values of k ≡ c land on
+    r = d^2 c mod modulus.  That is exact integer arithmetic over the Moebius
+    table, vectorised over d in blocks of about _COUNTER_BLOCK terms.  Every
+    term is below top in magnitude, and so is every partial sum, since the
+    sum of top / d^2 over d >= 1 is below 2 top."""
+    if top < 0 or modulus < 1:
+        raise ValueError("top must be non-negative and modulus positive")
+    _check_coverage(top, tables)
+    require_int64(2 * top + modulus * modulus)
+    mu = tables.mobius[: math.isqrt(top) + 1]
+    roots = np.flatnonzero(mu).astype(np.int64)
+    steps = np.arange(1, modulus + 1, dtype=np.int64)
+    counts = np.zeros(modulus, dtype=np.int64)
+    block = max(1, _COUNTER_BLOCK // modulus)
+    for start in range(0, roots.size, block):
+        d = roots[start : start + block]
+        squares = d * d
+        ks = (top // squares)[:, None] - steps
+        ks //= modulus
+        ks += 1
+        ks *= mu[d].astype(np.int64)[:, None]
+        classes = (squares % modulus)[:, None] * steps
+        classes %= modulus
+        np.add.at(counts, classes.ravel(), ks.ravel())
+    return counts.tolist()

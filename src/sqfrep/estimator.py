@@ -7,15 +7,16 @@ rank-|family| bilinear form <f|g> that approximates the true inner product
 sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every product here
 is computed in exact rational arithmetic.
 
-A global function on [1, N] is integers over one known denominator, in one
-of two forms: a SparseFunction (int64 numerators at strictly increasing
-indices over its own denominator; the canonical log-weighted function holds
-its float logs over 2**53) or a dense 1-d integer array over denominator 1
-(the 0/1 mirror indicator).  No element is ever a Fraction: an inner product
-is an integer sum of numerator products over the product of the
-denominators, taken in int64 while a stated bound keeps it exact and in
-Python ints beyond.  Model vectors hold int64 numerators over 2, so [h|u~]
-is q products of h's class sums mod q with u's numerators, and the cross
+Every product the estimator takes of a global function h on [1, N] is a
+linear reduction: [h|h], and h's class sums modulo each family modulus,
+against which [h|u~] is q products with u's numerators.  So h is never
+materialised: a Summary holds those reductions, as Python ints over h's one
+denominator, and is built in bounded memory.  The log-weighted function f
+comes from one windowed scan of its progression (`counting.log_class_sums`,
+int64 log numerators over 2**53); the square-free mirror g from the
+sieve-free Moebius counter (`counting.squarefree_class_counts`).  The true
+product [f|g] is `count_representations`' lambda_weighted, which the CLI
+reads directly.  Model vectors hold int64 numerators over 2, and the cross
 product of two periodic vectors is an integer sum over one lcm period, plus
 a remainder.
 """
@@ -25,13 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from sqfrep.arith import (
-    NUMERATOR_BOUND,
-    CapacityError,
     SieveTables,
     cubefree_split,
     euler_phi,
@@ -40,14 +39,7 @@ from sqfrep.arith import (
     require_int64,
     star_scale,
 )
-from sqfrep.counting import (
-    LOG_BITS,
-    LOG_SCALE,
-    exact_class_sums,
-    exact_sum,
-    prime_power_logs,
-    squarefree_flags,
-)
+from sqfrep.counting import LOG_SCALE, log_class_sums, squarefree_class_counts
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
@@ -57,10 +49,6 @@ from sqfrep.localmodel import (
     model_sum,
     progression_split,
 )
-
-MATERIALIZE_CAP = 10**7
-
-_LOW_31 = (1 << 31) - 1
 
 EXACT_MODE = "exact-cross-sum"
 PAPER_MODE = "paper-form"
@@ -100,195 +88,68 @@ class Weights:
                     raise ValueError(f"{name}[{q}] = {value} is not positive")
 
 
-@dataclass(frozen=True, eq=False)
-class SparseFunction:
-    """A function on [1, length] that is zero off the stored indices.
+@dataclass(frozen=True)
+class Summary:
+    """All the estimator reads of a global function h on [1, length], whose
+    value at n is an integer numerator over one positive denominator.
 
-    indices is a strictly increasing int64 array in [1, length]; the value
-    at indices[i] is numerators[i] / denominator, an int64 numerator below
-    NUMERATOR_BOUND in magnitude over one positive int denominator, so sums
-    of values are exact integer sums.  A function built from floats has
-    denominator LOG_SCALE, and float_values gives its floats back without
-    loss.
+    norm is the sum of the squared numerators, so [h|h] = norm /
+    denominator**2, and class_sums[q][r] is the sum of the numerators at the
+    n <= length with n ≡ r (mod q), for every modulus q the summary was
+    built for.  Every value is a Python int, so nothing here can overflow.
     """
 
     length: int
-    indices: np.ndarray
-    numerators: np.ndarray
     denominator: int
+    norm: int
+    class_sums: Mapping[int, Sequence[int]]
 
-    def __post_init__(self) -> None:
-        if not (
-            self.indices.dtype == self.numerators.dtype == np.int64
-            and self.indices.ndim == 1
-            and self.indices.shape == self.numerators.shape
-        ):
-            raise ValueError("indices and numerators must be aligned int64 arrays")
-        if not (isinstance(self.denominator, int) and self.denominator >= 1):
-            raise ValueError("denominator must be an int of at least 1")
-        if self.indices.size and not (
-            1 <= self.indices[0]
-            and self.indices[-1] <= self.length
-            and np.all(self.indices[1:] > self.indices[:-1])
-        ):
-            raise ValueError("indices must increase strictly within [1, length]")
-        if _max_abs(self.numerators) >= NUMERATOR_BOUND:
-            raise ValueError("numerators must stay below 2**62 in magnitude")
-
-    @property
-    def float_values(self) -> np.ndarray:
-        return self.numerators / float(self.denominator)
-
-    @classmethod
-    def from_floats(
-        cls, length: int, indices: Sequence[int], values: Sequence[float]
-    ) -> "SparseFunction":
-        """Raises ValueError for a value that is not a multiple of 2**-53
-        or whose numerator would reach NUMERATOR_BOUND."""
-        scaled = np.ldexp(np.asarray(values, dtype=np.float64), LOG_BITS)
-        if not np.all(np.abs(scaled) < NUMERATOR_BOUND) or np.any(
-            scaled != np.trunc(scaled)
-        ):
-            raise ValueError("values must be multiples of 2**-53 below 2**9")
-        return cls(
-            length,
-            np.asarray(indices, dtype=np.int64),
-            scaled.astype(np.int64),
-            LOG_SCALE,
-        )
+    def inner(self) -> Fraction:
+        """[h|h], exact."""
+        return Fraction(self.norm, self.denominator**2)
 
 
-# A dense global function is a 1-d integer array, index i holding n = i + 1.
-GlobalValues = Union[SparseFunction, np.ndarray]
-
-
-def _check_cap(target: int) -> None:
-    if target < 1:
-        raise ValueError("target must be positive")
-    if target > MATERIALIZE_CAP:
-        raise CapacityError(
-            f"refusing to materialize a global function of length {target}"
-        )
-
-
-def lambda_progression_function(
-    ctx: ProgressionContext, tables: SieveTables
-) -> SparseFunction:
-    """The log-weighted indicator: log p at every prime power p^k <= target
-    lying in the context progression, zero elsewhere."""
-    _check_cap(ctx.target)
-    if ctx.target > tables.limit**2:
-        raise CapacityError("sieve tables do not cover the target")
-    indices, numerators = prime_power_logs(
-        ctx.target, ctx.residue, ctx.modulus, tables
+def log_summary(
+    ctx: ProgressionContext, moduli: Sequence[int], tables: SieveTables
+) -> Summary:
+    """f: log p at every prime power p^k <= target lying in the context
+    progression, zero elsewhere, over LOG_SCALE.  One scan of the
+    progression's odd lane yields its class sums for every modulus and the
+    squares behind [f|f]."""
+    sums, squares = log_class_sums(
+        ctx.target, ctx.residue, ctx.modulus, moduli, tables
     )
-    return SparseFunction(ctx.target, indices, numerators, LOG_SCALE)
+    return Summary(ctx.target, LOG_SCALE, squares, dict(zip(moduli, sums)))
 
 
-def squarefree_mirror_function(target: int, tables: SieveTables) -> np.ndarray:
-    """Dense 0/1 array h[n-1] = 1 iff target - n is square-free, n in
-    [1, target]; the n = target slot is 0 by the mu^2(0) = 0 convention."""
-    _check_cap(target)
-    if target - 1 > tables.limit**2:
-        raise CapacityError("sieve tables do not cover the target")
-    # index i holds m = i, and n = target - m; reversing maps to n-1.
-    return squarefree_flags(target, tables)[::-1].copy()
+def mirror_summary(target: int, moduli: Sequence[int], tables: SieveTables) -> Summary:
+    """g: g(n) = 1 iff target - n is square-free, n in [1, target], with
+    g(target) = 0 by the mu^2(0) = 0 convention.
 
-
-def _max_abs(a: np.ndarray) -> int:
-    """max |a[i]| as a Python int; 0 for an empty array."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def _length(h: GlobalValues) -> int:
-    """The length of a global function; TypeError for anything else."""
-    if isinstance(h, SparseFunction):
-        return h.length
-    if isinstance(h, np.ndarray) and h.ndim == 1 and np.can_cast(h.dtype, np.int64):
-        return len(h)
-    raise TypeError("a global function is a SparseFunction or a 1-d integer array")
-
-
-def _product_sum(a: np.ndarray, b: np.ndarray) -> int:
-    """sum a[i] b[i], exact, summed by exact_sum while it is exact: for
-    fewer than 2**31 terms and, when some product may reach NUMERATOR_BOUND,
-    factors below it.  Each factor then splits into a signed high limb
-    x >> 31, at most 2**31 in magnitude, and a low limb x & (2**31 - 1), so
-    that every partial product is at most 2**62 in magnitude.  Beyond that,
-    which only a dense factor can reach, the sum is taken in Python ints."""
-    if len(a) < 1 << 31:
-        a = a.astype(np.int64, copy=False)
-        b = b.astype(np.int64, copy=False)
-        top_a, top_b = _max_abs(a), _max_abs(b)
-        if top_a * top_b < NUMERATOR_BOUND:
-            return exact_sum(a * b)
-        if max(top_a, top_b) < NUMERATOR_BOUND:
-            high_a, low_a = a >> 31, a & _LOW_31
-            high_b, low_b = b >> 31, b & _LOW_31
-            cross = exact_sum(high_a * low_b) + exact_sum(low_a * high_b)
-            return (
-                (exact_sum(high_a * high_b) << 62)
-                + (cross << 31)
-                + exact_sum(low_a * low_b)
-            )
-    return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
-
-
-def global_inner(f: GlobalValues, g: GlobalValues) -> Fraction:
-    """[f|g] = sum over n <= length of f(n) g(n), exact."""
-    if _length(f) != _length(g):
-        raise ValueError("length mismatch")
-    if isinstance(g, SparseFunction) and not isinstance(f, SparseFunction):
-        f, g = g, f
-    if isinstance(g, SparseFunction):
-        _, i, j = np.intersect1d(
-            f.indices, g.indices, assume_unique=True, return_indices=True
-        )
-        return Fraction(
-            _product_sum(f.numerators[i], g.numerators[j]),
-            f.denominator * g.denominator,
-        )
-    if isinstance(f, SparseFunction):
-        return Fraction(_product_sum(f.numerators, g[f.indices - 1]), f.denominator)
-    # every partial sum of the int64 dot is below length * max|f| * max|g|;
-    # [h|h] widens h once
-    if len(f) * _max_abs(f) * _max_abs(g) < 1 << 63:
-        a = f.astype(np.int64, copy=False)
-        b = a if g is f else g.astype(np.int64, copy=False)
-        return Fraction(int(np.dot(a, b)))
-    return Fraction(_product_sum(f, g))
-
-
-def _class_sums(h: GlobalValues, modulus: int) -> tuple[list[int], int]:
-    """Exact per-class sums over one denominator: out[r] / denominator is
-    the sum of h(n) over n ≡ r (mod modulus)."""
-    if isinstance(h, SparseFunction):
-        ((_, sums),) = exact_class_sums(h.numerators, h.indices, [modulus])
-        return sums, h.denominator
-    # index i holds n = i + 1; every int64 class sum is below
-    # length * max|h|, and Python ints take the sums beyond that
-    classes = [h[(r - 1) % modulus :: modulus] for r in range(modulus)]
-    if len(h) * _max_abs(h) < 1 << 63:
-        return [int(c.sum()) for c in classes], 1
-    return [sum(c.tolist()) for c in classes], 1
+    Nothing is sieved: g's class sum at r mod q counts the square-free
+    m <= target - 1 with m ≡ target - r (mod q), which the Moebius counter
+    gives, and [g|g] is the count of all of them, the q = 1 case."""
+    sums = {}
+    for q in moduli:
+        counts = squarefree_class_counts(target - 1, q, tables)
+        sums[q] = [counts[(target - r) % q] for r in range(q)]
+    (count,) = squarefree_class_counts(target - 1, 1, tables)
+    return Summary(target, 1, count, sums)
 
 
 def _local_dots(
-    h: GlobalValues, modulus: int, vectors: Sequence[LocalVector], length: int
+    h: Summary, modulus: int, vectors: Sequence[LocalVector]
 ) -> list[Fraction]:
     """[h | periodized v] = sum over n <= length of h(n) v(n mod modulus)
-    for each vector v of that modulus, exact.  The class sums of h are
-    taken once and dotted with every vector's numerators in Python ints,
-    because the class sums of a log-weighted function exceed int64."""
-    if _length(h) != length:
-        raise ValueError("length mismatch")
+    for each vector v of that modulus, exact: h's class sums mod modulus
+    dotted with every vector's numerators in Python ints."""
     if any(v.modulus != modulus for v in vectors):
         raise ValueError("every vector must have the given modulus")
-    sums, denominator = _class_sums(h, modulus)
+    sums = h.class_sums[modulus]
     return [
         Fraction(
             sum(s * e for s, e in zip(sums, v.numerators.tolist())),
-            denominator * v.denominator,
+            h.denominator * v.denominator,
         )
         for v in vectors
     ]
@@ -430,17 +291,17 @@ def compute_weights(
 
 
 def _family_products(
-    f: GlobalValues,
-    g: GlobalValues,
+    f: Summary,
+    g: Summary,
     ms: ModuliSet,
     weights: Weights,
     tables: SieveTables,
 ):
     """For each family modulus q in order: q, its (eta, kappa), and one
     (kind, [f|u~], [g|u~], M(u)) per weighted vector u of q, "phi" for eta
-    before "psi" for kappa.  Each function's class sums are taken once per
-    modulus, and only once when g is f."""
-    n = ms.context.target
+    before "psi" for kappa."""
+    if not f.length == g.length == ms.context.target:
+        raise ValueError("length mismatch")
     for q, (eta, kappa) in model_family(ms, tables).items():
         kept = [
             (kind, vec, table[q])
@@ -451,16 +312,16 @@ def _family_products(
             if q in table
         ]
         vectors = [vec for _, vec, _ in kept]
-        f_dots = _local_dots(f, q, vectors, n)
-        g_dots = f_dots if g is f else _local_dots(g, q, vectors, n)
+        f_dots = _local_dots(f, q, vectors)
+        g_dots = f_dots if g is f else _local_dots(g, q, vectors)
         yield q, eta, kappa, [
             (kind, a, b, m) for (kind, _, m), a, b in zip(kept, f_dots, g_dots)
         ]
 
 
 def estimate_inner(
-    f: GlobalValues,
-    g: GlobalValues,
+    f: Summary,
+    g: Summary,
     ms: ModuliSet,
     weights: Weights,
     tables: SieveTables,
@@ -473,12 +334,10 @@ def estimate_inner(
     return total
 
 
-def bessel_defect(
-    h: GlobalValues, ms: ModuliSet, weights: Weights, tables: SieveTables
-):
+def bessel_defect(h: Summary, ms: ModuliSet, weights: Weights, tables: SieveTables):
     """[h|h] minus the family's captured energy; non-negative under
     exact-cross-sum weights."""
-    return global_inner(h, h) - estimate_inner(h, h, ms, weights, tables)
+    return h.inner() - estimate_inner(h, h, ms, weights, tables)
 
 
 def predicted_main_terms(
@@ -519,8 +378,8 @@ def predicted_main_terms(
 
 
 def per_q_breakdown(
-    f: GlobalValues,
-    g: GlobalValues,
+    f: Summary,
+    g: Summary,
     ms: ModuliSet,
     weights: Weights,
     tables: SieveTables,

@@ -16,6 +16,9 @@ Two shapes of the same definitions live here:
   `scaled_prime_density_rows` and `scaled_star_rows`.  The prime-side rows
   are stacked over contexts, one row per context.
 
+`dense_summary` builds the estimator's Summary of a global function given
+value by value, from the definitions of its sums.
+
 Each row form evaluates the same defining sum as its per-entry form (the
 tests hold them equal), and checks its int64 bound with `require_int64`
 before summing.
@@ -40,6 +43,7 @@ from sqfrep.arith import (
     require_cubefree,
     require_int64,
 )
+from sqfrep.estimator import Summary
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
@@ -197,6 +201,24 @@ def collect(values: Sequence[int], q: int) -> LocalVector:
     padded[1 : len(vals) + 1] = vals
     sums = padded.reshape(-1, q).sum(axis=0)
     return LocalVector.from_numerators(q, sums * q, 1, 0)
+
+
+def dense_summary(
+    numerators: Sequence[int], denominator: int, moduli: Sequence[int]
+) -> Summary:
+    """The Summary of h(n) = numerators[n - 1] / denominator on
+    [1, len(numerators)], with class sums for each q in moduli: every sum
+    taken term by term in Python ints."""
+    values = [int(x) for x in numerators]
+    return Summary(
+        length=len(values),
+        denominator=denominator,
+        norm=sum(x * x for x in values),
+        # index i holds n = i + 1, so n ≡ r (mod q) starts at index r - 1
+        class_sums={
+            q: [sum(values[(r - 1) % q :: q]) for r in range(q)] for q in moduli
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ import numpy as np
 
 from sqfrep.arith import (
     DEFAULT_SEED,
+    MAX_Q1_BOUND,
+    MAX_Q2_BOUND,
+    MAX_Q_BOUND,
+    MAX_QPRIME_BOUND,
+    MAX_R_BOUND,
     FactoredInt,
     SieveTables,
     cubefree_split,
@@ -42,7 +47,7 @@ from sqfrep.arith import (
     star_scale,
 )
 from sqfrep.estimator import (
-    SparseFunction,
+    bessel_defect,
     build_moduli_set,
     compute_weights,
     estimate_inner,
@@ -59,15 +64,11 @@ from sqfrep.localmodel import (
 )
 from sqfrep.oracle import (
     collect,
+    dense_summary,
     scaled_prime_density_rows,
     scaled_star_rows,
     squarefree_star_row,
 )
-
-# documented caps: the suites are exhaustive small-range sweeps, not scans
-MAX_R_BOUND = 1000
-MAX_Q_BOUND = 1000
-MAX_QPRIME_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -687,8 +688,8 @@ def run_estimator_suite(
     trials: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    _require(q1_bound, 20, "q1_bound")
-    _require(q2_bound, 5, "q2_bound")
+    _require(q1_bound, MAX_Q1_BOUND, "q1_bound")
+    _require(q2_bound, MAX_Q2_BOUND, "q2_bound")
     results = []
     rng = np.random.default_rng(seed)
     contexts = [
@@ -739,8 +740,8 @@ def run_estimator_suite(
         ms = build_moduli_set(q1_bound, q2_bound, short, tables)
         w = compute_weights(ms, tables)
         for _ in range(5):
-            h = rng.integers(-9, 10, size=short.target)
-            defect = int(np.dot(h, h)) - estimate_inner(h, h, ms, w, tables)
+            h = dense_summary(rng.integers(-9, 10, size=short.target), 1, ms.members)
+            defect = bessel_defect(h, ms, w, tables)
             rec.check(defect >= 0, lambda ctx=short: f"N={ctx.target}")
     results.append(rec.result())
 
@@ -754,7 +755,8 @@ def run_estimator_suite(
         g = rng.integers(-5, 6, size=240)
         a, b = Fraction(3, 7), Fraction(-2, 9)
         # a f1 + b f2 = (27 f1 - 14 f2) / 63, exactly
-        combo = SparseFunction(240, np.arange(1, 241), 27 * f1 - 14 * f2, 63)
+        combo = dense_summary(27 * f1 - 14 * f2, 63, ms.members)
+        f1, f2, g = (dense_summary(h, 1, ms.members) for h in (f1, f2, g))
         lhs = estimate_inner(combo, g, ms, w, tables)
         rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
             f2, g, ms, w, tables

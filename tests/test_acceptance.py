@@ -25,9 +25,8 @@ from sqfrep.estimator import (
     build_moduli_set,
     compute_weights,
     estimate_inner,
-    global_inner,
-    lambda_progression_function,
-    squarefree_mirror_function,
+    log_summary,
+    mirror_summary,
 )
 from sqfrep.localmodel import PI_SQ_OVER_6, ProgressionContext
 from sqfrep.oracle import squarefree_density
@@ -269,11 +268,11 @@ def test_estimator_three_way_agreement(tables):
 
     def discrepancy(target):
         ctx = ProgressionContext(target, 0, 1)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(target, tables)
         ms = build_moduli_set(8, 2, ctx, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(target, ms.members, tables)
         w = compute_weights(ms, tables)
-        direct = float(global_inner(f, g))
+        direct = count_representations(target, 0, 1, tables).lambda_weighted
         approx = float(estimate_inner(f, g, ms, w, tables))
         sv = singular_series(factorize(target, tables), 0, factorize(1, tables))
         series_n = sv.value * target

@@ -19,11 +19,12 @@ from sqfrep.counting import (
     count_classes,
     count_representations,
     exact_class_sums,
-    prime_power_logs,
+    log_class_sums,
     psi_in_ap,
     scan_workers,
     segmented_prime_sieve,
     segmented_squarefree_sieve,
+    squarefree_class_counts,
     squarefree_count_in_ap,
     window_length,
 )
@@ -232,6 +233,38 @@ class TestSquarefreeCountInAp:
                     modulus,
                     residue,
                 )
+
+
+class TestMobiusCounter:
+    """The sieve-free square-free class counts against the sieve; the two
+    share no code."""
+
+    @staticmethod
+    def _sieved(top, modulus, tables):
+        # m = top + 1 - n runs over [0, top] as n runs over [1, top + 1]
+        return [
+            squarefree_count_in_ap(top + 1, (top + 1 - r) % modulus, modulus, tables)
+            for r in range(modulus)
+        ]
+
+    @settings(max_examples=25)
+    @given(top=st.integers(0, 10**7), modulus=st.integers(1, 60))
+    def test_matches_the_sieve(self, tables, top, modulus):
+        got = squarefree_class_counts(top, modulus, tables)
+        assert got == self._sieved(top, modulus, tables)
+
+    @pytest.mark.parametrize("top, want", [(0, 0), (1, 1)])
+    def test_smallest_tops(self, tables, top, want):
+        for modulus in (1, 2, 7):
+            got = squarefree_class_counts(top, modulus, tables)
+            assert got == self._sieved(top, modulus, tables)
+            assert got == [want if r == 1 % modulus else 0 for r in range(modulus)]
+
+    def test_rejects_what_the_tables_cannot_cover(self):
+        small = build_sieve(100)
+        assert sum(squarefree_class_counts(100**2, 3, small)) == 6_083
+        with pytest.raises(CapacityError):
+            squarefree_class_counts(100**2 + 1, 3, small)
 
 
 class TestPsiInAp:
@@ -839,12 +872,21 @@ class TestLaneInvariance:
                         (n % modulus == residue) & squarefree[target - n]
                     )
                 )
-                want_pp = _brute_prime_powers(target, residue, modulus, is_prime)
+                vals, nums = (
+                    a.tolist()
+                    for a in _brute_prime_powers(target, residue, modulus, is_prime)
+                )
+                # a modulus above the target sums one value per class, so
+                # up to 4,097 its class sums are the weights themselves
+                moduli = (1, 12, 35, min(target, 4_097) + 1)
+                want_pp = (
+                    [_python_class_sums(vals, nums, q)[1] for q in moduli],
+                    sum(x * x for x in nums),
+                )
                 for cap in self.CAPS:
                     _set_window_cap(monkeypatch, cap)
-                    vals, nums = prime_power_logs(target, residue, modulus, tables)
-                    assert np.array_equal(vals, want_pp[0]), (modulus, residue, cap)
-                    assert np.array_equal(nums, want_pp[1]), (modulus, residue, cap)
+                    got = log_class_sums(target, residue, modulus, moduli, tables)
+                    assert got == want_pp, (modulus, residue, cap)
                     for threads in (1, 2):
                         key = (modulus, residue, cap, threads)
                         got = squarefree_count_in_ap(
@@ -1004,7 +1046,7 @@ class TestOddLane:
         target = 20_011
         for modulus in (1, 2, 3, 4, 7, 8, 12, 30):
             for residue in range(modulus):
-                prime_power_logs(target, residue, modulus, tables)
+                log_class_sums(target, residue, modulus, [1], tables)
                 if math.gcd(residue, modulus) == 1:
                     count_representations(target, residue, modulus, tables)
                     psi_in_ap(target, residue, modulus, tables)

@@ -8,48 +8,53 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqfrep.arith import CapacityError, euler_phi, factorize
-from sqfrep.counting import psi_in_ap, squarefree_count_in_ap
+from sqfrep.arith import CapacityError, build_sieve, euler_phi, factorize
+import sqfrep.counting as counting
+from sqfrep.counting import (
+    LOG_BITS,
+    LOG_SCALE,
+    count_representations,
+    log_numerators,
+    psi_in_ap,
+    square_sum,
+    squarefree_count_in_ap,
+)
 from sqfrep.localmodel import LocalVector, ProgressionContext, local_product
-import sqfrep.estimator as est
 from sqfrep.estimator import (
     _local_dots,
     ModuliSet,
-    SparseFunction,
+    Summary,
     Weights,
     bessel_defect,
     build_moduli_set,
     compute_weights,
     estimate_inner,
-    global_inner,
-    lambda_progression_function,
+    log_summary,
+    mirror_summary,
     model_family,
     per_q_breakdown,
     periodic_cross,
     predicted_main_terms,
-    squarefree_mirror_function,
 )
+from sqfrep.oracle import dense_summary
 
 
 def dense_int(values):
     return np.array(values, dtype=np.int64)
 
 
-def brute_values(h, length):
-    """h(1), ..., h(length) as Fractions, one by one."""
-    if isinstance(h, SparseFunction):
-        out = [Fraction(0)] * length
-        for n, v in zip(h.indices.tolist(), h.numerators.tolist()):
-            out[n - 1] = Fraction(v, h.denominator)
-        return out
-    return [Fraction(int(x)) for x in h]
+def brute_values(h):
+    """h(1), ..., h(length) of a (numerators, denominator) pair as
+    Fractions, one by one."""
+    numerators, denominator = h
+    return [Fraction(int(x), denominator) for x in numerators]
 
 
-def brute_dot(h, vec, length):
+def brute_dot(h, vec):
     """[h | periodized vec], summed over n one term at a time."""
-    values = brute_values(h, length)
+    values = brute_values(h)
     entries = vec.entries
-    return sum(values[n - 1] * entries[n % vec.modulus] for n in range(1, length + 1))
+    return sum(v * entries[n % vec.modulus] for n, v in enumerate(values, 1))
 
 
 # 1 and 2**53 are the denominators the CLI builds; 15 and 63 are the
@@ -63,20 +68,21 @@ NUMERATOR_BITS = (3, 30, 33, 61)
 
 @st.composite
 def global_functions(draw, length):
-    """A random integer global function on [1, length]: sparse over one of
-    DENOMINATORS, or dense over 1."""
+    """A random integer global function on [1, length] as (numerators,
+    denominator): sparse over one of DENOMINATORS, or dense over 1."""
     top = 1 << draw(st.sampled_from(NUMERATOR_BITS))
     numbers = st.integers(-top, top)
     if draw(st.booleans()):
-        return dense_int(draw(st.lists(numbers, min_size=length, max_size=length)))
-    indices = sorted(draw(st.sets(st.integers(1, length), max_size=length)))
-    numerators = draw(st.lists(numbers, min_size=len(indices), max_size=len(indices)))
-    return SparseFunction(
-        length,
-        np.array(indices, dtype=np.int64),
-        np.array(numerators, dtype=np.int64),
-        draw(st.sampled_from(DENOMINATORS)),
-    )
+        return draw(st.lists(numbers, min_size=length, max_size=length)), 1
+    indices = draw(st.sets(st.integers(1, length), max_size=length))
+    numerators = [draw(numbers) if n in indices else 0 for n in range(1, length + 1)]
+    return numerators, draw(st.sampled_from(DENOMINATORS))
+
+
+def summary_of(h, ms):
+    """The oracle's Summary of a (numerators, denominator) pair over the
+    family moduli of ms."""
+    return dense_summary(*h, ms.members)
 
 
 CONTEXTS = (
@@ -163,67 +169,57 @@ class TestModuliSet:
 
 class TestGlobalBuilders:
     def test_log_weights_match_chebyshev(self, tables):
+        # a modulus above the target has one n per class: its class sums
+        # are f itself
         ctx = ProgressionContext(100, 1, 1)
-        f = lambda_progression_function(ctx, tables)
+        f = log_summary(ctx, [1, 101], tables)
         assert math.isclose(
-            math.fsum(f.float_values), psi_in_ap(100, 1, 1, tables), rel_tol=1e-12
+            f.class_sums[1][0] / f.denominator,
+            psi_in_ap(100, 1, 1, tables),
+            rel_tol=1e-12,
         )
-        assert 64 in f.indices and 81 in f.indices and 100 not in f.indices
+        values = f.class_sums[101]
+        assert values[64] and values[81] and not values[100]
 
     def test_log_weights_respect_progression(self, tables):
         ctx = ProgressionContext(200, 3, 4)
-        f = lambda_progression_function(ctx, tables)
-        assert all(n % 4 == 3 for n in f.indices)
-        assert 27 in f.indices  # 3^3 sits in the lane
+        f = log_summary(ctx, [1, 201], tables)
+        values = f.class_sums[201]
+        assert all(n % 4 == 3 for n in range(201) if values[n])
+        assert values[27]  # 3^3 sits in the lane
         assert math.isclose(
-            math.fsum(f.float_values), psi_in_ap(200, 3, 4, tables), rel_tol=1e-12
+            f.class_sums[1][0] / f.denominator,
+            psi_in_ap(200, 3, 4, tables),
+            rel_tol=1e-12,
         )
 
     def test_mirror_small_case(self, tables):
-        h = squarefree_mirror_function(10, tables)
-        assert h.tolist() == [0, 0, 1, 1, 1, 0, 1, 1, 1, 0]
-        assert int(h.sum()) == squarefree_count_in_ap(10, 1, 1, tables)
+        h = mirror_summary(10, [1, 11], tables)
+        assert h.class_sums[11][1:] == [0, 0, 1, 1, 1, 0, 1, 1, 1, 0]
+        assert h.class_sums[1] == [squarefree_count_in_ap(10, 1, 1, tables)]
 
-    def test_capacity_gate(self, tables, monkeypatch):
-        monkeypatch.setattr(est, "MATERIALIZE_CAP", 100)
+    def test_capacity_gate(self):
+        # capacity is the sieve's coverage, limit**2, and nothing else
+        small = build_sieve(100)
         with pytest.raises(CapacityError):
-            squarefree_mirror_function(101, tables)
+            mirror_summary(100**2 + 2, [1], small)
         with pytest.raises(CapacityError):
-            lambda_progression_function(ProgressionContext(101, 1, 1), tables)
-
-    def test_sparse_validation(self):
-        with pytest.raises(ValueError):
-            SparseFunction.from_floats(10, [0], [1.0])
-        with pytest.raises(ValueError):
-            SparseFunction.from_floats(10, [11], [1.0])
-        # indices must increase strictly: unsorted, repeated, or hiding a 0
-        for indices in ([5, 0, 3], [3, 3], [4, 2], [2, 11, 5]):
-            with pytest.raises(ValueError):
-                SparseFunction.from_floats(10, indices, [1.0] * len(indices))
-        one = np.array([3], dtype=np.int64)
-        for denominator in (0, -1, 1.5):
-            with pytest.raises(ValueError):
-                SparseFunction(10, one, one, denominator)
-        with pytest.raises(ValueError):
-            SparseFunction(10, one, np.array([1 << 62], dtype=np.int64), 1)
-        # values must be whole multiples of 2**-53 with numerators below 2**62
-        for value in (2.0**-60, 512.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                SparseFunction.from_floats(10, [3], [value])
-        assert SparseFunction.from_floats(10, [3], [511.5]).float_values[0] == 511.5
+            log_summary(ProgressionContext(100**2 + 1, 1, 1), [1], small)
+        assert mirror_summary(100**2 + 1, [1], small).length == 100**2 + 1
+        assert log_summary(ProgressionContext(100**2, 1, 1), [1], small).length == (
+            100**2
+        )
 
     def test_global_inner_variants(self, tables):
-        g = squarefree_mirror_function(10, tables)
-        f = SparseFunction.from_floats(10, [3, 6, 9], [0.5, 0.25, 2.0])
-        # positions 3 and 9 survive the mirror mask, 6 does not
-        assert global_inner(f, g) == Fraction(5, 2)
-        assert global_inner(g, f) == Fraction(5, 2)
-        assert global_inner(g, g) == 6
-        assert global_inner(f, f) == Fraction(1, 4) + Fraction(1, 16) + 4
-        other = SparseFunction.from_floats(10, [6, 9], [4.0, 0.5])
-        assert global_inner(f, other) == Fraction(2)
+        g = mirror_summary(10, [1], tables)
+        f = dense_summary([0, 0, 1 << 52, 0, 0, 1 << 51, 0, 0, 1 << 54, 0], 1 << 53, [1])
+        assert g.inner() == 6
+        assert f.inner() == Fraction(1, 4) + Fraction(1, 16) + 4
+        ctx = ProgressionContext(11, 1, 1)
+        ms = build_moduli_set(1, 1, ctx, tables)
+        w = compute_weights(ms, tables)
         with pytest.raises(ValueError):
-            global_inner(f, squarefree_mirror_function(11, tables))
+            estimate_inner(f, mirror_summary(11, [1], tables), ms, w, tables)
 
 
 class TestCrossProducts:
@@ -295,8 +291,8 @@ class TestWeights:
             12: Fraction(40062),
             20: Fraction(30065),
         }
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
         assert estimate_inner(f, g, ms, w, tables) == Fraction(
             236491402238115587836713019525263867253221247908890207189,
             159351973694776134992082822446136809016850487370055680,
@@ -351,10 +347,10 @@ class TestEstimateInner:
         ctx = ProgressionContext(12, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
         w = compute_weights(ms, tables)
-        f = dense_int([3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
-        g = dense_int([2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5])
-        got = estimate_inner(f, g, ms, w, tables)
-        assert got == Fraction(int(f.sum()) * int(g.sum()), 12)
+        f = [3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        g = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5]
+        got = estimate_inner(summary_of((f, 1), ms), summary_of((g, 1), ms), ms, w, tables)
+        assert got == Fraction(sum(f) * sum(g), 12)
 
     def test_symmetric_and_bilinear(self, tables):
         ctx = ProgressionContext(60, 1, 1)
@@ -366,7 +362,8 @@ class TestEstimateInner:
         g = dense_int(rng.integers(-5, 6, size=60))
         a, b = Fraction(2, 3), Fraction(-7, 5)
         # a f1 + b f2 = (10 f1 - 21 f2) / 15, exactly
-        combo = SparseFunction(60, np.arange(1, 61), 10 * f1 - 21 * f2, 15)
+        combo = summary_of((10 * f1 - 21 * f2, 15), ms)
+        f1, f2, g = (summary_of((h, 1), ms) for h in (f1, f2, g))
         lhs = estimate_inner(combo, g, ms, w, tables)
         rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
             f2, g, ms, w, tables
@@ -380,7 +377,7 @@ class TestEstimateInner:
         ctx = ProgressionContext(40, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
         w = compute_weights(ms, tables)
-        h = dense_int([1] * 40)
+        h = summary_of(([1] * 40, 1), ms)
         assert bessel_defect(h, ms, w, tables) == 0
 
     def test_bessel_defect_nonnegative_random(self, tables):
@@ -393,19 +390,19 @@ class TestEstimateInner:
             ms = build_moduli_set(4, 2, ctx, tables)
             w = compute_weights(ms, tables)
             for _ in range(6):
-                h = dense_int(rng.integers(-9, 10, size=ctx.target))
+                h = summary_of((rng.integers(-9, 10, size=ctx.target), 1), ms)
                 assert bessel_defect(h, ms, w, tables) >= 0
 
     def test_bessel_defect_on_canonical_functions(self, tables):
         ctx = ProgressionContext(2000, 1, 2)
         ms = build_moduli_set(4, 1, ctx, tables)
         w = compute_weights(ms, tables)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
         df = bessel_defect(f, ms, w, tables)
-        assert 0 <= df <= global_inner(f, f)
+        assert 0 <= df <= f.inner()
         dg = bessel_defect(g, ms, w, tables)
-        assert 0 <= dg <= global_inner(g, g)
+        assert 0 <= dg <= g.inner()
 
     def test_almost_orthogonality_expansion(self, tables):
         # ||sum xi_u u||^2 <= sum M_u xi_u^2, expanded exactly
@@ -448,10 +445,10 @@ class TestEstimateInner:
         ctx = ProgressionContext(10_000, 1, 1)
         ms = build_moduli_set(8, 2, ctx, tables)
         w = compute_weights(ms, tables)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
         approx = float(estimate_inner(f, g, ms, w, tables))
-        truth = float(global_inner(f, g))
+        truth = count_representations(ctx.target, 1, 1, tables).lambda_weighted
         assert truth > 0
         assert abs(approx / truth - 1) < 0.3
 
@@ -461,8 +458,8 @@ class TestBreakdownAndPredictions:
         ctx = ProgressionContext(3000, 1, 1)
         ms = build_moduli_set(4, 2, ctx, tables)
         w = compute_weights(ms, tables)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
         rows = per_q_breakdown(f, g, ms, w, tables)
         assert [row["q"] for row in rows] == list(ms.members)
         total = math.fsum(row["contribution"] for row in rows)
@@ -483,50 +480,46 @@ class TestBreakdownAndPredictions:
         ms = build_moduli_set(3, 1, ctx, tables)
         pred = predicted_main_terms(ms, 3, tables)
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
-        f = lambda_progression_function(ctx, tables)
+        f = log_summary(ctx, ms.members, tables)
         fam = model_family(ms, tables)
-        empirical = float(_local_dots(f, 3, [fam[3][1]], ctx.target)[0])
+        empirical = float(_local_dots(f, 3, [fam[3][1]])[0])
         assert empirical > 0
         assert abs(empirical / pred["f_psi"] - 1) < 0.1
 
     def test_predicted_mirror_products_track(self, tables):
         ctx = ProgressionContext(20_000, 1, 1)
         ms = build_moduli_set(5, 1, ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
         fam = model_family(ms, tables)
         for q in ms.members:
             pred = predicted_main_terms(ms, q, tables)
-            got = float(_local_dots(g, q, [fam[q][0]], ctx.target)[0])
+            got = float(_local_dots(g, q, [fam[q][0]])[0])
             if abs(pred["phi_g"]) > 1:
                 assert got == pytest.approx(pred["phi_g"], rel=0.05)
 
 
 class TestExactGlobalProducts:
-    """The integer reductions against brute-force Fraction sums over n, for
+    """The summary reductions against brute-force Fraction sums over n, for
     sparse and dense functions on both sides of every int64 bound."""
 
     @settings(max_examples=150)
     @given(data=st.data())
     def test_global_inner_matches_brute_force(self, data):
         length = data.draw(st.integers(1, 40))
-        f = data.draw(global_functions(length))
-        g = data.draw(global_functions(length))
-        want = sum(
-            x * y for x, y in zip(brute_values(f, length), brute_values(g, length))
-        )
-        assert global_inner(f, g) == want
-        assert global_inner(g, f) == want
+        h = data.draw(global_functions(length))
+        assert dense_summary(*h, [1]).inner() == sum(x * x for x in brute_values(h))
 
     @settings(max_examples=60)
     @given(data=st.data())
     def test_local_dots_match_brute_force(self, families, data):
         ctx = data.draw(st.sampled_from(CONTEXTS))
         h = data.draw(global_functions(ctx.target))
-        _, _, fam = families[ctx]
+        ms, _, fam = families[ctx]
+        summary = summary_of(h, ms)
         for q, (eta, kappa) in fam.items():
-            assert _local_dots(h, q, [eta, kappa], ctx.target) == [
-                brute_dot(h, eta, ctx.target),
-                brute_dot(h, kappa, ctx.target),
+            assert _local_dots(summary, q, [eta, kappa]) == [
+                brute_dot(h, eta),
+                brute_dot(h, kappa),
             ]
 
     @settings(max_examples=40)
@@ -540,26 +533,18 @@ class TestExactGlobalProducts:
         for q, (eta, kappa) in fam.items():
             for vec, table in ((eta, w.m_phi), (kappa, w.m_psi)):
                 if q in table:
-                    want += (
-                        brute_dot(f, vec, ctx.target)
-                        * brute_dot(g, vec, ctx.target)
-                        / table[q]
-                    )
-        assert estimate_inner(f, g, ms, w, tables) == want
+                    want += brute_dot(f, vec) * brute_dot(g, vec) / table[q]
+        got = estimate_inner(summary_of(f, ms), summary_of(g, ms), ms, w, tables)
+        assert got == want
 
     @settings(max_examples=40)
     @given(data=st.data())
     def test_self_product_matches_a_copy(self, tables, families, data):
         # estimate_inner(h, h) reuses h's dots for g; a copy recomputes them
         ctx = data.draw(st.sampled_from(CONTEXTS))
-        h = data.draw(global_functions(ctx.target))
-        if isinstance(h, SparseFunction):
-            copy = SparseFunction(
-                h.length, h.indices.copy(), h.numerators.copy(), h.denominator
-            )
-        else:
-            copy = h.copy()
         ms, w, _ = families[ctx]
+        h = summary_of(data.draw(global_functions(ctx.target)), ms)
+        copy = Summary(h.length, h.denominator, h.norm, dict(h.class_sums))
         assert estimate_inner(h, h, ms, w, tables) == estimate_inner(
             h, copy, ms, w, tables
         )
@@ -567,57 +552,105 @@ class TestExactGlobalProducts:
     def test_dense_products_past_int64(self):
         # an int64 dot wrapped 4 * 2**80 to 0, and the int64 class sum of
         # eight values 2**61 wrapped 2**64 to 0
-        big = np.full(4, 1 << 40)
-        assert global_inner(big, big) == 4 << 80
+        assert dense_summary([1 << 40] * 4, 1, [1]).inner() == 4 << 80
         one = LocalVector.from_numerators(1, [1], 1, 0)
-        assert _local_dots(np.full(8, 1 << 61), 1, [one], 8) == [1 << 64]
+        assert _local_dots(dense_summary([1 << 61] * 8, 1, [1]), 1, [one]) == [1 << 64]
 
-    def test_limb_products_of_log_numerators(self):
-        # log numerators sit near 2**57: their products pass 2**62, so they
-        # are summed in 31-bit limbs; +-(2**62 - 1) is the extreme a sparse
-        # function admits, where the high limbs multiply to 2**62 itself
-        nums = [(1 << 57) - 1, (1 << 57) + 12_345, -(1 << 57) + 3, (1 << 62) - 1]
-        edge = [-(1 << 62) + 1, -(1 << 62) + 1, (1 << 56) + 1, 5]
-        f = SparseFunction(9, dense_int([1, 3, 4, 9]), dense_int(nums), 1 << 53)
-        g = SparseFunction(9, dense_int([2, 3, 4, 9]), dense_int(edge), 63)
-        assert global_inner(f, f) == Fraction(sum(x * x for x in nums), 1 << 106)
-        assert global_inner(g, g) == Fraction(sum(x * x for x in edge), 63 * 63)
-        cross = nums[1] * edge[1] + nums[2] * edge[2] + nums[3] * edge[3]
-        assert global_inner(f, g) == Fraction(cross, 63 << 53)
-        # a dense factor past the bound, up to the int64 limit, is summed in
-        # Python ints
-        top = (1 << 63) - 25
-        big = np.full(9, top)
-        assert global_inner(big, big) == 9 * top * top
-        assert global_inner(f, big) == Fraction(sum(nums) * top, 1 << 53)
-
-    def test_rejects_what_is_not_an_integer_function(self):
-        f = dense_int([1, 2, 3])
-        for h in (
-            [1, 2, 3],
-            np.array([1.0, 2.0, 3.0]),
-            np.array([Fraction(1), 2, 3], dtype=object),
-            np.array([1, 2, 3], dtype=np.uint64),
-            dense_int([[1, 2, 3]]),
-        ):
-            with pytest.raises(TypeError):
-                global_inner(f, h)
-            with pytest.raises(TypeError):
-                global_inner(h, f)
+    def test_limb_products_of_log_numerators(self, tables):
+        # log numerators sit near 2**57: their squares pass 2**62, so they
+        # are summed in 31-bit limbs; +-2**62 is the extreme exact_sum
+        # admits, where the high limb squares to 2**62 itself
+        nums = [(1 << 57) - 1, (1 << 57) + 12_345, 3, (1 << 62) - 1, -(1 << 62)]
+        assert square_sum(dense_int(nums)) == sum(x * x for x in nums)
+        # the streamed [f|f] is the sum of the squared log numerators
+        ctx = ProgressionContext(1000, 1, 1)
+        f = log_summary(ctx, [1001], tables)
+        values = f.class_sums[1001]
+        assert values[2] == int(log_numerators(dense_int([2]))[0])
+        assert f.norm == sum(x * x for x in values)
 
     def test_class_sums_once_per_function_and_modulus(self, tables, monkeypatch):
+        # one scan per summary, binning every family modulus at once; the
+        # products then read the summaries and scan nothing
         ctx = ProgressionContext(2000, 1, 2)
         ms = build_moduli_set(4, 2, ctx, tables)
         w = compute_weights(ms, tables)
-        f = lambda_progression_function(ctx, tables)
-        g = squarefree_mirror_function(ctx.target, tables)
-        passes = []
-        class_sums = est._class_sums
+        scans, binned = [], []
+        log_scan, class_sums = counting._log_scan, counting.exact_class_sums
         monkeypatch.setattr(
-            est, "_class_sums", lambda h, q: passes.append(q) or class_sums(h, q)
+            counting, "_log_scan", lambda *a, **k: scans.append(a) or log_scan(*a, **k)
         )
+        monkeypatch.setattr(
+            counting,
+            "exact_class_sums",
+            lambda n, v, moduli: binned.append(moduli) or class_sums(n, v, moduli),
+        )
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
+        assert len(scans) == 1
+        assert binned and all(m == list(ms.members) for m in binned)
         estimate_inner(f, g, ms, w, tables)
-        assert sorted(passes) == sorted(2 * ms.members)
-        passes.clear()
         bessel_defect(f, ms, w, tables)
-        assert sorted(passes) == sorted(ms.members)
+        bessel_defect(g, ms, w, tables)
+        assert len(scans) == 1
+
+
+def _dense_log_and_mirror(target, residue, modulus):
+    """f and g on [1, target] as dense numerator lists, from a plain sieve:
+    f(n) is the numerator of log p at each prime power n = p^k in the
+    class (np.log at a prime, math.log(p) at a proper power, as the scan
+    takes them), and g(n) is 1 when target - n is square-free."""
+    composite = np.zeros(target + 1, dtype=bool)
+    composite[:2] = True
+    squarefree = np.ones(target + 1, dtype=bool)
+    squarefree[0] = False
+    for p in range(2, math.isqrt(target) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            squarefree[p * p :: p * p] = False
+    f = [0] * target
+    primes = np.flatnonzero(~composite)
+    for p, prime_num in zip(primes.tolist(), log_numerators(primes).tolist()):
+        power, num = p, prime_num
+        while power <= target:
+            if power % modulus == residue:
+                f[power - 1] = num
+            power *= p
+            num = int(np.ldexp(math.log(p), LOG_BITS))
+    g = squarefree[target - 1 :: -1].astype(int).tolist()
+    return f, g
+
+
+class TestStreamedSummaries:
+    """The streamed summaries of f and g, and the direct product, against
+    the oracle's dense sums, at the default window and the 8 KiB cap."""
+
+    @settings(max_examples=20)
+    @given(
+        data=st.data(),
+        target=st.integers(3, 200_000),
+        modulus=st.integers(1, 12),
+        q1=st.integers(1, 8),
+        q2=st.integers(1, 3),
+    )
+    def test_streamed_sums_equal_dense_sums(
+        self, tables, data, target, modulus, q1, q2
+    ):
+        units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+        residue = data.draw(st.sampled_from(units))
+        ctx = ProgressionContext(target, residue, modulus)
+        ms = build_moduli_set(q1, q2, ctx, tables)
+        f, g = _dense_log_and_mirror(target, residue, modulus)
+        dense_f = dense_summary(f, LOG_SCALE, ms.members)
+        dense_g = dense_summary(g, 1, ms.members)
+        direct = float(Fraction(sum(x * y for x, y in zip(f, g)), LOG_SCALE))
+        for cap in (None, "8192"):
+            with pytest.MonkeyPatch.context() as mp:
+                if cap is None:
+                    mp.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+                else:
+                    mp.setenv("SQFREP_MAX_WINDOW_BYTES", cap)
+                assert log_summary(ctx, ms.members, tables) == dense_f, cap
+                assert mirror_summary(target, ms.members, tables) == dense_g, cap
+                got = count_representations(target, residue, modulus, tables)
+                assert got.lambda_weighted == direct, cap

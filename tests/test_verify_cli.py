@@ -351,6 +351,26 @@ class TestExitCodes:
             build_parser().parse_args(["verify", "estimator", "--n", "1000001"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "suite, flag, cap, keyword",
+        [
+            ("arith", "--q-max", 1000, "r_bound"),
+            ("local", "--qprime", 100, "qprime_bound"),
+            ("estimator", "--q1", 20, "q1_bound"),
+            ("estimator", "--q2", 5, "q2_bound"),
+        ],
+    )
+    def test_verify_bounds_name_the_flag(self, suite, flag, cap, keyword, capsys):
+        # each cap used to live only in its suite, whose message named the
+        # library keyword, not the flag the user typed
+        assert main(["verify", suite, flag, str(cap + 1)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+        assert keyword not in captured.err
+        args = build_parser().parse_args(["verify", suite, flag, str(cap)])
+        assert getattr(args, flag[2:].replace("-", "_")) == cap
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "400"])
     def test_padding_exponent_must_give_a_finite_padding(self, value, capsys):
         # inf used to pass the parser and fail the gate (exit 1); 400 made
@@ -391,8 +411,11 @@ class TestExitCodes:
         assert captured.err.splitlines()[-1].startswith("usage error: cannot write --out")
         assert not target.exists()
 
-    def test_capacity_error(self, capsys):
-        rc = main(["estimate", "--n", "20000001"])
+    def test_capacity_error(self, monkeypatch, capsys):
+        # capacity is what the sieve tables cover: limit**2 for the largest
+        # limit the CLI builds
+        monkeypatch.setattr(cli, "MAX_SIEVE_LIMIT", 20_000)
+        rc = main(["estimate", "--n", str(20_000**2 + 1)])
         err = capsys.readouterr().err
         assert rc == EXIT_CAPACITY
         assert "capacity" in err
@@ -453,7 +476,8 @@ class TestFlagPlumbing:
         assert classes[-1]["moduli"] == [1, 2, 3]
 
     def test_estimate(self, monkeypatch, tmp_path, capsys):
-        lam = _recorder(monkeypatch, cli, "lambda_progression_function")
+        lam = _recorder(monkeypatch, cli, "log_summary")
+        direct = _recorder(monkeypatch, cli, "count_representations")
         family = _recorder(monkeypatch, cli, "build_moduli_set")
         weights = _recorder(monkeypatch, cli, "compute_weights")
         series = _recorder(monkeypatch, cli, "singular_series")
@@ -474,6 +498,8 @@ class TestFlagPlumbing:
         assert (ctx.target, ctx.residue, ctx.modulus) == (3001, 2, 3)
         assert (family[0]["q1_bound"], family[0]["q2_bound"]) == (4, 3)
         assert family[0]["ctx"] == ctx
+        d = direct[0]
+        assert (d["target"], d["residue"], d["modulus"]) == (3001, 2, 3)
         w = weights[0]
         assert (w["mode"], w["padding_constant"], w["padding_exponent"]) == (
             "paper-form", 2.5, 0.25
@@ -646,6 +672,25 @@ class TestDeterminism:
             ]
         ) == EXIT_OK
         assert lone.read_bytes() == many.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--n", "100000", "--qprime", "7", "--aprime", "3", "--per-q"],
+            ["count", "--n", "200000", "--q", "7", "--a", "3"],
+            ["compare", "--n", "30000", "--q-max", "6"],
+        ],
+    )
+    def test_window_size_does_not_change_bytes(self, argv, monkeypatch, capsys):
+        runs = []
+        for cap in (None, "8192"):
+            if cap is None:
+                monkeypatch.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+            else:
+                monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", cap)
+            runs.append((main(argv), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][1].startswith("# sqfrep-")
 
     def test_selftest_rows_are_seed_stable(self, capsys):
         assert main(["sieve-selftest", "--seed", "7"]) == EXIT_OK
