@@ -23,6 +23,8 @@ Start-up: nothing in sqfrep calls BLAS (every matrix product is int64), so
 the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, which spares each
 process the start of an OpenBLAS thread pool.  It does so only when numpy is
 not yet imported and the variable is unset; a value set by the user wins.
+The program entry (`entry`) then freezes the start-up heap before main
+runs, so the collection at exit skips numpy's and sqfrep's objects.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import json
 import math
 import statistics
@@ -755,5 +758,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> int:
+    """The program entry of `python -m sqfrep.cli` and the `sqfrep` console
+    script: freeze the start-up heap, then run main.
+
+    gc.freeze() moves every object alive after the imports (the modules,
+    functions and constants of numpy and sqfrep) to the permanent
+    generation, which no collection visits, the interpreter's collection at
+    exit included.  main itself never freezes, since tests and in-process
+    benchmarks call it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -19,7 +19,8 @@ first + step*j, 0 <= j < count, that the result needs (n ≡ a mod q for a
 count mod q), and a window is a run of consecutive lane indices, so no
 integer off the lane is ever sieved.  Each base prime strikes one residue
 class of lane indices; its first member and its period are solved once per
-scan, and a window only shifts them.  The square-free mirror target - n
+scan, for every base prime at once by an int64 extended Euclidean
+algorithm, and a window only shifts them.  The square-free mirror target - n
 of an ascending lane is the descending lane target - first - step*j,
 struck at the same indices.  The public window sieves are the step-1 case
 of the same code.
@@ -28,8 +29,9 @@ A prime lane holds only the odd members of its class.  The prime 2 strikes
 every even n but 2 itself, so sieving them is wasted work: the lane is
 n ≡ r (mod lcm(2, q)) from 3 on, and its mirror descends with the same
 step.  The powers of two in the class, at most log2(N) of them, form the
-even head, checked directly (mu^2(N - 2^k) by trial against the base
-primes) and reduced once before the first window.  For an odd q this halves
+even head, checked directly (mu^2(N - 2^k) by one vectorised trial
+division against the squares of the base primes) and reduced once before
+the first window.  For an odd q this halves
 the lane: `count --n 120000000 --q 7` sieves 9 windows of 2**20 entries,
 not 17; at the 8 KiB cap `count --n 8000000 --q 3` sieves 1,303 windows of
 1 Ki, not 2,605; `compare --n 3000000` sieves 2, not 3.  In-process on a
@@ -45,27 +47,40 @@ rounded sum of its terms, bit-identical for every thread count and every
 window size.
 
 Every sieve strikes through one _StrikePlan, built once per scan before
-any worker starts.  It holds the (period, anchor, lane) table of one lane,
-or of two: a count's prime lane and its square-free mirror, which share
-their lane indices and so their windows.  Each window sieves the lanes
-into one buffer of k rows.  Periods below 1/32 of the window are struck
-as one numpy slice each; every longer period lands at most 32 times, and
-all of those hits, of both lanes, are cleared by two vectorised stores, so
-a small window costs a few numpy calls rather than a Python loop over
-every base prime, and two lanes cost hardly more than one.  The count
-then ANDs the mirror row into the prime row in place.
+any worker starts.  It holds the (period, anchor) table of one lane, or of
+two: a count's prime lane and its square-free mirror, which share their
+lane indices and so their windows.  Both lanes strike one row of one byte
+per lane entry, so a count's row comes out as prime(n) and mu^2(N - n)
+with no second row to AND in.  Periods below 1/32 of the window are
+struck as one numpy slice each; every longer period lands at most 32
+times, and all of those hits, of both lanes, are cleared by two vectorised
+stores, so a small window costs a few numpy calls rather than a Python
+loop over every base prime, and two lanes cost hardly more than one.  The
+prime lane strikes every proper prime power p^k as composite; the ones
+whose mirror N - p^k is square-free, found once per scan by the same trial
+division as the even head, are put back after the strikes.
 
 An odd lane carries about twice the hits per entry, so a window's hits
-are reduced in pieces of 2**18 lane entries, which keeps their arrays
-smaller than the whole-window arrays of a lane with even entries.
+are reduced in pieces of 2**18 lane entries in all, split across the
+scan's workers, which keeps their arrays smaller than the whole-window
+arrays of a lane with even entries.  Each worker refills one row for the
+whole scan, so a scan holds one row and one piece's arrays per worker:
+tracemalloc peaks of count_representations(120000000, 3, 7) are 2.1 MiB
+with 1 thread and 2.9-3.1 MiB with 2, against 3.3 and 6.0-6.2 MiB with two
+rows per window and whole pieces per worker.
 
 `compare` needs every unit class a mod q for many q.  count_classes makes
-one scan of [2, N) for all of them: each window's hits are reduced to exact
-per-class sums for every modulus, so the cost is one sieve, not one per
-class, and no hit is kept past its window.  A window bins its hits once per
-maximal modulus (one dividing no other in the set: 7 to 12 for 1..12),
-with float64 bincounts of 32-bit limbs, exact in chunks of fewer than
-2**21 hits, and folds every divisor modulus out of those sums.
+one scan of [2, N) for all of them: each piece's hits are reduced to exact
+per-class sums at the maximal moduli (those dividing no other in the set:
+7 to 12 for 1..12), and every other modulus is folded out of a multiple
+once the scan ends, so the cost is one sieve, not one per class, and no
+hit is kept past its piece.  Class sums bin their values with float64
+bincounts of 32-bit limbs, exact in chunks of fewer than 2**21 hits, once
+per group of maximal moduli whose lcm stays at most CLASS_BIN_LIMIT: twice
+for 1..12 (mod 2,520 and 132), not six times.  In-process,
+count_classes(10**8, range(1, 13)) takes 0.35 s with 1 thread and 0.31 s
+with 2, against 0.53 and 0.36 s when each maximal modulus was binned
+alone (2-core x86 VM, medians of 9 alternating runs).
 
 The base tables must reach the square root of the largest value touched: a
 lane is accepted only while its largest value is at most tables.limit**2.
@@ -75,6 +90,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -149,6 +165,42 @@ def _base_primes(top: int, tables: SieveTables) -> np.ndarray:
 _SLICE_SPLIT = 32
 
 
+def _inverses(units: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """units**-1 mod moduli elementwise, for coprime pairs with 0 <= units <
+    moduli < 2**62: the extended Euclidean algorithm, one step of every
+    unfinished pair per pass.  Every remainder and every Bezout coefficient
+    is at most the modulus in magnitude, and so is each product q * r and q
+    * s, so no int64 overflows.  A pass count is that of the slowest pair:
+    after the first step the remainders are below the unit, so a lane of
+    step a takes at most about 1.44 log2(a) + 2 passes."""
+    r0, r1 = moduli.copy(), units.copy()
+    s0, s1 = np.zeros_like(moduli), np.ones_like(moduli)
+    live = np.flatnonzero(r1)
+    while live.size:
+        a0, a1, b0, b1 = r0[live], r1[live], s0[live], s1[live]
+        q = a0 // a1
+        r0[live], r1[live] = a1, a0 - q * a1
+        s0[live], s1[live] = b1, b0 - q * b1
+        live = live[r1[live] != 0]
+    return s0 % moduli
+
+
+def _mulmod(x: np.ndarray, y: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """x * y mod moduli elementwise, for 0 <= x, y < moduli < 2**62.  With
+    b bits in the largest modulus, y is taken in chunks of s = 63 - b bits,
+    top chunk first, so each partial product stays below 2**63; for moduli
+    below 2**31 (every period of a value up to 2**31) that is one product."""
+    bits = int(moduli.max(initial=1)).bit_length()
+    step = 63 - bits
+    out = np.zeros_like(x)
+    for shift in reversed(range(0, bits, step)):
+        out <<= step
+        out %= moduli
+        out += x * ((y >> shift) & ((1 << step) - 1)) % moduli
+        out %= moduli
+    return out
+
+
 class _LaneSieve:
     """The strike table of one lane, the values first + step*j at lane
     indices 0 <= j < count: with exponent 1 its composites are struck, with
@@ -159,23 +211,23 @@ class _LaneSieve:
     those indices are empty unless g divides first, and are otherwise one
     class modulo the period p**exponent / g, so non-unit classes and primes
     dividing step need no special case.  Its first member (the anchor) and
-    its period are solved once per lane; a window starting at index w then
-    strikes from anchor - w if that is >= 0, else from (anchor - w) mod
-    period.  `cleared` holds the lane indices no base prime strikes but
-    that are still not flagged (0 and 1 for primes, 0 for square-free).
+    its period are solved once per lane, for every base prime at once
+    (_inverses, _mulmod); a window starting at index w then strikes from
+    anchor - w if that is >= 0, else from (anchor - w) mod period.
+    `cleared` holds the lane indices no base prime strikes but that are
+    still not flagged (0 and 1 for primes, 0 for square-free).
 
     Overflow: the lane is checked to lie in [0, tables.limit**2], and only
     base primes p <= tables.limit strike it.  A square anchor is below its
     period p*p; a prime anchor lies within one period p past the index of
     the value p*p, which is at most p*p; and a window start is a lane index,
     at most tables.limit**2.  So every anchor, period and offset is below
-    tables.limit**2 + tables.limit in magnitude.  A _StrikePlan of k lanes
-    and windows of `length` adds to an offset a stride below length, clips
-    the sum to the window, and adds a lane base of at most
-    (k - 1) * (length + 1), so it checks tables.limit**2 + tables.limit +
-    k * (length + 1) with require_int64 before any lane is solved
-    (build_sieve keeps the limit below 2**31, so the check only fails for
-    hand-built tables or windows of about 2**62 entries).
+    tables.limit**2 + tables.limit in magnitude.  A _StrikePlan with windows
+    of `length` adds to an offset a stride below length and clips the sum to
+    the window, so it checks tables.limit**2 + tables.limit + length + 1
+    with require_int64 before any lane is solved (build_sieve keeps the
+    limit below 2**31, so the check only fails for hand-built tables or
+    windows of about 2**62 entries).
     """
 
     def __init__(
@@ -188,24 +240,22 @@ class _LaneSieve:
             step = 1
         last = first + step * (count - 1)
         _check_window(min(first, last), max(first, last) + 1, tables)
-        primes = _base_primes(math.isqrt(max(first, last)), tables)
+        primes = _base_primes(math.isqrt(max(first, last)), tables).astype(np.int64)
         powers = primes**exponent
-        # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0
+        # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0,
+        # and with g = gcd(a, p**exponent) dividing c, (a/g) j ≡ -c/g modulo
+        # the period p**exponent / g
         c, a = (first, step) if step > 0 else (-first, -step)
-        if a == 1:
-            periods, anchors = powers, -c % powers
-        else:
-            solved = []
-            for p, power in zip(primes.tolist(), powers.tolist()):
-                g = math.gcd(a, power)
-                if c % g == 0:
-                    period = power // g
-                    anchor = -(c // g) * pow(a // g, -1, period) % period
-                    solved.append((period, anchor, p))
-            # periods ascend: p**exponent / g can undercut a smaller
-            # prime's period
-            table = np.array(sorted(solved), dtype=np.int64).reshape(-1, 3)
-            periods, anchors, primes = table.T.copy()
+        g = np.gcd(powers, a)
+        solvable = c % g == 0
+        primes, g = primes[solvable], g[solvable]
+        periods = powers[solvable] // g
+        anchors = _mulmod(
+            -(c // g) % periods, _inverses(a // g % periods, periods), periods
+        )
+        # periods ascend: p**exponent / g can undercut a smaller prime's period
+        order = np.argsort(periods, kind="stable")
+        periods, anchors, primes = periods[order], anchors[order], primes[order]
         if exponent == 1:
             # strike composites only: from the lane index of p*p on, which
             # needs an ascending lane; 0 and 1 are not prime
@@ -220,88 +270,73 @@ class _LaneSieve:
 
 
 class _StrikePlan:
-    """Flags for k = 1 or 2 lanes of `count` values each, sieved together
-    into one k x (length + 1) buffer per window of at most `length` lane
-    indices.  `lanes` lists each lane as (first, step, exponent), as for
-    _LaneSieve.
+    """Flags for one or two lanes of `count` values each that share their
+    lane indices, struck into one row: an index stays flagged only where
+    every lane's value passes.  A count's prime lane and its square-free
+    mirror are two such lanes, so their row is prime(n) and mu^2(N - n) at
+    once.  `lanes` lists each lane as (first, step, exponent), as for
+    _LaneSieve; windows hold at most `length` lane indices.
 
-    The lanes' (period, anchor, lane) tables are concatenated and cut once,
-    by period, into three groups, lane by lane inside each.  A period below
-    length / 32 is struck as one numpy slice per window, so that each slice
-    strikes a row already in cache.  A period below length lands at most
-    ceil(length / period) <= 32 times in a window: every such hit of every
-    lane, j * period past its period's offset, is laid out once, and a
-    window shifts them all by their offsets and clears them in one store.  A
-    longer period lands at most once, and those hits are a second store.
-    The stores clip each hit to column n of a window of n entries, a sink
-    that no caller reads, so no hit needs a mask.
+    The lanes' (period, anchor) tables are merged, sorted by period, and cut
+    once into three groups.  A period below length / 32 is struck as one
+    numpy slice per window.  A period below length lands at most
+    ceil(length / period) <= 32 times in a window: every such hit, j *
+    period past its period's offset, is laid out once, and a window shifts
+    them all by their offsets and clears them in one store.  A longer period
+    lands at most once, and those hits are a second store.  The stores clip
+    each hit to column n of a window of n entries, a sink that no caller
+    reads, so no hit needs a mask.
 
-    The plan is read-only once built, so workers share it.
+    The tables are read-only once built, so workers share the plan.  Each
+    worker thread strikes into its own row of length + 1 bytes, allocated
+    at its first window and refilled at every later one.
     """
 
     def __init__(self, lanes, count: int, tables: SieveTables, length: int) -> None:
-        require_int64(tables.limit**2 + tables.limit + len(lanes) * (length + 1))
+        require_int64(tables.limit**2 + tables.limit + length + 1)
         solved = [_LaneSieve(f, s, count, e, tables) for f, s, e in lanes]
-        self.width = width = length + 1
+        self.width = length + 1
         self.cleared = [lane.cleared for lane in solved]
-        # each lane's periods ascend, so two cuts split them into the three
-        # groups; parts lists (row, span of its table) group by group
+        periods = np.concatenate([lane.periods for lane in solved])
+        order = np.argsort(periods, kind="stable")
+        self.periods = periods[order]
+        self.anchors = np.concatenate([lane.anchors for lane in solved])[order]
+        # two cuts split the ascending periods into the three groups
         bounds = (-(-length // _SLICE_SPLIT), length)
-        cuts = [
-            (0, *lane.periods.searchsorted(bounds).tolist(), None) for lane in solved
-        ]
-        parts = [
-            (row, slice(cut[group], cut[group + 1]))
-            for group in range(3)
-            for row, cut in enumerate(cuts)
-        ]
-        periods = [solved[row].periods[span] for row, span in parts]
-        self.periods = np.concatenate(periods)
-        self.anchors = np.concatenate(
-            [solved[row].anchors[span] for row, span in parts]
-        )
-        bases = np.repeat([row * width for row, _ in parts], [p.size for p in periods])
-        k = len(solved)
-        self.slices = [p.tolist() for p in periods[:k]]
-        self.sliced = sliced = sum(p.size for p in periods[:k])
-        self.repeated = repeated = sliced + sum(p.size for p in periods[k : 2 * k])
+        self.sliced, self.repeated = self.periods.searchsorted(bounds).tolist()
+        self.slices = self.periods[: self.sliced].tolist()
         # the j-th hit of each repeated period, j < ceil(length / period)
-        hits = -(-length // self.periods[sliced:repeated])
-        self.entry = np.repeat(np.arange(sliced, repeated), hits)
+        hits = -(-length // self.periods[self.sliced : self.repeated])
+        self.entry = np.repeat(np.arange(self.sliced, self.repeated), hits)
         first_hit = np.repeat(hits.cumsum() - hits, hits)
         jumps = np.arange(self.entry.size) - first_hit
         self.strides = jumps * self.periods[self.entry]
-        self.repeated_bases = bases[self.entry]
-        self.once_bases = bases[repeated:]
+        self._rows = threading.local()
 
     def flags(self, lo: int, hi: int) -> np.ndarray:
-        """A k x (hi - lo) view of the flags for the lane indices [lo, hi),
-        one row per lane; hi - lo is at most the plan's length.
+        """The flags for the lane indices [lo, hi), hi - lo at most the
+        plan's length: a view of this thread's row, valid until the thread
+        asks this plan for its next window.
 
         Every base prime of a lane strikes every window: one whose power
         exceeds the window's values finds nothing to strike there."""
         n = hi - lo
-        out = np.ones((len(self.cleared), self.width), dtype=bool)
+        row = getattr(self._rows, "row", None)
+        if row is None:
+            row = self._rows.row = np.empty(self.width, dtype=bool)
+        row.fill(True)
         shift = self.anchors - lo
         offsets = np.maximum(shift, shift % self.periods)
-        sliced = iter(offsets[: self.sliced].tolist())
-        for row, periods in zip(out, self.slices):
-            # zip stops at the row's last period, so `sliced` moves on to
-            # the next row's offsets
-            for period, off in zip(periods, sliced):
-                row[off::period] = False
-        flat = out.reshape(-1)
+        for period, off in zip(self.slices, offsets[: self.sliced].tolist()):
+            row[off::period] = False
         hits = offsets[self.entry]
         hits += self.strides
         np.minimum(hits, n, out=hits)
-        hits += self.repeated_bases
-        flat[hits] = False
-        once = np.minimum(offsets[self.repeated :], n)
-        once += self.once_bases
-        flat[once] = False
-        for row, cleared in zip(out, self.cleared):
+        row[hits] = False
+        row[np.minimum(offsets[self.repeated :], n)] = False
+        for cleared in self.cleared:
             row[max(cleared.start - lo, 0) : max(cleared.stop - lo, 0)] = False
-        return out[:, :n]
+        return row[:n]
 
 
 def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
@@ -310,12 +345,12 @@ def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndar
     Strikes multiples of p^2 for p up to sqrt(hi-1); the value 0 counts as
     not square-free.
     """
-    return _StrikePlan([(lo, 1, 2)], hi - lo, tables, hi - lo).flags(0, hi - lo)[0]
+    return _StrikePlan([(lo, 1, 2)], hi - lo, tables, hi - lo).flags(0, hi - lo)
 
 
 def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is prime."""
-    return _StrikePlan([(lo, 1, 1)], hi - lo, tables, hi - lo).flags(0, hi - lo)[0]
+    return _StrikePlan([(lo, 1, 1)], hi - lo, tables, hi - lo).flags(0, hi - lo)
 
 
 def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray]:
@@ -378,21 +413,38 @@ def square_sum(numerators: np.ndarray) -> int:
 CLASS_SUM_TERMS = 1 << 15
 
 
+# Class sums bin their values at the maximal moduli (each dividing no other
+# in the set), grouped greedily into one binning while their lcm stays at
+# most this: `compare`'s moduli 1..12 then take two binnings (mod 2,520 and
+# 132) rather than six, and the estimator's default family (maximal moduli
+# 12, 20, 28) one (mod 420) rather than three.  A binning's rows take 24
+# bytes per class.
+CLASS_BIN_LIMIT = 1 << 12
+
+
+def _maximal(moduli: list) -> list:
+    """The moduli that divide no other in the list, each once, in order."""
+    return [m for m in dict.fromkeys(moduli) if all(o == m or o % m for o in moduli)]
+
+
 def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list:
     """For each q in moduli, (counts, sums): counts[r] values are ≡ r
     (mod q), and sums[r] is the exact sum of their numerators, each below
     NUMERATOR_BOUND.
 
-    Only a maximal modulus (one dividing no other in the set) is binned;
-    each modulus is folded out of a maximal one that it divides.  Every
-    binned entry is below len(values) * 2**32, so fewer than 2**31 values
-    keep them in int64."""
+    Values are binned modulo the lcm of each group of maximal moduli (see
+    CLASS_BIN_LIMIT), and each modulus is folded out of a binning whose
+    modulus it divides.  Every binned entry is below len(values) * 2**32, so
+    fewer than 2**31 values keep them in int64."""
     require_int64(len(values) << 32)
     moduli = list(moduli)
-    maximal = [
-        m for m in dict.fromkeys(moduli) if all(o == m or o % m for o in moduli)
-    ]
-    bins = {m: np.zeros((3, m), dtype=np.int64) for m in maximal}
+    binned = []
+    for m in _maximal(moduli):
+        if binned and math.lcm(binned[-1], m) <= CLASS_BIN_LIMIT:
+            binned[-1] = math.lcm(binned[-1], m)
+        else:
+            binned.append(m)
+    bins = {m: np.zeros((3, m), dtype=np.int64) for m in binned}
     for start in range(0, len(values), CLASS_SUM_TERMS):
         chunk = slice(start, start + CLASS_SUM_TERMS)
         # bincount weighs in float64: cast each limb once, not per modulus
@@ -408,7 +460,7 @@ def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list
                 row += np.bincount(classes, limb, m).astype(np.int64)
     out = []
     for q in moduli:
-        folded = bins[next(m for m in maximal if m % q == 0)].reshape(3, -1, q)
+        folded = bins[next(m for m in binned if m % q == 0)].reshape(3, -1, q)
         counts, high, low = folded.sum(1).tolist()
         out.append((counts, [(h << 32) + l for h, l in zip(high, low)]))
     return out
@@ -462,22 +514,31 @@ def _scan(
         yield from map(work, starts)
 
 
-# A window's hits are reduced in pieces of at most this many lane entries,
-# while its flag buffer lives.  An odd lane carries about twice the hits per
-# entry; a piece's hit arrays, a few hundred KiB, stay in cache, and
-# whole-window ones made count_representations(120000000, 3, 7) take 0.036
-# s against 0.026 s (pieces of 2**17 to 2**19 gave 0.026-0.034 s).  Freeing
-# the buffer before the hits are reduced was measured and rejected: its
-# 2 MiB hole then takes the reduction's small allocations, the next
-# window's buffer grows the heap, and a two-thread count at N = 1.2e8 mod 7
-# peaked 2 MB higher in about one run in ten.
+# A window's hits are reduced in pieces of at most this many lane entries
+# while its flag row lives; a scan of w workers reduces pieces of
+# _PIECE // w entries, so the reduction's arrays do not grow with the thread
+# count.  An odd lane carries about twice the hits per entry; a piece's hit
+# arrays, a few hundred KiB, stay in cache, and whole-window ones made
+# count_representations(120000000, 3, 7) take 0.036 s against 0.026 s
+# (pieces of 2**17 to 2**19 gave 0.026-0.034 s).
 _PIECE = 1 << 18
 
+# _squarefree divides about this many (value, square) pairs per block.
+_TRIAL_TERMS = 1 << 16
 
-def _is_squarefree(m: int, tables: SieveTables) -> bool:
-    """mu^2(m) for 1 <= m <= tables.limit**2, by trial against the base
-    primes."""
-    return not np.any(m % _base_primes(math.isqrt(m), tables) ** 2 == 0)
+
+def _squarefree(values: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """Whether each m in values, 1 <= m <= tables.limit**2, is square-free:
+    trial division by the squares of the base primes, vectorised over
+    blocks of about _TRIAL_TERMS pairs."""
+    top = int(values.max(initial=1))
+    squares = _base_primes(math.isqrt(top), tables).astype(np.int64) ** 2
+    keep = np.empty(values.size, dtype=bool)
+    block = max(1, _TRIAL_TERMS // max(squares.size, 1))
+    for start in range(0, values.size, block):
+        chunk = values[start : start + block, None] % squares
+        keep[start : start + block] = chunk.all(axis=1)
+    return keep
 
 
 def _log_scan(
@@ -508,22 +569,17 @@ def _log_scan(
     odd = residue if residue % 2 else residue + modulus
     first = 3 + (odd - 3) % step
     count = (top - first) // step + 1 if odd % 2 else 0
-    head = [
-        v
-        for v in (1 << k for k in range(1, top.bit_length()))
-        if (v - residue) % modulus == 0
-        and (mirror is None or _is_squarefree(mirror - v, tables))
-    ]
+    twos = (1 << k for k in range(1, top.bit_length()))
+    head = np.array([v for v in twos if (v - residue) % modulus == 0], dtype=np.int64)
+    if mirror is not None:
+        head = head[_squarefree(mirror - head, tables)]
     # log 2 is the float np.log gives at the prime 2, and math.log(2) at its
     # proper powers, as for every other prime
     two = int(log_numerators(np.array([2]))[0])
     power = int(np.ldexp(math.log(2), LOG_BITS))
-    powers = [v for v in head if v > 2]
+    powers = head[head > 2].tolist()
     leading = reduce(
-        np.array(head, dtype=np.int64),
-        np.array([two if v == 2 else power for v in head], dtype=np.int64),
-        powers,
-        [power] * len(powers),
+        head, np.where(head == 2, two, power), powers, [power] * len(powers)
     )
     if count < 1:
         return iter((leading,))
@@ -534,10 +590,16 @@ def _log_scan(
         lanes.append((mirror - first, -step, 2))
     length = window_length()
     plan = _StrikePlan(lanes, count, tables, length)
+    piece_length = _PIECE // scan_workers(threads, -(-count // length), length)
     power_vals, power_logs = proper_prime_powers(top, tables)
     on_lane = (power_vals - first) % step == 0
-    power_vals = power_vals[on_lane]
-    power_nums = np.ldexp(power_logs[on_lane], LOG_BITS).astype(np.int64)
+    power_vals, power_logs = power_vals[on_lane], power_logs[on_lane]
+    if mirror is not None:
+        # the prime lane strikes every proper power; the ones whose mirror
+        # is square-free are put back after the strikes
+        kept = _squarefree(mirror - power_vals, tables)
+        power_vals, power_logs = power_vals[kept], power_logs[kept]
+    power_nums = np.ldexp(power_logs, LOG_BITS).astype(np.int64)
     power_idx = (power_vals - first) // step
     # Most windows hold no proper power; bisecting a list finds that cheaply.
     power_list = power_idx.tolist()
@@ -546,34 +608,31 @@ def _log_scan(
         return slice(bisect_left(power_list, lo), bisect_left(power_list, hi))
 
     def sieve(lo: int, hi: int) -> np.ndarray:
-        rows = plan.flags(lo, hi)
-        flags = rows[0]
+        flags = plan.flags(lo, hi)
         span = powers_in(lo, hi)
         if span.start < span.stop:
             flags[power_idx[span] - lo] = True
-        if mirror is not None:
-            flags &= rows[1]
         return flags
 
+    def piece(at: int, flags: np.ndarray):
+        """reduce over the piece of flags at lane index `at`; its arrays
+        are freed on return, before the next piece allocates its own."""
+        hits = flags.nonzero()[0]
+        hits *= step
+        hits += first + step * at
+        nums = log_numerators(hits)
+        span = powers_in(at, at + flags.size)
+        vals, pnums = power_vals[span], power_nums[span]
+        if vals.size:
+            nums[np.searchsorted(hits, vals)] = pnums
+        return reduce(hits, nums, vals.tolist(), pnums.tolist())
+
     def window(lo: int, flags: np.ndarray) -> list:
-        """reduce over each piece of at most _PIECE lane entries, in order."""
-        parts = []
-        for start in range(0, flags.size, _PIECE):
-            piece = flags[start : start + _PIECE]
-            at = lo + start
-            hits = piece.nonzero()[0]
-            hits *= step
-            hits += first + step * at
-            nums = log_numerators(hits)
-            kept_vals, kept_nums = [], []
-            span = powers_in(at, at + piece.size)
-            if span.start < span.stop:
-                kept = piece[power_idx[span] - at]
-                vals, pnums = power_vals[span][kept], power_nums[span][kept]
-                nums[np.searchsorted(hits, vals)] = pnums
-                kept_vals, kept_nums = vals.tolist(), pnums.tolist()
-            parts.append(reduce(hits, nums, kept_vals, kept_nums))
-        return parts
+        """piece over each run of at most piece_length entries, in order."""
+        return [
+            piece(lo + start, flags[start : start + piece_length])
+            for start in range(0, flags.size, piece_length)
+        ]
 
     windows = _scan(count, sieve, window, threads, length)
     return chain((leading,), chain.from_iterable(windows))
@@ -648,36 +707,46 @@ def count_classes(
     _check_coverage(target, tables)
     started = time.perf_counter()
 
-    def window(hits, nums, power_vals, power_nums):
-        return exact_class_sums(nums, hits, moduli), power_vals, power_nums
+    # a piece is binned at the maximal moduli only, and every modulus is
+    # folded out of a maximal one that it divides once the scan is done, so
+    # a piece costs a few list additions, not one per modulus
+    maximal = _maximal(moduli)
 
-    counts = {q: [0] * q for q in moduli}
-    totals = {q: [0] * q for q in moduli}
-    extras = {q: [0] * q for q in moduli}
-    for per_q, power_vals, power_nums in _log_scan(
+    def window(hits, nums, power_vals, power_nums):
+        return exact_class_sums(nums, hits, maximal), power_vals, power_nums
+
+    counts = {m: [0] * m for m in maximal}
+    totals = {m: [0] * m for m in maximal}
+    powers = []
+    for per_m, power_vals, power_nums in _log_scan(
         target - 1, 0, 1, tables, window, threads, mirror=target
     ):
-        for q, (window_counts, window_sums) in zip(moduli, per_q):
-            counts[q] = list(map(add, counts[q], window_counts))
-            totals[q] = list(map(add, totals[q], window_sums))
-            for v, num in zip(power_vals, power_nums):
-                counts[q][v % q] -= 1
-                extras[q][v % q] += num
+        for m, (piece_counts, piece_sums) in zip(maximal, per_m):
+            counts[m] = list(map(add, counts[m], piece_counts))
+            totals[m] = list(map(add, totals[m], piece_sums))
+        powers += zip(power_vals, power_nums)
     elapsed = time.perf_counter() - started
-    return {
-        (q, a): CountResult(
-            target=target,
-            residue=a,
-            modulus=q,
-            weighted=(totals[q][a] - extras[q][a]) / LOG_SCALE,
-            unweighted=counts[q][a],
-            lambda_weighted=totals[q][a] / LOG_SCALE,
-            elapsed=elapsed,
-        )
-        for q in moduli
-        for a in range(q)
-        if math.gcd(a, q) == 1
-    }
+    results = {}
+    for q in moduli:
+        m = next(m for m in maximal if m % q == 0)
+        q_counts = [sum(counts[m][r::q]) for r in range(q)]
+        q_totals = [sum(totals[m][r::q]) for r in range(q)]
+        extras = [0] * q
+        for v, num in powers:
+            q_counts[v % q] -= 1
+            extras[v % q] += num
+        for a in range(q):
+            if math.gcd(a, q) == 1:
+                results[(q, a)] = CountResult(
+                    target=target,
+                    residue=a,
+                    modulus=q,
+                    weighted=(q_totals[a] - extras[a]) / LOG_SCALE,
+                    unweighted=q_counts[a],
+                    lambda_weighted=q_totals[a] / LOG_SCALE,
+                    elapsed=elapsed,
+                )
+    return results
 
 
 def squarefree_count_in_ap(
@@ -697,7 +766,7 @@ def squarefree_count_in_ap(
     plan = _StrikePlan([(first, modulus, 2)], count, tables, length)
 
     def window(lo: int, flags: np.ndarray) -> int:
-        return int(np.count_nonzero(flags[0]))
+        return int(np.count_nonzero(flags))
 
     return sum(_scan(count, plan.flags, window, threads, length))
 

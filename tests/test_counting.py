@@ -1,6 +1,7 @@
 """Segmented sieves and the brute-force counting oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -582,7 +583,7 @@ class TestCountClasses:
 def _lane_flags(lane, count, tables, lo, hi):
     """Flags of one lane (first, step, exponent) of `count` values on the
     lane indices [lo, hi), from a plan of that one window's length."""
-    return _StrikePlan([lane], count, tables, hi - lo).flags(lo, hi)[0]
+    return _StrikePlan([lane], count, tables, hi - lo).flags(lo, hi)
 
 
 # Primes whose squares sit low enough for a lane to straddle them.
@@ -651,8 +652,8 @@ class TestLaneSieveProperties:
         squares = _StrikePlan([(first, step, 2)], count, tables, length)
         for lo in range(0, count, length):
             hi = min(lo + length, count)
-            assert np.array_equal(primes.flags(lo, hi)[0], prime[lo:hi]), lo
-            assert np.array_equal(squares.flags(lo, hi)[0], squarefree[lo:hi]), lo
+            assert np.array_equal(primes.flags(lo, hi), prime[lo:hi]), lo
+            assert np.array_equal(squares.flags(lo, hi), squarefree[lo:hi]), lo
 
     def test_rejects_empty_and_uncovered_lanes(self, tables):
         small = build_sieve(100)
@@ -662,6 +663,95 @@ class TestLaneSieveProperties:
             _LaneSieve(5, -3, 3, 2, small)
         with pytest.raises(CapacityError):
             _LaneSieve(9_000, 500, 4, 2, small)
+
+
+def _python_anchors(first, step, count, exponent, tables):
+    """Sorted (period, anchor) pairs of one lane, each solved with Python
+    ints and pow(a, -1, period), prime by prime."""
+    if count == 1:
+        step = 1
+    last = first + step * (count - 1)
+    top = math.isqrt(max(first, last))
+    c, a = (first, step) if step > 0 else (-first, -step)
+    solved = []
+    for p in tables.primes[tables.primes <= top].tolist():
+        g = math.gcd(a, p**exponent)
+        if c % g:
+            continue
+        period = p**exponent // g
+        anchor = -(c // g) * pow(a // g, -1, period) % period
+        if exponent == 1:
+            start = max(-((first - p * p) // step), 0)
+            anchor = start + (anchor - start) % period
+        solved.append((period, anchor))
+    return sorted(solved)
+
+
+@pytest.fixture(scope="module")
+def wide_tables():
+    # squares of base primes past 2**31 / 2**17: periods that take the
+    # chunked product
+    return build_sieve(100_003)
+
+
+class TestLaneAnchors:
+    """Every lane's anchors are solved for all base primes at once, in
+    int64; they must equal Python's pow(a, -1, period) prime by prime."""
+
+    def test_inverses_match_pow(self, rng):
+        for bits in (8, 31, 40, 52, 61):
+            moduli = rng.integers(2, 1 << bits, 400, dtype=np.int64)
+            units = rng.integers(0, 1 << bits, 400, dtype=np.int64) % moduli
+            coprime = np.array(
+                [math.gcd(u, m) == 1 for u, m in zip(units.tolist(), moduli.tolist())]
+            )
+            units, moduli = units[coprime], moduli[coprime]
+            got = counting._inverses(units, moduli).tolist()
+            want = [pow(u, -1, m) for u, m in zip(units.tolist(), moduli.tolist())]
+            assert got == want, bits
+        # modulus 1: every residue is 0, and so is its inverse
+        ones = np.ones(3, dtype=np.int64)
+        assert counting._inverses(ones - 1, ones).tolist() == [0, 0, 0]
+
+    def test_mulmod_matches_python(self, rng):
+        for bits in (1, 20, 31, 32, 45, 62):
+            moduli = rng.integers(1, 1 << bits, 500, dtype=np.int64, endpoint=True)
+            x = rng.integers(0, 1 << 62, 500, dtype=np.int64) % moduli
+            y = rng.integers(0, 1 << 62, 500, dtype=np.int64) % moduli
+            got = counting._mulmod(x, y, moduli).tolist()
+            triples = zip(x.tolist(), y.tolist(), moduli.tolist())
+            want = [a * b % m for a, b, m in triples]
+            assert got == want, bits
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_anchors_match_pow(self, tables, data):
+        top = tables.limit**2
+        p = data.draw(st.sampled_from(_SMALL_PRIMES + (19_997,)), label="p")
+        # random steps, and steps sharing p or p*p with the prime powers
+        share = data.draw(st.sampled_from((1, p, p * p)), label="share")
+        step = share * data.draw(st.integers(1, min(10**6, top // share)), label="k")
+        first = data.draw(st.integers(0, top - step), label="first")
+        count = data.draw(st.integers(1, (top - first) // step + 1), label="count")
+        last = first + step * (count - 1)
+        for lane in ((first, step, 1), (first, step, 2), (last, -step, 2)):
+            got = _LaneSieve(*lane[:2], count, lane[2], tables)
+            assert got.periods.tolist() == sorted(got.periods.tolist())
+            assert sorted(zip(got.periods.tolist(), got.anchors.tolist())) == (
+                _python_anchors(*lane[:2], count, lane[2], tables)
+            ), lane
+
+    @pytest.mark.parametrize("step", (1, 14, 2 * 99_991, 2 * 97**2, 999_983))
+    def test_periods_past_two_to_the_31(self, wide_tables, step):
+        top = wide_tables.limit**2
+        count = min(10**6, top // step)
+        first = top - step * (count - 1)
+        for lane in ((first, step, 1), (first, step, 2), (top, -step, 2)):
+            got = _LaneSieve(*lane[:2], count, lane[2], wide_tables)
+            assert lane[2] == 1 or got.periods.max() > 1 << 31
+            assert sorted(zip(got.periods.tolist(), got.anchors.tolist())) == (
+                _python_anchors(*lane[:2], count, lane[2], wide_tables)
+            ), lane
 
 
 # Tables small enough that _dense_flags covers all of limit**2.
@@ -685,28 +775,31 @@ def _count_lanes(target, first, step):
 
 
 def _check_fused(tables, dense, target, first, step, count, length, lo):
-    """The fused plan's two rows on the window at lo equal each lane's own
-    k = 1 plan and the dense sieve; returns the plan."""
+    """The fused plan's row on the window at lo is prime(n) and
+    mu^2(target - n) by the dense sieve, and the AND of each lane's own
+    one-lane plan, which equals the dense sieve too; returns the plan."""
     is_prime, squarefree = dense
     lanes = _count_lanes(target, first, step)
     plan = _StrikePlan(lanes, count, tables, length)
     hi = min(lo + length, count)
     fused = plan.flags(lo, hi)
     vals = first + step * np.arange(lo, hi, dtype=np.int64)
-    assert fused.shape == (2, hi - lo)
-    assert np.array_equal(fused[0], is_prime[vals])
-    assert np.array_equal(fused[1], squarefree[target - vals])
-    for row, lane in enumerate(lanes):
-        single = _StrikePlan([lane], count, tables, length).flags(lo, hi)
-        assert single.shape == (1, hi - lo)
-        assert np.array_equal(single[0], fused[row]), row
+    want = is_prime[vals], squarefree[target - vals]
+    assert fused.shape == (hi - lo,)
+    assert np.array_equal(fused, want[0] & want[1])
+    singles = [
+        _StrikePlan([lane], count, tables, length).flags(lo, hi) for lane in lanes
+    ]
+    for single, dense_row in zip(singles, want):
+        assert np.array_equal(single, dense_row)
+    assert np.array_equal(fused, singles[0] & singles[1])
     return plan
 
 
 class TestFusedPlan:
     """One plan strikes a count's prime lane and its square-free mirror
-    into one buffer; each row must equal that lane sieved alone and a plain
-    dense sieve."""
+    into one row; it must equal the AND of the lanes sieved alone and of a
+    plain dense sieve."""
 
     CAPS = (8 << 10, 16 << 10, 64 << 10, 1 << 20, None)
 
@@ -785,19 +878,17 @@ class TestFusedPlan:
         )
         assert 0 < plan.periods.max() < length
 
-    def test_lane_bases_enter_the_int64_bound(self):
-        # the bound is limit**2 + limit + k * (length + 1): a window that
-        # fits one lane below 2**63 does not fit two (no window is sieved)
+    def test_int64_bound_is_one_row_for_any_lane_count(self):
+        # the bound is limit**2 + limit + length + 1: lanes share one row,
+        # so a window that fits one lane below 2**63 fits two (no window is
+        # sieved)
         limit = math.isqrt((1 << 63) - 1)
         headroom = (1 << 63) - limit**2 - limit
         huge = replace(build_sieve(100), limit=limit)
-        one = [(0, 1, 2)]
-        _StrikePlan(one, 100, huge, headroom - 2)
-        with pytest.raises(OverflowError):
-            _StrikePlan(one, 100, huge, headroom - 1)
-        with pytest.raises(OverflowError):
-            _StrikePlan(one * 2, 100, huge, headroom - 2)
-        _StrikePlan(one * 2, 100, huge, headroom // 2 - 2)
+        for lanes in ([(0, 1, 2)], [(0, 1, 2)] * 2):
+            _StrikePlan(lanes, 100, huge, headroom - 2)
+            with pytest.raises(OverflowError):
+                _StrikePlan(lanes, 100, huge, headroom - 1)
 
     @pytest.mark.parametrize("cap", (4 << 20, None))
     def test_threads_change_no_bit_at_long_windows(self, tables, monkeypatch, cap):
@@ -822,6 +913,70 @@ class TestFusedPlan:
         assert [(r.unweighted, r.weighted.hex()) for r in classes[0].values()] == [
             (r.unweighted, r.weighted.hex()) for r in classes[1].values()
         ]
+
+
+def _scan_hits(target, residue, modulus, tables, threads):
+    """(hits, proper powers among them) of a count's scan, each sorted: the
+    even head comes before the odd lane."""
+    hits, powers = [], []
+
+    def reduce(values, nums, power_vals, power_nums):
+        hits.extend(values.tolist())
+        powers.extend(power_vals)
+
+    for _ in counting._log_scan(
+        target - 1, residue, modulus, tables, reduce, threads, mirror=target
+    ):
+        pass
+    return sorted(hits), sorted(powers)
+
+
+# Proper prime powers below 2e5, even ones for the even head among them.
+_PROPER_POWERS = (
+    4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125, 128, 169, 243, 343, 1024, 2187,
+    3125, 16_807, 59_049, 65_536, 161_051,
+)
+
+
+class TestOneRowFlags:
+    """A count strikes its prime lane and the square-free mirror into one
+    row, and puts back only the proper powers whose mirror is square-free:
+    its hits are the prime powers n < N in the class with N - n
+    square-free, at every window size and thread count."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_scan_hits_match_brute_force(self, tables, data):
+        modulus = data.draw(st.integers(1, 30), label="q")
+        if data.draw(st.booleans(), label="struck power"):
+            # N - v has the square factor d*d for a proper power v
+            v = data.draw(st.sampled_from(_PROPER_POWERS), label="v")
+            d = data.draw(st.sampled_from((2, 3, 5)), label="d")
+            target = v + d * d * data.draw(
+                st.integers(1, (200_000 - v) // (d * d)), label="m"
+            )
+        else:
+            target = data.draw(st.integers(3, 200_000), label="N")
+        is_prime, squarefree = _dense_flags(target)
+        prime_powers = is_prime.copy()
+        for p in np.flatnonzero(is_prime[: math.isqrt(target) + 1]).tolist():
+            power = p * p
+            while power <= target:
+                prime_powers[power] = True
+                power *= p
+        n = np.arange(target)
+        wanted = prime_powers[:target] & squarefree[target - n]
+        with pytest.MonkeyPatch.context() as mp:
+            # two workers even on the short windows of the 8 KiB cap
+            mp.setattr(counting, "MIN_THREADED_WINDOW", 1)
+            for residue in (a for a in range(modulus) if math.gcd(a, modulus) == 1):
+                want = np.flatnonzero(wanted & (n % modulus == residue)).tolist()
+                want_powers = [v for v in want if not is_prime[v]]
+                for cap in (None, 8 << 10):
+                    _set_window_cap(mp, cap)
+                    for threads in (1, 2):
+                        got = _scan_hits(target, residue, modulus, tables, threads)
+                        assert got == (want, want_powers), (residue, cap, threads)
 
 
 class TestHypothesisProfile:
@@ -1004,6 +1159,28 @@ class TestScanWorkers:
         assert [(r.weighted, r.unweighted) for r in classes_one.values()] == [
             (r.weighted, r.unweighted) for r in classes_two.values()
         ]
+
+
+class TestScanMemory:
+    """A worker holds one row of window_length() bytes, and the workers
+    share the reduction's pieces, so a second thread adds about one row."""
+
+    def test_second_thread_adds_one_row(self, tables, monkeypatch):
+        monkeypatch.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+
+        def peak(threads):
+            tracemalloc.start()
+            try:
+                count_representations(120_000_000, 3, 7, tables, threads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the first threaded scan imports the thread pool: warm both first
+        for threads in (1, 2):
+            count_representations(120_000_000, 3, 7, tables, threads)
+        one, two = peak(1), peak(2)
+        assert two <= one + window_length() + (1 << 19), (one, two)
 
 
 class TestOddLane:

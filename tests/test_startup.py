@@ -1,6 +1,8 @@
-"""Start-up: `import sqfrep` is lazy, and the CLI defaults OpenBLAS to one
-thread before numpy loads.  Each check runs in a fresh interpreter."""
+"""Start-up: `import sqfrep` is lazy, the CLI defaults OpenBLAS to one
+thread before numpy loads, and the program entry, not main, freezes the
+start-up heap.  Each check of a fresh start runs in a fresh interpreter."""
 
+import gc
 import json
 import os
 import subprocess
@@ -92,3 +94,39 @@ class TestBlasDefault:
 
     def test_package_import_leaves_it_unset(self):
         assert _fresh(BLAS_PROBE.replace("sqfrep.cli", "sqfrep").format(before="")) is None
+
+
+COUNT_ARGV = ["count", "--n", "100000", "--q", "7", "--a", "3"]
+
+
+class TestFrozenStartup:
+    def test_entry_freezes_before_main(self):
+        frozen = _fresh(
+            "import gc, json, sqfrep.cli as cli; "
+            "cli.main = gc.get_freeze_count; print(json.dumps(cli.entry()))"
+        )
+        assert frozen > 0
+
+    def test_main_never_freezes(self, capsys):
+        from sqfrep import cli
+
+        before = gc.get_freeze_count()
+        assert cli.main(COUNT_ARGV) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_prints_the_in_process_bytes(self, capsys):
+        from sqfrep import cli
+
+        assert cli.main(COUNT_ARGV) == 0
+        want = capsys.readouterr().out
+        env = {k: v for k, v in os.environ.items() if k != "SQFREP_MAX_WINDOW_BYTES"}
+        env["PYTHONPATH"] = SRC
+        res = subprocess.run(
+            [sys.executable, "-m", "sqfrep.cli", *COUNT_ARGV],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want
