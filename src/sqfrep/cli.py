@@ -606,7 +606,7 @@ def positive_int(text: str) -> int:
 
 
 def bounded_int(top: int):
-    """argparse type for a capped `verify` bound: an integer in [1, top]."""
+    """argparse type for a capped bound: an integer in [1, top]."""
 
     def parse(text: str) -> int:
         value = positive_int(text)
@@ -687,8 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.set_defaults(run=cmd_compare)
     c.add_argument("--n", action="append", type=positive_int, required=True)
-    c.add_argument("--q-max", type=positive_int, default=12)
-    c.add_argument("--q", type=positive_int, default=None, help="single modulus")
+    # count_classes holds tables of O(q) entries: compare takes the paper's
+    # small moduli only, and `count --q` any modulus
+    c.add_argument("--q-max", type=bounded_int(MAX_Q_BOUND), default=12)
+    c.add_argument("--q", type=bounded_int(MAX_Q_BOUND), default=None,
+                   help=f"single modulus, at most {MAX_Q_BOUND}")
     c.add_argument("--a", type=int, default=None, help="single residue class")
     c.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
     c.add_argument("--threads", type=positive_int, default=1)

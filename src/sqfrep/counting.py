@@ -28,13 +28,11 @@ of the same code.
 A prime lane holds only the odd members of its class.  The prime 2 strikes
 every even n but 2 itself, so sieving them is wasted work: the lane is
 n ≡ r (mod lcm(2, q)) from 3 on, and its mirror descends with the same
-step.  The powers of two in the class, at most log2(N) of them, form the
-even head, checked directly (mu^2(N - 2^k) by one vectorised trial
-division against the squares of the base primes) and reduced once before
-the first window.  For an odd q this halves
-the lane: `count --n 120000000 --q 7` sieves 9 windows of 2**20 entries,
-not 17; at the 8 KiB cap `count --n 8000000 --q 3` sieves 1,303 windows of
-1 Ki, not 2,605; `compare --n 3000000` sieves 2, not 3.  In-process on a
+step.  The prime 2, if the class holds it, is the even head, checked
+directly and reduced once before the first window.  For an odd q this
+halves the lane: `count --n 120000000 --q 7` sieves 9 windows of 2**20
+entries, not 17; at the 8 KiB cap `count --n 8000000 --q 3` sieves 1,303
+windows of 1 Ki, not 2,605; `compare --n 3000000` sieves 2, not 3.  In-process on a
 2-core x86 VM (Python 3.11, numpy 2.4, medians of 9 calls), those take
 0.026 s with 1 thread and 0.027 s with 2 (0.054 and 0.055 s before),
 0.038 s (0.073 s) and 0.013 s (0.028 s).
@@ -55,10 +53,13 @@ with no second row to AND in.  Periods below 1/32 of the window are
 struck as one numpy slice each; every longer period lands at most 32
 times, and all of those hits, of both lanes, are cleared by two vectorised
 stores, so a small window costs a few numpy calls rather than a Python
-loop over every base prime, and two lanes cost hardly more than one.  The
-prime lane strikes every proper prime power p^k as composite; the ones
-whose mirror N - p^k is square-free, found once per scan by the same trial
-division as the even head, are put back after the strikes.
+loop over every base prime, and two lanes cost hardly more than one.
+
+A prime lane's hits are exactly its primes.  The von Mangoldt variants
+also need the proper prime powers p^k, k >= 2, which are few (5 against
+6.8 million prime hits for count_representations(10**9, 3, 7)), so
+_proper_powers lists those of the class once per scan, beside it, with
+mu^2(N - p^k) by trial division, and each consumer reduces them once.
 
 An odd lane carries about twice the hits per entry, so a window's hits
 are reduced in pieces of 2**18 lane entries in all, split across the
@@ -92,7 +93,6 @@ import math
 import os
 import threading
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
@@ -287,6 +287,7 @@ class _StrikePlan:
     each hit to column n of a window of n entries, a sink that no caller
     reads, so no hit needs a mask.
 
+    No caller sets an index back, so a prime lane's flags are its primes.
     The tables are read-only once built, so workers share the plan.  Each
     worker thread strikes into its own row of length + 1 bytes, allocated
     at its first window and refilled at every later one.
@@ -351,26 +352,6 @@ def segmented_squarefree_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndar
 def segmented_prime_sieve(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """Boolean flags for [lo, hi): True where the value is prime."""
     return _StrikePlan([(lo, 1, 1)], hi - lo, tables, hi - lo).flags(0, hi - lo)
-
-
-def proper_prime_powers(top: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted proper prime powers p^k <= top (k >= 2) with their log p."""
-    vals: list[int] = []
-    logs: list[float] = []
-    for p in _base_primes(math.isqrt(max(top, 1)), tables).tolist():
-        v = p * p
-        if v > top:
-            break
-        lg = math.log(p)
-        while v <= top:
-            vals.append(v)
-            logs.append(lg)
-            v *= p
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    return (
-        np.array([vals[i] for i in order], dtype=np.int64),
-        np.array([logs[i] for i in order], dtype=np.float64),
-    )
 
 
 def log_numerators(values: np.ndarray) -> np.ndarray:
@@ -541,6 +522,28 @@ def _squarefree(values: np.ndarray, tables: SieveTables) -> np.ndarray:
     return keep
 
 
+def _proper_powers(
+    top: int, residue: int, modulus: int, tables: SieveTables, mirror: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The proper prime powers n = p^k <= top (k >= 2) with n ≡ residue
+    (mod modulus), in increasing order, and the numerators of their
+    math.log(p), which may differ from np.log(p) in the last bit; with a
+    mirror, only those with mirror - n square-free.  The class is filtered
+    in Python ints, which take any modulus."""
+    found = []
+    for p in _base_primes(math.isqrt(top), tables).tolist():
+        v = p * p
+        while v <= top:
+            if (v - residue) % modulus == 0:
+                found.append((v, int(math.log(p) * LOG_SCALE)))
+            v *= p
+    values, numerators = np.array(sorted(found), dtype=np.int64).reshape(-1, 2).T
+    if mirror is not None:
+        keep = _squarefree(mirror - values, tables)
+        values, numerators = values[keep], numerators[keep]
+    return values, numerators
+
+
 def _log_scan(
     top: int,
     residue: int,
@@ -550,37 +553,27 @@ def _log_scan(
     threads: int = 1,
     mirror: int | None = None,
 ) -> Iterator:
-    """reduce(hits, numerators, power_values, power_numerators) over the
-    prime powers n = p^k <= top with n ≡ residue (mod modulus): first once
-    for the even head, the powers of two in the class, then once per piece
-    of each window of the odd lane, in order.
-
-    hits are the values n; numerators are those of log p; power_values and
-    power_numerators list, as Python ints, the proper powers among the hits
-    and their numerators.  With a mirror, only n with mirror - n square-free
-    are hits.
+    """reduce(hits, numerators) over the primes p <= top with p ≡ residue
+    (mod modulus): first once for the even head, then once per piece of
+    each window of the odd lane, in order.  hits are the primes and
+    numerators those of log p.  With a mirror, only p with mirror - p
+    square-free are hits.  The proper prime powers are no hits:
+    _proper_powers lists them.
 
     The prime 2 strikes every even n but 2 itself, so the lane holds only
     the odd members of the class, n ≡ r (mod lcm(2, modulus)); the even
-    head holds at most log2(top) values, each checked directly.
+    head is the prime 2, if the class holds it, checked directly.
     """
     step = modulus if modulus % 2 == 0 else 2 * modulus
     # the odd members of the class; an even modulus and residue have none
     odd = residue if residue % 2 else residue + modulus
     first = 3 + (odd - 3) % step
     count = (top - first) // step + 1 if odd % 2 else 0
-    twos = (1 << k for k in range(1, top.bit_length()))
-    head = np.array([v for v in twos if (v - residue) % modulus == 0], dtype=np.int64)
+    two = top >= 2 and (2 - residue) % modulus == 0
+    head = np.array([2] if two else [], dtype=np.int64)
     if mirror is not None:
         head = head[_squarefree(mirror - head, tables)]
-    # log 2 is the float np.log gives at the prime 2, and math.log(2) at its
-    # proper powers, as for every other prime
-    two = int(log_numerators(np.array([2]))[0])
-    power = int(np.ldexp(math.log(2), LOG_BITS))
-    powers = head[head > 2].tolist()
-    leading = reduce(
-        head, np.where(head == 2, two, power), powers, [power] * len(powers)
-    )
+    leading = reduce(head, log_numerators(head))
     if count < 1:
         return iter((leading,))
     # one value has no step; 1 keeps any modulus out of int64 products
@@ -591,28 +584,6 @@ def _log_scan(
     length = window_length()
     plan = _StrikePlan(lanes, count, tables, length)
     piece_length = _PIECE // scan_workers(threads, -(-count // length), length)
-    power_vals, power_logs = proper_prime_powers(top, tables)
-    on_lane = (power_vals - first) % step == 0
-    power_vals, power_logs = power_vals[on_lane], power_logs[on_lane]
-    if mirror is not None:
-        # the prime lane strikes every proper power; the ones whose mirror
-        # is square-free are put back after the strikes
-        kept = _squarefree(mirror - power_vals, tables)
-        power_vals, power_logs = power_vals[kept], power_logs[kept]
-    power_nums = np.ldexp(power_logs, LOG_BITS).astype(np.int64)
-    power_idx = (power_vals - first) // step
-    # Most windows hold no proper power; bisecting a list finds that cheaply.
-    power_list = power_idx.tolist()
-
-    def powers_in(lo: int, hi: int) -> slice:
-        return slice(bisect_left(power_list, lo), bisect_left(power_list, hi))
-
-    def sieve(lo: int, hi: int) -> np.ndarray:
-        flags = plan.flags(lo, hi)
-        span = powers_in(lo, hi)
-        if span.start < span.stop:
-            flags[power_idx[span] - lo] = True
-        return flags
 
     def piece(at: int, flags: np.ndarray):
         """reduce over the piece of flags at lane index `at`; its arrays
@@ -620,12 +591,7 @@ def _log_scan(
         hits = flags.nonzero()[0]
         hits *= step
         hits += first + step * at
-        nums = log_numerators(hits)
-        span = powers_in(at, at + flags.size)
-        vals, pnums = power_vals[span], power_nums[span]
-        if vals.size:
-            nums[np.searchsorted(hits, vals)] = pnums
-        return reduce(hits, nums, vals.tolist(), pnums.tolist())
+        return reduce(hits, log_numerators(hits))
 
     def window(lo: int, flags: np.ndarray) -> list:
         """piece over each run of at most piece_length entries, in order."""
@@ -634,7 +600,7 @@ def _log_scan(
             for start in range(0, flags.size, piece_length)
         ]
 
-    windows = _scan(count, sieve, window, threads, length)
+    windows = _scan(count, plan.flags, window, threads, length)
     return chain((leading,), chain.from_iterable(windows))
 
 
@@ -668,23 +634,23 @@ def count_representations(
     _check_coverage(target, tables)
     started = time.perf_counter()
 
-    def window(hits, nums, power_vals, power_nums):
-        return hits.size - len(power_vals), exact_sum(nums), sum(power_nums)
+    def window(hits, nums):
+        return hits.size, exact_sum(nums)
 
-    unweighted = total = extra = 0
-    for hits, sums, powers in _log_scan(
+    unweighted = total = 0
+    for hits, sums in _log_scan(
         target - 1, residue, modulus, tables, window, threads, mirror=target
     ):
         unweighted += hits
         total += sums
-        extra += powers
+    _, powers = _proper_powers(target - 1, residue, modulus, tables, mirror=target)
     return CountResult(
         target=target,
         residue=residue,
         modulus=modulus,
-        weighted=(total - extra) / LOG_SCALE,
+        weighted=total / LOG_SCALE,
         unweighted=unweighted,
-        lambda_weighted=total / LOG_SCALE,
+        lambda_weighted=(total + exact_sum(powers)) / LOG_SCALE,
         elapsed=time.perf_counter() - started,
     )
 
@@ -712,38 +678,32 @@ def count_classes(
     # a piece costs a few list additions, not one per modulus
     maximal = _maximal(moduli)
 
-    def window(hits, nums, power_vals, power_nums):
-        return exact_class_sums(nums, hits, maximal), power_vals, power_nums
+    def window(hits, nums):
+        return exact_class_sums(nums, hits, maximal)
 
     counts = {m: [0] * m for m in maximal}
     totals = {m: [0] * m for m in maximal}
-    powers = []
-    for per_m, power_vals, power_nums in _log_scan(
-        target - 1, 0, 1, tables, window, threads, mirror=target
-    ):
+    for per_m in _log_scan(target - 1, 0, 1, tables, window, threads, mirror=target):
         for m, (piece_counts, piece_sums) in zip(maximal, per_m):
             counts[m] = list(map(add, counts[m], piece_counts))
             totals[m] = list(map(add, totals[m], piece_sums))
-        powers += zip(power_vals, power_nums)
+    values, numerators = _proper_powers(target - 1, 0, 1, tables, mirror=target)
+    extras = exact_class_sums(numerators, values, moduli)
     elapsed = time.perf_counter() - started
     results = {}
-    for q in moduli:
+    for q, (_, q_extras) in zip(moduli, extras):
         m = next(m for m in maximal if m % q == 0)
         q_counts = [sum(counts[m][r::q]) for r in range(q)]
         q_totals = [sum(totals[m][r::q]) for r in range(q)]
-        extras = [0] * q
-        for v, num in powers:
-            q_counts[v % q] -= 1
-            extras[v % q] += num
         for a in range(q):
             if math.gcd(a, q) == 1:
                 results[(q, a)] = CountResult(
                     target=target,
                     residue=a,
                     modulus=q,
-                    weighted=(q_totals[a] - extras[a]) / LOG_SCALE,
+                    weighted=q_totals[a] / LOG_SCALE,
                     unweighted=q_counts[a],
-                    lambda_weighted=q_totals[a] / LOG_SCALE,
+                    lambda_weighted=(q_totals[a] + q_extras[a]) / LOG_SCALE,
                     elapsed=elapsed,
                 )
     return results
@@ -788,13 +748,15 @@ def log_class_sums(
     _check_coverage(target, tables)
     moduli = list(moduli)
 
-    def piece(hits, nums, *powers):
+    def piece(hits, nums):
         sums = [sums for _, sums in exact_class_sums(nums, hits, moduli)]
         return sums, square_sum(nums)
 
     totals = [[0] * q for q in moduli]
     squares = 0
-    for sums, square in _log_scan(target, residue, modulus, tables, piece, threads):
+    primes = _log_scan(target, residue, modulus, tables, piece, threads)
+    powers = piece(*_proper_powers(target, residue, modulus, tables, None))
+    for sums, square in chain(primes, [powers]):
         totals = [list(map(add, total, part)) for total, part in zip(totals, sums)]
         squares += square
     return totals, squares

@@ -915,34 +915,49 @@ class TestFusedPlan:
         ]
 
 
-def _scan_hits(target, residue, modulus, tables, threads):
-    """(hits, proper powers among them) of a count's scan, each sorted: the
-    even head comes before the odd lane."""
-    hits, powers = [], []
+def _scan_hits(target, residue, modulus, tables, threads, mirror=True):
+    """(hits, proper powers) of a scan of the n < target in the class, with
+    target - n square-free if `mirror`: the even head's and the lane's
+    hits, and _proper_powers beside them, each sorted."""
+    hits = []
 
-    def reduce(values, nums, power_vals, power_nums):
+    def reduce(values, nums):
         hits.extend(values.tolist())
-        powers.extend(power_vals)
 
+    mirror = target if mirror else None
     for _ in counting._log_scan(
-        target - 1, residue, modulus, tables, reduce, threads, mirror=target
+        target - 1, residue, modulus, tables, reduce, threads, mirror
     ):
         pass
-    return sorted(hits), sorted(powers)
+    powers, _ = counting._proper_powers(target - 1, residue, modulus, tables, mirror)
+    return sorted(hits), powers.tolist()
 
 
-# Proper prime powers below 2e5, even ones for the even head among them.
+# Proper prime powers below 2e5, even ones among them.
 _PROPER_POWERS = (
     4, 8, 9, 16, 25, 27, 32, 49, 64, 121, 125, 128, 169, 243, 343, 1024, 2187,
     3125, 16_807, 59_049, 65_536, 161_051,
 )
 
 
+def _dense_prime_powers(top, is_prime):
+    """Flags on [0, top] of the prime powers p^k, k >= 1."""
+    prime_powers = is_prime.copy()
+    for p in np.flatnonzero(is_prime[: math.isqrt(top) + 1]).tolist():
+        power = p * p
+        while power <= top:
+            prime_powers[power] = True
+            power *= p
+    return prime_powers
+
+
 class TestOneRowFlags:
     """A count strikes its prime lane and the square-free mirror into one
-    row, and puts back only the proper powers whose mirror is square-free:
-    its hits are the prime powers n < N in the class with N - n
-    square-free, at every window size and thread count."""
+    row, and nothing is put back after the strikes: a lane's hits are
+    exactly the primes p < N in the class with N - p square-free, and
+    _proper_powers gives the proper powers n with N - n square-free beside
+    the scan, at every window size and thread count, with or without the
+    mirror."""
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -958,25 +973,46 @@ class TestOneRowFlags:
         else:
             target = data.draw(st.integers(3, 200_000), label="N")
         is_prime, squarefree = _dense_flags(target)
-        prime_powers = is_prime.copy()
-        for p in np.flatnonzero(is_prime[: math.isqrt(target) + 1]).tolist():
-            power = p * p
-            while power <= target:
-                prime_powers[power] = True
-                power *= p
+        prime_powers = _dense_prime_powers(target, is_prime)
         n = np.arange(target)
-        wanted = prime_powers[:target] & squarefree[target - n]
         with pytest.MonkeyPatch.context() as mp:
             # two workers even on the short windows of the 8 KiB cap
             mp.setattr(counting, "MIN_THREADED_WINDOW", 1)
-            for residue in (a for a in range(modulus) if math.gcd(a, modulus) == 1):
-                want = np.flatnonzero(wanted & (n % modulus == residue)).tolist()
-                want_powers = [v for v in want if not is_prime[v]]
-                for cap in (None, 8 << 10):
-                    _set_window_cap(mp, cap)
-                    for threads in (1, 2):
-                        got = _scan_hits(target, residue, modulus, tables, threads)
-                        assert got == (want, want_powers), (residue, cap, threads)
+            for mirror in (True, False):
+                wanted = prime_powers[:target].copy()
+                if mirror:
+                    wanted &= squarefree[target - n]
+                for residue in (a for a in range(modulus) if math.gcd(a, modulus) == 1):
+                    want = np.flatnonzero(wanted & (n % modulus == residue)).tolist()
+                    want_powers = [v for v in want if not is_prime[v]]
+                    for cap in (None, 8 << 10):
+                        _set_window_cap(mp, cap)
+                        for threads in (1, 2):
+                            key = (residue, mirror, cap, threads)
+                            hits, powers = _scan_hits(
+                                target, residue, modulus, tables, threads, mirror
+                            )
+                            assert is_prime[hits].all(), key
+                            got = sorted(hits + powers), powers
+                            assert got == (want, want_powers), key
+
+    def test_one_value_lanes_of_a_huge_modulus(self, tables):
+        # a numpy remainder modulo 7**40 overflows; the residues v and
+        # v + 7**40 name the class whose one value below N is v.  The mirror
+        # strikes the proper powers 125 (N - 125 = 25 * 7) and 2^k (4
+        # divides N - 2^k)
+        modulus = 7**40
+        target = 300
+        is_prime, squarefree = _dense_flags(target)
+        prime_powers = _dense_prime_powers(target, is_prime)
+        for v in range(2, target):
+            for mirror in (True, False):
+                kept = prime_powers[v] and (squarefree[target - v] or not mirror)
+                prime = kept and is_prime[v]
+                want = ([v] if prime else [], [v] if kept and not prime else [])
+                for residue in (v, v + modulus):
+                    got = _scan_hits(target, residue, modulus, tables, 1, mirror)
+                    assert got == want, (v, residue, mirror)
 
 
 class TestHypothesisProfile:
@@ -1184,8 +1220,8 @@ class TestScanMemory:
 
 
 class TestOddLane:
-    """Prime lanes hold only the odd members of their class; the powers of
-    two come from the even head."""
+    """Prime lanes hold only the odd members of their class; the prime 2 is
+    the even head."""
 
     @pytest.mark.parametrize(
         "cap, run, windows",

@@ -371,6 +371,29 @@ class TestExitCodes:
         args = build_parser().parse_args(["verify", suite, flag, str(cap)])
         assert getattr(args, flag[2:].replace("-", "_")) == cap
 
+    @pytest.mark.parametrize("flag", ["--q", "--q-max"])
+    @pytest.mark.parametrize("value", ["1001", str(10**21)])
+    def test_compare_moduli_are_capped(self, flag, value, capsys):
+        # a modulus of 10**21 used to end in an OverflowError with exit 1,
+        # the code of a breached gate, and 10**6 took 270 MB for one class
+        argv = ["compare", "--n", "1000", flag, value, "--a", "1"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+
+    def test_compare_takes_the_largest_small_modulus(self, tables, capsys):
+        # one class, so its ratio is the gate's median: the exit code may be
+        # either; the row must be there and exact
+        assert main(["compare", "--n", "10000", "--q", "1000", "--a", "1"]) in (
+            EXIT_OK,
+            EXIT_VERIFY,
+        )
+        _, rows = parse_csv(capsys.readouterr().out)
+        want = count_representations(10000, 1, 1000, tables).weighted
+        assert want > 0
+        assert [(r["q"], r["a"], r["weighted"]) for r in rows] == [(1000, 1, want)]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "400"])
     def test_padding_exponent_must_give_a_finite_padding(self, value, capsys):
         # inf used to pass the parser and fail the gate (exit 1); 400 made
