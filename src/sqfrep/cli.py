@@ -40,6 +40,7 @@ import gc
 import json
 import math
 import statistics
+import time
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from sqfrep.arith import (
     factorize,
 )
 from sqfrep.counting import (
+    MAX_THREADS,
     count_classes,
     count_representations,
     segmented_prime_sieve,
@@ -106,6 +108,11 @@ SUITES = {name: _suite(name) for name in ("arith", "local", "estimator")}
 
 # the largest lift length `verify estimator --n` accepts
 MAX_VERIFY_LENGTH = 10**6
+
+# `estimate --q1` and `--q2` caps: the exact weights take 2.7 s at the corner
+# (40, 6) on a 2-core x86 VM, at N = 100 and 10^5, and 18 s at (8, 24)
+MAX_ESTIMATE_Q1 = 40
+MAX_ESTIMATE_Q2 = 6
 
 # build_sieve above this limit would dwarf any reasonable request; larger
 # targets fail with a capacity error inside the counting layer instead
@@ -324,8 +331,9 @@ def cmd_compare(args) -> int:
     consistent = True
     for n in args.n:
         fn = factorize(n, tables)
+        started = time.perf_counter()
         counts = count_classes(n, q_values, tables, args.threads)
-        elapsed = next(iter(counts.values())).elapsed
+        elapsed = time.perf_counter() - started
         print(
             f"count N={n} classes={len(counts)}: {elapsed:.3f}s", file=sys.stderr
         )
@@ -515,8 +523,10 @@ def cmd_count(args) -> int:
     tables = _tables_for(max(args.n))
     rows = []
     for n in args.n:
+        started = time.perf_counter()
         res = count_representations(n, args.a, args.q, tables, args.threads)
-        print(f"count N={n}: {res.elapsed:.3f}s", file=sys.stderr)
+        elapsed = time.perf_counter() - started
+        print(f"count N={n}: {elapsed:.3f}s", file=sys.stderr)
         rows.append(
             {
                 "N": n,
@@ -694,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"single modulus, at most {MAX_Q_BOUND}")
     c.add_argument("--a", type=int, default=None, help="single residue class")
     c.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
-    c.add_argument("--threads", type=positive_int, default=1)
+    c.add_argument("--threads", type=bounded_int(MAX_THREADS), default=1)
     c.add_argument("--tolerance", type=positive_float, default=0.05,
                    help="gate on the median |ratio - 1| (default %(default)s)")
     _add_output_flags(c)
@@ -704,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", action="append", type=positive_int, required=True)
     e.add_argument("--qprime", type=positive_int, default=1)
     e.add_argument("--aprime", type=int, default=0)
-    e.add_argument("--q1", type=positive_int, default=8)
-    e.add_argument("--q2", type=positive_int, default=2)
+    e.add_argument("--q1", type=bounded_int(MAX_ESTIMATE_Q1), default=8)
+    e.add_argument("--q2", type=bounded_int(MAX_ESTIMATE_Q2), default=2)
     e.add_argument("--weights", choices=["exact", "paper"], default="exact")
     e.add_argument("--padding-constant", type=positive_float, default=None,
                    help="paper-form additive padding scale, --weights paper "
@@ -733,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--n", action="append", type=positive_int, required=True)
     n.add_argument("--q", type=positive_int, default=1)
     n.add_argument("--a", type=int, default=0)
-    n.add_argument("--threads", type=positive_int, default=1)
+    n.add_argument("--threads", type=bounded_int(MAX_THREADS), default=1)
     _add_output_flags(n)
 
     t = sub.add_parser(

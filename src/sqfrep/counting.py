@@ -31,18 +31,16 @@ n ≡ r (mod lcm(2, q)) from 3 on, and its mirror descends with the same
 step.  The prime 2, if the class holds it, is the even head, checked
 directly and reduced once before the first window.  For an odd q this
 halves the lane: `count --n 120000000 --q 7` sieves 9 windows of 2**20
-entries, not 17; at the 8 KiB cap `count --n 8000000 --q 3` sieves 1,303
-windows of 1 Ki, not 2,605; `compare --n 3000000` sieves 2, not 3.  In-process on a
-2-core x86 VM (Python 3.11, numpy 2.4, medians of 9 calls), those take
-0.026 s with 1 thread and 0.027 s with 2 (0.054 and 0.055 s before),
-0.038 s (0.073 s) and 0.013 s (0.028 s).
+entries.
 
 Sums of logarithms are exact and rounded once.  For n >= 2 the double
 log n is an integer multiple of 2**-53 below 2**5, so it is stored as the
 int64 numerator log n * 2**53; numerators are summed exactly and the total
 is rounded to a float at the very end.  A result is therefore the correctly
 rounded sum of its terms, bit-identical for every thread count and every
-window size.
+window size.  Every numerator comes from one source, log_numerators (numpy's
+log): a lane hit p, the even head 2 and a proper power p^k all weigh the
+numerator of log p.
 
 Every sieve strikes through one _StrikePlan, built once per scan before
 any worker starts.  It holds the (period, anchor) table of one lane, or of
@@ -51,8 +49,8 @@ lane indices and so their windows.  Both lanes strike one row of one byte
 per lane entry, so a count's row comes out as prime(n) and mu^2(N - n)
 with no second row to AND in.  Periods below 1/32 of the window are
 struck as one numpy slice each; every longer period lands at most 32
-times, and all of those hits, of both lanes, are cleared by two vectorised
-stores, so a small window costs a few numpy calls rather than a Python
+times, and all of those hits, of both lanes, are cleared by one gathered
+store, so a small window costs a few numpy calls rather than a Python
 loop over every base prime, and two lanes cost hardly more than one.
 
 A prime lane's hits are exactly its primes.  The von Mangoldt variants
@@ -63,25 +61,21 @@ mu^2(N - p^k) by trial division, and each consumer reduces them once.
 
 An odd lane carries about twice the hits per entry, so a window's hits
 are reduced in pieces of 2**18 lane entries in all, split across the
-scan's workers, which keeps their arrays smaller than the whole-window
-arrays of a lane with even entries.  Each worker refills one row for the
-whole scan, so a scan holds one row and one piece's arrays per worker:
-tracemalloc peaks of count_representations(120000000, 3, 7) are 2.1 MiB
-with 1 thread and 2.9-3.1 MiB with 2, against 3.3 and 6.0-6.2 MiB with two
-rows per window and whole pieces per worker.
+scan's workers.  Each worker refills one row for the whole scan, so a
+scan holds one row and one piece's arrays per worker: tracemalloc peaks
+of count_representations(120000000, 3, 7) are 2.1 MiB with 1 thread and
+2.9-3.1 MiB with 2.
 
-`compare` needs every unit class a mod q for many q.  count_classes makes
-one scan of [2, N) for all of them: each piece's hits are reduced to exact
-per-class sums at the maximal moduli (those dividing no other in the set:
-7 to 12 for 1..12), and every other modulus is folded out of a multiple
-once the scan ends, so the cost is one sieve, not one per class, and no
-hit is kept past its piece.  Class sums bin their values with float64
-bincounts of 32-bit limbs, exact in chunks of fewer than 2**21 hits, once
-per group of maximal moduli whose lcm stays at most CLASS_BIN_LIMIT: twice
-for 1..12 (mod 2,520 and 132), not six times.  In-process,
-count_classes(10**8, range(1, 13)) takes 0.35 s with 1 thread and 0.31 s
-with 2, against 0.53 and 0.36 s when each maximal modulus was binned
-alone (2-core x86 VM, medians of 9 alternating runs).
+`compare` needs every unit class a mod q for many q, and the estimator's
+f the class sums of one progression modulo every family modulus.
+count_classes and log_class_sums each make one scan: each piece's hits
+are reduced to exact per-class sums at the maximal moduli (those dividing
+no other in the set: 7 to 12 for 1..12), and every modulus is folded out
+of a multiple once the scan ends (_fold), so the cost is one sieve, not
+one per class, and no hit is kept past its piece.  Class sums bin their
+values with float64 bincounts of 32-bit limbs, exact in chunks of fewer
+than 2**21 hits, once per group of maximal moduli whose lcm stays at most
+CLASS_BIN_LIMIT: twice for 1..12 (mod 2,520 and 132).
 
 The base tables must reach the square root of the largest value touched: a
 lane is accepted only while its largest value is at most tables.limit**2.
@@ -92,7 +86,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
@@ -127,7 +120,6 @@ class CountResult:
     weighted: float
     unweighted: int
     lambda_weighted: float
-    elapsed: float
 
 
 def window_length() -> int:
@@ -201,10 +193,13 @@ def _mulmod(x: np.ndarray, y: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return out
 
 
-class _LaneSieve:
+def _lane_table(
+    first: int, step: int, count: int, exponent: int, tables: SieveTables
+) -> tuple[np.ndarray, np.ndarray, range]:
     """The strike table of one lane, the values first + step*j at lane
     indices 0 <= j < count: with exponent 1 its composites are struck, with
-    exponent 2 its values that are not square-free.
+    exponent 2 its values that are not square-free.  Returns (periods,
+    anchors, cleared), the periods in base-prime order.
 
     A base prime p strikes the indices whose value p**exponent divides (for
     primes, only values of at least p*p).  With g = gcd(step, p**exponent)
@@ -229,44 +224,35 @@ class _LaneSieve:
     limit below 2**31, so the check only fails for hand-built tables or
     windows of about 2**62 entries).
     """
-
-    def __init__(
-        self, first: int, step: int, count: int, exponent: int, tables: SieveTables
-    ) -> None:
-        if count < 1 or step == 0:
-            raise ValueError(f"empty lane: {count} values of step {step}")
-        if count == 1:
-            # one value has no step; 1 keeps any modulus out of int64 products
-            step = 1
-        last = first + step * (count - 1)
-        _check_window(min(first, last), max(first, last) + 1, tables)
-        primes = _base_primes(math.isqrt(max(first, last)), tables).astype(np.int64)
-        powers = primes**exponent
-        # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0,
-        # and with g = gcd(a, p**exponent) dividing c, (a/g) j ≡ -c/g modulo
-        # the period p**exponent / g
-        c, a = (first, step) if step > 0 else (-first, -step)
-        g = np.gcd(powers, a)
-        solvable = c % g == 0
-        primes, g = primes[solvable], g[solvable]
-        periods = powers[solvable] // g
-        anchors = _mulmod(
-            -(c // g) % periods, _inverses(a // g % periods, periods), periods
-        )
-        # periods ascend: p**exponent / g can undercut a smaller prime's period
-        order = np.argsort(periods, kind="stable")
-        periods, anchors, primes = periods[order], anchors[order], primes[order]
-        if exponent == 1:
-            # strike composites only: from the lane index of p*p on, which
-            # needs an ascending lane; 0 and 1 are not prime
-            start = np.maximum(-((first - primes**2) // step), 0)
-            anchors = start + (anchors - start) % periods
-            self.cleared = range(max(0, -((first - 2) // step)))
-        else:
-            # 0 is not square-free (nor struck when no base prime reaches 4)
-            zero = -first // step
-            self.cleared = range(zero, zero + 1) if first % step == 0 else range(0)
-        self.anchors, self.periods = anchors, periods
+    if count < 1 or step == 0:
+        raise ValueError(f"empty lane: {count} values of step {step}")
+    if count == 1:
+        # one value has no step; 1 keeps any modulus out of int64 products
+        step = 1
+    last = first + step * (count - 1)
+    _check_window(min(first, last), max(first, last) + 1, tables)
+    primes = _base_primes(math.isqrt(max(first, last)), tables).astype(np.int64)
+    powers = primes**exponent
+    # first + step*j ≡ 0 (mod p**exponent)  <=>  c + a*j ≡ 0 with a > 0,
+    # and with g = gcd(a, p**exponent) dividing c, (a/g) j ≡ -c/g modulo
+    # the period p**exponent / g
+    c, a = (first, step) if step > 0 else (-first, -step)
+    g = np.gcd(powers, a)
+    solvable = c % g == 0
+    primes, g = primes[solvable], g[solvable]
+    periods = powers[solvable] // g
+    anchors = _mulmod(
+        -(c // g) % periods, _inverses(a // g % periods, periods), periods
+    )
+    if exponent == 1:
+        # strike composites only: from the lane index of p*p on, which
+        # needs an ascending lane; 0 and 1 are not prime
+        start = np.maximum(-((first - primes**2) // step), 0)
+        anchors = start + (anchors - start) % periods
+        return periods, anchors, range(max(0, -((first - 2) // step)))
+    # 0 is not square-free (nor struck when no base prime reaches 4)
+    zero = -first // step
+    return periods, anchors, range(zero, zero + 1) if first % step == 0 else range(0)
 
 
 class _StrikePlan:
@@ -275,17 +261,17 @@ class _StrikePlan:
     every lane's value passes.  A count's prime lane and its square-free
     mirror are two such lanes, so their row is prime(n) and mu^2(N - n) at
     once.  `lanes` lists each lane as (first, step, exponent), as for
-    _LaneSieve; windows hold at most `length` lane indices.
+    _lane_table; windows hold at most `length` lane indices.
 
-    The lanes' (period, anchor) tables are merged, sorted by period, and cut
-    once into three groups.  A period below length / 32 is struck as one
-    numpy slice per window.  A period below length lands at most
-    ceil(length / period) <= 32 times in a window: every such hit, j *
-    period past its period's offset, is laid out once, and a window shifts
-    them all by their offsets and clears them in one store.  A longer period
-    lands at most once, and those hits are a second store.  The stores clip
-    each hit to column n of a window of n entries, a sink that no caller
-    reads, so no hit needs a mask.
+    The lanes' (period, anchor) tables are merged, sorted by period once,
+    and cut once into two groups.  A period below length / 32 is struck as
+    one numpy slice per window.  Every longer period lands at most
+    ceil(length / period) <= 32 times in a window, once when the period is
+    at least length: every such hit, j * period past its period's offset,
+    is laid out once, and a window shifts them all by their offsets and
+    clears them in one gathered store.  The store clips each hit to column n
+    of a window of n entries, a sink that no caller reads, so no hit needs a
+    mask.
 
     No caller sets an index back, so a prime lane's flags are its primes.
     The tables are read-only once built, so workers share the plan.  Each
@@ -295,20 +281,19 @@ class _StrikePlan:
 
     def __init__(self, lanes, count: int, tables: SieveTables, length: int) -> None:
         require_int64(tables.limit**2 + tables.limit + length + 1)
-        solved = [_LaneSieve(f, s, count, e, tables) for f, s, e in lanes]
-        self.width = length + 1
-        self.cleared = [lane.cleared for lane in solved]
-        periods = np.concatenate([lane.periods for lane in solved])
+        periods, anchors, self.cleared = zip(
+            *(_lane_table(f, s, count, e, tables) for f, s, e in lanes)
+        )
+        periods = np.concatenate(periods)
         order = np.argsort(periods, kind="stable")
         self.periods = periods[order]
-        self.anchors = np.concatenate([lane.anchors for lane in solved])[order]
-        # two cuts split the ascending periods into the three groups
-        bounds = (-(-length // _SLICE_SPLIT), length)
-        self.sliced, self.repeated = self.periods.searchsorted(bounds).tolist()
+        self.anchors = np.concatenate(anchors)[order]
+        self.width = length + 1
+        self.sliced = int(self.periods.searchsorted(-(-length // _SLICE_SPLIT)))
         self.slices = self.periods[: self.sliced].tolist()
-        # the j-th hit of each repeated period, j < ceil(length / period)
-        hits = -(-length // self.periods[self.sliced : self.repeated])
-        self.entry = np.repeat(np.arange(self.sliced, self.repeated), hits)
+        # the j-th hit of each gathered period, j < ceil(length / period)
+        hits = -(-length // self.periods[self.sliced :])
+        self.entry = np.repeat(np.arange(self.sliced, self.periods.size), hits)
         first_hit = np.repeat(hits.cumsum() - hits, hits)
         jumps = np.arange(self.entry.size) - first_hit
         self.strides = jumps * self.periods[self.entry]
@@ -334,7 +319,6 @@ class _StrikePlan:
         hits += self.strides
         np.minimum(hits, n, out=hits)
         row[hits] = False
-        row[np.minimum(offsets[self.repeated :], n)] = False
         for cleared in self.cleared:
             row[max(cleared.start - lo, 0) : max(cleared.stop - lo, 0)] = False
         return row[:n]
@@ -408,6 +392,19 @@ def _maximal(moduli: list) -> list:
     return [m for m in dict.fromkeys(moduli) if all(o == m or o % m for o in moduli)]
 
 
+def _fold(tables: dict, moduli) -> list[list]:
+    """For each q in moduli, the rows of the first table in `tables` whose
+    modulus q divides, folded to classes mod q: entry r gathers entries
+    r, r + q, r + 2q, ... mod m.  tables maps a modulus m to an array of
+    rows of m classes each, int64 (a piece's limb sums) or Python ints (a
+    scan's totals), and each fold is exact in that type."""
+    folded = []
+    for q in moduli:
+        rows = next(t for m, t in tables.items() if m % q == 0)
+        folded.append(rows.reshape(len(rows), -1, q).sum(1).tolist())
+    return folded
+
+
 def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list:
     """For each q in moduli, (counts, sums): counts[r] values are ≡ r
     (mod q), and sums[r] is the exact sum of their numerators, each below
@@ -439,12 +436,10 @@ def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list
             counts += np.bincount(classes, minlength=m)
             for row, limb in zip(sums, limbs):
                 row += np.bincount(classes, limb, m).astype(np.int64)
-    out = []
-    for q in moduli:
-        folded = bins[next(m for m in binned if m % q == 0)].reshape(3, -1, q)
-        counts, high, low = folded.sum(1).tolist()
-        out.append((counts, [(h << 32) + l for h, l in zip(high, low)]))
-    return out
+    return [
+        (counts, [(h << 32) + l for h, l in zip(high, low)])
+        for counts, high, low in _fold(bins, moduli)
+    ]
 
 
 # Windows shorter than this run on one worker.  A long window is mostly
@@ -459,10 +454,18 @@ def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list
 MIN_THREADED_WINDOW = 1 << 19
 
 
+# The most workers a scan takes: each holds a row of length + 1 bytes (1
+# MiB at the default window), so 64 workers hold about 64 MiB, while 1000
+# threads would start one worker per window (477 at N = 10**9 mod 1).
+MAX_THREADS = 64
+
+
 def scan_workers(threads: int, windows: int, length: int) -> int:
     """Workers for a scan of `windows` windows of `length` lane entries:
     never more than there are windows, and one for windows shorter than
-    MIN_THREADED_WINDOW."""
+    MIN_THREADED_WINDOW.  More than MAX_THREADS threads is a ValueError."""
+    if threads > MAX_THREADS:
+        raise ValueError(f"{threads} threads is above the cap {MAX_THREADS}")
     if length < MIN_THREADED_WINDOW:
         return 1
     return max(1, min(threads, windows))
@@ -526,22 +529,21 @@ def _proper_powers(
     top: int, residue: int, modulus: int, tables: SieveTables, mirror: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The proper prime powers n = p^k <= top (k >= 2) with n ≡ residue
-    (mod modulus), in increasing order, and the numerators of their
-    math.log(p), which may differ from np.log(p) in the last bit; with a
-    mirror, only those with mirror - n square-free.  The class is filtered
-    in Python ints, which take any modulus."""
+    (mod modulus), in increasing order, and the numerators of their log p;
+    with a mirror, only those with mirror - n square-free.  The class is
+    filtered in Python ints, which take any modulus."""
     found = []
     for p in _base_primes(math.isqrt(top), tables).tolist():
         v = p * p
         while v <= top:
             if (v - residue) % modulus == 0:
-                found.append((v, int(math.log(p) * LOG_SCALE)))
+                found.append((v, p))
             v *= p
-    values, numerators = np.array(sorted(found), dtype=np.int64).reshape(-1, 2).T
+    values, primes = np.array(sorted(found), dtype=np.int64).reshape(-1, 2).T
     if mirror is not None:
         keep = _squarefree(mirror - values, tables)
-        values, numerators = values[keep], numerators[keep]
-    return values, numerators
+        values, primes = values[keep], primes[keep]
+    return values, log_numerators(primes)
 
 
 def _log_scan(
@@ -632,7 +634,6 @@ def count_representations(
     if target < 3:
         raise ValueError("target must be at least 3")
     _check_coverage(target, tables)
-    started = time.perf_counter()
 
     def window(hits, nums):
         return hits.size, exact_sum(nums)
@@ -651,7 +652,6 @@ def count_representations(
         weighted=total / LOG_SCALE,
         unweighted=unweighted,
         lambda_weighted=(total + exact_sum(powers)) / LOG_SCALE,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -661,9 +661,11 @@ def count_classes(
     """count_representations for every unit class a mod q and every q in
     moduli, keyed (q, a) in the order of moduli and then of a.
 
-    One scan of [2, target) on modulus 1 finds every hit; each window is
-    reduced to exact per-class sums for every q, so no hit outlives its
-    window.  Every result carries the elapsed time of the whole scan.
+    One scan of [2, target) on modulus 1 finds every hit; each piece is
+    reduced to exact per-class sums at the maximal moduli, and every
+    modulus is folded out of those once the scan is done, so no hit
+    outlives its piece and a piece costs a few list additions, not one per
+    modulus.
     """
     moduli = list(dict.fromkeys(moduli))
     if any(q < 1 for q in moduli):
@@ -671,30 +673,20 @@ def count_classes(
     if target < 3:
         raise ValueError("target must be at least 3")
     _check_coverage(target, tables)
-    started = time.perf_counter()
-
-    # a piece is binned at the maximal moduli only, and every modulus is
-    # folded out of a maximal one that it divides once the scan is done, so
-    # a piece costs a few list additions, not one per modulus
     maximal = _maximal(moduli)
 
     def window(hits, nums):
         return exact_class_sums(nums, hits, maximal)
 
-    counts = {m: [0] * m for m in maximal}
-    totals = {m: [0] * m for m in maximal}
+    totals = {m: [[0] * m, [0] * m] for m in maximal}
     for per_m in _log_scan(target - 1, 0, 1, tables, window, threads, mirror=target):
-        for m, (piece_counts, piece_sums) in zip(maximal, per_m):
-            counts[m] = list(map(add, counts[m], piece_counts))
-            totals[m] = list(map(add, totals[m], piece_sums))
+        for m, piece in zip(maximal, per_m):
+            totals[m] = [list(map(add, old, new)) for old, new in zip(totals[m], piece)]
     values, numerators = _proper_powers(target - 1, 0, 1, tables, mirror=target)
     extras = exact_class_sums(numerators, values, moduli)
-    elapsed = time.perf_counter() - started
+    folded = _fold({m: np.array(t, dtype=object) for m, t in totals.items()}, moduli)
     results = {}
-    for q, (_, q_extras) in zip(moduli, extras):
-        m = next(m for m in maximal if m % q == 0)
-        q_counts = [sum(counts[m][r::q]) for r in range(q)]
-        q_totals = [sum(totals[m][r::q]) for r in range(q)]
+    for q, (q_counts, q_totals), (_, q_extras) in zip(moduli, folded, extras):
         for a in range(q):
             if math.gcd(a, q) == 1:
                 results[(q, a)] = CountResult(
@@ -704,7 +696,6 @@ def count_classes(
                     weighted=q_totals[a] / LOG_SCALE,
                     unweighted=q_counts[a],
                     lambda_weighted=(q_totals[a] + q_extras[a]) / LOG_SCALE,
-                    elapsed=elapsed,
                 )
     return results
 
@@ -747,19 +738,22 @@ def log_class_sums(
         raise ValueError("target must be positive")
     _check_coverage(target, tables)
     moduli = list(moduli)
+    maximal = _maximal(moduli)
 
     def piece(hits, nums):
-        sums = [sums for _, sums in exact_class_sums(nums, hits, moduli)]
+        sums = [sums for _, sums in exact_class_sums(nums, hits, maximal)]
         return sums, square_sum(nums)
 
-    totals = [[0] * q for q in moduli]
+    totals = {m: [0] * m for m in maximal}
     squares = 0
     primes = _log_scan(target, residue, modulus, tables, piece, threads)
     powers = piece(*_proper_powers(target, residue, modulus, tables, None))
     for sums, square in chain(primes, [powers]):
-        totals = [list(map(add, total, part)) for total, part in zip(totals, sums)]
+        for m, part in zip(maximal, sums):
+            totals[m] = list(map(add, totals[m], part))
         squares += square
-    return totals, squares
+    folded = _fold({m: np.array([t], dtype=object) for m, t in totals.items()}, moduli)
+    return [sums for (sums,) in folded], squares
 
 
 def psi_in_ap(

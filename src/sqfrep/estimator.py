@@ -24,7 +24,7 @@ a remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -57,12 +57,14 @@ PAPER_MODE = "paper-form"
 @dataclass(frozen=True)
 class ModuliSet:
     """All cubefree q = q1 * q2^2 with q1 <= q1_bound, q2 <= q2_bound and
-    q1 q2 square-free, plus the two distinguished subsets.
+    q1 q2 square-free, plus the two distinguished subsets and the local
+    vectors behind the family.
 
     exceptional: q whose difference vector vanishes (its square-free part
     away from the context modulus divides the target, and the rest divides
     target - residue).  degenerate: q whose sum vector vanishes instead;
-    possible because one of the two split parts is even.
+    possible because one of the two split parts is even.  vectors: q ->
+    (sum vector eta, difference vector kappa), built once with the set.
     """
 
     q1_bound: int
@@ -71,6 +73,7 @@ class ModuliSet:
     members: tuple[int, ...]
     exceptional: frozenset[int]
     degenerate: frozenset[int]
+    vectors: Mapping[int, tuple[LocalVector, LocalVector]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,8 @@ def _local_dots(
 def build_moduli_set(
     q1_bound: int, q2_bound: int, ctx: ProgressionContext, tables: SieveTables
 ) -> ModuliSet:
-    """Enumerate the moduli family and classify each member."""
+    """Enumerate the moduli family, classify each member and build its
+    model vectors."""
     if q1_bound < 1 or q2_bound < 1:
         raise ValueError("bounds must be at least 1")
     members = []
@@ -174,6 +178,7 @@ def build_moduli_set(
     members.sort()
     exceptional = []
     degenerate = []
+    vectors = {}
     for q in members:
         fq = factorize(q, tables)
         c = alignment_term(ctx, fq, tables)
@@ -182,6 +187,7 @@ def build_moduli_set(
             exceptional.append(q)
         elif c == -phi:
             degenerate.append(q)
+        vectors[q] = (model_sum(ctx, fq, tables), model_diff(ctx, fq, tables))
     return ModuliSet(
         q1_bound=q1_bound,
         q2_bound=q2_bound,
@@ -189,18 +195,8 @@ def build_moduli_set(
         members=tuple(members),
         exceptional=frozenset(exceptional),
         degenerate=frozenset(degenerate),
+        vectors=vectors,
     )
-
-
-def model_family(ms: ModuliSet, tables: SieveTables) -> dict:
-    """The local vectors behind the family: q -> (sum vector, diff vector)."""
-    return {
-        q: (
-            model_sum(ms.context, factorize(q, tables), tables),
-            model_diff(ms.context, factorize(q, tables), tables),
-        )
-        for q in ms.members
-    }
 
 
 def periodic_cross(u: LocalVector, v: LocalVector, length: int) -> Fraction:
@@ -239,14 +235,13 @@ def compute_weights(
     positive padding.
     """
     n = ms.context.target
-    family = model_family(ms, tables)
     phi_members = [q for q in ms.members if q not in ms.degenerate]
     psi_members = [q for q in ms.members if q not in ms.exceptional]
     if mode == EXACT_MODE:
         if padding_constant is not None or padding_exponent is not None:
             raise ValueError("padding applies to paper-form only")
-        vectors = [("phi", q, family[q][0]) for q in phi_members]
-        vectors += [("psi", q, family[q][1]) for q in psi_members]
+        vectors = [("phi", q, ms.vectors[q][0]) for q in phi_members]
+        vectors += [("psi", q, ms.vectors[q][1]) for q in psi_members]
         # periodic_cross is symmetric: each unordered pair is computed once
         # and its magnitude added to both sides
         totals = [Fraction(0)] * len(vectors)
@@ -279,30 +274,24 @@ def compute_weights(
                 " is not finite"
             )
         m_phi = {
-            q: n * local_product(family[q][0], family[q][0]).coeff + pad
+            q: n * local_product(ms.vectors[q][0], ms.vectors[q][0]).coeff + pad
             for q in phi_members
         }
         m_psi = {
-            q: n * local_product(family[q][1], family[q][1]).coeff + pad
+            q: n * local_product(ms.vectors[q][1], ms.vectors[q][1]).coeff + pad
             for q in psi_members
         }
         return Weights(m_phi=m_phi, m_psi=m_psi, mode=mode)
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
-def _family_products(
-    f: Summary,
-    g: Summary,
-    ms: ModuliSet,
-    weights: Weights,
-    tables: SieveTables,
-):
+def _family_products(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):
     """For each family modulus q in order: q, its (eta, kappa), and one
     (kind, [f|u~], [g|u~], M(u)) per weighted vector u of q, "phi" for eta
     before "psi" for kappa."""
     if not f.length == g.length == ms.context.target:
         raise ValueError("length mismatch")
-    for q, (eta, kappa) in model_family(ms, tables).items():
+    for q, (eta, kappa) in ms.vectors.items():
         kept = [
             (kind, vec, table[q])
             for kind, vec, table in (
@@ -328,7 +317,7 @@ def estimate_inner(
 ):
     """<f|g>: the weighted bilinear approximation to [f|g] over the family."""
     total = 0
-    for *_, products in _family_products(f, g, ms, weights, tables):
+    for *_, products in _family_products(f, g, ms, weights):
         for _, a, b, m in products:
             total += a * b / m
     return total
@@ -352,7 +341,7 @@ def predicted_main_terms(
     ctx = ms.context
     n = ctx.target
     fq = factorize(q, tables)
-    eta, kappa = model_sum(ctx, fq, tables), model_diff(ctx, fq, tables)
+    eta, kappa = ms.vectors[q]
     # eta + kappa = mirror_density_star / t(q) and eta - kappa = rho_weight
     # prime_density_star_ungated (verify checks both entrywise); the gated
     # density is the ungated one when q2^2 divides q', and zero otherwise
@@ -387,7 +376,7 @@ def per_q_breakdown(
     """One row per modulus: norms, weights, the four exact products, the
     row's contribution to <f|g>, and the predicted main terms."""
     rows = []
-    for q, eta, kappa, products in _family_products(f, g, ms, weights, tables):
+    for q, eta, kappa, products in _family_products(f, g, ms, weights):
         predicted = predicted_main_terms(ms, q, tables)
         row = {
             "q": q,

@@ -51,7 +51,6 @@ from sqfrep.estimator import (
     build_moduli_set,
     compute_weights,
     estimate_inner,
-    model_family,
     periodic_cross,
 )
 from sqfrep.localmodel import (
@@ -704,9 +703,8 @@ def run_estimator_suite(
     for ctx in contexts:
         ms = build_moduli_set(q1_bound, q2_bound, ctx, tables)
         w = compute_weights(ms, tables)
-        fam = model_family(ms, tables)
-        vectors = [(fam[q][0], w.m_phi[q]) for q in ms.members if q in w.m_phi]
-        vectors += [(fam[q][1], w.m_psi[q]) for q in ms.members if q in w.m_psi]
+        vectors = [(ms.vectors[q][0], m) for q, m in w.m_phi.items()]
+        vectors += [(ms.vectors[q][1], m) for q, m in w.m_psi.items()]
         crosses = [
             [periodic_cross(u, v, ctx.target) for v, _ in vectors]
             for u, _ in vectors
@@ -770,10 +768,11 @@ def run_estimator_suite(
     rec = _Recorder("exceptional-membership")
     for ctx in contexts:
         ms = build_moduli_set(q1_bound, q2_bound, ctx, tables)
-        fam = model_family(ms, tables)
-        for q, (_, kappa) in fam.items():
+        # alignment_term's classification against the vectors themselves
+        for q, (eta, kappa) in ms.vectors.items():
             norm = local_product(kappa, kappa).coeff
             ok = (norm == 0) == (q in ms.exceptional)
+            ok = ok and (local_product(eta, eta).coeff == 0) == (q in ms.degenerate)
             if q not in ms.exceptional:
                 ok = ok and norm >= Fraction(euler_phi(factorize(q, tables)), 4)
             rec.check(

@@ -13,9 +13,10 @@ import sqfrep.counting as counting
 from sqfrep.counting import (
     DEFAULT_WINDOW,
     LOG_BITS,
+    MAX_THREADS,
     MIN_THREADED_WINDOW,
-    _LaneSieve,
     _StrikePlan,
+    _lane_table,
     _scan,
     count_classes,
     count_representations,
@@ -316,11 +317,7 @@ class TestPsiInAp:
             psi_in_ap(100, 2, 4, tables)
 
 
-class TestCapacityAndElapsed:
-    def test_elapsed_recorded(self, tables):
-        r = count_representations(1000, 0, 1, tables)
-        assert r.elapsed >= 0.0
-
+class TestCapacity:
     def test_psi_capacity(self):
         small = build_sieve(100)
         with pytest.raises(CapacityError):
@@ -344,8 +341,8 @@ def _dense_flags(top):
 
 def _brute_sums(target, residue, modulus, is_prime, squarefree):
     """(unweighted, weighted, lambda_weighted, psi) for one class, each the
-    correctly rounded math.fsum of every log it adds: the double log n at a
-    prime n, and log p at a proper power n = p^k."""
+    correctly rounded math.fsum of every log it adds: the double np.log n at
+    a prime n, and np.log p at a proper power n = p^k."""
     residue %= modulus
     primes = np.flatnonzero(is_prime[: target + 1])
     lane = primes[primes % modulus == residue]
@@ -355,7 +352,7 @@ def _brute_sums(target, residue, modulus, is_prime, squarefree):
     psi_logs = np.log(lane.astype(np.float64)).tolist()
     power_logs = []
     for p in primes[: int(np.searchsorted(primes, math.isqrt(target), "right"))]:
-        lg = math.log(int(p))
+        lg = float(np.log(float(p)))
         v = int(p) * int(p)
         while v <= target:
             if v % modulus == residue:
@@ -658,11 +655,11 @@ class TestLaneSieveProperties:
     def test_rejects_empty_and_uncovered_lanes(self, tables):
         small = build_sieve(100)
         with pytest.raises(ValueError):
-            _LaneSieve(5, 3, 0, 1, small)
+            _lane_table(5, 3, 0, 1, small)
         with pytest.raises(ValueError):
-            _LaneSieve(5, -3, 3, 2, small)
+            _lane_table(5, -3, 3, 2, small)
         with pytest.raises(CapacityError):
-            _LaneSieve(9_000, 500, 4, 2, small)
+            _lane_table(9_000, 500, 4, 2, small)
 
 
 def _python_anchors(first, step, count, exponent, tables):
@@ -735,11 +732,12 @@ class TestLaneAnchors:
         count = data.draw(st.integers(1, (top - first) // step + 1), label="count")
         last = first + step * (count - 1)
         for lane in ((first, step, 1), (first, step, 2), (last, -step, 2)):
-            got = _LaneSieve(*lane[:2], count, lane[2], tables)
-            assert got.periods.tolist() == sorted(got.periods.tolist())
-            assert sorted(zip(got.periods.tolist(), got.anchors.tolist())) == (
+            periods, anchors, _ = _lane_table(*lane[:2], count, lane[2], tables)
+            assert sorted(zip(periods.tolist(), anchors.tolist())) == (
                 _python_anchors(*lane[:2], count, lane[2], tables)
             ), lane
+            plan = _StrikePlan([lane], count, tables, DEFAULT_WINDOW)
+            assert plan.periods.tolist() == sorted(periods.tolist())
 
     @pytest.mark.parametrize("step", (1, 14, 2 * 99_991, 2 * 97**2, 999_983))
     def test_periods_past_two_to_the_31(self, wide_tables, step):
@@ -747,9 +745,9 @@ class TestLaneAnchors:
         count = min(10**6, top // step)
         first = top - step * (count - 1)
         for lane in ((first, step, 1), (first, step, 2), (top, -step, 2)):
-            got = _LaneSieve(*lane[:2], count, lane[2], wide_tables)
-            assert lane[2] == 1 or got.periods.max() > 1 << 31
-            assert sorted(zip(got.periods.tolist(), got.anchors.tolist())) == (
+            periods, anchors, _ = _lane_table(*lane[:2], count, lane[2], wide_tables)
+            assert lane[2] == 1 or periods.max() > 1 << 31
+            assert sorted(zip(periods.tolist(), anchors.tolist())) == (
                 _python_anchors(*lane[:2], count, lane[2], wide_tables)
             ), lane
 
@@ -1032,11 +1030,11 @@ def _brute_prime_powers(target, residue, modulus, is_prime):
         v = p
         while v <= target:
             if v % modulus == residue % modulus:
-                found.append((v, math.log(p)))
+                found.append((v, p))
             v *= p
     found.sort()
     vals = np.array([v for v, _ in found], dtype=np.int64)
-    logs = np.array([lg for _, lg in found], dtype=np.float64)
+    logs = np.log(np.array([p for _, p in found], dtype=np.float64))
     return vals, np.ldexp(logs, LOG_BITS).astype(np.int64)
 
 
@@ -1128,8 +1126,9 @@ class TestLaneInvariance:
 
 
 class TestScanWorkers:
-    """The worker count of a scan: never more workers than windows, and one
-    worker for windows below the threading crossover."""
+    """The worker count of a scan: never more workers than windows, one
+    worker for windows below the threading crossover, and no more than
+    MAX_THREADS asked for."""
 
     def test_rule(self):
         long = MIN_THREADED_WINDOW
@@ -1139,6 +1138,18 @@ class TestScanWorkers:
         assert scan_workers(2, 1, 1 << 20) == 1
         assert scan_workers(2, 100, long - 1) == 1
         assert scan_workers(2, 1000, 1 << 10) == 1
+
+    def test_threads_are_capped(self, tables, monkeypatch):
+        import concurrent.futures
+
+        assert scan_workers(MAX_THREADS, 1000, DEFAULT_WINDOW) == MAX_THREADS
+        for length in (DEFAULT_WINDOW, 1 << 10):
+            with pytest.raises(ValueError, match="above the cap"):
+                scan_workers(MAX_THREADS + 1, 1000, length)
+        # a count asks for its workers before the first window: no pool starts
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        with pytest.raises(ValueError, match="above the cap"):
+            count_representations(3 * 10**8, 0, 1, tables, threads=1000)
 
     def test_benchmark_two_thread_count_keeps_two_workers(self):
         # count --n 1.2e8 --q 7 --threads 2 at the default window length: the

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from sqfrep.arith import CapacityError, build_sieve, euler_phi, factorize
 import sqfrep.counting as counting
 from sqfrep.counting import (
-    LOG_BITS,
     LOG_SCALE,
     count_representations,
     log_numerators,
@@ -31,7 +30,6 @@ from sqfrep.estimator import (
     estimate_inner,
     log_summary,
     mirror_summary,
-    model_family,
     per_q_breakdown,
     periodic_cross,
     predicted_main_terms,
@@ -98,7 +96,7 @@ def families(tables):
     out = {}
     for ctx in CONTEXTS:
         ms = build_moduli_set(4, 2, ctx, tables)
-        out[ctx] = (ms, compute_weights(ms, tables), model_family(ms, tables))
+        out[ctx] = (ms, compute_weights(ms, tables), ms.vectors)
     return out
 
 
@@ -142,7 +140,7 @@ class TestModuliSet:
             ProgressionContext(997, 2, 15),
         ):
             ms = build_moduli_set(6, 2, ctx, tables)
-            fam = model_family(ms, tables)
+            fam = ms.vectors
             for q, (_, kappa) in fam.items():
                 norm = local_product(kappa, kappa).coeff
                 assert (norm == 0) == (q in ms.exceptional)
@@ -154,7 +152,7 @@ class TestModuliSet:
         ctx = ProgressionContext(999, 1, 1)
         ms = build_moduli_set(6, 2, ctx, tables)
         assert 2 in ms.degenerate
-        fam = model_family(ms, tables)
+        fam = ms.vectors
         for q, (eta, _) in fam.items():
             norm = local_product(eta, eta).coeff
             assert (norm == 0) == (q in ms.degenerate)
@@ -225,7 +223,7 @@ class TestGlobalBuilders:
 class TestCrossProducts:
     def test_matches_brute_force(self, tables):
         ctx = ProgressionContext(97, 1, 1)
-        fam = model_family(build_moduli_set(3, 2, ctx, tables), tables)
+        fam = build_moduli_set(3, 2, ctx, tables).vectors
         length = 97
         for qa, (ua, _) in fam.items():
             for qb, (_, vb) in fam.items():
@@ -237,7 +235,7 @@ class TestCrossProducts:
 
     def test_diagonal_at_full_periods(self, tables):
         ctx = ProgressionContext(120, 1, 1)
-        fam = model_family(build_moduli_set(5, 1, ctx, tables), tables)
+        fam = build_moduli_set(5, 1, ctx, tables).vectors
         for q, (eta, _) in fam.items():
             norm = local_product(eta, eta).coeff
             assert periodic_cross(eta, eta, 120) == 120 * norm
@@ -266,7 +264,7 @@ class TestWeights:
         ctx = ProgressionContext(10_000, 1, 1)
         ms = build_moduli_set(3, 1, ctx, tables)
         w = compute_weights(ms, tables)
-        fam = model_family(ms, tables)
+        fam = ms.vectors
         for q, weight in w.m_phi.items():
             diagonal = 10_000 * local_product(fam[q][0], fam[q][0]).coeff
             assert abs(weight / diagonal - 1) <= Fraction(1, 4)
@@ -304,7 +302,7 @@ class TestWeights:
         w = compute_weights(
             ms, tables, mode="paper-form", padding_constant=1e4, padding_exponent=0.1
         )
-        fam = model_family(ms, tables)
+        fam = ms.vectors
         for q, weight in w.m_phi.items():
             norm = local_product(fam[q][0], fam[q][0]).coeff
             assert weight == pytest.approx(10**6 * float(norm) + 1e4 * (10**6) ** 0.1)
@@ -416,7 +414,7 @@ class TestEstimateInner:
         for ctx in configs:
             ms = build_moduli_set(6, 2, ctx, tables)
             w = compute_weights(ms, tables)
-            fam = model_family(ms, tables)
+            fam = ms.vectors
             vectors = [(fam[q][0], w.m_phi[q]) for q in ms.members
                        if q in w.m_phi]
             vectors += [(fam[q][1], w.m_psi[q]) for q in ms.members
@@ -481,7 +479,7 @@ class TestBreakdownAndPredictions:
         pred = predicted_main_terms(ms, 3, tables)
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
         f = log_summary(ctx, ms.members, tables)
-        fam = model_family(ms, tables)
+        fam = ms.vectors
         empirical = float(_local_dots(f, 3, [fam[3][1]])[0])
         assert empirical > 0
         assert abs(empirical / pred["f_psi"] - 1) < 0.1
@@ -490,7 +488,7 @@ class TestBreakdownAndPredictions:
         ctx = ProgressionContext(20_000, 1, 1)
         ms = build_moduli_set(5, 1, ctx, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        fam = model_family(ms, tables)
+        fam = ms.vectors
         for q in ms.members:
             pred = predicted_main_terms(ms, q, tables)
             got = float(_local_dots(g, q, [fam[q][0]])[0])
@@ -570,8 +568,10 @@ class TestExactGlobalProducts:
         assert f.norm == sum(x * x for x in values)
 
     def test_class_sums_once_per_function_and_modulus(self, tables, monkeypatch):
-        # one scan per summary, binning every family modulus at once; the
-        # products then read the summaries and scan nothing
+        # one scan per summary, binning each piece at the family's maximal
+        # moduli (those dividing no other member), from which every modulus
+        # is folded once; the products then read the summaries and scan
+        # nothing
         ctx = ProgressionContext(2000, 1, 2)
         ms = build_moduli_set(4, 2, ctx, tables)
         w = compute_weights(ms, tables)
@@ -588,7 +588,9 @@ class TestExactGlobalProducts:
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
         assert len(scans) == 1
-        assert binned and all(m == list(ms.members) for m in binned)
+        maximal = [q for q in ms.members if all(o == q or o % q for o in ms.members)]
+        assert maximal != list(ms.members)
+        assert binned and all(m == maximal for m in binned)
         estimate_inner(f, g, ms, w, tables)
         bessel_defect(f, ms, w, tables)
         bessel_defect(g, ms, w, tables)
@@ -598,8 +600,8 @@ class TestExactGlobalProducts:
 def _dense_log_and_mirror(target, residue, modulus):
     """f and g on [1, target] as dense numerator lists, from a plain sieve:
     f(n) is the numerator of log p at each prime power n = p^k in the
-    class (np.log at a prime, math.log(p) at a proper power, as the scan
-    takes them), and g(n) is 1 when target - n is square-free."""
+    class (np.log(p) at every power of p, as the scan takes them), and g(n)
+    is 1 when target - n is square-free."""
     composite = np.zeros(target + 1, dtype=bool)
     composite[:2] = True
     squarefree = np.ones(target + 1, dtype=bool)
@@ -610,13 +612,12 @@ def _dense_log_and_mirror(target, residue, modulus):
             squarefree[p * p :: p * p] = False
     f = [0] * target
     primes = np.flatnonzero(~composite)
-    for p, prime_num in zip(primes.tolist(), log_numerators(primes).tolist()):
-        power, num = p, prime_num
+    for p, num in zip(primes.tolist(), log_numerators(primes).tolist()):
+        power = p
         while power <= target:
             if power % modulus == residue:
                 f[power - 1] = num
             power *= p
-            num = int(np.ldexp(math.log(p), LOG_BITS))
     g = squarefree[target - 1 :: -1].astype(int).tolist()
     return f, g
 

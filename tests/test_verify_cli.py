@@ -22,7 +22,12 @@ from sqfrep.cli import (
     main,
     parse_csv,
 )
-from sqfrep.counting import count_representations, psi_in_ap, squarefree_count_in_ap
+from sqfrep.counting import (
+    MAX_THREADS,
+    count_representations,
+    psi_in_ap,
+    squarefree_count_in_ap,
+)
 from sqfrep.localmodel import LocalVector
 from sqfrep.oracle import collect, scaled_star_rows
 from sqfrep.verify import (
@@ -381,6 +386,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra", [["--q1", "41"], ["--q2", "7"], ["--q1", "400"], ["--q2", "40"]]
+    )
+    def test_estimate_family_bounds_are_capped(self, extra, capsys):
+        # --q1 8 --q2 40 and --q1 400 ran past a minute at N = 100
+        assert main(["estimate", "--n", "100", *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {extra[0]}: {extra[1]} is above the cap" in captured.err
+
+    @pytest.mark.parametrize("bounds", [("40", "6"), ("30", "3"), ("12", "3")])
+    def test_estimate_takes_family_bounds_up_to_the_caps(self, bounds):
+        # parsed only: the corner of both caps takes about 3 s to run
+        argv = ["estimate", "--n", "100", "--q1", bounds[0], "--q2", bounds[1]]
+        args = cli.build_parser().parse_args(argv)
+        assert (args.q1, args.q2) == tuple(map(int, bounds))
+
+    @pytest.mark.parametrize("command", ["count", "compare"])
+    def test_threads_are_capped(self, command, capsys):
+        # rejected by the parser, before a sieve or a thread is started
+        argv = [command, "--n", "1000", "--threads", str(MAX_THREADS + 1)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --threads:" in captured.err
 
     def test_compare_takes_the_largest_small_modulus(self, tables, capsys):
         # one class, so its ratio is the gate's median: the exit code may be
