@@ -42,7 +42,7 @@ COLUMNS = {
 THREADED = ("count", "compare")
 # two cells at a time: each is one single-threaded process, or two threads
 WORKERS = 2
-# the slowest cell, `verify all`, takes about 5 s; a hung one fails the check
+# the slowest cell, `verify all`, takes 3-5 s; a hung one fails the check
 CELL_TIMEOUT_S = 300
 
 

@@ -280,6 +280,14 @@ def divisors_with_cofactor_mobius(f: FactoredInt):
             yield divisor_factored(f, exps), mu
 
 
+def require_unit(residue: int, modulus: int) -> int:
+    """residue reduced into [0, modulus); ValueError unless it is a unit."""
+    residue %= modulus
+    if math.gcd(residue, modulus) != 1:
+        raise ValueError(f"class {residue} is not a unit mod {modulus}")
+    return residue
+
+
 def require_cubefree(q: FactoredInt) -> None:
     """Reject q with a cubic prime factor (ValueError)."""
     if not q.is_cubefree:

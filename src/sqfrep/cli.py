@@ -54,6 +54,7 @@ from sqfrep.arith import (
     CapacityError,
     build_sieve,
     factorize,
+    require_unit,
 )
 from sqfrep.counting import (
     MAX_THREADS,
@@ -293,8 +294,6 @@ def cmd_verify(args) -> int:
         elif name == "local":
             if args.q_max is not None:
                 kwargs["q_bound"] = args.q_max
-                kwargs["product_q_bound"] = min(args.q_max, 200)
-                kwargs["pair_bound"] = min(args.q_max, 200)
             if args.qprime is not None:
                 kwargs["qprime_bound"] = args.qprime
             kwargs["seed"] = args.seed
@@ -325,8 +324,7 @@ def cmd_compare(args) -> int:
     q_values = [args.q] if args.q is not None else list(range(1, args.q_max + 1))
     if args.a is not None:
         for q in q_values:
-            if math.gcd(args.a, q) != 1:
-                raise ValueError(f"class {args.a % q} is not a unit mod {q}")
+            require_unit(args.a, q)
     rows = []
     consistent = True
     for n in args.n:
@@ -414,7 +412,7 @@ def cmd_estimate(args) -> int:
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(n, ms.members, tables)
         try:
-            w = compute_weights(ms, tables, **weighting)
+            w = compute_weights(ms, **weighting)
         except ValueError as exc:
             # what compute_weights rejects here is a paper padding C N^eps
             # that is not finite
@@ -428,11 +426,11 @@ def cmd_estimate(args) -> int:
             if n >= 3
             else 0.0
         )
-        approx = float(estimate_inner(f, g, ms, w, tables))
+        approx = float(estimate_inner(f, g, ms, w))
         sv = singular_series(factorize(n, tables), args.aprime, fqp, args.p_cutoff)
         series_n = sv.value * n
-        defect_f = float(bessel_defect(f, ms, w, tables))
-        defect_g = float(bessel_defect(g, ms, w, tables))
+        defect_f = float(bessel_defect(f, ms, w))
+        defect_g = float(bessel_defect(g, ms, w))
         if sv.vanished:
             # obstructed context: nothing to compare against, as in compare
             rel_direct = rel_series = 0.0

@@ -93,7 +93,7 @@ from typing import Iterator
 
 import numpy as np
 
-from sqfrep.arith import CapacityError, SieveTables, require_int64
+from sqfrep.arith import CapacityError, SieveTables, require_int64, require_unit
 
 DEFAULT_WINDOW = 1 << 20
 
@@ -606,13 +606,6 @@ def _log_scan(
     return chain((leading,), chain.from_iterable(windows))
 
 
-def _check_unit(residue: int, modulus: int) -> int:
-    residue %= modulus
-    if math.gcd(residue, modulus) != 1:
-        raise ValueError(f"class {residue} is not a unit mod {modulus}")
-    return residue
-
-
 def _check_coverage(target: int, tables: SieveTables) -> None:
     if target > tables.limit**2:
         raise CapacityError(
@@ -630,7 +623,7 @@ def count_representations(
     the progression (still damped by mu^2(target - n)); target - n = 0 is
     not square-free, so n = target never contributes.
     """
-    residue = _check_unit(residue, modulus)
+    residue = require_unit(residue, modulus)
     if target < 3:
         raise ValueError("target must be at least 3")
     _check_coverage(target, tables)
@@ -716,7 +709,7 @@ def squarefree_count_in_ap(
     length = window_length()
     plan = _StrikePlan([(first, modulus, 2)], count, tables, length)
 
-    def window(lo: int, flags: np.ndarray) -> int:
+    def window(_lo: int, flags: np.ndarray) -> int:
         return int(np.count_nonzero(flags))
 
     return sum(_scan(count, plan.flags, window, threads, length))
@@ -761,7 +754,7 @@ def psi_in_ap(
 ) -> float:
     """Chebyshev psi along a progression: sum of log p over prime powers
     p^k <= target with p^k ≡ residue (mod modulus)."""
-    residue = _check_unit(residue, modulus)
+    residue = require_unit(residue, modulus)
     ((total,),), _ = log_class_sums(target, residue, modulus, [1], tables, threads)
     return total / LOG_SCALE
 

@@ -181,7 +181,7 @@ def build_moduli_set(
     vectors = {}
     for q in members:
         fq = factorize(q, tables)
-        c = alignment_term(ctx, fq, tables)
+        c = alignment_term(ctx, fq)
         phi = euler_phi(fq)
         if c == phi:
             exceptional.append(q)
@@ -222,7 +222,6 @@ def periodic_cross(u: LocalVector, v: LocalVector, length: int) -> Fraction:
 
 def compute_weights(
     ms: ModuliSet,
-    tables: SieveTables,
     mode: str = EXACT_MODE,
     padding_constant: float | None = None,
     padding_exponent: float | None = None,
@@ -308,13 +307,7 @@ def _family_products(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):
         ]
 
 
-def estimate_inner(
-    f: Summary,
-    g: Summary,
-    ms: ModuliSet,
-    weights: Weights,
-    tables: SieveTables,
-):
+def estimate_inner(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):
     """<f|g>: the weighted bilinear approximation to [f|g] over the family."""
     total = 0
     for *_, products in _family_products(f, g, ms, weights):
@@ -323,10 +316,10 @@ def estimate_inner(
     return total
 
 
-def bessel_defect(h: Summary, ms: ModuliSet, weights: Weights, tables: SieveTables):
+def bessel_defect(h: Summary, ms: ModuliSet, weights: Weights):
     """[h|h] minus the family's captured energy; non-negative under
     exact-cross-sum weights."""
-    return h.inner() - estimate_inner(h, h, ms, weights, tables)
+    return h.inner() - estimate_inner(h, h, ms, weights)
 
 
 def predicted_main_terms(
@@ -345,7 +338,7 @@ def predicted_main_terms(
     # eta + kappa = mirror_density_star / t(q) and eta - kappa = rho_weight
     # prime_density_star_ungated (verify checks both entrywise); the gated
     # density is the ungated one when q2^2 divides q', and zero otherwise
-    g1, _ = progression_split(ctx, fq, tables)
+    g1, _ = progression_split(ctx, fq)
     _, q2 = cubefree_split(fq)
     gate = int(ctx.modulus % (q2.value * q2.value) == 0)
     t = star_scale(fq)

@@ -178,7 +178,7 @@ def local_product(f: LocalVector, g: LocalVector) -> ScaledValue:
 
 
 def progression_split(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
+    ctx: ProgressionContext, q: FactoredInt
 ) -> tuple[FactoredInt, FactoredInt]:
     """Split cubefree q against the context modulus.
 
@@ -202,9 +202,7 @@ def progression_split(
     return g1, m2
 
 
-def alignment_term(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
-) -> int:
+def alignment_term(ctx: ProgressionContext, q: FactoredInt) -> int:
     """c_{g1}(target) * c_{m2}(target - residue): the integer that measures
     how the two density families correlate at q.
 
@@ -212,21 +210,19 @@ def alignment_term(
     (difference vector vanishes) and -phi(q) in the rarer anti-aligned case
     (sum vector vanishes); strictly between otherwise.
     """
-    g1, m2 = progression_split(ctx, q, tables)
+    g1, m2 = progression_split(ctx, q)
     return ramanujan_sum(g1, ctx.target) * ramanujan_sum(
         m2, ctx.target - ctx.residue
     )
 
 
-def _model_vector(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables, sign: int
-) -> LocalVector:
+def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVector:
     """Entries (c_q(N - a) + sign c_{g1}(a) c_{m2}(a - a'))/2, the closed
     form of (mirror_density_star / t(q) + sign rho_weight
     prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1).
     |numerator| <= 2 phi(q), since |c_r(n)| <= phi(r)."""
     require_cubefree(q)
-    g1, m2 = progression_split(ctx, q, tables)
+    g1, m2 = progression_split(ctx, q)
     a = np.arange(q.value, dtype=np.int64)
     twice = ramanujan_table(q)[(ctx.target - a) % q.value] + sign * (
         ramanujan_table(g1)[a % g1.value]
@@ -240,8 +236,9 @@ def model_sum(
 ) -> LocalVector:
     """The averaged local model: half the mirrored square-free density
     (rescaled to drop its prefactor) plus half the rescaled ungated prime
-    density.  Entries are half-integers."""
-    return _model_vector(ctx, q, tables, +1)
+    density.  Entries are half-integers.  tables is not read: model_sum and
+    model_diff keep the (ctx, q, tables) form that perfbench's probes call."""
+    return _model_vector(ctx, q, +1)
 
 
 def model_diff(
@@ -249,4 +246,4 @@ def model_diff(
 ) -> LocalVector:
     """The difference of the two rescaled densities; identically zero
     exactly when alignment_term(q) = phi(q)."""
-    return _model_vector(ctx, q, tables, -1)
+    return _model_vector(ctx, q, -1)

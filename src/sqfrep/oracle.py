@@ -52,7 +52,8 @@ from sqfrep.localmodel import (
 )
 
 
-def _phi(n: int, tables: SieveTables) -> int:
+def totient(n: int, tables: SieveTables) -> int:
+    """Euler's phi of a plain integer n."""
     return euler_phi(factorize(n, tables))
 
 
@@ -131,7 +132,7 @@ def prime_density(
     if (a - ctx.residue) % shared != 0:
         return Fraction(0)
     lcm = q.value // shared * ctx.modulus
-    return Fraction(q.value, euler_phi(factorize(lcm, tables)))
+    return Fraction(q.value, totient(lcm, tables))
 
 
 def prime_density_star(
@@ -152,11 +153,11 @@ def prime_density_star_ungated(
     """The sharpened prime density with the square-part divisibility gate
     removed: defined directly by its Ramanujan-sum product."""
     require_cubefree(q)
-    g1, m2 = progression_split(ctx, q, tables)
+    g1, m2 = progression_split(ctx, q)
     mu_g1 = mobius(g1)
     assert mu_g1 != 0  # g1 divides a square-free number
     num = mu_g1 * ramanujan_sum(g1, a) * ramanujan_sum(m2, a - ctx.residue)
-    den = euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1)
+    den = totient(ctx.modulus, tables) * euler_phi(g1)
     return Fraction(num, den)
 
 
@@ -172,7 +173,7 @@ def prime_model_twist(
     by 3 and coprime context gives 3/2).
     """
     require_cubefree(q)
-    phi_ctx = euler_phi(factorize(ctx.modulus, tables))
+    phi_ctx = totient(ctx.modulus, tables)
     total = Fraction(0)
     for a in range(q.value):
         rho_s = prime_density_star(ctx, q, a, tables)
@@ -268,7 +269,7 @@ def _density_scale(dv: int, m: int, tables: SieveTables) -> Fraction:
     memoised on (dv, m)."""
     scale = _SCALES.get((dv, m))
     if scale is None:
-        scale = Fraction(dv * _phi(m, tables), _phi(math.lcm(dv, m), tables))
+        scale = Fraction(dv * totient(m, tables), totient(math.lcm(dv, m), tables))
         if len(_SCALES) >= _SCALE_CACHE_SIZE:
             _SCALES.clear()
         _SCALES[dv, m] = scale

@@ -25,7 +25,13 @@ from typing import Iterable
 
 import numpy as np
 
-from sqfrep.arith import FactoredInt, euler_phi, primes_up_to, ramanujan_sum
+from sqfrep.arith import (
+    FactoredInt,
+    euler_phi,
+    primes_up_to,
+    ramanujan_sum,
+    require_unit,
+)
 
 _SIX_OVER_PI_SQ = 6.0 / (math.pi * math.pi)
 
@@ -53,9 +59,7 @@ class SeriesValue:
 
 
 def _validate(a: int, q: FactoredInt, prime_cutoff: int) -> int:
-    a %= q.value
-    if math.gcd(a, q.value) != 1:
-        raise ValueError(f"class {a} is not a unit mod {q.value}")
+    a = require_unit(a, q.value)
     if prime_cutoff < 2:
         raise ValueError("prime cutoff must be at least 2")
     return a

@@ -67,6 +67,7 @@ from sqfrep.oracle import (
     scaled_prime_density_rows,
     scaled_star_rows,
     squarefree_star_row,
+    totient,
 )
 
 
@@ -141,25 +142,28 @@ def _cubefree_values(top: int, tables: SieveTables) -> list[FactoredInt]:
 # arithmetic suite
 
 
-def run_arith_suite(
-    tables: SieveTables,
-    *,
-    r_bound: int = 300,
-    n_bound: int = 300,
-    mult_r_bound: int = 300,
-    mult_n_bound: int = 100,
-    oracle_bound: int = 100,
-    detect_bound: int = 500,
-    orth_bound: int = 200,
-) -> list[CheckResult]:
-    for value, what in (
-        (r_bound, "r_bound"),
-        (n_bound, "n_bound"),
-        (mult_r_bound, "mult_r_bound"),
-        (detect_bound, "detect_bound"),
-        (orth_bound, "orth_bound"),
-    ):
-        _require(value, MAX_R_BOUND, what)
+# The arithmetic suite's fixed sweeps; only the modulus range r_bound is
+# set by the caller.  ARITH_N: the n of the closed-form, magnitude and
+# divisor-sum checks; ARITH_MULT_R and ARITH_MULT_N: the r, s and n of
+# multiplicativity; ARITH_ORACLE: both r and n of the exponential oracle;
+# ARITH_DETECT: the a of divisor-detection; ARITH_ORTH: the k of
+# orthogonality.
+ARITH_N = 300
+ARITH_MULT_R = 300
+ARITH_MULT_N = 100
+ARITH_ORACLE = 100
+ARITH_DETECT = 500
+ARITH_ORTH = 200
+
+# the local suite's model-vector, product and double-Moebius checks run
+# over q <= min(q_bound, PRODUCT_Q_CAP); the adjoint identity and
+# almost-orthogonality draw TRIALS random cases
+PRODUCT_Q_CAP = 200
+TRIALS = 100
+
+
+def run_arith_suite(tables: SieveTables, *, r_bound: int = 300) -> list[CheckResult]:
+    _require(r_bound, MAX_R_BOUND, "r_bound")
     results = []
     factored = [factorize(r, tables) for r in range(1, r_bound + 1)]
     rows = {f.value: ramanujan_table(f) for f in factored}
@@ -167,7 +171,7 @@ def run_arith_suite(
     # most r_bound^2 in magnitude
     phi = np.array([0] + [euler_phi(f) for f in factored], dtype=np.int64)
     mu = np.array([0] + [mobius(f) for f in factored], dtype=np.int64)
-    ns = np.arange(n_bound + 1, dtype=np.int64)
+    ns = np.arange(ARITH_N + 1, dtype=np.int64)
 
     # Hoelder: c_r(n) = mu(m) phi(r) / phi(m) with m = r / (r, n), where
     # phi(m) divides phi(r)
@@ -209,8 +213,8 @@ def run_arith_suite(
     results.append(rec.result())
 
     rec = _Recorder("ramanujan-multiplicativity")
-    small = [f for f in factored if f.value <= mult_r_bound]
-    mult_ns = np.arange(mult_n_bound + 1, dtype=np.int64)
+    small = [f for f in factored if f.value <= ARITH_MULT_R]
+    mult_ns = np.arange(ARITH_MULT_N + 1, dtype=np.int64)
     for fr in small:
         row_r = rows[fr.value][mult_ns % fr.value]
         for fs in small:
@@ -228,9 +232,9 @@ def run_arith_suite(
 
     # one grid of roots of unity per r: rows n, columns the units a mod r
     rec = _Recorder("ramanujan-exponential-oracle")
-    oracle_ns = np.arange(oracle_bound + 1, dtype=np.int64)
+    oracle_ns = np.arange(ARITH_ORACLE + 1, dtype=np.int64)
     for f in factored:
-        if f.value > oracle_bound:
+        if f.value > ARITH_ORACLE:
             continue
         a = np.arange(1, f.value + 1, dtype=np.int64)
         units = a[np.gcd(a, f.value) == 1]
@@ -244,7 +248,7 @@ def run_arith_suite(
     # mobius_divisor_indicator is a scalar function; it is checked one
     # divisor at a time
     rec = _Recorder("divisor-detection")
-    for a in range(1, detect_bound + 1):
+    for a in range(1, ARITH_DETECT + 1):
         fa = factorize(a, tables)
         for d in divisors(fa):
             got = mobius_divisor_indicator(fa, d)
@@ -255,8 +259,8 @@ def run_arith_suite(
     results.append(rec.result())
 
     rec = _Recorder("ramanujan-orthogonality")
-    orth_ns = np.arange(orth_bound + 21, dtype=np.int64)
-    for k in range(1, orth_bound + 1):
+    orth_ns = np.arange(ARITH_ORTH + 21, dtype=np.int64)
+    for k in range(1, ARITH_ORTH + 1):
         total = sum(
             ramanujan_row(factorize(d, tables), orth_ns)
             for d in divisors(factorize(k, tables))
@@ -271,10 +275,6 @@ def run_arith_suite(
 
 # ---------------------------------------------------------------------------
 # local-model suite
-
-
-def _phi_int(n: int, tables: SieveTables) -> int:
-    return euler_phi(factorize(n, tables))
 
 
 def _model_mismatches(
@@ -292,13 +292,13 @@ def _model_mismatches(
     a = np.arange(qv, dtype=np.int64)
     star_num, star_den = star_row
     mirror = star_num[(ctx.target - a) % qv]  # times 6/pi^2, over star_den
-    g1, m2 = progression_split(ctx, q, tables)
+    g1, m2 = progression_split(ctx, q)
     mu_g1 = mobius(g1)
     # prime_density_star_ungated: the Ramanujan-sum product over its denominator
     ungated = mu_g1 * (
         ramanujan_row(g1, a) * ramanujan_row(m2, np.abs(a - ctx.residue))
     )
-    ungated_den = _phi_int(ctx.modulus, tables) * euler_phi(g1)
+    ungated_den = totient(ctx.modulus, tables) * euler_phi(g1)
     lift = 1 / (star_den * star_scale(q))
     weight = Fraction(ungated_den, mu_g1) / ungated_den  # rho_weight / den
     bad = 0
@@ -373,17 +373,13 @@ def run_local_suite(
     *,
     q_bound: int = 400,
     qprime_bound: int = 30,
-    product_q_bound: int = 200,
-    pair_bound: int = 200,
-    trials: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     _require(q_bound, MAX_Q_BOUND, "q_bound")
-    _require(product_q_bound, MAX_Q_BOUND, "product_q_bound")
-    _require(pair_bound, MAX_Q_BOUND, "pair_bound")
     _require(qprime_bound, MAX_QPRIME_BOUND, "qprime_bound")
     results = []
     cubefree = _cubefree_values(q_bound, tables)
+    product_q_bound = min(q_bound, PRODUCT_Q_CAP)
     cubefree_products = [f for f in cubefree if f.value <= product_q_bound]
     sample_ctx = _sample_contexts(qprime_bound)
     small_ctx = _unit_contexts(min(qprime_bound, 12), 10_007)
@@ -467,7 +463,7 @@ def run_local_suite(
         for modulus, rows_of in groups:
             part = num[rows_of]
             if modulus % (q2f.value**2) == 0:
-                g1, m2 = progression_split(contexts[rows_of.start], f, tables)
+                g1, m2 = progression_split(contexts[rows_of.start], f)
                 c1 = ramanujan_table(g1)[a % g1.value]
                 c2 = ramanujan_table(m2)[(a - residues[rows_of, None]) % m2.value]
                 mismatch = part * euler_phi(g1) != den * mobius(g1) * c1 * c2
@@ -503,7 +499,7 @@ def run_local_suite(
     results.append(rec.result())
 
     rec = _Recorder("prime-norm-identity")
-    phi_small = [_phi_int(ctx.modulus, tables) for ctx in small_ctx]
+    phi_small = [totient(ctx.modulus, tables) for ctx in small_ctx]
     ok = np.zeros((len(small_ctx), len(cubefree_products)), dtype=bool)
     for j, f in enumerate(cubefree_products):
         num, den = scaled_star_rows(small_ctx, f, tables)
@@ -516,7 +512,7 @@ def run_local_suite(
             if ctx.modulus % (q2f.value**2) == 0:
                 shared = math.gcd(q1f.value, ctx.modulus)
                 want = Fraction(
-                    _phi_int(q2f.value**2, tables) * _phi_int(shared, tables) ** 2,
+                    totient(q2f.value**2, tables) * totient(shared, tables) ** 2,
                     phi_qp**2 * euler_phi(q1f),
                 )
             else:
@@ -533,7 +529,7 @@ def run_local_suite(
         for f in cubefree_products:
             eta = model_sum(ctx, f, tables)
             kappa = model_diff(ctx, f, tables)
-            g1, m2 = progression_split(ctx, f, tables)
+            g1, m2 = progression_split(ctx, f)
             phi_q = euler_phi(f)
             align = int(ramanujan_table(g1)[ctx.target % g1.value]) * int(
                 ramanujan_table(m2)[(ctx.target - ctx.residue) % m2.value]
@@ -561,7 +557,7 @@ def run_local_suite(
 
     # [theta|rho*] = t(q)/(q den phi(q')) * sum c_q(N-a) num[a]; |c_q| <= q
     rec = _Recorder("mirror-prime-cross-product")
-    phi_sample = [_phi_int(ctx.modulus, tables) for ctx in sample_ctx]
+    phi_sample = [totient(ctx.modulus, tables) for ctx in sample_ctx]
     targets = np.array([ctx.target for ctx in sample_ctx], dtype=np.int64)
     ok = np.zeros((len(sample_ctx), len(cubefree_products)), dtype=bool)
     for j, f in enumerate(cubefree_products):
@@ -575,7 +571,7 @@ def run_local_suite(
         for c, ctx in enumerate(sample_ctx):
             got = star_scale(f) * Fraction(dots[c], qv * den * phi_sample[c])
             if ctx.modulus % (q2f.value**2) == 0:
-                g1, m2 = progression_split(ctx, f, tables)
+                g1, m2 = progression_split(ctx, f)
                 align = int(ramanujan_table(g1)[ctx.target % g1.value]) * int(
                     ramanujan_table(m2)[(ctx.target - ctx.residue) % m2.value]
                 )
@@ -631,20 +627,21 @@ def run_local_suite(
 
     # sum over d1 | m, d2 | n of mu(m/d1) mu(n/d2) gcd(d1, d2) is the entry
     # (m, n) of D G D^T, with D[m, d] = mu(m/d) for d | m and G the gcd
-    # matrix; each entry is below 2^omega(m) 2^omega(n) pair_bound
+    # matrix; each entry is below 2^omega(m) 2^omega(n) product_q_bound
     rec = _Recorder("double-moebius-identity")
-    cubefree_pairs = [f for f in cubefree if f.value <= pair_bound]
-    moebius_rows = np.zeros((len(cubefree_pairs), pair_bound + 1), dtype=np.int64)
-    for i, f in enumerate(cubefree_pairs):
+    moebius_rows = np.zeros(
+        (len(cubefree_products), product_q_bound + 1), dtype=np.int64
+    )
+    for i, f in enumerate(cubefree_products):
         for d in divisors(f):
             moebius_rows[i, d] = mobius(factorize(f.value // d, tables))
-    k = np.arange(pair_bound + 1, dtype=np.int64)
+    k = np.arange(product_q_bound + 1, dtype=np.int64)
     totals = moebius_rows @ np.gcd(k[:, None], k) @ moebius_rows.T
-    want = np.diag([euler_phi(f) for f in cubefree_pairs])
+    want = np.diag([euler_phi(f) for f in cubefree_products])
     rec.bulk(
         totals != want,
         lambda i, j: (
-            f"m={cubefree_pairs[i].value} n={cubefree_pairs[j].value}: "
+            f"m={cubefree_products[i].value} n={cubefree_products[j].value}: "
             f"{int(totals[i, j])}"
         ),
     )
@@ -654,7 +651,7 @@ def run_local_suite(
     # denominators: below 1000 * 20 * 9 * 60
     rec = _Recorder("adjoint-identity")
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(TRIALS):
         q = int(rng.integers(1, 21))
         length = int(rng.integers(q, 1001))
         j = rng.integers(-20, 21, size=length)
@@ -684,7 +681,6 @@ def run_estimator_suite(
     q1_bound: int = 6,
     q2_bound: int = 2,
     length_bound: int = 10_000,
-    trials: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     _require(q1_bound, MAX_Q1_BOUND, "q1_bound")
@@ -699,10 +695,10 @@ def run_estimator_suite(
     ]
 
     rec = _Recorder("almost-orthogonality")
-    per_ctx = max(1, trials // len(contexts))
+    per_ctx = max(1, TRIALS // len(contexts))
     for ctx in contexts:
         ms = build_moduli_set(q1_bound, q2_bound, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         vectors = [(ms.vectors[q][0], m) for q, m in w.m_phi.items()]
         vectors += [(ms.vectors[q][1], m) for q, m in w.m_psi.items()]
         crosses = [
@@ -736,17 +732,17 @@ def run_estimator_suite(
     for ctx in contexts:
         short = ProgressionContext(min(ctx.target, 800), ctx.residue, ctx.modulus)
         ms = build_moduli_set(q1_bound, q2_bound, short, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         for _ in range(5):
             h = dense_summary(rng.integers(-9, 10, size=short.target), 1, ms.members)
-            defect = bessel_defect(h, ms, w, tables)
+            defect = bessel_defect(h, ms, w)
             rec.check(defect >= 0, lambda ctx=short: f"N={ctx.target}")
     results.append(rec.result())
 
     rec = _Recorder("estimate-symmetry-bilinearity")
     ctx = ProgressionContext(240, 1, 1)
     ms = build_moduli_set(min(q1_bound, 4), min(q2_bound, 2), ctx, tables)
-    w = compute_weights(ms, tables)
+    w = compute_weights(ms)
     for _ in range(10):
         f1 = rng.integers(-5, 6, size=240)
         f2 = rng.integers(-5, 6, size=240)
@@ -755,13 +751,9 @@ def run_estimator_suite(
         # a f1 + b f2 = (27 f1 - 14 f2) / 63, exactly
         combo = dense_summary(27 * f1 - 14 * f2, 63, ms.members)
         f1, f2, g = (dense_summary(h, 1, ms.members) for h in (f1, f2, g))
-        lhs = estimate_inner(combo, g, ms, w, tables)
-        rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
-            f2, g, ms, w, tables
-        )
-        sym = estimate_inner(g, f1, ms, w, tables) == estimate_inner(
-            f1, g, ms, w, tables
-        )
+        lhs = estimate_inner(combo, g, ms, w)
+        rhs = a * estimate_inner(f1, g, ms, w) + b * estimate_inner(f2, g, ms, w)
+        sym = estimate_inner(g, f1, ms, w) == estimate_inner(f1, g, ms, w)
         rec.check(lhs == rhs and sym, "bilinearity failed")
     results.append(rec.result())
 
@@ -774,7 +766,7 @@ def run_estimator_suite(
             ok = (norm == 0) == (q in ms.exceptional)
             ok = ok and (local_product(eta, eta).coeff == 0) == (q in ms.degenerate)
             if q not in ms.exceptional:
-                ok = ok and norm >= Fraction(euler_phi(factorize(q, tables)), 4)
+                ok = ok and norm >= Fraction(totient(q, tables), 4)
             rec.check(
                 ok, lambda q=q, ctx=ctx: f"q={q} qprime={ctx.modulus}"
             )

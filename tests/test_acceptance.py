@@ -271,9 +271,9 @@ def test_estimator_three_way_agreement(tables):
         ms = build_moduli_set(8, 2, ctx, tables)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(target, ms.members, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         direct = count_representations(target, 0, 1, tables).lambda_weighted
-        approx = float(estimate_inner(f, g, ms, w, tables))
+        approx = float(estimate_inner(f, g, ms, w))
         sv = singular_series(factorize(target, tables), 0, factorize(1, tables))
         series_n = sv.value * target
         return max(abs(approx / direct - 1.0), abs(approx / series_n - 1.0))

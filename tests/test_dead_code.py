@@ -1,6 +1,7 @@
 """Dead-code guard over the package source, read with the stdlib `ast` only:
-every top-level import of a module is used, and every private top-level
-function or class is referenced by some module of the package."""
+every top-level import of a module is used, every private top-level
+function or class is referenced by some module of the package, and every
+parameter of every function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -79,6 +80,38 @@ def _unreferenced_private(trees: dict) -> list:
     )
 
 
+# Parameters kept although their function never reads them, with the reason.
+UNREAD_ALLOWED = {
+    "localmodel: model_sum(tables)": "perfbench/spans.py calls it as (ctx, fq, tables)",
+    "localmodel: model_diff(tables)": "perfbench/spans.py calls it as (ctx, fq, tables)",
+}
+
+
+def _unread_parameters(trees: dict) -> list:
+    """Every parameter of every def, at any depth, that the body of its
+    function (nested functions included) never reads; a name that starts
+    with _ is exempt, as a slot a caller's signature needs."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{module}: {node.name}({p.arg})"
+                for p in params
+                if p and not p.arg.startswith("_") and p.arg not in read
+            ]
+    return sorted(found)
+
+
 class TestDeadCode:
     def test_every_top_level_import_is_used(self):
         assert _unused_imports(_modules()) == []
@@ -95,3 +128,12 @@ class TestDeadCode:
         ).body
         assert _unused_imports(trees) == ["counting: _leftover"]
         assert _unreferenced_private(trees) == ["counting: _nothing_calls_this"]
+
+    def test_every_parameter_is_read(self):
+        assert _unread_parameters(_modules()) == sorted(UNREAD_ALLOWED)
+
+    def test_guard_sees_unread_parameter(self):
+        trees = _modules()
+        trees["counting"].body.append(ast.parse("def f(x, unused): return x\n").body[0])
+        unread = set(_unread_parameters(trees)) - set(UNREAD_ALLOWED)
+        assert unread == {"counting: f(unused)"}

@@ -96,7 +96,7 @@ def families(tables):
     out = {}
     for ctx in CONTEXTS:
         ms = build_moduli_set(4, 2, ctx, tables)
-        out[ctx] = (ms, compute_weights(ms, tables), ms.vectors)
+        out[ctx] = (ms, compute_weights(ms), ms.vectors)
     return out
 
 
@@ -215,9 +215,9 @@ class TestGlobalBuilders:
         assert f.inner() == Fraction(1, 4) + Fraction(1, 16) + 4
         ctx = ProgressionContext(11, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         with pytest.raises(ValueError):
-            estimate_inner(f, mirror_summary(11, [1], tables), ms, w, tables)
+            estimate_inner(f, mirror_summary(11, [1], tables), ms, w)
 
 
 class TestCrossProducts:
@@ -245,7 +245,7 @@ class TestWeights:
     def test_singleton_exact_weight_is_length(self, tables):
         ctx = ProgressionContext(50, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         assert w.m_phi == {1: 50}
         assert w.m_psi == {}
         assert w.mode == "exact-cross-sum"
@@ -253,7 +253,7 @@ class TestWeights:
     def test_family_splits_match_classification(self, tables):
         ctx = ProgressionContext(1000, 1, 1)
         ms = build_moduli_set(5, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         assert set(w.m_phi) == set(ms.members) - ms.degenerate
         assert set(w.m_psi) == set(ms.members) - ms.exceptional
         for value in list(w.m_phi.values()) + list(w.m_psi.values()):
@@ -263,7 +263,7 @@ class TestWeights:
         # the cross sum is the diagonal plus divisor-size boundary terms
         ctx = ProgressionContext(10_000, 1, 1)
         ms = build_moduli_set(3, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         fam = ms.vectors
         for q, weight in w.m_phi.items():
             diagonal = 10_000 * local_product(fam[q][0], fam[q][0]).coeff
@@ -274,7 +274,7 @@ class TestWeights:
         # local dots; the integer reductions must give the same rationals
         ctx = ProgressionContext(10007, 5, 6)
         ms = build_moduli_set(6, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         assert w.m_phi == {
             1: Fraction(10023),
             2: Fraction(10024),
@@ -291,7 +291,7 @@ class TestWeights:
         }
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        assert estimate_inner(f, g, ms, w, tables) == Fraction(
+        assert estimate_inner(f, g, ms, w) == Fraction(
             236491402238115587836713019525263867253221247908890207189,
             159351973694776134992082822446136809016850487370055680,
         )
@@ -300,7 +300,7 @@ class TestWeights:
         ctx = ProgressionContext(10**6, 1, 1)
         ms = build_moduli_set(4, 1, ctx, tables)
         w = compute_weights(
-            ms, tables, mode="paper-form", padding_constant=1e4, padding_exponent=0.1
+            ms, mode="paper-form", padding_constant=1e4, padding_exponent=0.1
         )
         fam = ms.vectors
         for q, weight in w.m_phi.items():
@@ -312,14 +312,14 @@ class TestWeights:
         ctx = ProgressionContext(100, 1, 1)
         ms = build_moduli_set(2, 1, ctx, tables)
         with pytest.raises(ValueError):
-            compute_weights(ms, tables, mode="paper-form", padding_constant=-1.0,
+            compute_weights(ms, mode="paper-form", padding_constant=-1.0,
                             padding_exponent=0.1)
         with pytest.raises(ValueError):
-            compute_weights(ms, tables, mode="paper-form")
+            compute_weights(ms, mode="paper-form")
         with pytest.raises(ValueError):
-            compute_weights(ms, tables, padding_constant=1.0, padding_exponent=0.1)
+            compute_weights(ms, padding_constant=1.0, padding_exponent=0.1)
         with pytest.raises(ValueError):
-            compute_weights(ms, tables, mode="no-such-mode")
+            compute_weights(ms, mode="no-such-mode")
 
     @pytest.mark.parametrize(
         "constant, exponent",
@@ -332,7 +332,7 @@ class TestWeights:
         ctx = ProgressionContext(100, 1, 1)
         ms = build_moduli_set(2, 1, ctx, tables)
         with pytest.raises(ValueError, match="not finite"):
-            compute_weights(ms, tables, mode="paper-form", padding_constant=constant,
+            compute_weights(ms, mode="paper-form", padding_constant=constant,
                             padding_exponent=exponent)
 
     def test_weights_must_be_positive(self):
@@ -344,16 +344,16 @@ class TestEstimateInner:
     def test_singleton_is_rank_one(self, tables):
         ctx = ProgressionContext(12, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         f = [3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
         g = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5]
-        got = estimate_inner(summary_of((f, 1), ms), summary_of((g, 1), ms), ms, w, tables)
+        got = estimate_inner(summary_of((f, 1), ms), summary_of((g, 1), ms), ms, w)
         assert got == Fraction(sum(f) * sum(g), 12)
 
     def test_symmetric_and_bilinear(self, tables):
         ctx = ProgressionContext(60, 1, 1)
         ms = build_moduli_set(3, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         rng = np.random.default_rng(7)
         f1 = dense_int(rng.integers(-5, 6, size=60))
         f2 = dense_int(rng.integers(-5, 6, size=60))
@@ -362,21 +362,17 @@ class TestEstimateInner:
         # a f1 + b f2 = (10 f1 - 21 f2) / 15, exactly
         combo = summary_of((10 * f1 - 21 * f2, 15), ms)
         f1, f2, g = (summary_of((h, 1), ms) for h in (f1, f2, g))
-        lhs = estimate_inner(combo, g, ms, w, tables)
-        rhs = a * estimate_inner(f1, g, ms, w, tables) + b * estimate_inner(
-            f2, g, ms, w, tables
-        )
+        lhs = estimate_inner(combo, g, ms, w)
+        rhs = a * estimate_inner(f1, g, ms, w) + b * estimate_inner(f2, g, ms, w)
         assert lhs == rhs
-        assert estimate_inner(f1, g, ms, w, tables) == estimate_inner(
-            g, f1, ms, w, tables
-        )
+        assert estimate_inner(f1, g, ms, w) == estimate_inner(g, f1, ms, w)
 
     def test_constant_function_captured_exactly(self, tables):
         ctx = ProgressionContext(40, 1, 1)
         ms = build_moduli_set(1, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         h = summary_of(([1] * 40, 1), ms)
-        assert bessel_defect(h, ms, w, tables) == 0
+        assert bessel_defect(h, ms, w) == 0
 
     def test_bessel_defect_nonnegative_random(self, tables):
         rng = np.random.default_rng(0xBE55E1)
@@ -386,20 +382,20 @@ class TestEstimateInner:
             ProgressionContext(502, 2, 5),
         ):
             ms = build_moduli_set(4, 2, ctx, tables)
-            w = compute_weights(ms, tables)
+            w = compute_weights(ms)
             for _ in range(6):
                 h = summary_of((rng.integers(-9, 10, size=ctx.target), 1), ms)
-                assert bessel_defect(h, ms, w, tables) >= 0
+                assert bessel_defect(h, ms, w) >= 0
 
     def test_bessel_defect_on_canonical_functions(self, tables):
         ctx = ProgressionContext(2000, 1, 2)
         ms = build_moduli_set(4, 1, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        df = bessel_defect(f, ms, w, tables)
+        df = bessel_defect(f, ms, w)
         assert 0 <= df <= f.inner()
-        dg = bessel_defect(g, ms, w, tables)
+        dg = bessel_defect(g, ms, w)
         assert 0 <= dg <= g.inner()
 
     def test_almost_orthogonality_expansion(self, tables):
@@ -413,7 +409,7 @@ class TestEstimateInner:
         ]
         for ctx in configs:
             ms = build_moduli_set(6, 2, ctx, tables)
-            w = compute_weights(ms, tables)
+            w = compute_weights(ms)
             fam = ms.vectors
             vectors = [(fam[q][0], w.m_phi[q]) for q in ms.members
                        if q in w.m_phi]
@@ -442,10 +438,10 @@ class TestEstimateInner:
     def test_tracks_true_product_moderate_size(self, tables):
         ctx = ProgressionContext(10_000, 1, 1)
         ms = build_moduli_set(8, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        approx = float(estimate_inner(f, g, ms, w, tables))
+        approx = float(estimate_inner(f, g, ms, w))
         truth = count_representations(ctx.target, 1, 1, tables).lambda_weighted
         assert truth > 0
         assert abs(approx / truth - 1) < 0.3
@@ -455,14 +451,14 @@ class TestBreakdownAndPredictions:
     def test_rows_sum_to_estimate(self, tables):
         ctx = ProgressionContext(3000, 1, 1)
         ms = build_moduli_set(4, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
         rows = per_q_breakdown(f, g, ms, w, tables)
         assert [row["q"] for row in rows] == list(ms.members)
         total = math.fsum(row["contribution"] for row in rows)
         assert total == pytest.approx(
-            float(estimate_inner(f, g, ms, w, tables)), rel=1e-9
+            float(estimate_inner(f, g, ms, w)), rel=1e-9
         )
         for row in rows:
             if row["degenerate"]:
@@ -532,7 +528,7 @@ class TestExactGlobalProducts:
             for vec, table in ((eta, w.m_phi), (kappa, w.m_psi)):
                 if q in table:
                     want += brute_dot(f, vec) * brute_dot(g, vec) / table[q]
-        got = estimate_inner(summary_of(f, ms), summary_of(g, ms), ms, w, tables)
+        got = estimate_inner(summary_of(f, ms), summary_of(g, ms), ms, w)
         assert got == want
 
     @settings(max_examples=40)
@@ -543,9 +539,7 @@ class TestExactGlobalProducts:
         ms, w, _ = families[ctx]
         h = summary_of(data.draw(global_functions(ctx.target)), ms)
         copy = Summary(h.length, h.denominator, h.norm, dict(h.class_sums))
-        assert estimate_inner(h, h, ms, w, tables) == estimate_inner(
-            h, copy, ms, w, tables
-        )
+        assert estimate_inner(h, h, ms, w) == estimate_inner(h, copy, ms, w)
 
     def test_dense_products_past_int64(self):
         # an int64 dot wrapped 4 * 2**80 to 0, and the int64 class sum of
@@ -574,7 +568,7 @@ class TestExactGlobalProducts:
         # nothing
         ctx = ProgressionContext(2000, 1, 2)
         ms = build_moduli_set(4, 2, ctx, tables)
-        w = compute_weights(ms, tables)
+        w = compute_weights(ms)
         scans, binned = [], []
         log_scan, class_sums = counting._log_scan, counting.exact_class_sums
         monkeypatch.setattr(
@@ -591,9 +585,9 @@ class TestExactGlobalProducts:
         maximal = [q for q in ms.members if all(o == q or o % q for o in ms.members)]
         assert maximal != list(ms.members)
         assert binned and all(m == maximal for m in binned)
-        estimate_inner(f, g, ms, w, tables)
-        bessel_defect(f, ms, w, tables)
-        bessel_defect(g, ms, w, tables)
+        estimate_inner(f, g, ms, w)
+        bessel_defect(f, ms, w)
+        bessel_defect(g, ms, w)
         assert len(scans) == 1
 
 

@@ -306,17 +306,17 @@ class TestPrimeDensityStar:
 class TestProgressionSplit:
     def test_examples(self, tables):
         ctx = ProgressionContext(100, 1, 2)
-        g1, m2 = progression_split(ctx, factorize(12, tables), tables)
+        g1, m2 = progression_split(ctx, factorize(12, tables))
         assert (g1.value, m2.value) == (3, 4)
         ctx6 = ProgressionContext(100, 5, 6)
-        g1, m2 = progression_split(ctx6, factorize(6, tables), tables)
+        g1, m2 = progression_split(ctx6, factorize(6, tables))
         assert (g1.value, m2.value) == (1, 6)
 
     def test_coprime_and_exhaustive(self, tables):
         for modulus, residue in ((1, 0), (2, 1), (6, 1), (30, 7)):
             ctx = ProgressionContext(100, residue, modulus)
             for qv in cubefree_range(50):
-                g1, m2 = progression_split(ctx, factorize(qv, tables), tables)
+                g1, m2 = progression_split(ctx, factorize(qv, tables))
                 assert g1.value * m2.value == qv
                 assert math.gcd(g1.value, m2.value) == 1
                 assert mobius(g1) != 0
@@ -326,16 +326,16 @@ class TestProgressionSplit:
             ctx = ProgressionContext(target, 1, 2)
             for qv in cubefree_range(40):
                 q = factorize(qv, tables)
-                c = alignment_term(ctx, q, tables)
+                c = alignment_term(ctx, q)
                 assert abs(c) <= euler_phi(q)
 
     def test_alignment_peaks_exactly_on_divisibility(self, tables):
         ctx = ProgressionContext(36, 1, 2)
         for qv in cubefree_range(40):
             q = factorize(qv, tables)
-            g1, m2 = progression_split(ctx, q, tables)
+            g1, m2 = progression_split(ctx, q)
             aligned = 36 % g1.value == 0 and (36 - 1) % m2.value == 0
-            assert (alignment_term(ctx, q, tables) == euler_phi(q)) == aligned
+            assert (alignment_term(ctx, q) == euler_phi(q)) == aligned
 
 
 def model_contexts():
@@ -381,7 +381,7 @@ class TestModelVectors:
                 eta = model_sum(ctx, q, tables)
                 kap = model_diff(ctx, q, tables)
                 phi = euler_phi(q)
-                c = alignment_term(ctx, q, tables)
+                c = alignment_term(ctx, q)
                 assert local_product(eta, eta) == ScaledValue(F(phi + c, 2), 0)
                 assert local_product(kap, kap) == ScaledValue(F(phi - c, 2), 0)
                 assert local_product(eta, kap).coeff == 0
@@ -400,7 +400,7 @@ class TestModelVectors:
             for qv in cubefree_range(30):
                 q = factorize(qv, tables)
                 kap = model_diff(ctx, q, tables)
-                aligned = alignment_term(ctx, q, tables) == euler_phi(q)
+                aligned = alignment_term(ctx, q) == euler_phi(q)
                 assert (set(kap.entries) == {F(0)}) == aligned
 
     def test_density_reconstruction(self, tables):
@@ -411,7 +411,7 @@ class TestModelVectors:
                 eta = model_sum(ctx, q, tables)
                 kap = model_diff(ctx, q, tables)
                 t = star_scale(q)
-                g1, _ = progression_split(ctx, q, tables)
+                g1, _ = progression_split(ctx, q)
                 back = F(mobius(g1), euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1))
                 for a in range(qv):
                     mirror = mirror_density_star(ctx, q, a)
@@ -462,7 +462,7 @@ class TestMirrorAndCrossProducts:
                 if modulus % q2.value**2:
                     want = F(0)
                 else:
-                    g1, _ = progression_split(ctx, q, tables)
+                    g1, _ = progression_split(ctx, q)
                     shared = math.gcd(q1.value, modulus)
                     want = F(
                         euler_phi(factorize(q2.value**2, tables))

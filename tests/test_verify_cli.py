@@ -45,30 +45,14 @@ def _reject_constant(name):
 
 class TestSuites:
     def test_arith_suite_reduced_bounds(self, tables):
-        results = run_arith_suite(
-            tables,
-            r_bound=40,
-            n_bound=40,
-            mult_r_bound=40,
-            mult_n_bound=20,
-            oracle_bound=20,
-            detect_bound=60,
-            orth_bound=30,
-        )
+        results = run_arith_suite(tables, r_bound=40)
         assert results
         for r in results:
             assert r.passed, f"{r.name}: {r.counterexample}"
             assert r.cases > 0
 
     def test_local_suite_reduced_bounds(self, tables):
-        results = run_local_suite(
-            tables,
-            q_bound=36,
-            qprime_bound=6,
-            product_q_bound=36,
-            pair_bound=36,
-            trials=10,
-        )
+        results = run_local_suite(tables, q_bound=36, qprime_bound=6)
         names = {r.name for r in results}
         assert "squarefree-density-star-closed-form" in names
         assert "adjoint-identity" in names
@@ -76,9 +60,7 @@ class TestSuites:
             assert r.passed, f"{r.name}: {r.counterexample}"
 
     def test_estimator_suite_reduced_bounds(self, tables):
-        results = run_estimator_suite(
-            tables, q1_bound=3, q2_bound=1, length_bound=400, trials=8
-        )
+        results = run_estimator_suite(tables, q1_bound=3, q2_bound=1, length_bound=400)
         for r in results:
             assert r.passed, f"{r.name}: {r.counterexample}"
 
@@ -145,14 +127,7 @@ class TestCaseCounts:
 def _small_local_suite(tables):
     return {
         r.name: r
-        for r in run_local_suite(
-            tables,
-            q_bound=24,
-            qprime_bound=6,
-            product_q_bound=24,
-            pair_bound=24,
-            trials=10,
-        )
+        for r in run_local_suite(tables, q_bound=24, qprime_bound=6)
     }
 
 
@@ -166,16 +141,7 @@ class TestMutations:
             return -row if r.value == 9 else row
 
         monkeypatch.setattr("sqfrep.verify.ramanujan_table", flipped)
-        results = run_arith_suite(
-            tables,
-            r_bound=20,
-            n_bound=20,
-            mult_r_bound=20,
-            mult_n_bound=10,
-            oracle_bound=10,
-            detect_bound=20,
-            orth_bound=10,
-        )
+        results = run_arith_suite(tables, r_bound=20)
         by_name = {r.name: r for r in results}
         for name in ("ramanujan-closed-form", "ramanujan-divisor-sum"):
             assert not by_name[name].passed, name
@@ -217,14 +183,7 @@ class TestCorruptedFixture:
         monkeypatch.setattr(
             "sqfrep.verify.star_scale", lambda f: -star_scale(f)
         )
-        results = run_local_suite(
-            tables,
-            q_bound=20,
-            qprime_bound=4,
-            product_q_bound=20,
-            pair_bound=20,
-            trials=4,
-        )
+        results = run_local_suite(tables, q_bound=20, qprime_bound=4)
         by_name = {r.name: r for r in results}
         broken = by_name["squarefree-density-star-closed-form"]
         assert not broken.passed
