@@ -37,7 +37,6 @@ _HOMES = {
     "mirror_summary": "estimator",
     "LocalVector": "localmodel",
     "ProgressionContext": "localmodel",
-    "ScaledValue": "localmodel",
     "local_product": "localmodel",
     "model_diff": "localmodel",
     "model_sum": "localmodel",

@@ -41,6 +41,7 @@ from sqfrep.arith import (
 )
 from sqfrep.counting import LOG_SCALE, log_class_sums, squarefree_class_counts
 from sqfrep.localmodel import (
+    PI_SQ_OVER_6,
     LocalVector,
     ProgressionContext,
     alignment_term,
@@ -56,9 +57,9 @@ PAPER_MODE = "paper-form"
 
 @dataclass(frozen=True)
 class ModuliSet:
-    """All cubefree q = q1 * q2^2 with q1 <= q1_bound, q2 <= q2_bound and
-    q1 q2 square-free, plus the two distinguished subsets and the local
-    vectors behind the family.
+    """All cubefree q = q1 * q2^2 with q1 and q2 up to the bounds given to
+    build_moduli_set and q1 q2 square-free, plus the two distinguished
+    subsets and the local vectors behind the family.
 
     exceptional: q whose difference vector vanishes (its square-free part
     away from the context modulus divides the target, and the rest divides
@@ -67,8 +68,6 @@ class ModuliSet:
     (sum vector eta, difference vector kappa), built once with the set.
     """
 
-    q1_bound: int
-    q2_bound: int
     context: ProgressionContext
     members: tuple[int, ...]
     exceptional: frozenset[int]
@@ -82,7 +81,6 @@ class Weights:
 
     m_phi: Mapping[int, object]
     m_psi: Mapping[int, object]
-    mode: str
 
     def __post_init__(self) -> None:
         for name, table in (("m_phi", self.m_phi), ("m_psi", self.m_psi)):
@@ -189,8 +187,6 @@ def build_moduli_set(
             degenerate.append(q)
         vectors[q] = (model_sum(ctx, fq, tables), model_diff(ctx, fq, tables))
     return ModuliSet(
-        q1_bound=q1_bound,
-        q2_bound=q2_bound,
         context=ctx,
         members=tuple(members),
         exceptional=frozenset(exceptional),
@@ -257,7 +253,7 @@ def compute_weights(
                 m_phi[q] = total
             else:
                 m_psi[q] = total
-        return Weights(m_phi=m_phi, m_psi=m_psi, mode=mode)
+        return Weights(m_phi=m_phi, m_psi=m_psi)
     if mode == PAPER_MODE:
         if padding_constant is None or padding_exponent is None:
             raise ValueError("paper-form needs padding_constant and padding_exponent")
@@ -273,14 +269,14 @@ def compute_weights(
                 " is not finite"
             )
         m_phi = {
-            q: n * local_product(ms.vectors[q][0], ms.vectors[q][0]).coeff + pad
+            q: n * local_product(ms.vectors[q][0], ms.vectors[q][0]) + pad
             for q in phi_members
         }
         m_psi = {
-            q: n * local_product(ms.vectors[q][1], ms.vectors[q][1]).coeff + pad
+            q: n * local_product(ms.vectors[q][1], ms.vectors[q][1]) + pad
             for q in psi_members
         }
-        return Weights(m_phi=m_phi, m_psi=m_psi, mode=mode)
+        return Weights(m_phi=m_phi, m_psi=m_psi)
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
@@ -343,19 +339,19 @@ def predicted_main_terms(
     gate = int(ctx.modulus % (q2.value * q2.value) == 0)
     t = star_scale(fq)
     theta = LocalVector.from_numerators(
-        q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator, 1
+        q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator
     )
     rho = LocalVector.from_numerators(
         q,
         gate * mobius(g1) * (eta.numerators - kappa.numerators),
         2 * euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1),
-        0,
     )
+    # theta is in units of 6/pi^2, so its products are divided by pi^2/6
     return {
-        "f_phi": n * local_product(eta, rho).to_float(),
-        "phi_g": n * local_product(eta, theta).to_float(),
-        "f_psi": n * local_product(kappa, rho).to_float(),
-        "psi_g": n * local_product(kappa, theta).to_float(),
+        "f_phi": n * float(local_product(eta, rho)),
+        "phi_g": n * (float(local_product(eta, theta)) / PI_SQ_OVER_6),
+        "f_psi": n * float(local_product(kappa, rho)),
+        "psi_g": n * (float(local_product(kappa, theta)) / PI_SQ_OVER_6),
     }
 
 
@@ -375,8 +371,8 @@ def per_q_breakdown(
             "q": q,
             "exceptional": q in ms.exceptional,
             "degenerate": q in ms.degenerate,
-            "eta_norm_sq": float(local_product(eta, eta).coeff),
-            "kappa_norm_sq": float(local_product(kappa, kappa).coeff),
+            "eta_norm_sq": float(local_product(eta, eta)),
+            "kappa_norm_sq": float(local_product(kappa, kappa)),
             "m_phi": float(weights.m_phi[q]) if q in weights.m_phi else 0.0,
             "m_psi": float(weights.m_psi[q]) if q in weights.m_psi else 0.0,
             "f_phi": 0.0,

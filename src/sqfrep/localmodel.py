@@ -1,7 +1,8 @@
 """The closed-form local model on Z/qZ and its exact Hermitian products.
 
-A LocalVector holds int64 numerators over one positive denominator, times
-(6/pi^2)**pi_power, so local products are integer dot products.  The model
+A local value is an exact rational, a plain Fraction.  A LocalVector holds
+int64 numerators over one positive denominator, so local products are
+integer dot products, and a local product is a Fraction.  The model
 vectors are built in closed form from Ramanujan-sum tables,
 (c_q(N - a) +/- c_{g1}(a) c_{m2}(a - a'))/2, where q = g1 m2 is the split of
 cubefree q against the progression modulus.
@@ -11,7 +12,10 @@ sharpened and mirrored through N - a, and the prime-progression family,
 plain, sharpened and ungated) are computed from their defining sums in
 `sqfrep.oracle`, which only `verify` and the tests import; `verify` (the
 model-norm-identities check) compares every model-vector entry with the
-defining combination of the sharpened densities.
+defining combination of the sharpened densities.  The square-free
+densities carry the factor 6/pi^2, and the oracle gives them in units of it;
+the model vectors are built with that factor divided out, so only
+`estimator.predicted_main_terms` applies it, dividing by PI_SQ_OVER_6.
 """
 
 from __future__ import annotations
@@ -59,51 +63,13 @@ class ProgressionContext:
             )
 
 
-@dataclass(frozen=True)
-class ScaledValue:
-    """coeff * (6/pi^2)**pi_power, exactly."""
-
-    coeff: Fraction
-    pi_power: int
-
-    def __post_init__(self) -> None:
-        if self.pi_power < 0:
-            raise ValueError("pi_power must be non-negative")
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        if self.pi_power != other.pi_power:
-            raise ValueError(
-                f"cannot add pi_power {self.pi_power} to {other.pi_power}"
-            )
-        return ScaledValue(self.coeff + other.coeff, self.pi_power)
-
-    def __sub__(self, other: "ScaledValue") -> "ScaledValue":
-        return self + (-other)
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.coeff, self.pi_power)
-
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        return ScaledValue(self.coeff * other.coeff, self.pi_power + other.pi_power)
-
-    def scale(self, factor, pi_shift: int = 0) -> "ScaledValue":
-        """Multiply by an exact rational and shift the formal exponent."""
-        return ScaledValue(self.coeff * Fraction(factor), self.pi_power + pi_shift)
-
-    def to_float(self) -> float:
-        return float(self.coeff) / PI_SQ_OVER_6**self.pi_power
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class LocalVector:
-    """A function on Z/qZ: entry a is numerators[a] / denominator, times
-    (6/pi^2)**pi_power.
+    """A function on Z/qZ: entry a is numerators[a] / denominator.
 
     numerators is a read-only int64 array below NUMERATOR_BOUND in
     magnitude and denominator one positive int, so products of vectors are
-    integer reductions.  LocalVector(modulus, entries, pi_power) takes
+    integer reductions.  LocalVector(modulus, entries) takes
     rational entries and stores them over their least common denominator;
     it raises ValueError when the entry count is not the modulus or a
     numerator would reach NUMERATOR_BOUND.
@@ -112,24 +78,23 @@ class LocalVector:
     modulus: int
     numerators: np.ndarray
     denominator: int
-    pi_power: int
 
-    def __init__(self, modulus: int, entries: Sequence, pi_power: int) -> None:
+    def __init__(self, modulus: int, entries: Sequence) -> None:
         values = [Fraction(e) for e in entries]
         denominator = math.lcm(*(v.denominator for v in values))
         numerators = [v.numerator * (denominator // v.denominator) for v in values]
-        self._store(modulus, numerators, denominator, pi_power)
+        self._store(modulus, numerators, denominator)
 
     @classmethod
     def from_numerators(
-        cls, modulus: int, numerators, denominator: int, pi_power: int
+        cls, modulus: int, numerators, denominator: int
     ) -> "LocalVector":
         """Entries numerators[a] / denominator, with the constructor's checks."""
         vec = cls.__new__(cls)
-        vec._store(modulus, numerators, denominator, pi_power)
+        vec._store(modulus, numerators, denominator)
         return vec
 
-    def _store(self, modulus, numerators, denominator, pi_power) -> None:
+    def _store(self, modulus, numerators, denominator) -> None:
         # Python ints beyond int64 give an object array, still comparable
         values = np.asarray(numerators)
         if values.shape != (modulus,):
@@ -144,7 +109,6 @@ class LocalVector:
             ("modulus", modulus),
             ("numerators", array),
             ("denominator", int(denominator)),
-            ("pi_power", pi_power),
         ):
             object.__setattr__(self, name, value)
 
@@ -158,23 +122,15 @@ class LocalVector:
         """The largest numerator magnitude."""
         return int(np.abs(self.numerators).max(initial=0))
 
-    def value_at(self, a: int) -> Fraction:
-        return Fraction(int(self.numerators[a % self.modulus]), self.denominator)
 
-    def entry(self, a: int) -> ScaledValue:
-        return ScaledValue(self.value_at(a), self.pi_power)
-
-
-def local_product(f: LocalVector, g: LocalVector) -> ScaledValue:
+def local_product(f: LocalVector, g: LocalVector) -> Fraction:
     """(1/q) sum of f*g over residues; real entries, so no conjugation."""
     if f.modulus != g.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
     q = f.modulus
     require_int64(q * f.max_abs * g.max_abs)
     total = int(np.dot(f.numerators, g.numerators))
-    return ScaledValue(
-        Fraction(total, q * f.denominator * g.denominator), f.pi_power + g.pi_power
-    )
+    return Fraction(total, q * f.denominator * g.denominator)
 
 
 def progression_split(
@@ -228,7 +184,7 @@ def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVe
         ramanujan_table(g1)[a % g1.value]
         * ramanujan_table(m2)[(a - ctx.residue) % m2.value]
     )
-    return LocalVector.from_numerators(q.value, twice, 2, 0)
+    return LocalVector.from_numerators(q.value, twice, 2)
 
 
 def model_sum(

@@ -5,12 +5,15 @@ tables.  This module computes the densities behind them from their
 definitions instead, so that `verify` and the tests can compare the two.
 Nothing in the library or the CLI imports it.
 
+Every value is an exact rational, a plain Fraction.  The square-free
+densities are in units of 6/pi^2 (the factor every one of them carries);
+the prime densities have no such factor.
+
 Two shapes of the same definitions live here:
 
-- per-entry forms, one residue at a time in exact rationals:
+- per-entry forms, one residue at a time:
   `squarefree_density[_star]`, `mirror_density_star`,
-  `prime_density[_star][_ungated]`, `prime_model_twist`, plus `collect` and
-  `build_local_vector`;
+  `prime_density[_star][_ungated]`, `prime_model_twist`, plus `collect`;
 - row forms, every residue at once as int64 numerators over one
   denominator: `squarefree_density_row`, `squarefree_star_row`,
   `scaled_prime_density_rows` and `scaled_star_rows`.  The prime-side rows
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +47,7 @@ from sqfrep.arith import (
     require_int64,
 )
 from sqfrep.estimator import Summary
-from sqfrep.localmodel import (
-    LocalVector,
-    ProgressionContext,
-    ScaledValue,
-    progression_split,
-)
+from sqfrep.localmodel import LocalVector, ProgressionContext, progression_split
 
 
 def totient(n: int, tables: SieveTables) -> int:
@@ -61,19 +59,7 @@ def totient(n: int, tables: SieveTables) -> int:
 # per-entry forms
 
 
-def build_local_vector(
-    modulus: int, fn: Callable[[int], ScaledValue]
-) -> LocalVector:
-    """Evaluate fn on 0..modulus-1 and pack the result, checking that the
-    entries share one pi_power."""
-    values = [fn(a) for a in range(modulus)]
-    powers = {v.pi_power for v in values}
-    if len(powers) != 1:
-        raise ValueError(f"mixed pi_powers {sorted(powers)} in local vector")
-    return LocalVector(modulus, tuple(v.coeff for v in values), powers.pop())
-
-
-def squarefree_density(q: FactoredInt, a: int) -> ScaledValue:
+def squarefree_density(q: FactoredInt, a: int) -> Fraction:
     """Density of square-free integers in the class a mod q, as a multiple
     of 6/pi^2.
 
@@ -83,32 +69,32 @@ def squarefree_density(q: FactoredInt, a: int) -> ScaledValue:
     restriction belongs to the sharpened vectors, not the plain density.
     """
     a %= q.value
-    coeff = Fraction(1)
+    density = Fraction(1)
     for p, e in q.factors:
         if e >= 2 and a % (p * p) == 0:
-            return ScaledValue(Fraction(0), 1)
-        coeff *= Fraction(p * p, p * p - 1)
+            return Fraction(0)
+        density *= Fraction(p * p, p * p - 1)
         if e == 1 and a % p == 0:
-            coeff *= Fraction(p - 1, p)
-    return ScaledValue(coeff, 1)
+            density *= Fraction(p - 1, p)
+    return density
 
 
-def squarefree_density_star(q: FactoredInt, a: int) -> ScaledValue:
+def squarefree_density_star(q: FactoredInt, a: int) -> Fraction:
     """Moebius sharpening of the square-free density over divisors of q.
 
-    Computed from the defining sum; equals t(q) c_q(a) times 6/pi^2 for
-    cubefree q (the closed form is exercised in the tests).  Vanishes when q
-    has a cubic factor.
+    Computed from the defining sum, in units of 6/pi^2; equals t(q) c_q(a)
+    for cubefree q (the closed form is exercised in the tests).  Vanishes
+    when q has a cubic factor.
     """
     if not q.is_cubefree:
-        return ScaledValue(Fraction(0), 1)
+        return Fraction(0)
     total = Fraction(0)
     for d, mu in divisors_with_cofactor_mobius(q):
-        total += mu * squarefree_density(d, a).coeff
-    return ScaledValue(total, 1)
+        total += mu * squarefree_density(d, a)
+    return total
 
 
-def mirror_density_star(ctx: ProgressionContext, q: FactoredInt, a: int) -> ScaledValue:
+def mirror_density_star(ctx: ProgressionContext, q: FactoredInt, a: int) -> Fraction:
     """The sharpened square-free density reflected through the target:
     evaluated at target - a."""
     return squarefree_density_star(q, (ctx.target - a) % q.value)
@@ -201,7 +187,7 @@ def collect(values: Sequence[int], q: int) -> LocalVector:
     padded = np.zeros(-(-(len(vals) + 1) // q) * q, dtype=np.int64)
     padded[1 : len(vals) + 1] = vals
     sums = padded.reshape(-1, q).sum(axis=0)
-    return LocalVector.from_numerators(q, sums * q, 1, 0)
+    return LocalVector.from_numerators(q, sums * q, 1)
 
 
 def dense_summary(
@@ -227,7 +213,7 @@ def dense_summary(
 
 
 def squarefree_density_row(d: FactoredInt) -> tuple[np.ndarray, int]:
-    """squarefree_density(d, a) / (6/pi^2) over all residues a mod d, as
+    """squarefree_density(d, a) over all residues a mod d, as
     int64 numerators over prod (p^2 - 1) for p | d.  Each numerator is at
     most prod p^2 over p | d."""
     a = np.arange(d.value, dtype=np.int64)
@@ -241,7 +227,7 @@ def squarefree_density_row(d: FactoredInt) -> tuple[np.ndarray, int]:
 
 
 def squarefree_star_row(q: FactoredInt, periods: int = 1) -> tuple[np.ndarray, int]:
-    """squarefree_density_star(q, a) / (6/pi^2) at every a in
+    """squarefree_density_star(q, a) at every a in
     [0, periods * q), from its defining Moebius sum over divisors, as int64
     numerators over prod (p^2 - 1) for p | q.
 

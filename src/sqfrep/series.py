@@ -40,12 +40,11 @@ DEFAULT_PRIME_CUTOFF = 10**6
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """One evaluation: value, relative tail bound, vanishing flag, cutoff."""
+    """One evaluation: value, relative tail bound, vanishing flag."""
 
     value: float
     tail_bound: float
     vanished: bool
-    prime_cutoff: int
 
     def __post_init__(self) -> None:
         if self.vanished != (self.value == 0.0):
@@ -171,7 +170,7 @@ def singular_series(
     a = _validate(a, q, prime_cutoff)
     diff = n.value - a
     if _shared_square(q, diff):
-        return SeriesValue(0.0, 0.0, True, prime_cutoff)
+        return SeriesValue(0.0, 0.0, True)
 
     rational = Fraction(1, euler_phi(q))
     q_primes = frozenset(p for p, _ in q.factors)
@@ -186,7 +185,7 @@ def singular_series(
 
     log_rest = _log_product(prime_cutoff, q_primes | {p for p, _ in n.factors})
     value = float(rational) * _SIX_OVER_PI_SQ * math.exp(log_rest)
-    return SeriesValue(value, 2.0 / prime_cutoff**2, False, prime_cutoff)
+    return SeriesValue(value, 2.0 / prime_cutoff**2, False)
 
 
 def singular_series_eulerform(
@@ -208,7 +207,7 @@ def singular_series_eulerform(
     a = _validate(a, q, prime_cutoff)
     diff = n.value - a
     if _shared_square(q, diff):
-        return SeriesValue(0.0, 0.0, True, prime_cutoff)
+        return SeriesValue(0.0, 0.0, True)
 
     rational = Fraction(1, euler_phi(q))
     for p, e in q.factors:
@@ -237,7 +236,7 @@ def singular_series_eulerform(
         [math.log1p(1.0 / (p * p - 1.0)) for p in patched],
     )
     value = float(rational) * _SIX_OVER_PI_SQ * math.exp(log_rest)
-    return SeriesValue(value, tail, False, prime_cutoff)
+    return SeriesValue(value, tail, False)
 
 
 def series_lower_bound(modulus: int) -> Fraction:

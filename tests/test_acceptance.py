@@ -127,7 +127,7 @@ def test_squarefree_density_in_progressions(tables):
         fq = factorize(q, tables)
         for a in range(q):
             count = squarefree_count_in_ap(target, a, q, tables)
-            density = squarefree_density(fq, (target - a) % q).to_float()
+            density = float(squarefree_density(fq, (target - a) % q)) / PI_SQ_OVER_6
             gap = abs(count - (target / q) * density)
             worst = max(worst, gap / math.sqrt(target / q))
             checked += 1

@@ -30,6 +30,7 @@ from sqfrep.counting import (
     squarefree_count_in_ap,
     window_length,
 )
+from sqfrep.localmodel import PI_SQ_OVER_6
 from sqfrep.oracle import squarefree_density
 
 
@@ -230,7 +231,7 @@ class TestSquarefreeCountInAp:
             for residue in range(modulus):
                 got = squarefree_count_in_ap(target, residue, modulus, tables)
                 dens = squarefree_density(q, target - residue)
-                main = dens.to_float() * target / modulus
+                main = float(dens) / PI_SQ_OVER_6 * target / modulus
                 assert abs(got - main) <= 30 * math.sqrt(target / modulus), (
                     modulus,
                     residue,

@@ -1,18 +1,22 @@
 """Dead-code guard over the package source, read with the stdlib `ast` only:
 every top-level import of a module is used, every private top-level
-function or class is referenced by some module of the package, and every
-parameter of every function is read in its body."""
+function or class is referenced by some module of the package, every
+parameter of every function is read in its body, and every field of every
+dataclass is read as an attribute somewhere in the package or the
+benchmark harness."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sqfrep"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sqfrep"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _modules() -> dict:
+def _modules(directory: Path = SRC) -> dict:
     return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     }
 
 
@@ -112,6 +116,39 @@ def _unread_parameters(trees: dict) -> list:
     return sorted(found)
 
 
+def _dataclass_fields(trees: dict) -> list:
+    """(module, class, field) for every annotated field of every class
+    decorated with dataclass, called or not."""
+    return [
+        (module, node.name, stmt.target.id)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+            for d in node.decorator_list
+        )
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _unread_fields(trees: dict, readers: dict) -> list:
+    """Every dataclass field of trees that no module of readers loads as an
+    attribute (`x.field`)."""
+    loaded = {
+        n.attr
+        for tree in readers.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}: {cls}.{name}"
+        for module, cls, name in _dataclass_fields(trees)
+        if name not in loaded
+    )
+
+
 class TestDeadCode:
     def test_every_top_level_import_is_used(self):
         assert _unused_imports(_modules()) == []
@@ -137,3 +174,19 @@ class TestDeadCode:
         trees["counting"].body.append(ast.parse("def f(x, unused): return x\n").body[0])
         unread = set(_unread_parameters(trees)) - set(UNREAD_ALLOWED)
         assert unread == {"counting: f(unused)"}
+
+    def test_every_dataclass_field_is_read(self):
+        trees = _modules()
+        assert _unread_fields(trees, {**trees, **_modules(PERFBENCH)}) == []
+
+    def test_guard_sees_unread_field(self):
+        trees = _modules()
+        trees["counting"].body += ast.parse(
+            "@dataclass(frozen=True)\n"
+            "class _Pair:\n"
+            "    kept: int\n"
+            "    never_read_anywhere: int\n"
+            "def _first(pair): return pair.kept\n"
+        ).body
+        readers = {**trees, **_modules(PERFBENCH)}
+        assert _unread_fields(trees, readers) == ["counting: _Pair.never_read_anywhere"]

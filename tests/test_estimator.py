@@ -142,7 +142,7 @@ class TestModuliSet:
             ms = build_moduli_set(6, 2, ctx, tables)
             fam = ms.vectors
             for q, (_, kappa) in fam.items():
-                norm = local_product(kappa, kappa).coeff
+                norm = local_product(kappa, kappa)
                 assert (norm == 0) == (q in ms.exceptional)
                 if q not in ms.exceptional:
                     assert norm >= Fraction(euler_phi(factorize(q, tables)), 4)
@@ -154,7 +154,7 @@ class TestModuliSet:
         assert 2 in ms.degenerate
         fam = ms.vectors
         for q, (eta, _) in fam.items():
-            norm = local_product(eta, eta).coeff
+            norm = local_product(eta, eta)
             assert (norm == 0) == (q in ms.degenerate)
 
     def test_rejects_bad_bounds(self, tables):
@@ -237,7 +237,7 @@ class TestCrossProducts:
         ctx = ProgressionContext(120, 1, 1)
         fam = build_moduli_set(5, 1, ctx, tables).vectors
         for q, (eta, _) in fam.items():
-            norm = local_product(eta, eta).coeff
+            norm = local_product(eta, eta)
             assert periodic_cross(eta, eta, 120) == 120 * norm
 
 
@@ -248,7 +248,6 @@ class TestWeights:
         w = compute_weights(ms)
         assert w.m_phi == {1: 50}
         assert w.m_psi == {}
-        assert w.mode == "exact-cross-sum"
 
     def test_family_splits_match_classification(self, tables):
         ctx = ProgressionContext(1000, 1, 1)
@@ -266,7 +265,7 @@ class TestWeights:
         w = compute_weights(ms)
         fam = ms.vectors
         for q, weight in w.m_phi.items():
-            diagonal = 10_000 * local_product(fam[q][0], fam[q][0]).coeff
+            diagonal = 10_000 * local_product(fam[q][0], fam[q][0])
             assert abs(weight / diagonal - 1) <= Fraction(1, 4)
 
     def test_exact_rationals_pinned(self, tables):
@@ -304,7 +303,7 @@ class TestWeights:
         )
         fam = ms.vectors
         for q, weight in w.m_phi.items():
-            norm = local_product(fam[q][0], fam[q][0]).coeff
+            norm = local_product(fam[q][0], fam[q][0])
             assert weight == pytest.approx(10**6 * float(norm) + 1e4 * (10**6) ** 0.1)
             assert weight >= 10**6 * euler_phi(factorize(q, tables)) / 4
 
@@ -337,7 +336,7 @@ class TestWeights:
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
-            Weights(m_phi={1: 0}, m_psi={}, mode="exact-cross-sum")
+            Weights(m_phi={1: 0}, m_psi={})
 
 
 class TestEstimateInner:
@@ -545,7 +544,7 @@ class TestExactGlobalProducts:
         # an int64 dot wrapped 4 * 2**80 to 0, and the int64 class sum of
         # eight values 2**61 wrapped 2**64 to 0
         assert dense_summary([1 << 40] * 4, 1, [1]).inner() == 4 << 80
-        one = LocalVector.from_numerators(1, [1], 1, 0)
+        one = LocalVector.from_numerators(1, [1], 1)
         assert _local_dots(dense_summary([1 << 61] * 8, 1, [1]), 1, [one]) == [1 << 64]
 
     def test_limb_products_of_log_numerators(self, tables):

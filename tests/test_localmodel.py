@@ -17,7 +17,6 @@ from sqfrep.arith import (
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
-    ScaledValue,
     alignment_term,
     local_product,
     model_diff,
@@ -25,7 +24,6 @@ from sqfrep.localmodel import (
     progression_split,
 )
 from sqfrep.oracle import (
-    build_local_vector,
     collect,
     mirror_density_star,
     prime_density,
@@ -43,74 +41,29 @@ def cubefree_range(top):
     return [q for q in range(1, top + 1) if all(q % p**3 for p in (2, 3, 5, 7))]
 
 
-class TestScaledValue:
-    def test_add_same_power(self):
-        s = ScaledValue(F(1, 3), 2) + ScaledValue(F(1, 6), 2)
-        assert s == ScaledValue(F(1, 2), 2)
-
-    def test_add_mixed_power_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledValue(F(1), 1) + ScaledValue(F(1), 0)
-
-    def test_mul_adds_powers(self):
-        prod = ScaledValue(F(2, 3), 1) * ScaledValue(F(3, 4), 2)
-        assert prod == ScaledValue(F(1, 2), 3)
-
-    def test_scale_shifts_power(self):
-        v = ScaledValue(F(3, 5), 1).scale(F(5, 3), -1)
-        assert v == ScaledValue(F(1), 0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledValue(F(1), -1)
-        with pytest.raises(ValueError):
-            ScaledValue(F(1), 1).scale(1, -2)
-
-    def test_sub_and_neg(self):
-        assert ScaledValue(F(1), 0) - ScaledValue(F(3), 0) == ScaledValue(F(-2), 0)
-
-    def test_to_float(self):
-        assert ScaledValue(F(3, 4), 1).to_float() == pytest.approx(
-            0.75 / PI_SQ_OVER_6
-        )
-        assert ScaledValue(F(7), 0).to_float() == 7.0
-
-    def test_coerces_int_coeff(self):
-        assert ScaledValue(2, 0).coeff == F(2)
-
-
 class TestLocalVector:
     def test_entry_count_enforced(self):
         with pytest.raises(ValueError):
-            LocalVector(3, (F(1), F(2)), 0)
+            LocalVector(3, (F(1), F(2)))
         # 2**61 over the common denominator 2 reaches the 2**62 bound
         with pytest.raises(ValueError):
-            LocalVector(2, (F(2**61), F(1, 2)), 0)
-
-    def test_value_wraps_mod_q(self):
-        h = LocalVector(3, (F(1), F(2), F(3)), 0)
-        assert h.value_at(5) == F(3)
-        assert h.entry(-1) == ScaledValue(F(3), 0)
-
-    def test_build_rejects_mixed_powers(self):
-        with pytest.raises(ValueError):
-            build_local_vector(2, lambda a: ScaledValue(F(1), a))
+            LocalVector(2, (F(2**61), F(1, 2)))
 
     def test_product_requires_same_modulus(self):
-        h = LocalVector(2, (F(1), F(1)), 0)
-        g = LocalVector(3, (F(1), F(1), F(1)), 0)
+        h = LocalVector(2, (F(1), F(1)))
+        g = LocalVector(3, (F(1), F(1), F(1)))
         with pytest.raises(ValueError):
             local_product(h, g)
         # 2 * 2**40 * 2**40 can reach 2**63: the int64 dot refuses
-        big = LocalVector(2, (F(2**40), F(1)), 0)
+        big = LocalVector(2, (F(2**40), F(1)))
         with pytest.raises(OverflowError):
             local_product(big, big)
 
     def test_product_value_and_power(self):
-        h = LocalVector(2, (F(1), F(-1)), 1)
-        g = LocalVector(2, (F(1, 2), F(1, 2)), 1)
-        assert local_product(h, g) == ScaledValue(F(0), 2)
-        assert local_product(h, h) == ScaledValue(F(1), 2)
+        h = LocalVector(2, (F(1), F(-1)))
+        g = LocalVector(2, (F(1, 2), F(1, 2)))
+        assert local_product(h, g) == F(0)
+        assert local_product(h, h) == F(1)
 
 
 class TestProgressionContext:
@@ -133,17 +86,17 @@ class TestProgressionContext:
 
 class TestSquarefreeDensity:
     def test_trivial_modulus(self, tables):
-        assert squarefree_density(factorize(1, tables), 0) == ScaledValue(F(1), 1)
+        assert squarefree_density(factorize(1, tables), 0) == F(1)
 
     def test_known_values(self, tables):
-        assert squarefree_density(factorize(3, tables), 0) == ScaledValue(F(3, 4), 1)
-        assert squarefree_density(factorize(4, tables), 1) == ScaledValue(F(4, 3), 1)
+        assert squarefree_density(factorize(3, tables), 0) == F(3, 4)
+        assert squarefree_density(factorize(4, tables), 1) == F(4, 3)
 
     def test_vanishes_on_shared_square(self, tables):
         q = factorize(4, tables)
-        assert squarefree_density(q, 0).coeff == 0
-        assert squarefree_density(q, 8).coeff == 0
-        assert squarefree_density(q, 2).coeff != 0
+        assert squarefree_density(q, 0) == 0
+        assert squarefree_density(q, 8) == 0
+        assert squarefree_density(q, 2) != 0
 
     def test_cubic_modulus_sees_only_p_squared(self, tables):
         # mod 8 the answer is decided by the class mod 4
@@ -151,8 +104,8 @@ class TestSquarefreeDensity:
         q4 = factorize(4, tables)
         for a in range(8):
             assert squarefree_density(q8, a) == squarefree_density(q4, a)
-        assert squarefree_density(q8, 4).coeff == 0
-        assert squarefree_density(q8, 1) == ScaledValue(F(4, 3), 1)
+        assert squarefree_density(q8, 4) == 0
+        assert squarefree_density(q8, 1) == F(4, 3)
 
     def test_periodic_in_class(self, tables):
         q = factorize(12, tables)
@@ -163,7 +116,7 @@ class TestSquarefreeDensity:
         # Summing the local density over a full period must give q exactly.
         for qv in cubefree_range(60):
             q = factorize(qv, tables)
-            total = sum(squarefree_density(q, a).coeff for a in range(qv))
+            total = sum(squarefree_density(q, a) for a in range(qv))
             assert total == qv, qv
 
     def test_matches_sieve_counts(self, tables):
@@ -174,25 +127,19 @@ class TestSquarefreeDensity:
             for a in (0, 1, qv - 1):
                 # flags[0] is False, so slicing from the raw residue is safe.
                 count = int(flags[a % qv :: qv].sum())
-                predicted = squarefree_density(q, a).to_float() * top / qv
+                predicted = float(squarefree_density(q, a)) / PI_SQ_OVER_6 * top / qv
                 assert abs(count - predicted) <= 3 * math.sqrt(top / qv)
 
 
 class TestSquarefreeDensityStar:
     def test_frozen_value(self, tables):
-        assert squarefree_density_star(factorize(2, tables), 1) == ScaledValue(
-            F(1, 3), 1
-        )
+        assert squarefree_density_star(factorize(2, tables), 1) == F(1, 3)
 
     def test_trivial_modulus(self, tables):
-        assert squarefree_density_star(factorize(1, tables), 5) == ScaledValue(
-            F(1), 1
-        )
+        assert squarefree_density_star(factorize(1, tables), 5) == F(1)
 
     def test_cubic_modulus_vanishes(self, tables):
-        assert squarefree_density_star(factorize(8, tables), 3) == ScaledValue(
-            F(0), 1
-        )
+        assert squarefree_density_star(factorize(8, tables), 3) == F(0)
 
     def test_closed_form(self, tables):
         # The sharpened density collapses to the scaled Ramanujan sum.
@@ -201,14 +148,14 @@ class TestSquarefreeDensityStar:
             t = star_scale(q)
             for a in range(qv):
                 got = squarefree_density_star(q, a)
-                assert got == ScaledValue(t * ramanujan_sum(q, a), 1), (qv, a)
+                assert got == t * ramanujan_sum(q, a), (qv, a)
 
     def test_classes_sum_to_zero(self, tables):
         for qv in cubefree_range(30):
             if qv == 1:
                 continue
             q = factorize(qv, tables)
-            total = sum(squarefree_density_star(q, a).coeff for a in range(qv))
+            total = sum(squarefree_density_star(q, a) for a in range(qv))
             assert total == 0
 
 
@@ -382,9 +329,9 @@ class TestModelVectors:
                 kap = model_diff(ctx, q, tables)
                 phi = euler_phi(q)
                 c = alignment_term(ctx, q)
-                assert local_product(eta, eta) == ScaledValue(F(phi + c, 2), 0)
-                assert local_product(kap, kap) == ScaledValue(F(phi - c, 2), 0)
-                assert local_product(eta, kap).coeff == 0
+                assert local_product(eta, eta) == F(phi + c, 2)
+                assert local_product(kap, kap) == F(phi - c, 2)
+                assert local_product(eta, kap) == 0
 
     def test_norm_sandwich_outside_degenerate(self, tables):
         for ctx in model_contexts():
@@ -392,7 +339,7 @@ class TestModelVectors:
                 q = factorize(qv, tables)
                 phi = euler_phi(q)
                 for vec in (model_sum(ctx, q, tables), model_diff(ctx, q, tables)):
-                    n2 = local_product(vec, vec).coeff
+                    n2 = local_product(vec, vec)
                     assert n2 == 0 or F(phi, 4) <= n2 <= phi
 
     def test_diff_vanishes_exactly_when_aligned(self, tables):
@@ -415,7 +362,7 @@ class TestModelVectors:
                 back = F(mobius(g1), euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1))
                 for a in range(qv):
                     mirror = mirror_density_star(ctx, q, a)
-                    assert mirror.coeff == t * (eta.entries[a] + kap.entries[a])
+                    assert mirror == t * (eta.entries[a] + kap.entries[a])
                     rho_t = prime_density_star_ungated(ctx, q, a, tables)
                     assert rho_t == back * (eta.entries[a] - kap.entries[a])
 
@@ -424,29 +371,25 @@ class TestMirrorAndCrossProducts:
     def test_mirror_norm_frozen(self, tables):
         ctx = ProgressionContext(1000, 1, 1)
         q6 = factorize(6, tables)
-        theta = build_local_vector(6, lambda a: mirror_density_star(ctx, q6, a))
-        assert local_product(theta, theta) == ScaledValue(F(1, 288), 2)
+        theta = LocalVector(6, [mirror_density_star(ctx, q6, a) for a in range(6)])
+        assert local_product(theta, theta) == F(1, 288)
 
     def test_mirror_norm_closed_form(self, tables):
         for ctx in model_contexts():
             for qv in cubefree_range(24):
                 q = factorize(qv, tables)
-                theta = build_local_vector(
-                    qv, lambda a: mirror_density_star(ctx, q, a)
+                theta = LocalVector(
+                    qv, [mirror_density_star(ctx, q, a) for a in range(qv)]
                 )
                 t = star_scale(q)
-                assert local_product(theta, theta) == ScaledValue(
-                    t * t * euler_phi(q), 2
-                )
+                assert local_product(theta, theta) == t * t * euler_phi(q)
 
     def test_mirror_cross_star_frozen(self, tables):
         ctx = ProgressionContext(7, 1, 2)
         q3 = factorize(3, tables)
-        theta = build_local_vector(3, lambda a: mirror_density_star(ctx, q3, a))
-        rho = build_local_vector(
-            3, lambda a: ScaledValue(prime_density_star(ctx, q3, a, tables), 0)
-        )
-        assert local_product(theta, rho) == ScaledValue(F(-1, 16), 1)
+        theta = LocalVector(3, [mirror_density_star(ctx, q3, a) for a in range(3)])
+        rho = LocalVector(3, [prime_density_star(ctx, q3, a, tables) for a in range(3)])
+        assert local_product(theta, rho) == F(-1, 16)
 
     def test_star_norm_closed_form(self, tables):
         for modulus, residue in ((1, 0), (2, 1), (6, 5), (12, 7)):
@@ -454,9 +397,8 @@ class TestMirrorAndCrossProducts:
             phi_m = euler_phi(factorize(modulus, tables))
             for qv in cubefree_range(30):
                 q = factorize(qv, tables)
-                rho = build_local_vector(
-                    qv,
-                    lambda a: ScaledValue(prime_density_star(ctx, q, a, tables), 0),
+                rho = LocalVector(
+                    qv, [prime_density_star(ctx, q, a, tables) for a in range(qv)]
                 )
                 q1, q2 = cubefree_split(q)
                 if modulus % q2.value**2:
@@ -469,7 +411,7 @@ class TestMirrorAndCrossProducts:
                         * euler_phi(factorize(shared, tables)),
                         phi_m**2 * euler_phi(g1),
                     )
-                assert local_product(rho, rho) == ScaledValue(want, 0), (modulus, qv)
+                assert local_product(rho, rho) == want, (modulus, qv)
 
 
 class TestPrimeModelTwist:
@@ -543,7 +485,6 @@ class TestPeriodizeCollect:
     def test_collect_counts(self):
         flat = collect([1] * 23, 5)
         assert flat.entries == (F(20), F(25), F(25), F(25), F(20))
-        assert flat.pi_power == 0
 
     def test_adjoint_identity_exact(self, rng, tables):
         # [collect(j) | h]_q == sum_n j(n) h(n) for integer-valued inputs.
@@ -551,7 +492,7 @@ class TestPeriodizeCollect:
             q = int(rng.integers(1, 21))
             n = int(rng.integers(q, 1001))
             j = [int(v) for v in rng.integers(-5, 6, size=n)]
-            h = LocalVector(q, tuple(F(int(v)) for v in rng.integers(-9, 10, size=q)), 0)
+            h = LocalVector(q, tuple(F(int(v)) for v in rng.integers(-9, 10, size=q)))
             lhs = local_product(collect(j, q), h)
             rhs = sum(v * h.entries[m % q] for m, v in enumerate(j, start=1))
-            assert lhs == ScaledValue(F(rhs), 0)
+            assert lhs == F(rhs)

@@ -41,15 +41,15 @@ class TestRowForms:
             num, den = squarefree_density_row(q)
             star, star_den = squarefree_star_row(q)
             for a in range(q.value):
-                assert F(int(num[a]), den) == squarefree_density(q, a).coeff
-                assert F(int(star[a]), star_den) == squarefree_density_star(q, a).coeff
+                assert F(int(num[a]), den) == squarefree_density(q, a)
+                assert F(int(star[a]), star_den) == squarefree_density_star(q, a)
 
     def test_squarefree_star_row_periods(self, tables):
         q = factorize(12, tables)
         twice, den = squarefree_star_row(q, periods=2)
         assert len(twice) == 24
         for a in range(24):
-            assert F(int(twice[a]), den) == squarefree_density_star(q, a).coeff
+            assert F(int(twice[a]), den) == squarefree_density_star(q, a)
 
     def test_prime_rows_match_entries(self, tables):
         for q in cubefree_upto(60, tables):

@@ -36,12 +36,12 @@ def mirsky_product(n_factors, cutoff):
 class TestSeriesValue:
     def test_flag_must_track_zero(self):
         with pytest.raises(ValueError):
-            SeriesValue(0.5, 1e-9, True, 100)
+            SeriesValue(0.5, 1e-9, True)
         with pytest.raises(ValueError):
-            SeriesValue(0.0, 1e-9, False, 100)
+            SeriesValue(0.0, 1e-9, False)
 
     def test_interval(self):
-        v = SeriesValue(2.0, 0.25, False, 100)
+        v = SeriesValue(2.0, 0.25, False)
         assert v.interval() == (1.5, 2.5)
 
 

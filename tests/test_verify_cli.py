@@ -4,8 +4,10 @@ round-trips, determinism, and the corrupted-fixture drill."""
 import inspect
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from sqfrep.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_PRIME_CUTOFF,
+    SCHEMAS,
     build_parser,
     encode_csv,
     encode_json,
@@ -162,7 +166,7 @@ class TestMutations:
         def off_by_one(values, q):
             v = collect(values, q)
             return LocalVector.from_numerators(
-                q, np.roll(v.numerators, 1), v.denominator, v.pi_power
+                q, np.roll(v.numerators, 1), v.denominator
             )
 
         monkeypatch.setattr("sqfrep.verify.collect", off_by_one)
@@ -362,6 +366,26 @@ class TestExitCodes:
         argv = ["estimate", "--n", "100", "--q1", bounds[0], "--q2", bounds[1]]
         args = cli.build_parser().parse_args(argv)
         assert (args.q1, args.q2) == tuple(map(int, bounds))
+
+    @pytest.mark.parametrize("command", ["series", "compare", "estimate"])
+    @pytest.mark.parametrize("value", [str(MAX_PRIME_CUTOFF + 1), str(10**13)])
+    def test_prime_cutoff_is_capped(self, command, value, capsys, monkeypatch):
+        # 10**13 used to ask numpy for a 9.09 TiB prime sieve and end in a
+        # traceback with exit 1; the parser now rejects it before any sieve
+        def refuse(limit):
+            raise AssertionError(f"primes_up_to({limit}) ran")
+
+        monkeypatch.setattr("sqfrep.series.primes_up_to", refuse)
+        assert main([command, "--n", "1000", "--p-cutoff", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --p-cutoff: {value} is above the cap" in captured.err
+
+    @pytest.mark.parametrize("command", ["series", "compare", "estimate"])
+    def test_prime_cutoff_takes_the_cap(self, command):
+        # parsed only: series at the cap takes about 2 s
+        argv = [command, "--n", "1000", "--p-cutoff", str(MAX_PRIME_CUTOFF)]
+        assert build_parser().parse_args(argv).p_cutoff == MAX_PRIME_CUTOFF
 
     @pytest.mark.parametrize("command", ["count", "compare"])
     def test_threads_are_capped(self, command, capsys):
@@ -612,7 +636,59 @@ class TestConfig:
         self._rejected(["count", "--n", "100", "--format", "xml"], "--format", capsys)
 
 
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+_CELLS = {
+    "float": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(_EDGE_FLOATS),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    ),
+    # ints past 2**63, as the weighted counts at large N can be
+    "int": st.one_of(
+        st.integers(-(2**70), 2**70), st.sampled_from([2**63, 2**70, -(2**64)])
+    ),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def _tables(draw):
+    schema = draw(st.sampled_from(sorted(SCHEMAS)))
+    row = st.fixed_dictionaries({name: _CELLS[kind] for name, kind in SCHEMAS[schema]})
+    return schema, draw(st.lists(row, min_size=1, max_size=4))
+
+
+def _same_float(got, want) -> bool:
+    """Bit for bit: float.hex keeps the sign of -0.0, and nan is nan."""
+    if math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    return isinstance(got, float) and got.hex() == want.hex()
+
+
 class TestRoundTrip:
+    @settings(max_examples=200)
+    @given(_tables())
+    def test_every_schema_round_trips_every_value(self, table):
+        # CSV gives back every value, non-finite ones included; JSON gives
+        # back every finite value and null for the rest
+        schema, rows = table
+        got_schema, csv_rows = parse_csv(encode_csv(schema, rows))
+        json_text = encode_json(schema, rows)
+        json_rows = json.loads(json_text, parse_constant=_reject_constant)
+        assert got_schema == schema
+        for want, via_csv, via_json in zip(rows, csv_rows, json_rows, strict=True):
+            for name, kind in SCHEMAS[schema]:
+                value = want[name]
+                if kind != "float":
+                    assert type(via_csv[name]) is type(via_json[name]) is type(value)
+                    assert via_csv[name] == via_json[name] == value
+                    continue
+                assert _same_float(via_csv[name], value), (name, value)
+                if math.isfinite(value):
+                    assert _same_float(via_json[name], value), (name, value)
+                else:
+                    assert via_json[name] is None, (name, value)
+
     def test_csv_json_lossless(self, tmp_path):
         for want_schema, base in (
             ("sqfrep-compare", ["compare", "--n", "10000", "--q-max", "5"]),
