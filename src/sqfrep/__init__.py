@@ -35,6 +35,7 @@ _HOMES = {
     "estimate_inner": "estimator",
     "log_summary": "estimator",
     "mirror_summary": "estimator",
+    "paper_weights": "estimator",
     "LocalVector": "localmodel",
     "ProgressionContext": "localmodel",
     "local_product": "localmodel",
@@ -45,7 +46,6 @@ _HOMES = {
     "singular_series": "series",
     "singular_series_eulerform": "series",
     "CheckResult": "verify",
-    "run_suites": "verify",
 }
 
 __all__ = [*sorted(_HOMES), "__version__"]

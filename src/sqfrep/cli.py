@@ -64,14 +64,13 @@ from sqfrep.counting import (
     segmented_squarefree_sieve,
 )
 from sqfrep.estimator import (
-    EXACT_MODE,
-    PAPER_MODE,
     bessel_defect,
     build_moduli_set,
     compute_weights,
     estimate_inner,
     log_summary,
     mirror_summary,
+    paper_weights,
     per_q_breakdown,
 )
 from sqfrep.localmodel import ProgressionContext
@@ -387,25 +386,25 @@ def cmd_compare(args) -> int:
     return EXIT_OK if consistent else EXIT_VERIFY
 
 
-def _weighting(args) -> dict:
-    """compute_weights keywords for --weights.  The padding flags are None
-    unless given, and only the paper form reads them."""
+def _padding(args) -> tuple[float, float] | None:
+    """(C, eps) of the paper weights' padding C N^eps, or None for the
+    exact weights.  The padding flags are None unless given, and only the
+    paper form reads them."""
     constant, exponent = args.padding_constant, args.padding_exponent
     if args.weights == "exact":
         if constant is not None or exponent is not None:
             raise ValueError(
                 "--padding-constant and --padding-exponent need --weights paper"
             )
-        return {"mode": EXACT_MODE}
-    return {
-        "mode": PAPER_MODE,
-        "padding_constant": PAPER_PADDING_CONSTANT if constant is None else constant,
-        "padding_exponent": PAPER_PADDING_EXPONENT if exponent is None else exponent,
-    }
+        return None
+    return (
+        PAPER_PADDING_CONSTANT if constant is None else constant,
+        PAPER_PADDING_EXPONENT if exponent is None else exponent,
+    )
 
 
 def cmd_estimate(args) -> int:
-    weighting = _weighting(args)
+    padding = _padding(args)
     tables = _tables_for(max(args.n))
     fqp = factorize(args.qprime, tables)
     rows = []
@@ -417,10 +416,10 @@ def cmd_estimate(args) -> int:
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(n, ms.members, tables)
         try:
-            w = compute_weights(ms, **weighting)
+            w = compute_weights(ms) if padding is None else paper_weights(ms, *padding)
         except ValueError as exc:
-            # what compute_weights rejects here is a paper padding C N^eps
-            # that is not finite
+            # what paper_weights rejects here is a padding C N^eps that is
+            # not finite
             raise ValueError(
                 f"--padding-constant / --padding-exponent at N={n}: {exc}"
             ) from exc
@@ -610,45 +609,23 @@ def cmd_sieve_selftest(args) -> int:
 # wiring
 
 
-def positive_int(text: str) -> int:
-    """argparse type for every bound flag: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
-
-
-def bounded_int(top: int):
-    """argparse type for a capped bound: an integer in [1, top]."""
+def int_in(low: int, cap: int | None = None):
+    """argparse type for an integer flag: an integer of at least low, and
+    at most cap when one is given."""
 
     def parse(text: str) -> int:
-        value = positive_int(text)
-        if value > top:
-            raise argparse.ArgumentTypeError(f"{text} is above the cap {top}")
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{text} is not an integer of at least {low}"
+            )
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"{text} is above the cap {cap}")
         return value
 
     # argparse names the type in its message for a value that is no integer
     parse.__name__ = "int"
     return parse
-
-
-def non_negative_int(text: str) -> int:
-    """argparse type for --seed: an integer of at least 0, as numpy's
-    default_rng takes."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
-    return value
-
-
-def prime_cutoff(text: str) -> int:
-    """argparse type for --p-cutoff: an integer in [2, MAX_PRIME_CUTOFF]."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"{text} is not an integer of at least 2")
-    if value > MAX_PRIME_CUTOFF:
-        raise argparse.ArgumentTypeError(f"{text} is above the cap {MAX_PRIME_CUTOFF}")
-    return value
 
 
 def positive_float(text: str) -> float:
@@ -686,41 +663,42 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run exact identity suites")
     v.set_defaults(run=cmd_verify)
     v.add_argument("suite", choices=[*SUITES, "all"])
-    v.add_argument("--q-max", type=bounded_int(min(MAX_R_BOUND, MAX_Q_BOUND)),
+    v.add_argument("--q-max", type=int_in(1, min(MAX_R_BOUND, MAX_Q_BOUND)),
                    default=None,
                    help="primary sweep bound (r for arith, q for local)")
-    v.add_argument("--qprime", type=bounded_int(MAX_QPRIME_BOUND), default=None)
-    v.add_argument("--q1", type=bounded_int(MAX_Q1_BOUND), default=None)
-    v.add_argument("--q2", type=bounded_int(MAX_Q2_BOUND), default=None)
-    v.add_argument("--n", type=bounded_int(MAX_VERIFY_LENGTH), default=None,
+    v.add_argument("--qprime", type=int_in(1, MAX_QPRIME_BOUND), default=None)
+    v.add_argument("--q1", type=int_in(1, MAX_Q1_BOUND), default=None)
+    v.add_argument("--q2", type=int_in(1, MAX_Q2_BOUND), default=None)
+    v.add_argument("--n", type=int_in(1, MAX_VERIFY_LENGTH), default=None,
                    help="lift length for the estimator suite, at most "
                    f"{MAX_VERIFY_LENGTH}")
-    v.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
+    v.add_argument("--seed", type=int_in(0), default=DEFAULT_SEED)
 
     c = sub.add_parser(
         "compare", help="count vs singular-series prediction per progression"
     )
     c.set_defaults(run=cmd_compare)
-    c.add_argument("--n", action="append", type=positive_int, required=True)
+    c.add_argument("--n", action="append", type=int_in(1), required=True)
     # count_classes holds tables of O(q) entries: compare takes the paper's
     # small moduli only, and `count --q` any modulus
-    c.add_argument("--q-max", type=bounded_int(MAX_Q_BOUND), default=12)
-    c.add_argument("--q", type=bounded_int(MAX_Q_BOUND), default=None,
+    c.add_argument("--q-max", type=int_in(1, MAX_Q_BOUND), default=12)
+    c.add_argument("--q", type=int_in(1, MAX_Q_BOUND), default=None,
                    help=f"single modulus, at most {MAX_Q_BOUND}")
     c.add_argument("--a", type=int, default=None, help="single residue class")
-    c.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
-    c.add_argument("--threads", type=bounded_int(MAX_THREADS), default=1)
+    c.add_argument("--p-cutoff", type=int_in(2, MAX_PRIME_CUTOFF),
+                   default=DEFAULT_PRIME_CUTOFF)
+    c.add_argument("--threads", type=int_in(1, MAX_THREADS), default=1)
     c.add_argument("--tolerance", type=positive_float, default=0.05,
                    help="gate on the median |ratio - 1| (default %(default)s)")
     _add_output_flags(c)
 
     e = sub.add_parser("estimate", help="bilinear estimator experiment")
     e.set_defaults(run=cmd_estimate)
-    e.add_argument("--n", action="append", type=positive_int, required=True)
-    e.add_argument("--qprime", type=positive_int, default=1)
+    e.add_argument("--n", action="append", type=int_in(1), required=True)
+    e.add_argument("--qprime", type=int_in(1), default=1)
     e.add_argument("--aprime", type=int, default=0)
-    e.add_argument("--q1", type=bounded_int(MAX_ESTIMATE_Q1), default=8)
-    e.add_argument("--q2", type=bounded_int(MAX_ESTIMATE_Q2), default=2)
+    e.add_argument("--q1", type=int_in(1, MAX_ESTIMATE_Q1), default=8)
+    e.add_argument("--q2", type=int_in(1, MAX_ESTIMATE_Q2), default=2)
     e.add_argument("--weights", choices=["exact", "paper"], default="exact")
     e.add_argument("--padding-constant", type=positive_float, default=None,
                    help="paper-form additive padding scale, --weights paper "
@@ -728,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--padding-exponent", type=finite_float, default=None,
                    help="paper-form padding exponent of N, --weights paper "
                    f"only (default {PAPER_PADDING_EXPONENT:g})")
-    e.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
+    e.add_argument("--p-cutoff", type=int_in(2, MAX_PRIME_CUTOFF),
+                   default=DEFAULT_PRIME_CUTOFF)
     e.add_argument("--tolerance", type=positive_float, default=0.15,
                    help="gate on both relative errors (default %(default)s)")
     e.add_argument("--per-q", action="store_true",
@@ -737,25 +716,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("series", help="both singular-series forms")
     s.set_defaults(run=cmd_series)
-    s.add_argument("--n", action="append", type=positive_int, required=True)
-    s.add_argument("--q", type=positive_int, default=1)
+    s.add_argument("--n", action="append", type=int_in(1), required=True)
+    s.add_argument("--q", type=int_in(1), default=1)
     s.add_argument("--a", type=int, default=0)
-    s.add_argument("--p-cutoff", type=prime_cutoff, default=DEFAULT_PRIME_CUTOFF)
+    s.add_argument("--p-cutoff", type=int_in(2, MAX_PRIME_CUTOFF),
+                   default=DEFAULT_PRIME_CUTOFF)
     _add_output_flags(s, default_format="json")
 
     n = sub.add_parser("count", help="representation counts by segmented sieve")
     n.set_defaults(run=cmd_count)
-    n.add_argument("--n", action="append", type=positive_int, required=True)
-    n.add_argument("--q", type=positive_int, default=1)
+    n.add_argument("--n", action="append", type=int_in(1), required=True)
+    n.add_argument("--q", type=int_in(1), default=1)
     n.add_argument("--a", type=int, default=0)
-    n.add_argument("--threads", type=bounded_int(MAX_THREADS), default=1)
+    n.add_argument("--threads", type=int_in(1, MAX_THREADS), default=1)
     _add_output_flags(n)
 
     t = sub.add_parser(
         "sieve-selftest", help="segmented sieves vs direct factorization"
     )
     t.set_defaults(run=cmd_sieve_selftest)
-    t.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
+    t.add_argument("--seed", type=int_in(0), default=DEFAULT_SEED)
     _add_output_flags(t)
     return p
 

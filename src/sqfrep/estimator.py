@@ -3,9 +3,13 @@
 The machinery: a set of cubefree moduli q = q1 * q2^2, the periodized model
 vectors sum/diff lifted to [1, N], dominating weights M per vector, and the
 rank-|family| bilinear form <f|g> that approximates the true inner product
-[f|g].  With exact-cross-sum weights the Bessel-type inequality
-sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every product here
-is computed in exact rational arithmetic.
+[f|g].  A member is exceptional when its diff vector vanishes and
+degenerate when its sum vector does, read off the vectors themselves; only
+the nonzero vectors are weighted.  Each weight form is one function:
+`compute_weights` takes the exact cross sums and `paper_weights` the
+paper's N ||u||^2 + C N^eps.  Under the exact weights the Bessel-type
+inequality sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every
+product here is computed in exact rational arithmetic.
 
 Every product the estimator takes of a global function h on [1, N] is a
 linear reduction: [h|h], and h's class sums modulo each family modulus,
@@ -44,15 +48,11 @@ from sqfrep.localmodel import (
     PI_SQ_OVER_6,
     LocalVector,
     ProgressionContext,
-    alignment_term,
     local_product,
     model_diff,
     model_sum,
     progression_split,
 )
-
-EXACT_MODE = "exact-cross-sum"
-PAPER_MODE = "paper-form"
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,9 @@ class ModuliSet:
     exceptional: q whose difference vector vanishes (its square-free part
     away from the context modulus divides the target, and the rest divides
     target - residue).  degenerate: q whose sum vector vanishes instead;
-    possible because one of the two split parts is even.  vectors: q ->
+    possible because one of the two split parts is even.  Both are read off
+    the vectors; `verify` checks them against the alignment term c_{g1}(N)
+    c_{m2}(N - a') = +-phi(q) (`oracle.alignment_term`).  vectors: q ->
     (sum vector eta, difference vector kappa), built once with the set.
     """
 
@@ -174,23 +176,19 @@ def build_moduli_set(
                 continue
             members.append(q1 * q2 * q2)
     members.sort()
-    exceptional = []
-    degenerate = []
     vectors = {}
     for q in members:
         fq = factorize(q, tables)
-        c = alignment_term(ctx, fq)
-        phi = euler_phi(fq)
-        if c == phi:
-            exceptional.append(q)
-        elif c == -phi:
-            degenerate.append(q)
         vectors[q] = (model_sum(ctx, fq, tables), model_diff(ctx, fq, tables))
+
+    def vanishing(side: int) -> frozenset[int]:
+        return frozenset(q for q in members if not vectors[q][side].numerators.any())
+
     return ModuliSet(
         context=ctx,
         members=tuple(members),
-        exceptional=frozenset(exceptional),
-        degenerate=frozenset(degenerate),
+        exceptional=vanishing(1),
+        degenerate=vanishing(0),
         vectors=vectors,
     )
 
@@ -216,68 +214,62 @@ def periodic_cross(u: LocalVector, v: LocalVector, length: int) -> Fraction:
     return Fraction(total, u.denominator * v.denominator)
 
 
-def compute_weights(
-    ms: ModuliSet,
-    mode: str = EXACT_MODE,
-    padding_constant: float | None = None,
-    padding_exponent: float | None = None,
-) -> Weights:
-    """Dominating weights for each family vector.
+def _weights(ms: ModuliSet, values) -> Weights:
+    """One weight per family vector that does not vanish, eta in member
+    order and then kappa: values takes that list of vectors and returns
+    their weights in the same order."""
+    keys = [
+        (side, q)
+        for side in (0, 1)
+        for q in ms.members
+        if ms.vectors[q][side].numerators.any()
+    ]
+    tables = ({}, {})
+    weights = values([ms.vectors[q][side] for side, q in keys])
+    for (side, q), value in zip(keys, weights):
+        tables[side][q] = value
+    return Weights(*tables)
 
-    exact-cross-sum: M(u) = sum over family vectors v of |[u~|v~]| with the
-    lifts taken over [1, target]; this is what makes the Bessel inequality
-    unconditional.  paper-form: M(u) = N ||u||^2 + C N^eps with explicit
-    positive padding.
-    """
+
+def compute_weights(ms: ModuliSet) -> Weights:
+    """Exact-cross-sum weights: M(u) = sum over the weighted family vectors
+    v of |[u~|v~]|, with the lifts taken over [1, target].  This is what
+    makes the Bessel inequality unconditional."""
     n = ms.context.target
-    phi_members = [q for q in ms.members if q not in ms.degenerate]
-    psi_members = [q for q in ms.members if q not in ms.exceptional]
-    if mode == EXACT_MODE:
-        if padding_constant is not None or padding_exponent is not None:
-            raise ValueError("padding applies to paper-form only")
-        vectors = [("phi", q, ms.vectors[q][0]) for q in phi_members]
-        vectors += [("psi", q, ms.vectors[q][1]) for q in psi_members]
+
+    def cross_sums(vectors: list[LocalVector]) -> list[Fraction]:
         # periodic_cross is symmetric: each unordered pair is computed once
         # and its magnitude added to both sides
         totals = [Fraction(0)] * len(vectors)
-        for i, (_, _, vec) in enumerate(vectors):
+        for i, u in enumerate(vectors):
             for j in range(i, len(vectors)):
-                cross = abs(periodic_cross(vec, vectors[j][2], n))
+                cross = abs(periodic_cross(u, vectors[j], n))
                 totals[i] += cross
                 if j != i:
                     totals[j] += cross
-        m_phi = {}
-        m_psi = {}
-        for (kind, q, _), total in zip(vectors, totals):
-            if kind == "phi":
-                m_phi[q] = total
-            else:
-                m_psi[q] = total
-        return Weights(m_phi=m_phi, m_psi=m_psi)
-    if mode == PAPER_MODE:
-        if padding_constant is None or padding_exponent is None:
-            raise ValueError("paper-form needs padding_constant and padding_exponent")
-        if padding_constant <= 0:
-            raise ValueError("padding_constant must be positive")
-        try:
-            pad = padding_constant * float(n) ** padding_exponent
-        except OverflowError:
-            pad = math.inf
-        if not math.isfinite(pad):
-            raise ValueError(
-                f"padding C N^eps = {padding_constant!r} * {n}^{padding_exponent!r}"
-                " is not finite"
-            )
-        m_phi = {
-            q: n * local_product(ms.vectors[q][0], ms.vectors[q][0]) + pad
-            for q in phi_members
-        }
-        m_psi = {
-            q: n * local_product(ms.vectors[q][1], ms.vectors[q][1]) + pad
-            for q in psi_members
-        }
-        return Weights(m_phi=m_phi, m_psi=m_psi)
-    raise ValueError(f"unknown weight mode {mode!r}")
+        return totals
+
+    return _weights(ms, cross_sums)
+
+
+def paper_weights(
+    ms: ModuliSet, padding_constant: float, padding_exponent: float
+) -> Weights:
+    """The paper's weights: M(u) = N ||u||^2 + C N^eps for each weighted
+    family vector u, with explicit positive padding C N^eps."""
+    n = ms.context.target
+    if padding_constant <= 0:
+        raise ValueError("padding_constant must be positive")
+    try:
+        pad = padding_constant * float(n) ** padding_exponent
+    except OverflowError:
+        pad = math.inf
+    if not math.isfinite(pad):
+        raise ValueError(
+            f"padding C N^eps = {padding_constant!r} * {n}^{padding_exponent!r}"
+            " is not finite"
+        )
+    return _weights(ms, lambda vecs: [n * local_product(v, v) + pad for v in vecs])
 
 
 def _family_products(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):

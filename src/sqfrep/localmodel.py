@@ -12,7 +12,10 @@ sharpened and mirrored through N - a, and the prime-progression family,
 plain, sharpened and ungated) are computed from their defining sums in
 `sqfrep.oracle`, which only `verify` and the tests import; `verify` (the
 model-norm-identities check) compares every model-vector entry with the
-defining combination of the sharpened densities.  The square-free
+defining combination of the sharpened densities.  The alignment term
+c_{g1}(N) c_{m2}(N - a'), +-phi(q) exactly when a model vector vanishes,
+is an oracle there too: the estimator reads which vectors vanish off the
+vectors, and `verify` compares the two.  The square-free
 densities carry the factor 6/pi^2, and the oracle gives them in units of it;
 the model vectors are built with that factor divided out, so only
 `estimator.predicted_main_terms` applies it, dividing by PI_SQ_OVER_6.
@@ -32,10 +35,10 @@ from sqfrep.arith import (
     FactoredInt,
     SieveTables,
     cubefree_split,
-    ramanujan_sum,
     ramanujan_table,
     require_cubefree,
     require_int64,
+    require_unit,
 )
 
 PI_SQ_OVER_6 = math.pi * math.pi / 6
@@ -56,11 +59,7 @@ class ProgressionContext:
     def __post_init__(self) -> None:
         if self.target < 1 or self.modulus < 1:
             raise ValueError("target and modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-        if math.gcd(self.residue, self.modulus) != 1:
-            raise ValueError(
-                f"residue {self.residue} is not a unit mod {self.modulus}"
-            )
+        object.__setattr__(self, "residue", require_unit(self.residue, self.modulus))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -158,20 +157,6 @@ def progression_split(
     return g1, m2
 
 
-def alignment_term(ctx: ProgressionContext, q: FactoredInt) -> int:
-    """c_{g1}(target) * c_{m2}(target - residue): the integer that measures
-    how the two density families correlate at q.
-
-    Equals +phi(q) exactly when g1 | target and m2 | (target - residue)
-    (difference vector vanishes) and -phi(q) in the rarer anti-aligned case
-    (sum vector vanishes); strictly between otherwise.
-    """
-    g1, m2 = progression_split(ctx, q)
-    return ramanujan_sum(g1, ctx.target) * ramanujan_sum(
-        m2, ctx.target - ctx.residue
-    )
-
-
 def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVector:
     """Entries (c_q(N - a) + sign c_{g1}(a) c_{m2}(a - a'))/2, the closed
     form of (mirror_density_star / t(q) + sign rho_weight
@@ -201,5 +186,5 @@ def model_diff(
     ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
 ) -> LocalVector:
     """The difference of the two rescaled densities; identically zero
-    exactly when alignment_term(q) = phi(q)."""
+    exactly when c_{g1}(N) c_{m2}(N - a') = phi(q), the exceptional case."""
     return _model_vector(ctx, q, -1)

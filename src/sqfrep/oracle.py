@@ -13,7 +13,9 @@ Two shapes of the same definitions live here:
 
 - per-entry forms, one residue at a time:
   `squarefree_density[_star]`, `mirror_density_star`,
-  `prime_density[_star][_ungated]`, `prime_model_twist`, plus `collect`;
+  `prime_density[_star][_ungated]`, `prime_model_twist`, plus `collect`
+  and `alignment_term`, the Ramanujan-sum product that is +-phi(q) exactly
+  on the members the estimator reads as exceptional or degenerate;
 - row forms, every residue at once as int64 numerators over one
   denominator: `squarefree_density_row`, `squarefree_star_row`,
   `scaled_prime_density_rows` and `scaled_star_rows`.  The prime-side rows
@@ -53,6 +55,20 @@ from sqfrep.localmodel import LocalVector, ProgressionContext, progression_split
 def totient(n: int, tables: SieveTables) -> int:
     """Euler's phi of a plain integer n."""
     return euler_phi(factorize(n, tables))
+
+
+def alignment_term(ctx: ProgressionContext, q: FactoredInt) -> int:
+    """c_{g1}(target) * c_{m2}(target - residue): the integer that measures
+    how the two density families correlate at q.
+
+    Equals +phi(q) exactly when g1 | target and m2 | (target - residue)
+    (difference vector vanishes) and -phi(q) in the rarer anti-aligned case
+    (sum vector vanishes); strictly between otherwise.
+    """
+    g1, m2 = progression_split(ctx, q)
+    return ramanujan_sum(g1, ctx.target) * ramanujan_sum(
+        m2, ctx.target - ctx.residue
+    )
 
 
 # ---------------------------------------------------------------------------

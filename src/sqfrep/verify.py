@@ -9,8 +9,8 @@ whole residue rows, or stacks of rows over progression contexts, as int64
 arrays and records them with `_Recorder.bulk`; a check whose case is one
 (context, q) pair, or one call of a scalar function, records it with
 `_Recorder.check`.  The defining-sum oracles the checks compare against
-(the divisor-sum forms of the square-free and prime densities, and
-`collect`) live in `sqfrep.oracle`, so a closed form is never checked
+(the divisor-sum forms of the square-free and prime densities,
+`collect` and the alignment term) live in `sqfrep.oracle`, so a closed form is never checked
 against a copy of itself.  Every int64 reduction has a bound stated next
 to it, or checked with `require_int64`.
 """
@@ -62,6 +62,7 @@ from sqfrep.localmodel import (
     progression_split,
 )
 from sqfrep.oracle import (
+    alignment_term,
     collect,
     dense_summary,
     scaled_prime_density_rows,
@@ -528,11 +529,8 @@ def run_local_suite(
         for f in cubefree_products:
             eta = model_sum(ctx, f, tables)
             kappa = model_diff(ctx, f, tables)
-            g1, m2 = progression_split(ctx, f)
             phi_q = euler_phi(f)
-            align = int(ramanujan_table(g1)[ctx.target % g1.value]) * int(
-                ramanujan_table(m2)[(ctx.target - ctx.residue) % m2.value]
-            )
+            align = alignment_term(ctx, f)
             nsum = local_product(eta, eta)
             ndiff = local_product(kappa, kappa)
             cross = local_product(eta, kappa)
@@ -570,12 +568,10 @@ def run_local_suite(
         for c, ctx in enumerate(sample_ctx):
             got = star_scale(f) * Fraction(dots[c], qv * den * phi_sample[c])
             if ctx.modulus % (q2f.value**2) == 0:
-                g1, m2 = progression_split(ctx, f)
-                align = int(ramanujan_table(g1)[ctx.target % g1.value]) * int(
-                    ramanujan_table(m2)[(ctx.target - ctx.residue) % m2.value]
-                )
+                g1, _ = progression_split(ctx, f)
                 want = star_scale(f) * Fraction(
-                    align, phi_sample[c] * mobius(g1) * euler_phi(g1)
+                    alignment_term(ctx, f),
+                    phi_sample[c] * mobius(g1) * euler_phi(g1),
                 )
             else:
                 want = Fraction(0)
@@ -759,13 +755,17 @@ def run_estimator_suite(
     rec = _Recorder("exceptional-membership")
     for ctx in contexts:
         ms = build_moduli_set(q1_bound, q2_bound, ctx, tables)
-        # alignment_term's classification against the vectors themselves
+        # the classification read off the vectors against the alignment
+        # term, and against the vectors' norms
         for q, (eta, kappa) in ms.vectors.items():
+            phi = totient(q, tables)
+            align = alignment_term(ctx, factorize(q, tables))
             norm = local_product(kappa, kappa)
-            ok = (norm == 0) == (q in ms.exceptional)
-            ok = ok and (local_product(eta, eta) == 0) == (q in ms.degenerate)
+            zero_eta = local_product(eta, eta) == 0
+            ok = (align == phi) == (norm == 0) == (q in ms.exceptional)
+            ok = ok and (align == -phi) == zero_eta == (q in ms.degenerate)
             if q not in ms.exceptional:
-                ok = ok and norm >= Fraction(totient(q, tables), 4)
+                ok = ok and norm >= Fraction(phi, 4)
             rec.check(
                 ok, lambda q=q, ctx=ctx: f"q={q} qprime={ctx.modulus}"
             )
@@ -778,12 +778,3 @@ SUITES = {
     "local": run_local_suite,
     "estimator": run_estimator_suite,
 }
-
-
-def run_suites(names, tables: SieveTables) -> list[CheckResult]:
-    out = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        out.extend(SUITES[name](tables))
-    return out

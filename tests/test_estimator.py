@@ -30,11 +30,12 @@ from sqfrep.estimator import (
     estimate_inner,
     log_summary,
     mirror_summary,
+    paper_weights,
     per_q_breakdown,
     periodic_cross,
     predicted_main_terms,
 )
-from sqfrep.oracle import dense_summary
+from sqfrep.oracle import alignment_term, dense_summary
 
 
 def dense_int(values):
@@ -298,9 +299,7 @@ class TestWeights:
     def test_paper_form_values(self, tables):
         ctx = ProgressionContext(10**6, 1, 1)
         ms = build_moduli_set(4, 1, ctx, tables)
-        w = compute_weights(
-            ms, mode="paper-form", padding_constant=1e4, padding_exponent=0.1
-        )
+        w = paper_weights(ms, padding_constant=1e4, padding_exponent=0.1)
         fam = ms.vectors
         for q, weight in w.m_phi.items():
             norm = local_product(fam[q][0], fam[q][0])
@@ -311,14 +310,12 @@ class TestWeights:
         ctx = ProgressionContext(100, 1, 1)
         ms = build_moduli_set(2, 1, ctx, tables)
         with pytest.raises(ValueError):
-            compute_weights(ms, mode="paper-form", padding_constant=-1.0,
-                            padding_exponent=0.1)
-        with pytest.raises(ValueError):
-            compute_weights(ms, mode="paper-form")
-        with pytest.raises(ValueError):
+            paper_weights(ms, padding_constant=-1.0, padding_exponent=0.1)
+        # each form takes exactly its own arguments
+        with pytest.raises(TypeError):
+            paper_weights(ms)
+        with pytest.raises(TypeError):
             compute_weights(ms, padding_constant=1.0, padding_exponent=0.1)
-        with pytest.raises(ValueError):
-            compute_weights(ms, mode="no-such-mode")
 
     @pytest.mark.parametrize(
         "constant, exponent",
@@ -331,12 +328,42 @@ class TestWeights:
         ctx = ProgressionContext(100, 1, 1)
         ms = build_moduli_set(2, 1, ctx, tables)
         with pytest.raises(ValueError, match="not finite"):
-            compute_weights(ms, mode="paper-form", padding_constant=constant,
-                            padding_exponent=exponent)
+            paper_weights(ms, padding_constant=constant, padding_exponent=exponent)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             Weights(m_phi={1: 0}, m_psi={})
+
+
+@st.composite
+def unit_contexts(draw):
+    """A context N <= 10**5 with q' <= 12 and a' a unit mod q'."""
+    qprime = draw(st.integers(1, 12))
+    units = [a for a in range(qprime) if math.gcd(a, qprime) == 1]
+    return ProgressionContext(
+        draw(st.integers(1, 10**5)), draw(st.sampled_from(units)), qprime
+    )
+
+
+class TestClassification:
+    @settings(max_examples=40)
+    @given(ctx=unit_contexts(), q1=st.integers(1, 12), q2=st.integers(1, 3))
+    def test_read_off_the_vectors(self, tables, ctx, q1, q2):
+        # the members whose kappa or eta vanishes are the alignment term's
+        # +phi(q) and -phi(q), and the weights are over the other vectors
+        ms = build_moduli_set(q1, q2, ctx, tables)
+        align = {}
+        for q in ms.members:
+            fq = factorize(q, tables)
+            align[q] = alignment_term(ctx, fq) / euler_phi(fq)
+        assert ms.exceptional == {q for q in ms.members if align[q] == 1}
+        assert ms.degenerate == {q for q in ms.members if align[q] == -1}
+        nonzero = [
+            {q for q in ms.members if ms.vectors[q][side].numerators.any()}
+            for side in (0, 1)
+        ]
+        for w in (compute_weights(ms), paper_weights(ms, 1e4, 0.1)):
+            assert [set(w.m_phi), set(w.m_psi)] == nonzero
 
 
 class TestEstimateInner:

@@ -17,13 +17,13 @@ from sqfrep.arith import (
 from sqfrep.localmodel import (
     LocalVector,
     ProgressionContext,
-    alignment_term,
     local_product,
     model_diff,
     model_sum,
     progression_split,
 )
 from sqfrep.oracle import (
+    alignment_term,
     collect,
     mirror_density_star,
     prime_density,

@@ -39,7 +39,6 @@ from sqfrep.verify import (
     run_arith_suite,
     run_estimator_suite,
     run_local_suite,
-    run_suites,
 )
 
 
@@ -67,10 +66,6 @@ class TestSuites:
         results = run_estimator_suite(tables, q1_bound=3, q2_bound=1, length_bound=400)
         for r in results:
             assert r.passed, f"{r.name}: {r.counterexample}"
-
-    def test_unknown_suite_rejected(self, tables):
-        with pytest.raises(KeyError):
-            run_suites(["nonsense"], tables)
 
 
 # Case counts printed by the three verify jobs of the benchmark; they pin
@@ -516,7 +511,7 @@ class TestFlagPlumbing:
         lam = _recorder(monkeypatch, cli, "log_summary")
         direct = _recorder(monkeypatch, cli, "count_representations")
         family = _recorder(monkeypatch, cli, "build_moduli_set")
-        weights = _recorder(monkeypatch, cli, "compute_weights")
+        weights = _recorder(monkeypatch, cli, "paper_weights")
         series = _recorder(monkeypatch, cli, "singular_series")
         breakdown = _recorder(monkeypatch, cli, "per_q_breakdown")
         out = tmp_path / "e.json"
@@ -538,9 +533,7 @@ class TestFlagPlumbing:
         d = direct[0]
         assert (d["target"], d["residue"], d["modulus"]) == (3001, 2, 3)
         w = weights[0]
-        assert (w["mode"], w["padding_constant"], w["padding_exponent"]) == (
-            "paper-form", 2.5, 0.25
-        )
+        assert (w["padding_constant"], w["padding_exponent"]) == (2.5, 0.25)
         sv = series[0]
         assert (sv["a"], sv["q"].value, sv["prime_cutoff"]) == (5, 3, 17)
         assert len(breakdown) == 1
@@ -548,7 +541,8 @@ class TestFlagPlumbing:
         assert rows and all(r["N"] == 3001 and "contribution" in r for r in rows)
 
     def test_estimate_paper_defaults_and_tolerance(self, monkeypatch, capsys):
-        weights = _recorder(monkeypatch, cli, "compute_weights")
+        weights = _recorder(monkeypatch, cli, "paper_weights")
+        exact = _recorder(monkeypatch, cli, "compute_weights")
         rc = main(
             ["estimate", "--n", "3001", "--weights", "paper", "--tolerance", "1e-9"]
         )
@@ -557,11 +551,12 @@ class TestFlagPlumbing:
         assert "tolerance 1e-09" in err
         w = weights[0]
         assert (w["padding_constant"], w["padding_exponent"]) == (1e4, 0.1)
+        assert exact == []
 
         assert main(["estimate", "--n", "3001"]) == EXIT_OK
         capsys.readouterr()
-        assert weights[-1]["mode"] == "exact-cross-sum"
-        assert weights[-1]["padding_constant"] is None
+        assert len(weights) == 1
+        assert [list(c) for c in exact] == [["ms"]]
 
     def test_series(self, monkeypatch, tmp_path, capsys):
         rud = _recorder(monkeypatch, cli, "singular_series")
