@@ -54,7 +54,6 @@ from sqfrep.arith import (
     CapacityError,
     build_sieve,
     factorize,
-    require_unit,
 )
 from sqfrep.counting import (
     MAX_THREADS,
@@ -105,6 +104,19 @@ def _suite(name: str):
 
 # suite name -> runner; `verify` is the only subcommand that loads the suites
 SUITES = {name: _suite(name) for name in ("arith", "local", "estimator")}
+
+# suite name -> {verify flag, as its args attribute: suite keyword}; a flag
+# left unset keeps the suite's default
+SUITE_FLAGS = {
+    "arith": {"q_max": "r_bound"},
+    "local": {"q_max": "q_bound", "qprime": "qprime_bound", "seed": "seed"},
+    "estimator": {
+        "q1": "q1_bound",
+        "q2": "q2_bound",
+        "n": "length_bound",
+        "seed": "seed",
+    },
+}
 
 # the largest lift length `verify estimator --n` accepts
 MAX_VERIFY_LENGTH = 10**6
@@ -280,6 +292,14 @@ def _tables_for(max_target: int):
     return build_sieve(min(limit, MAX_SIEVE_LIMIT))
 
 
+def _require_unit(flag: str, a: int, q: int, named: str) -> None:
+    """A usage error unless the class a, the value of flag, is a unit mod
+    q, which `named` names with its flag.  Commands check this before any
+    work, so the message names what the user typed."""
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"{flag} {a} is not a unit mod {named}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -291,24 +311,11 @@ def cmd_verify(args) -> int:
     tables = build_sieve(20_000)
     failures = 0
     for name in suites:
-        kwargs = {}
-        if name == "arith":
-            if args.q_max is not None:
-                kwargs["r_bound"] = args.q_max
-        elif name == "local":
-            if args.q_max is not None:
-                kwargs["q_bound"] = args.q_max
-            if args.qprime is not None:
-                kwargs["qprime_bound"] = args.qprime
-            kwargs["seed"] = args.seed
-        else:
-            if args.q1 is not None:
-                kwargs["q1_bound"] = args.q1
-            if args.q2 is not None:
-                kwargs["q2_bound"] = args.q2
-            if args.n is not None:
-                kwargs["length_bound"] = args.n
-            kwargs["seed"] = args.seed
+        kwargs = {
+            keyword: getattr(args, flag)
+            for flag, keyword in SUITE_FLAGS[name].items()
+            if getattr(args, flag) is not None
+        }
         for r in SUITES[name](tables, **kwargs):
             if r.passed:
                 print(f"PASS {r.name} cases={r.cases}")
@@ -324,11 +331,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    tables = _tables_for(max(args.n))
     q_values = [args.q] if args.q is not None else list(range(1, args.q_max + 1))
     if args.a is not None:
         for q in q_values:
-            require_unit(args.a, q)
+            named = f"--q {q}" if args.q is not None else f"{q} (--q-max {args.q_max})"
+            _require_unit("--a", args.a, q, named)
+    tables = _tables_for(max(args.n))
     rows = []
     consistent = True
     for n in args.n:
@@ -404,6 +412,7 @@ def _padding(args) -> tuple[float, float] | None:
 
 
 def cmd_estimate(args) -> int:
+    _require_unit("--aprime", args.aprime, args.qprime, f"--qprime {args.qprime}")
     padding = _padding(args)
     tables = _tables_for(max(args.n))
     fqp = factorize(args.qprime, tables)
@@ -496,6 +505,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    _require_unit("--a", args.a, args.q, f"--q {args.q}")
     tables = _tables_for(max(args.n))
     fq = factorize(args.q, tables)
     rows = []
@@ -522,6 +532,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _require_unit("--a", args.a, args.q, f"--q {args.q}")
     tables = _tables_for(max(args.n))
     rows = []
     for n in args.n:

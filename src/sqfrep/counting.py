@@ -124,8 +124,9 @@ class CountResult:
 
 def window_length() -> int:
     """Sieve window size in lane entries: a scan mod q covers q integers per
-    entry.  SQFREP_MAX_WINDOW_BYTES caps the transient allocation (roughly
-    eight bytes per entry of window)."""
+    entry, and a scan's windows are the smaller of this and its lane.
+    SQFREP_MAX_WINDOW_BYTES caps the transient allocation (roughly eight
+    bytes per entry of window)."""
     raw = os.environ.get("SQFREP_MAX_WINDOW_BYTES")
     if raw is None:
         return DEFAULT_WINDOW
@@ -471,18 +472,13 @@ def scan_workers(threads: int, windows: int, length: int) -> int:
     return max(1, min(threads, windows))
 
 
-def _scan(
-    count: int, sieve, reduce, threads: int = 1, length: int | None = None
-) -> Iterator:
+def _scan(count: int, sieve, reduce, threads: int, length: int) -> Iterator:
     """Yield reduce(lo, sieve(lo, hi)) for every window [lo, hi) of the lane
     indices [0, count), in order.
 
-    Windows are `length` lane entries long (by default window_length(), the
-    length a _StrikePlan was built for) and run on up to `threads` workers
-    (see scan_workers).
+    Windows are `length` lane entries long (the length a _StrikePlan was
+    built for) and run on up to `threads` workers (see scan_workers).
     """
-    if length is None:
-        length = window_length()
 
     def work(lo: int):
         return reduce(lo, sieve(lo, min(lo + length, count)))
@@ -583,7 +579,7 @@ def _log_scan(
     lanes = [(first, step, 1)]
     if mirror is not None:
         lanes.append((mirror - first, -step, 2))
-    length = window_length()
+    length = min(window_length(), count)
     plan = _StrikePlan(lanes, count, tables, length)
     piece_length = _PIECE // scan_workers(threads, -(-count // length), length)
 
@@ -706,7 +702,7 @@ def squarefree_count_in_ap(
     count = -(-(target - first) // modulus)
     if count < 1:
         return 0
-    length = window_length()
+    length = min(window_length(), count)
     plan = _StrikePlan([(first, modulus, 2)], count, tables, length)
 
     def window(_lo: int, flags: np.ndarray) -> int:

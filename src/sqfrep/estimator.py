@@ -11,18 +11,19 @@ paper's N ||u||^2 + C N^eps.  Under the exact weights the Bessel-type
 inequality sum M^-1 |[h|u]|^2 <= [h|h] holds for every h, because every
 product here is computed in exact rational arithmetic.
 
-Every product the estimator takes of a global function h on [1, N] is a
-linear reduction: [h|h], and h's class sums modulo each family modulus,
-against which [h|u~] is q products with u's numerators.  So h is never
-materialised: a Summary holds those reductions, as Python ints over h's one
-denominator, and is built in bounded memory.  The log-weighted function f
-comes from one windowed scan of its progression (`counting.log_class_sums`,
-int64 log numerators over 2**53); the square-free mirror g from the
-sieve-free Moebius counter (`counting.squarefree_class_counts`).  The true
-product [f|g] is `count_representations`' lambda_weighted, which the CLI
-reads directly.  Model vectors hold int64 numerators over 2, and the cross
-product of two periodic vectors is an integer sum over one lcm period, plus
-a remainder.
+The estimator reads a global function h on [1, N] only through [h|h] and its
+projection, the dots [h|u~] with the weighted vectors u: <f|g> is sum_u
+[f|u~][u~|g] / M(u), and h's Bessel defect is [h|h] - <h|h>.  A dot is h's
+class sums modulo u's modulus against u's numerators, so h is never
+materialised: a Summary holds [h|h] and those class sums, as Python ints
+over h's one denominator, and is built in bounded memory.  The log-weighted
+function f comes from one windowed scan of its progression
+(`counting.log_class_sums`, int64 log numerators over 2**53); the
+square-free mirror g from the sieve-free Moebius counter
+(`counting.squarefree_class_counts`).  The true product [f|g] is
+`count_representations`' lambda_weighted, which the CLI reads directly.
+Model vectors hold int64 numerators over 2, and the cross product of two
+periodic vectors is an integer sum over one lcm period, plus a remainder.
 """
 
 from __future__ import annotations
@@ -140,22 +141,14 @@ def mirror_summary(target: int, moduli: Sequence[int], tables: SieveTables) -> S
     return Summary(target, 1, count, sums)
 
 
-def _local_dots(
-    h: Summary, modulus: int, vectors: Sequence[LocalVector]
-) -> list[Fraction]:
-    """[h | periodized v] = sum over n <= length of h(n) v(n mod modulus)
-    for each vector v of that modulus, exact: h's class sums mod modulus
-    dotted with every vector's numerators in Python ints."""
-    if any(v.modulus != modulus for v in vectors):
-        raise ValueError("every vector must have the given modulus")
-    sums = h.class_sums[modulus]
-    return [
-        Fraction(
-            sum(s * e for s, e in zip(sums, v.numerators.tolist())),
-            h.denominator * v.denominator,
-        )
-        for v in vectors
-    ]
+def _dot(h: Summary, u: LocalVector) -> Fraction:
+    """[h|u~] = sum over n <= length of h(n) u(n mod q), exact: h's class
+    sums modulo u's modulus q dotted with u's numerators in Python ints."""
+    sums = h.class_sums[u.modulus]
+    return Fraction(
+        sum(s * e for s, e in zip(sums, u.numerators.tolist())),
+        h.denominator * u.denominator,
+    )
 
 
 def build_moduli_set(
@@ -165,17 +158,13 @@ def build_moduli_set(
     model vectors."""
     if q1_bound < 1 or q2_bound < 1:
         raise ValueError("bounds must be at least 1")
-    members = []
-    for q2 in range(1, q2_bound + 1):
-        f2 = factorize(q2, tables)
-        if not f2.is_squarefree:
-            continue
-        for q1 in range(1, q1_bound + 1):
-            f1 = factorize(q1, tables)
-            if not f1.is_squarefree or math.gcd(q1, q2) != 1:
-                continue
-            members.append(q1 * q2 * q2)
-    members.sort()
+    # q1 q2 square-free: q1 and q2 are square-free and coprime
+    members = sorted(
+        q1 * q2 * q2
+        for q2 in range(1, q2_bound + 1)
+        for q1 in range(1, q1_bound + 1)
+        if factorize(q1 * q2, tables).is_squarefree
+    )
     vectors = {}
     for q in members:
         fq = factorize(q, tables)
@@ -272,35 +261,31 @@ def paper_weights(
     return _weights(ms, lambda vecs: [n * local_product(v, v) + pad for v in vecs])
 
 
-def _family_products(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):
-    """For each family modulus q in order: q, its (eta, kappa), and one
-    (kind, [f|u~], [g|u~], M(u)) per weighted vector u of q, "phi" for eta
-    before "psi" for kappa."""
-    if not f.length == g.length == ms.context.target:
+def _projection(
+    h: Summary, ms: ModuliSet, weights: Weights
+) -> dict[tuple[int, int], Fraction]:
+    """h's projection onto the weighted family: {(q, side): [h|u~]} over the
+    weighted vectors u, side 0 for eta and 1 for kappa, in member order and
+    eta before kappa."""
+    if h.length != ms.context.target:
         raise ValueError("length mismatch")
-    for q, (eta, kappa) in ms.vectors.items():
-        kept = [
-            (kind, vec, table[q])
-            for kind, vec, table in (
-                ("phi", eta, weights.m_phi),
-                ("psi", kappa, weights.m_psi),
-            )
-            if q in table
-        ]
-        vectors = [vec for _, vec, _ in kept]
-        f_dots = _local_dots(f, q, vectors)
-        g_dots = f_dots if g is f else _local_dots(g, q, vectors)
-        yield q, eta, kappa, [
-            (kind, a, b, m) for (kind, _, m), a, b in zip(kept, f_dots, g_dots)
-        ]
+    return {
+        (q, side): _dot(h, ms.vectors[q][side])
+        for q in ms.members
+        for side, table in enumerate((weights.m_phi, weights.m_psi))
+        if q in table
+    }
 
 
 def estimate_inner(f: Summary, g: Summary, ms: ModuliSet, weights: Weights):
-    """<f|g>: the weighted bilinear approximation to [f|g] over the family."""
+    """<f|g> = sum over the weighted vectors u of [f|u~][u~|g] / M(u): the
+    weighted bilinear approximation to [f|g] over the family."""
+    f_dots = _projection(f, ms, weights)
+    g_dots = f_dots if g is f else _projection(g, ms, weights)
+    tables = (weights.m_phi, weights.m_psi)
     total = 0
-    for *_, products in _family_products(f, g, ms, weights):
-        for _, a, b, m in products:
-            total += a * b / m
+    for (q, side), a in f_dots.items():
+        total += a * g_dots[q, side] / tables[side][q]
     return total
 
 
@@ -323,27 +308,24 @@ def predicted_main_terms(
     n = ctx.target
     fq = factorize(q, tables)
     eta, kappa = ms.vectors[q]
-    # eta + kappa = mirror_density_star / t(q) and eta - kappa = rho_weight
-    # prime_density_star_ungated (verify checks both entrywise); the gated
-    # density is the ungated one when q2^2 divides q', and zero otherwise
+    # theta = t(q) (eta + kappa) is mirror_density_star and rho = c (eta -
+    # kappa) prime_density_star, c = gate mu(g1) / (phi(q') phi(g1)), gated
+    # to 0 unless q2^2 divides q' (verify checks both entrywise); [eta|kappa]
+    # = 0 (model-norm-identities), so each product is a multiple of a norm
     g1, _ = progression_split(ctx, fq)
     _, q2 = cubefree_split(fq)
     gate = int(ctx.modulus % (q2.value * q2.value) == 0)
     t = star_scale(fq)
-    theta = LocalVector.from_numerators(
-        q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator
+    c = Fraction(
+        gate * mobius(g1), euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1)
     )
-    rho = LocalVector.from_numerators(
-        q,
-        gate * mobius(g1) * (eta.numerators - kappa.numerators),
-        2 * euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1),
-    )
+    eta_sq, kappa_sq = local_product(eta, eta), local_product(kappa, kappa)
     # theta is in units of 6/pi^2, so its products are divided by pi^2/6
     return {
-        "f_phi": n * float(local_product(eta, rho)),
-        "phi_g": n * (float(local_product(eta, theta)) / PI_SQ_OVER_6),
-        "f_psi": n * float(local_product(kappa, rho)),
-        "psi_g": n * (float(local_product(kappa, theta)) / PI_SQ_OVER_6),
+        "f_phi": n * float(c * eta_sq),
+        "phi_g": n * (float(t * eta_sq) / PI_SQ_OVER_6),
+        "f_psi": n * float(-c * kappa_sq),
+        "psi_g": n * (float(t * kappa_sq) / PI_SQ_OVER_6),
     }
 
 
@@ -356,8 +338,12 @@ def per_q_breakdown(
 ) -> list[dict]:
     """One row per modulus: norms, weights, the four exact products, the
     row's contribution to <f|g>, and the predicted main terms."""
+    f_dots = _projection(f, ms, weights)
+    g_dots = _projection(g, ms, weights)
+    sides = (("phi", weights.m_phi), ("psi", weights.m_psi))
     rows = []
-    for q, eta, kappa, products in _family_products(f, g, ms, weights):
+    for q in ms.members:
+        eta, kappa = ms.vectors[q]
         predicted = predicted_main_terms(ms, q, tables)
         row = {
             "q": q,
@@ -365,23 +351,16 @@ def per_q_breakdown(
             "degenerate": q in ms.degenerate,
             "eta_norm_sq": float(local_product(eta, eta)),
             "kappa_norm_sq": float(local_product(kappa, kappa)),
-            "m_phi": float(weights.m_phi[q]) if q in weights.m_phi else 0.0,
-            "m_psi": float(weights.m_psi[q]) if q in weights.m_psi else 0.0,
-            "f_phi": 0.0,
-            "phi_g": 0.0,
-            "f_psi": 0.0,
-            "psi_g": 0.0,
-            "contribution": 0.0,
-            "predicted_f_phi": predicted["f_phi"],
-            "predicted_phi_g": predicted["phi_g"],
-            "predicted_f_psi": predicted["f_psi"],
-            "predicted_psi_g": predicted["psi_g"],
+            "m_phi": float(weights.m_phi.get(q, 0.0)),
+            "m_psi": float(weights.m_psi.get(q, 0.0)),
+            **dict.fromkeys(("f_phi", "phi_g", "f_psi", "psi_g", "contribution"), 0.0),
+            **{f"predicted_{key}": value for key, value in predicted.items()},
         }
-        contribution = 0.0
-        for kind, a, b, m in products:
-            row[f"f_{kind}"] = float(a)
-            row[f"{kind}_g"] = float(b)
-            contribution += float(a * b / m)
-        row["contribution"] = contribution
+        for side, (kind, table) in enumerate(sides):
+            if q in table:
+                a, b = f_dots[q, side], g_dots[q, side]
+                row[f"f_{kind}"] = float(a)
+                row[f"{kind}_g"] = float(b)
+                row["contribution"] += float(a * b / table[q])
         rows.append(row)
     return rows

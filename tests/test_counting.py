@@ -1178,12 +1178,16 @@ class TestScanWorkers:
             (3 * length, 1, []),
         ):
             started.clear()
-            got = list(_scan(count, lambda lo, hi: hi - lo, lambda lo, n: n, threads))
+            got = list(
+                _scan(count, lambda lo, hi: hi - lo, lambda lo, n: n, threads, length)
+            )
             assert sum(got) == count
             assert started == want, (count, threads)
         monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", str(8 << 10))
         started.clear()
-        list(_scan(100_000, lambda lo, hi: hi - lo, lambda lo, n: n, 2))
+        list(
+            _scan(100_000, lambda lo, hi: hi - lo, lambda lo, n: n, 2, window_length())
+        )
         assert started == []
 
     def test_threaded_short_windows_change_no_bit(self, tables, monkeypatch):
@@ -1229,6 +1233,20 @@ class TestScanMemory:
             count_representations(120_000_000, 3, 7, tables, threads)
         one, two = peak(1), peak(2)
         assert two <= one + window_length() + (1 << 19), (one, two)
+
+
+    def test_window_never_exceeds_its_lane(self, tables, monkeypatch):
+        # a row used to take window_length() + 1 bytes however short the
+        # lane: under a 1 GiB cap, count --n 1000 peaked at 159 MB of RSS
+        monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", str(1 << 30))
+        count_representations(1000, 0, 1, tables)
+        tracemalloc.start()
+        try:
+            count_representations(1000, 0, 1, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestOddLane:

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqfrep.arith import CapacityError, build_sieve, euler_phi, factorize
+from sqfrep.arith import (
+    CapacityError,
+    build_sieve,
+    cubefree_split,
+    euler_phi,
+    factorize,
+    mobius,
+    star_scale,
+)
 import sqfrep.counting as counting
 from sqfrep.counting import (
     LOG_SCALE,
@@ -18,9 +26,15 @@ from sqfrep.counting import (
     square_sum,
     squarefree_count_in_ap,
 )
-from sqfrep.localmodel import LocalVector, ProgressionContext, local_product
+from sqfrep.localmodel import (
+    PI_SQ_OVER_6,
+    LocalVector,
+    ProgressionContext,
+    local_product,
+    progression_split,
+)
 from sqfrep.estimator import (
-    _local_dots,
+    _dot,
     ModuliSet,
     Summary,
     Weights,
@@ -502,7 +516,7 @@ class TestBreakdownAndPredictions:
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
         f = log_summary(ctx, ms.members, tables)
         fam = ms.vectors
-        empirical = float(_local_dots(f, 3, [fam[3][1]])[0])
+        empirical = float(_dot(f, fam[3][1]))
         assert empirical > 0
         assert abs(empirical / pred["f_psi"] - 1) < 0.1
 
@@ -513,9 +527,52 @@ class TestBreakdownAndPredictions:
         fam = ms.vectors
         for q in ms.members:
             pred = predicted_main_terms(ms, q, tables)
-            got = float(_local_dots(g, q, [fam[q][0]])[0])
+            got = float(_dot(g, fam[q][0]))
             if abs(pred["phi_g"]) > 1:
                 assert got == pytest.approx(pred["phi_g"], rel=0.05)
+
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_predictions_equal_the_density_products(self, tables, data):
+        # predicted_main_terms reads the two norms: theta = t(q)(eta + kappa)
+        # and rho = c(eta - kappa) are orthogonal combinations, since
+        # [eta|kappa] = 0; the reference takes the four products of eta and
+        # kappa with theta and rho built as vectors
+        n = data.draw(st.integers(1, 10**5), label="N")
+        qprime = data.draw(st.integers(1, 12), label="qprime")
+        units = [a for a in range(qprime) if math.gcd(a, qprime) == 1]
+        aprime = data.draw(st.sampled_from(units), label="aprime")
+        q1, q2 = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+        ctx = ProgressionContext(n, aprime, qprime)
+        ms = build_moduli_set(q1, q2, ctx, tables)
+        phi_qprime = euler_phi(factorize(qprime, tables))
+        for q in ms.members:
+            eta, kappa = ms.vectors[q]
+            assert local_product(eta, kappa) == 0
+            fq = factorize(q, tables)
+            g1, _ = progression_split(ctx, fq)
+            _, q2_part = cubefree_split(fq)
+            gate = int(qprime % (q2_part.value**2) == 0)
+            t = star_scale(fq)
+            theta = LocalVector.from_numerators(
+                q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator
+            )
+            rho = LocalVector.from_numerators(
+                q,
+                gate * mobius(g1) * (eta.numerators - kappa.numerators),
+                2 * phi_qprime * euler_phi(g1),
+            )
+            want = {
+                "f_phi": n * float(local_product(eta, rho)),
+                "phi_g": n * (float(local_product(eta, theta)) / PI_SQ_OVER_6),
+                "f_psi": n * float(local_product(kappa, rho)),
+                "psi_g": n * (float(local_product(kappa, theta)) / PI_SQ_OVER_6),
+            }
+            got = predicted_main_terms(ms, q, tables)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()
+            }, q
 
 
 class TestExactGlobalProducts:
@@ -537,10 +594,8 @@ class TestExactGlobalProducts:
         ms, _, fam = families[ctx]
         summary = summary_of(h, ms)
         for q, (eta, kappa) in fam.items():
-            assert _local_dots(summary, q, [eta, kappa]) == [
-                brute_dot(h, eta),
-                brute_dot(h, kappa),
-            ]
+            assert _dot(summary, eta) == brute_dot(h, eta)
+            assert _dot(summary, kappa) == brute_dot(h, kappa)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -572,7 +627,7 @@ class TestExactGlobalProducts:
         # eight values 2**61 wrapped 2**64 to 0
         assert dense_summary([1 << 40] * 4, 1, [1]).inner() == 4 << 80
         one = LocalVector.from_numerators(1, [1], 1)
-        assert _local_dots(dense_summary([1 << 61] * 8, 1, [1]), 1, [one]) == [1 << 64]
+        assert _dot(dense_summary([1 << 61] * 8, 1, [1]), one) == 1 << 64
 
     def test_limb_products_of_log_numerators(self, tables):
         # log numerators sit near 2**57: their squares pass 2**62, so they

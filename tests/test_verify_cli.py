@@ -382,6 +382,38 @@ class TestExitCodes:
         argv = [command, "--n", "1000", "--p-cutoff", str(MAX_PRIME_CUTOFF)]
         assert build_parser().parse_args(argv).p_cutoff == MAX_PRIME_CUTOFF
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["estimate", "--n", "1000", "--qprime", "4", "--aprime", "2"],
+                "--aprime 2 is not a unit mod --qprime 4",
+            ),
+            *(
+                (
+                    [command, "--n", "1000", "--q", "4", "--a", "2"],
+                    "--a 2 is not a unit mod --q 4",
+                )
+                for command in ("count", "compare", "series")
+            ),
+            (
+                ["compare", "--n", "1000", "--a", "2"],
+                "--a 2 is not a unit mod 2 (--q-max 12)",
+            ),
+        ],
+    )
+    def test_non_unit_class_names_its_flags(self, argv, message, capsys, monkeypatch):
+        # the library's "class 2 is not a unit mod 4" named neither flag;
+        # the command now checks the pair before it builds any sieve
+        def refuse(limit):
+            raise AssertionError(f"build_sieve({limit}) ran")
+
+        monkeypatch.setattr(cli, "build_sieve", refuse)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"usage error: {message}"
+
     @pytest.mark.parametrize("command", ["count", "compare"])
     def test_threads_are_capped(self, command, capsys):
         # rejected by the parser, before a sieve or a thread is started
@@ -766,14 +798,16 @@ class TestDeterminism:
         ],
     )
     def test_window_size_does_not_change_bytes(self, argv, monkeypatch, capsys):
+        # a window no longer than its lane: a cap past int64 used to fail the
+        # int64 guard, a traceback and exit 1
         runs = []
-        for cap in (None, "8192"):
+        for cap in (None, "8192", str(10**20)):
             if cap is None:
                 monkeypatch.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
             else:
                 monkeypatch.setenv("SQFREP_MAX_WINDOW_BYTES", cap)
             runs.append((main(argv), capsys.readouterr().out))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         assert runs[0][1].startswith("# sqfrep-")
 
     def test_selftest_rows_are_seed_stable(self, capsys):
