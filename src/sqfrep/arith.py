@@ -20,6 +20,56 @@ _CHUNK = 1 << 22
 
 # Seed of every seeded check (verify suites, sieve-selftest) unless given.
 DEFAULT_SEED = 20260819
+# Draws keys its stream with 64 bits, so a seed is at most this.
+MAX_SEED = (1 << 64) - 1
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+class Draws:
+    """The one seeded draw source of the package: SplitMix64 (Steele, Lea &
+    Flood 2014) in counter form.  Draw i = 1, 2, ... is
+    mix(seed + i * 0x9E3779B97F4A7C15) mod 2**64, so a seed draws the same
+    stream on every numpy version.  A seed is an integer in [0, 2**64).
+
+    All arithmetic is on uint64 arrays, which wrap mod 2**64 without a
+    warning (numpy scalars warn), so a single draw is a length-1 array.
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= MAX_SEED:
+            raise ValueError(f"seed {seed} is not in [0, 2**64)")
+        self._key = np.uint64(seed)
+        self._drawn = 0
+
+    def bits(self, size: int) -> np.ndarray:
+        """The next size raw 64-bit outputs, as a uint64 array."""
+        z = np.arange(self._drawn + 1, self._drawn + size + 1, dtype=np.uint64)
+        self._drawn += size
+        z *= _GAMMA
+        z += self._key
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        """Values in [low, high), high exclusive as in numpy: an int64 array
+        of size values, or one Python int when size is None.  Both ends are
+        int64 values.  A draw is low + z mod (high - low), whose bias toward
+        the low residues is below (high - low) / 2**64."""
+        if not -(1 << 63) <= low < high < 1 << 63:
+            raise ValueError(f"[{low}, {high}) is not a nonempty int64 range")
+        z = self.bits(1 if size is None else size)
+        z %= np.uint64(high - low)
+        z += np.uint64(low % (1 << 64))
+        values = z.view(np.int64)
+        return int(values[0]) if size is None else values
+
 
 # Caps on the verify suites' sweep bounds: the suites are exhaustive
 # small-range sweeps, not scans.  The suites check them, and the CLI's

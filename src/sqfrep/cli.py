@@ -51,7 +51,9 @@ from sqfrep.arith import (
     MAX_Q_BOUND,
     MAX_QPRIME_BOUND,
     MAX_R_BOUND,
+    MAX_SEED,
     CapacityError,
+    Draws,
     build_sieve,
     factorize,
 )
@@ -589,7 +591,7 @@ def cmd_sieve_selftest(args) -> int:
     tables = build_sieve(20_000)
     top = tables.limit**2
     width = 4096
-    rng = np.random.default_rng(args.seed)
+    rng = Draws(args.seed)
     starts = [0, top - width]
     starts += sorted(int(x) for x in rng.integers(1, top - width, size=6))
     rows = []
@@ -683,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int_in(1, MAX_VERIFY_LENGTH), default=None,
                    help="lift length for the estimator suite, at most "
                    f"{MAX_VERIFY_LENGTH}")
-    v.add_argument("--seed", type=int_in(0), default=DEFAULT_SEED)
+    v.add_argument("--seed", type=int_in(0, MAX_SEED), default=DEFAULT_SEED)
 
     c = sub.add_parser(
         "compare", help="count vs singular-series prediction per progression"
@@ -746,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sieve-selftest", help="segmented sieves vs direct factorization"
     )
     t.set_defaults(run=cmd_sieve_selftest)
-    t.add_argument("--seed", type=int_in(0), default=DEFAULT_SEED)
+    t.add_argument("--seed", type=int_in(0, MAX_SEED), default=DEFAULT_SEED)
     _add_output_flags(t)
     return p
 

@@ -32,6 +32,7 @@ from sqfrep.arith import (
     MAX_Q_BOUND,
     MAX_QPRIME_BOUND,
     MAX_R_BOUND,
+    Draws,
     FactoredInt,
     SieveTables,
     cubefree_split,
@@ -645,7 +646,7 @@ def run_local_suite(
     # the plain sum side is an int64 dot over the lcm L <= 60 of the entry
     # denominators: below 1000 * 20 * 9 * 60
     rec = _Recorder("adjoint-identity")
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     for _ in range(TRIALS):
         q = int(rng.integers(1, 21))
         length = int(rng.integers(q, 1001))
@@ -681,7 +682,7 @@ def run_estimator_suite(
     _require(q1_bound, MAX_Q1_BOUND, "q1_bound")
     _require(q2_bound, MAX_Q2_BOUND, "q2_bound")
     results = []
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     contexts = [
         ProgressionContext(length_bound, 1, 1),
         ProgressionContext(max(length_bound - 1, 10), 1, 2),

@@ -1,13 +1,17 @@
 """Sieve tables, factorization, and Ramanujan sums against brute force."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import (
+    MAX_SEED,
     CapacityError,
+    Draws,
     FactoredInt,
     build_sieve,
     cubefree_split,
@@ -256,3 +260,45 @@ class TestPrimesUpTo:
         assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_up_to(1).size == 0
         assert primes_up_to(2).tolist() == [2]
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+class TestDraws:
+    def test_published_splitmix64_vector(self):
+        got = Draws(0).bits(3).tolist()
+        assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, MAX_SEED),
+        low=st.integers(INT64_MIN, INT64_MAX - 1),
+        span=st.integers(1, 1 << 64),
+        a=st.integers(0, 40),
+        b=st.integers(0, 40),
+    )
+    def test_stream(self, seed, low, span, a, b):
+        high = min(low + span, INT64_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            apart = Draws(seed)
+            first = apart.integers(low, high, size=a)
+            second = apart.integers(low, high, size=b)
+            single = apart.integers(low, high)
+            whole = Draws(seed).integers(low, high, size=a + b + 1)
+        assert first.dtype == second.dtype == np.int64
+        assert isinstance(single, int)
+        drawn = [*first.tolist(), *second.tolist(), single]
+        assert drawn == whole.tolist()
+        assert all(low <= v < high for v in drawn)
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    def test_rejects_a_seed_past_the_key(self, seed):
+        with pytest.raises(ValueError):
+            Draws(seed)
+
+    @pytest.mark.parametrize("low, high", [(5, 5), (5, 4), (0, 1 << 63)])
+    def test_rejects_an_empty_or_wide_range(self, low, high):
+        with pytest.raises(ValueError):
+            Draws(1).integers(low, high)

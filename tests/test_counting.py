@@ -1014,6 +1014,23 @@ class TestOneRowFlags:
                     assert got == want, (v, residue, mirror)
 
 
+class TestKnownAnswers:
+    """Published counts at 10^8 (OEIS A071172 and A006880)."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_squarefree_count_at_1e8(self, tables, threads):
+        # n = 10^8 - m for square-free m in [1, 10^8); 10^8 itself is not
+        assert squarefree_count_in_ap(10**8, 0, 1, tables, threads) == 60_792_694
+
+    def test_prime_count_at_1e8(self, tables):
+        width, top = 1 << 22, 10**8
+        total = sum(
+            int(np.count_nonzero(segmented_prime_sieve(lo, min(lo + width, top), tables)))
+            for lo in range(0, top, width)
+        )
+        assert total == 5_761_455
+
+
 class TestHypothesisProfile:
     def test_every_property_test_is_derandomized(self):
         # conftest loads the profile before any test module builds its settings

@@ -61,6 +61,18 @@ class TestLazyPackage:
             sqfrep.no_such_name  # noqa: B018
 
 
+# every subcommand, at small bounds
+SUBCOMMAND_ARGVS = [
+    ["verify", "all", "--q-max", "5", "--qprime", "2", "--q1", "2", "--q2", "1",
+     "--n", "100"],
+    ["sieve-selftest"],
+    ["estimate", "--n", "1000"],
+    ["count", "--n", "1000"],
+    ["compare", "--n", "1000"],
+    ["series", "--n", "1000"],
+]
+
+
 class TestLazyVerify:
     def test_cli_import_loads_no_suite(self):
         loaded = _fresh(
@@ -68,6 +80,20 @@ class TestLazyVerify:
             "m for m in ('sqfrep.verify', 'sqfrep.oracle') if m in sys.modules)))"
         )
         assert loaded == []
+
+    def test_no_subcommand_loads_numpy_random(self):
+        # seeds drive arith.Draws: numpy.random would add about 5 MB of RSS
+        # and 10 ms to every process that loads it
+        loaded = _fresh(
+            "import contextlib, io, json, sys; from sqfrep.cli import main\n"
+            "codes = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    for argv in {SUBCOMMAND_ARGVS!r}:\n"
+            "        codes.append(main(argv))\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))"
+        )
+        assert loaded == [[0] * len(SUBCOMMAND_ARGVS), False]
 
     def test_suites_and_seed_match_verify(self):
         from sqfrep import cli, verify

@@ -290,6 +290,27 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["verify", "all", "--q-max", "5", "--qprime", "2", "--seed", str(1 << 64)],
+            ["sieve-selftest", "--seed", str(1 << 64)],
+        ],
+    )
+    def test_seed_past_the_key_fails_before_any_work(self, argv, capsys):
+        # the seed keys a 64-bit stream: a larger one is capped by the parser
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: {1 << 64} is above the cap {(1 << 64) - 1}" in (
+            captured.err
+        )
+
+    @pytest.mark.parametrize("command", [["verify", "all"], ["sieve-selftest"]])
+    def test_seed_takes_the_cap(self, command):
+        args = build_parser().parse_args([*command, "--seed", str((1 << 64) - 1)])
+        assert args.seed == (1 << 64) - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["verify", "estimator", "--n", "999999999"],
             ["verify", "estimator", "--n", "2000", "--n", "999999999"],
         ],
@@ -627,7 +648,7 @@ class TestFlagPlumbing:
         assert (rows[0]["q"], rows[0]["a"]) == (7, 3)
 
     def test_sieve_selftest(self, monkeypatch, tmp_path, capsys):
-        seeds = _recorder(monkeypatch, cli.np.random, "default_rng")
+        seeds = _recorder(monkeypatch, cli, "Draws")
         windows = _recorder(monkeypatch, cli, "segmented_squarefree_sieve")
         out = tmp_path / "t.json"
         rc = main(["sieve-selftest", "--seed", "11", "--format", "json",
