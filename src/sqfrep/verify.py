@@ -648,8 +648,8 @@ def run_local_suite(
     rec = _Recorder("adjoint-identity")
     rng = Draws(seed)
     for _ in range(TRIALS):
-        q = int(rng.integers(1, 21))
-        length = int(rng.integers(q, 1001))
+        q = rng.integers(1, 21)
+        length = rng.integers(q, 1001)
         j = rng.integers(-20, 21, size=length)
         entries = tuple(
             Fraction(int(p), int(r))
