@@ -82,8 +82,8 @@ class TestLazyVerify:
         assert loaded == []
 
     def test_no_subcommand_loads_numpy_random(self):
-        # seeds drive arith.Draws: numpy.random would add about 5 MB of RSS
-        # and 10 ms to every process that loads it
+        # seeds drive arith.Draws: numpy.random would add about 6 MB of peak
+        # RSS and 9 ms to every process that loads it
         loaded = _fresh(
             "import contextlib, io, json, sys; from sqfrep.cli import main\n"
             "codes = []\n"
