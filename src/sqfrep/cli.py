@@ -39,7 +39,6 @@ import argparse
 import gc
 import json
 import math
-import statistics
 import time
 
 import numpy as np
@@ -385,7 +384,7 @@ def cmd_compare(args) -> int:
     _emit("sqfrep-compare", rows, args)
     errors = [abs(r["ratio"] - 1.0) for r in rows if not r["vanished"]]
     if errors:
-        med = statistics.median(errors)
+        med = np.median(errors)
         print(
             f"median |ratio-1| = {med:.4f} over {len(errors)} classes "
             f"(tolerance {args.tolerance})",

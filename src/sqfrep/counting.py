@@ -760,35 +760,40 @@ def psi_in_ap(
 _COUNTER_BLOCK = 1 << 17
 
 
-def squarefree_class_counts(top: int, modulus: int, tables: SieveTables) -> list[int]:
-    """counts[r] is the number of square-free m in [1, top] with m ≡ r
-    (mod modulus), with no sieve.
+def squarefree_class_counts(top: int, moduli, tables: SieveTables) -> list[list[int]]:
+    """For each q in moduli, counts[r] is the number of square-free m in
+    [1, top] with m ≡ r (mod q), with no sieve.
 
     m is square-free exactly when sum over d^2 | m of mu(d) is 1, so
     counts[r] = sum over square-free d <= sqrt(top) of mu(d) times the
-    number of k in [1, top // d^2] with d^2 k ≡ r: for each c in [1,
-    modulus], (top // d^2 - c) // modulus + 1 values of k ≡ c land on
-    r = d^2 c mod modulus.  That is exact integer arithmetic over the Moebius
-    table, vectorised over d in blocks of about _COUNTER_BLOCK terms.  Every
-    term is below top in magnitude, and so is every partial sum, since the
-    sum of top / d^2 over d >= 1 is below 2 top."""
-    if top < 0 or modulus < 1:
-        raise ValueError("top must be non-negative and modulus positive")
+    number of k in [1, top // d^2] with d^2 k ≡ r: for each c in [1, q],
+    (top // d^2 - c) // q + 1 values of k ≡ c land on r = d^2 c mod q.
+    That is exact integer arithmetic over the Moebius table, vectorised over
+    d in blocks of about _COUNTER_BLOCK terms, for each maximal q of the
+    list; the others are folded out of those (`_fold`).  Every term is
+    below top in magnitude, and so is every partial sum, since the sum of
+    top / d^2 over d >= 1 is below 2 top."""
+    moduli = list(moduli)
+    if top < 0 or any(q < 1 for q in moduli):
+        raise ValueError("top must be non-negative and every modulus positive")
     _check_coverage(top, tables)
-    require_int64(2 * top + modulus * modulus)
     mu = tables.mobius[: math.isqrt(top) + 1]
     roots = np.flatnonzero(mu).astype(np.int64)
-    steps = np.arange(1, modulus + 1, dtype=np.int64)
-    counts = np.zeros(modulus, dtype=np.int64)
-    block = max(1, _COUNTER_BLOCK // modulus)
-    for start in range(0, roots.size, block):
-        d = roots[start : start + block]
-        squares = d * d
-        ks = (top // squares)[:, None] - steps
-        ks //= modulus
-        ks += 1
-        ks *= mu[d].astype(np.int64)[:, None]
-        classes = (squares % modulus)[:, None] * steps
-        classes %= modulus
-        np.add.at(counts, classes.ravel(), ks.ravel())
-    return counts.tolist()
+    counted = {}
+    for modulus in _maximal(moduli):
+        require_int64(2 * top + modulus * modulus)
+        steps = np.arange(1, modulus + 1, dtype=np.int64)
+        counts = np.zeros(modulus, dtype=np.int64)
+        block = max(1, _COUNTER_BLOCK // modulus)
+        for start in range(0, roots.size, block):
+            d = roots[start : start + block]
+            squares = d * d
+            ks = (top // squares)[:, None] - steps
+            ks //= modulus
+            ks += 1
+            ks *= mu[d].astype(np.int64)[:, None]
+            classes = (squares % modulus)[:, None] * steps
+            classes %= modulus
+            np.add.at(counts, classes.ravel(), ks.ravel())
+        counted[modulus] = counts[None]
+    return [counts for (counts,) in _fold(counted, moduli)]

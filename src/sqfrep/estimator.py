@@ -133,11 +133,11 @@ def mirror_summary(target: int, moduli: Sequence[int], tables: SieveTables) -> S
     Nothing is sieved: g's class sum at r mod q counts the square-free
     m <= target - 1 with m ≡ target - r (mod q), which the Moebius counter
     gives, and [g|g] is the count of all of them, the q = 1 case."""
-    sums = {}
-    for q in moduli:
-        counts = squarefree_class_counts(target - 1, q, tables)
-        sums[q] = [counts[(target - r) % q] for r in range(q)]
-    (count,) = squarefree_class_counts(target - 1, 1, tables)
+    (count,), *rows = squarefree_class_counts(target - 1, [1, *moduli], tables)
+    sums = {
+        q: [counts[(target - r) % q] for r in range(q)]
+        for q, counts in zip(moduli, rows)
+    }
     return Summary(target, 1, count, sums)
 
 
@@ -209,9 +209,9 @@ def _weights(ms: ModuliSet, values) -> Weights:
     their weights in the same order."""
     keys = [
         (side, q)
-        for side in (0, 1)
+        for side, vanishing in enumerate((ms.degenerate, ms.exceptional))
         for q in ms.members
-        if ms.vectors[q][side].numerators.any()
+        if q not in vanishing
     ]
     tables = ({}, {})
     weights = values([ms.vectors[q][side] for side, q in keys])

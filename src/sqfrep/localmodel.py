@@ -165,9 +165,10 @@ def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVe
     require_cubefree(q)
     g1, m2 = progression_split(ctx, q)
     a = np.arange(q.value, dtype=np.int64)
-    twice = ramanujan_table(q)[(ctx.target - a) % q.value] + sign * (
+    # target and residue may pass int64: reduce them in Python ints first
+    twice = ramanujan_table(q)[(ctx.target % q.value - a) % q.value] + sign * (
         ramanujan_table(g1)[a % g1.value]
-        * ramanujan_table(m2)[(a - ctx.residue) % m2.value]
+        * ramanujan_table(m2)[(a - ctx.residue % m2.value) % m2.value]
     )
     return LocalVector.from_numerators(q.value, twice, 2)
 

@@ -32,8 +32,9 @@ from sqfrep.arith import (
     ramanujan_sum,
     require_unit,
 )
+from sqfrep.localmodel import PI_SQ_OVER_6
 
-_SIX_OVER_PI_SQ = 6.0 / (math.pi * math.pi)
+_SIX_OVER_PI_SQ = 1 / PI_SQ_OVER_6
 
 DEFAULT_PRIME_CUTOFF = 10**6
 

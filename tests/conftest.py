@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from sqfrep.arith import build_sieve
+from sqfrep.arith import Draws, build_sieve
 
 # Every property test draws the same examples on every run, with no time
 # limit per example; a test's own settings give only its max_examples.
@@ -18,4 +17,4 @@ def tables():
 
 @pytest.fixture()
 def rng():
-    return np.random.default_rng(0x5EED)
+    return Draws(0x5EED)

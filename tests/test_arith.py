@@ -1,14 +1,17 @@
 """Sieve tables, factorization, and Ramanujan sums against brute force."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import (
+    _CHUNK,
     MAX_SEED,
     CapacityError,
     Draws,
@@ -43,7 +46,44 @@ def mu_brute(n: int) -> int:
     return -out if m > 1 else out
 
 
+@lru_cache(maxsize=1)
+def brute_tables(limit: int) -> tuple[list[int], list[int]]:
+    """Least prime factors and Moebius values of 2..limit by trial division."""
+    ns = range(2, limit + 1)
+    spf = [next(p for p in range(2, n + 1) if n % p == 0) for n in ns]
+    return spf, [mu_brute(n) for n in ns]
+
+
 class TestBuildSieve:
+    @settings(max_examples=30)
+    @given(limit=st.integers(2, 5000))
+    def test_every_entry_matches_trial_division(self, limit):
+        t = build_sieve(limit)
+        spf, mu = (row[: limit - 1] for row in brute_tables(5000))
+        assert t.smallest_prime_factor[:2].tolist() == [0, 1]
+        assert t.smallest_prime_factor[2:].tolist() == spf
+        assert t.mobius[:2].tolist() == [0, 1]
+        assert t.mobius[2:].tolist() == mu
+        assert t.primes.tolist() == [n for n, p in enumerate(spf, start=2) if n == p]
+        # the tables share the cached sieve's read-only array
+        assert t.primes is primes_up_to(limit)
+
+    # SHA-256 of spf, mu and primes, little-endian, in that order: a build
+    # must give these tables bit for bit, across a _CHUNK boundary too
+    @pytest.mark.parametrize(
+        "limit, digest",
+        [
+            (20_000, "459a9ee8e947fabfb409388f25c2c2e8a23189f61b29a93c7b4949ca64376aac"),
+            (_CHUNK + 1, "a869712b1786d428c8f29c8327d40011f5a4128a4f1afb5c55243566cc4661f4"),
+        ],
+    )
+    def test_tables_are_pinned(self, limit, digest):
+        t = build_sieve(limit)
+        h = hashlib.sha256()
+        for table in (t.smallest_prime_factor, t.mobius, t.primes):
+            h.update(table.astype(table.dtype.newbyteorder("<")).tobytes())
+        assert h.hexdigest() == digest
+
     def test_primes_exact_to_1000(self, tables):
         flags = np.ones(1001, dtype=bool)
         flags[:2] = False

@@ -251,23 +251,31 @@ class TestMobiusCounter:
         ]
 
     @settings(max_examples=25)
-    @given(top=st.integers(0, 10**7), modulus=st.integers(1, 60))
-    def test_matches_the_sieve(self, tables, top, modulus):
-        got = squarefree_class_counts(top, modulus, tables)
-        assert got == self._sieved(top, modulus, tables)
+    @given(top=st.integers(0, 10**7), data=st.data())
+    def test_matches_the_sieve(self, tables, top, data):
+        # moduli together with some of their divisors, in any order, so that
+        # the counted maximal moduli are folded
+        base = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+        divisors = [d for m in base for d in range(1, m + 1) if m % d == 0]
+        extra = data.draw(st.lists(st.sampled_from(divisors), max_size=3))
+        moduli = data.draw(st.permutations(base + extra))
+        sieved = {q: self._sieved(top, q, tables) for q in set(moduli)}
+        got = squarefree_class_counts(top, moduli, tables)
+        assert got == [sieved[q] for q in moduli]
 
     @pytest.mark.parametrize("top, want", [(0, 0), (1, 1)])
     def test_smallest_tops(self, tables, top, want):
-        for modulus in (1, 2, 7):
-            got = squarefree_class_counts(top, modulus, tables)
+        moduli = (1, 2, 7)
+        for modulus, got in zip(moduli, squarefree_class_counts(top, moduli, tables)):
             assert got == self._sieved(top, modulus, tables)
             assert got == [want if r == 1 % modulus else 0 for r in range(modulus)]
 
     def test_rejects_what_the_tables_cannot_cover(self):
         small = build_sieve(100)
-        assert sum(squarefree_class_counts(100**2, 3, small)) == 6_083
+        (counts,) = squarefree_class_counts(100**2, [3], small)
+        assert sum(counts) == 6_083
         with pytest.raises(CapacityError):
-            squarefree_class_counts(100**2 + 1, 3, small)
+            squarefree_class_counts(100**2 + 1, [3], small)
 
 
 class TestPsiInAp:
@@ -698,8 +706,8 @@ class TestLaneAnchors:
 
     def test_inverses_match_pow(self, rng):
         for bits in (8, 31, 40, 52, 61):
-            moduli = rng.integers(2, 1 << bits, 400, dtype=np.int64)
-            units = rng.integers(0, 1 << bits, 400, dtype=np.int64) % moduli
+            moduli = rng.integers(2, 1 << bits, 400)
+            units = rng.integers(0, 1 << bits, 400) % moduli
             coprime = np.array(
                 [math.gcd(u, m) == 1 for u, m in zip(units.tolist(), moduli.tolist())]
             )
@@ -713,9 +721,9 @@ class TestLaneAnchors:
 
     def test_mulmod_matches_python(self, rng):
         for bits in (1, 20, 31, 32, 45, 62):
-            moduli = rng.integers(1, 1 << bits, 500, dtype=np.int64, endpoint=True)
-            x = rng.integers(0, 1 << 62, 500, dtype=np.int64) % moduli
-            y = rng.integers(0, 1 << 62, 500, dtype=np.int64) % moduli
+            moduli = rng.integers(1, (1 << bits) + 1, 500)
+            x = rng.integers(0, 1 << 62, 500) % moduli
+            y = rng.integers(0, 1 << 62, 500) % moduli
             got = counting._mulmod(x, y, moduli).tolist()
             triples = zip(x.tolist(), y.tolist(), moduli.tolist())
             want = [a * b % m for a, b, m in triples]

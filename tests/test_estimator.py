@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqfrep.arith import (
     CapacityError,
+    Draws,
     build_sieve,
     cubefree_split,
     euler_phi,
@@ -394,7 +395,7 @@ class TestEstimateInner:
         ctx = ProgressionContext(60, 1, 1)
         ms = build_moduli_set(3, 2, ctx, tables)
         w = compute_weights(ms)
-        rng = np.random.default_rng(7)
+        rng = Draws(7)
         f1 = dense_int(rng.integers(-5, 6, size=60))
         f2 = dense_int(rng.integers(-5, 6, size=60))
         g = dense_int(rng.integers(-5, 6, size=60))
@@ -415,7 +416,7 @@ class TestEstimateInner:
         assert bessel_defect(h, ms, w) == 0
 
     def test_bessel_defect_nonnegative_random(self, tables):
-        rng = np.random.default_rng(0xBE55E1)
+        rng = Draws(0xBE55E1)
         for ctx in (
             ProgressionContext(500, 1, 1),
             ProgressionContext(501, 1, 2),
@@ -440,7 +441,7 @@ class TestEstimateInner:
 
     def test_almost_orthogonality_expansion(self, tables):
         # ||sum xi_u u||^2 <= sum M_u xi_u^2, expanded exactly
-        rng = np.random.default_rng(0x0AB1E)
+        rng = Draws(0x0AB1E)
         configs = [
             ProgressionContext(5000, 1, 1),
             ProgressionContext(5001, 1, 2),

@@ -15,6 +15,7 @@ from sqfrep.arith import (
     star_scale,
 )
 from sqfrep.localmodel import (
+    PI_SQ_OVER_6,
     LocalVector,
     ProgressionContext,
     local_product,
@@ -33,8 +34,6 @@ from sqfrep.oracle import (
     squarefree_density,
     squarefree_density_star,
 )
-
-PI_SQ_OVER_6 = math.pi * math.pi / 6
 
 
 def cubefree_range(top):
@@ -342,6 +341,32 @@ class TestModelVectors:
                     n2 = local_product(vec, vec)
                     assert n2 == 0 or F(phi, 4) <= n2 <= phi
 
+    @pytest.mark.parametrize(
+        "residue, modulus", [(1, 1), (5, 6), (10**20 + 1, 10**21)]
+    )
+    def test_target_and_residue_past_int64(self, tables, residue, modulus):
+        # both are reduced in Python ints before they meet an int64 array:
+        # the vectors equal those at a small target congruent mod q, and the
+        # closed form over the scalar Ramanujan sums
+        huge = ProgressionContext((1 << 64) + 12_345, residue, modulus)
+        for qv in cubefree_range(30):
+            q = factorize(qv, tables)
+            small = ProgressionContext(huge.target % qv + qv, residue, modulus)
+            g1, m2 = progression_split(huge, q)
+            for sign, build in ((1, model_sum), (-1, model_diff)):
+                got = build(huge, q, tables).entries
+                assert got == build(small, q, tables).entries
+                assert got == tuple(
+                    F(
+                        ramanujan_sum(q, huge.target - a)
+                        + sign
+                        * ramanujan_sum(g1, a)
+                        * ramanujan_sum(m2, a - huge.residue),
+                        2,
+                    )
+                    for a in range(qv)
+                )
+
     def test_diff_vanishes_exactly_when_aligned(self, tables):
         for ctx in model_contexts():
             for qv in cubefree_range(30):
@@ -489,8 +514,8 @@ class TestPeriodizeCollect:
     def test_adjoint_identity_exact(self, rng, tables):
         # [collect(j) | h]_q == sum_n j(n) h(n) for integer-valued inputs.
         for _ in range(20):
-            q = int(rng.integers(1, 21))
-            n = int(rng.integers(q, 1001))
+            q = rng.integers(1, 21)
+            n = rng.integers(q, 1001)
             j = [int(v) for v in rng.integers(-5, 6, size=n)]
             h = LocalVector(q, tuple(F(int(v)) for v in rng.integers(-9, 10, size=q)))
             lhs = local_product(collect(j, q), h)

@@ -44,6 +44,11 @@ class TestSeriesValue:
         v = SeriesValue(2.0, 0.25, False)
         assert v.interval() == (1.5, 2.5)
 
+    def test_six_over_pi_squared_is_pinned(self):
+        # derived from localmodel.PI_SQ_OVER_6, the one spelling of the
+        # factor; any other rounding of 6/pi^2 moves printed series bytes
+        assert series._SIX_OVER_PI_SQ.hex() == "0x1.37423899a1558p-1"
+
 
 class TestVanishing:
     def test_frozen_examples(self, tables):

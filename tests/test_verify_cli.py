@@ -505,6 +505,23 @@ class TestExitCodes:
         assert rc == EXIT_CAPACITY
         assert "capacity" in err
 
+    def test_target_past_int64_is_a_capacity_error(self, capsys):
+        # the model vectors reduce the target mod q before the sieve bound
+        # is checked, so it ends in the capacity check, not an OverflowError
+        assert main(["estimate", "--n", str(1 << 63)]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capacity error" in captured.err
+
+    def test_class_past_int64_reaches_the_tolerance_gate(self, capsys):
+        argv = ["estimate", "--n", "100", "--qprime", str(10**21)]
+        argv += ["--aprime", str(10**20 + 1)]
+        assert main(argv) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "tolerance" in captured.err.splitlines()[-1]
+        assert captured.out.startswith("# sqfrep-estimate")
+
     def test_help_is_success(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
