@@ -110,9 +110,8 @@ class SieveTables:
         spf[n] is the least prime dividing n; spf[0] = 0, spf[1] = 1 and
         spf[p] = p for primes.
     mobius : np.ndarray (int8)
-        mobius[n] is the Moebius function, with mobius[0] = 0.
-    is_squarefree : np.ndarray (bool)
-        is_squarefree[n] == (mobius[n] != 0); index 0 is False.
+        mobius[n] is the Moebius function, with mobius[0] = 0, so n is
+        square-free exactly where it is nonzero.
     primes : np.ndarray (int64)
         All primes <= limit, ascending.
     """
@@ -120,7 +119,6 @@ class SieveTables:
     limit: int
     smallest_prime_factor: np.ndarray
     mobius: np.ndarray
-    is_squarefree: np.ndarray
     primes: np.ndarray
 
 
@@ -163,10 +161,9 @@ def build_sieve(limit: int) -> SieveTables:
         mu[lo:hi] *= 1 - 2 * flip.view(np.int8)
     mu[0] = 0
 
-    tables = SieveTables(limit, spf, mu, mu != 0, primes)
-    for arr in (spf, mu, tables.is_squarefree):
+    for arr in (spf, mu):
         arr.flags.writeable = False
-    return tables
+    return SieveTables(limit, spf, mu, primes)
 
 
 @lru_cache(maxsize=8)

@@ -111,15 +111,23 @@ _LOW_31 = (1 << 31) - 1
 
 @dataclass(frozen=True)
 class CountResult:
-    """One weighted count: log-weighted over primes, the raw count, and the
-    von-Mangoldt-weighted total that also sees prime powers."""
+    """One weighted count, held exactly: the raw count, and the numerators
+    over LOG_SCALE of the log sums over the primes and over the proper
+    prime powers.  The floats are derived, each rounded once."""
 
-    target: int
-    residue: int
-    modulus: int
-    weighted: float
     unweighted: int
-    lambda_weighted: float
+    prime_numerator: int
+    power_numerator: int
+
+    @property
+    def weighted(self) -> float:
+        """The log-weighted count over primes."""
+        return self.prime_numerator / LOG_SCALE
+
+    @property
+    def lambda_weighted(self) -> float:
+        """The von-Mangoldt-weighted total that also sees prime powers."""
+        return (self.prime_numerator + self.power_numerator) / LOG_SCALE
 
 
 def window_length() -> int:
@@ -374,8 +382,9 @@ def square_sum(numerators: np.ndarray) -> int:
 # limbs of a numerator below NUMERATOR_BOUND lie below 2**32 in magnitude,
 # so that holds for fewer than 2**21 terms per bincount.  Chunks of
 # CLASS_SUM_TERMS stay far below that, and keep a chunk's float limbs and
-# classes at 256 KiB each on long inputs, such as the estimator's log-weighted
-# function (about 665,000 terms at N = 1e7).
+# classes at 256 KiB each: a scan piece of at most 2**18 lane entries takes
+# at most eight chunks, and a scan's proper-power list (a few thousand
+# values up to N = 10**9) takes one.
 CLASS_SUM_TERMS = 1 << 15
 
 
@@ -634,14 +643,7 @@ def count_representations(
         unweighted += hits
         total += sums
     _, powers = _proper_powers(target - 1, residue, modulus, tables, mirror=target)
-    return CountResult(
-        target=target,
-        residue=residue,
-        modulus=modulus,
-        weighted=total / LOG_SCALE,
-        unweighted=unweighted,
-        lambda_weighted=(total + exact_sum(powers)) / LOG_SCALE,
-    )
+    return CountResult(unweighted, total, exact_sum(powers))
 
 
 def count_classes(
@@ -678,14 +680,7 @@ def count_classes(
     for q, (q_counts, q_totals), (_, q_extras) in zip(moduli, folded, extras):
         for a in range(q):
             if math.gcd(a, q) == 1:
-                results[(q, a)] = CountResult(
-                    target=target,
-                    residue=a,
-                    modulus=q,
-                    weighted=q_totals[a] / LOG_SCALE,
-                    unweighted=q_counts[a],
-                    lambda_weighted=(q_totals[a] + q_extras[a]) / LOG_SCALE,
-                )
+                results[(q, a)] = CountResult(q_counts[a], q_totals[a], q_extras[a])
     return results
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -62,59 +61,35 @@ class ProgressionContext:
         object.__setattr__(self, "residue", require_unit(self.residue, self.modulus))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LocalVector:
     """A function on Z/qZ: entry a is numerators[a] / denominator.
 
-    numerators is a read-only int64 array below NUMERATOR_BOUND in
-    magnitude and denominator one positive int, so products of vectors are
-    integer reductions.  LocalVector(modulus, entries) takes
-    rational entries and stores them over their least common denominator;
-    it raises ValueError when the entry count is not the modulus or a
-    numerator would reach NUMERATOR_BOUND.
+    numerators is kept as a read-only int64 array below NUMERATOR_BOUND in
+    magnitude and denominator as one positive int, so products of vectors
+    are integer reductions.  The numerators may be given as any integer
+    sequence; the constructor raises ValueError when their count is not
+    the modulus, the denominator is not positive or a numerator would reach
+    NUMERATOR_BOUND.
     """
 
     modulus: int
     numerators: np.ndarray
     denominator: int
 
-    def __init__(self, modulus: int, entries: Sequence) -> None:
-        values = [Fraction(e) for e in entries]
-        denominator = math.lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (denominator // v.denominator) for v in values]
-        self._store(modulus, numerators, denominator)
-
-    @classmethod
-    def from_numerators(
-        cls, modulus: int, numerators, denominator: int
-    ) -> "LocalVector":
-        """Entries numerators[a] / denominator, with the constructor's checks."""
-        vec = cls.__new__(cls)
-        vec._store(modulus, numerators, denominator)
-        return vec
-
-    def _store(self, modulus, numerators, denominator) -> None:
+    def __post_init__(self) -> None:
         # Python ints beyond int64 give an object array, still comparable
-        values = np.asarray(numerators)
-        if values.shape != (modulus,):
+        values = np.asarray(self.numerators)
+        if values.shape != (self.modulus,):
             raise ValueError("entry count must equal the modulus")
-        if denominator < 1:
+        if self.denominator < 1:
             raise ValueError("denominator must be positive")
         if not np.all(np.abs(values) < NUMERATOR_BOUND):
             raise ValueError("entry numerators must stay below 2**62")
         array = values.astype(np.int64)
         array.flags.writeable = False
-        for name, value in (
-            ("modulus", modulus),
-            ("numerators", array),
-            ("denominator", int(denominator)),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """The entries as exact rationals, derived from the numerators."""
-        return tuple(Fraction(n, self.denominator) for n in self.numerators.tolist())
+        object.__setattr__(self, "numerators", array)
+        object.__setattr__(self, "denominator", int(self.denominator))
 
     @property
     def max_abs(self) -> int:
@@ -170,7 +145,7 @@ def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVe
         ramanujan_table(g1)[a % g1.value]
         * ramanujan_table(m2)[(a - ctx.residue % m2.value) % m2.value]
     )
-    return LocalVector.from_numerators(q.value, twice, 2)
+    return LocalVector(q.value, twice, 2)
 
 
 def model_sum(

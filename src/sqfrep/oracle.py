@@ -203,7 +203,7 @@ def collect(values: Sequence[int], q: int) -> LocalVector:
     padded = np.zeros(-(-(len(vals) + 1) // q) * q, dtype=np.int64)
     padded[1 : len(vals) + 1] = vals
     sums = padded.reshape(-1, q).sum(axis=0)
-    return LocalVector.from_numerators(q, sums * q, 1)
+    return LocalVector(q, sums * q, 1)
 
 
 def dense_summary(

@@ -488,9 +488,7 @@ def run_local_suite(
             if key not in mirror_norms:
                 num, den = star_rows[f.value]
                 a = np.arange(f.value, dtype=np.int64)
-                theta = LocalVector.from_numerators(
-                    f.value, num[(ctx.target - a) % f.value], den
-                )
+                theta = LocalVector(f.value, num[(ctx.target - a) % f.value], den)
                 mirror_norms[key] = local_product(theta, theta)
             scale = star_scale(f)
             rec.check(
@@ -655,12 +653,11 @@ def run_local_suite(
             Fraction(int(p), int(r))
             for p, r in zip(rng.integers(-9, 10, size=q), rng.integers(1, 7, size=q))
         )
-        h = LocalVector(q, entries)
-        got = local_product(collect(j, q), h)
         lcm = math.lcm(*(e.denominator for e in entries))
         scaled = np.array(
             [e.numerator * (lcm // e.denominator) for e in entries], dtype=np.int64
         )
+        got = local_product(collect(j, q), LocalVector(q, scaled, lcm))
         want = Fraction(int(np.dot(j, scaled[np.arange(1, length + 1) % q])), lcm)
         rec.check(got == want, lambda q=q, length=length: f"q={q} N={length}")
     results.append(rec.result())

@@ -109,12 +109,8 @@ class TestBuildSieve:
 
     def test_zero_conventions(self, tables):
         assert tables.mobius[0] == 0
-        assert not tables.is_squarefree[0]
         assert tables.smallest_prime_factor[0] == 0
         assert tables.smallest_prime_factor[1] == 1
-
-    def test_squarefree_is_mobius_support(self, tables):
-        assert np.array_equal(tables.is_squarefree, tables.mobius != 0)
 
     def test_tables_are_read_only(self, tables):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from sqfrep.counting import (
     count_representations,
     exact_class_sums,
     log_class_sums,
+    log_numerators,
     psi_in_ap,
     scan_workers,
     segmented_prime_sieve,
@@ -37,7 +38,7 @@ from sqfrep.oracle import squarefree_density
 class TestSegmentedSquarefree:
     def test_matches_dense_table(self, tables):
         got = segmented_squarefree_sieve(0, 2001, tables)
-        assert np.array_equal(got, tables.is_squarefree[:2001])
+        assert np.array_equal(got, tables.mobius[:2001] != 0)
 
     def test_zero_is_not_squarefree(self, tables):
         assert not segmented_squarefree_sieve(0, 5, tables)[0]
@@ -45,7 +46,7 @@ class TestSegmentedSquarefree:
     def test_interior_window(self, tables):
         lo, hi = 9_990, 10_123
         got = segmented_squarefree_sieve(lo, hi, tables)
-        assert np.array_equal(got, tables.is_squarefree[lo:hi])
+        assert np.array_equal(got, tables.mobius[lo:hi] != 0)
 
     def test_beyond_table_limit(self, tables):
         # Values past the dense table, still under limit^2.
@@ -104,7 +105,7 @@ class TestCountRepresentations:
                 for p in range(2, target):
                     if spf[p] != p or p % modulus != residue % modulus:
                         continue
-                    if tables.is_squarefree[target - p]:
+                    if tables.mobius[target - p]:
                         want_u += 1
                         want_w += math.log(p)
                 got = count_representations(target, residue, modulus, tables)
@@ -135,23 +136,46 @@ class TestCountRepresentations:
 
     def test_classes_partition_the_total(self, tables):
         # Summing over coprime classes recovers the q=1 count away from p|q.
-        for target in (1000, 1001):
-            for modulus in (3, 4, 12):
-                split = sum(
-                    count_representations(target, a, modulus, tables).unweighted
-                    for a in range(modulus)
-                    if math.gcd(a, modulus) == 1
-                )
-                whole = 0
-                spf = tables.smallest_prime_factor
-                for p in range(2, target):
-                    if (
-                        spf[p] == p
-                        and modulus % p != 0
-                        and tables.is_squarefree[target - p]
-                    ):
-                        whole += 1
-                assert split == whole, (target, modulus)
+        # The exact numerators close with the primes p | q whose mirror is
+        # square-free, and with their proper powers (each weighs log p).
+        spf, mobius = tables.smallest_prime_factor, tables.mobius
+
+        def log_sum(values):
+            return sum(log_numerators(np.array(values, dtype=np.int64)).tolist())
+
+        for cap in (None, 8 << 10):
+            with pytest.MonkeyPatch.context() as mp:
+                _set_window_cap(mp, cap)
+                for target in (1000, 1001):
+                    total = count_representations(target, 0, 1, tables)
+                    for modulus in (3, 4, 12):
+                        parts = [
+                            count_representations(target, a, modulus, tables)
+                            for a in range(modulus)
+                            if math.gcd(a, modulus) == 1
+                        ]
+                        whole = 0
+                        for p in range(2, target):
+                            if spf[p] == p and modulus % p != 0 and mobius[target - p]:
+                                whole += 1
+                        key = (cap, target, modulus)
+                        assert sum(r.unweighted for r in parts) == whole, key
+                        shared = [p for p in (2, 3) if modulus % p == 0]
+                        primes = [p for p in shared if mobius[target - p]]
+                        powers = [
+                            p
+                            for p in shared
+                            for k in range(2, target.bit_length())
+                            if p**k < target and mobius[target - p**k]
+                        ]
+                        assert (
+                            sum(r.prime_numerator for r in parts) + log_sum(primes)
+                            == total.prime_numerator
+                        ), key
+                        assert (
+                            sum(r.power_numerator for r in parts) + log_sum(powers)
+                            == total.power_numerator
+                        ), key
 
     def test_obstructed_class_is_exactly_zero(self, tables):
         # p^2 | q and p^2 | (target - a) force mu^2(target - p) = 0 everywhere.
@@ -207,7 +231,7 @@ class TestSquarefreeCountInAp:
                         for n in range(1, target + 1)
                         if n % modulus == residue
                         and target - n > 0
-                        and tables.is_squarefree[target - n]
+                        and tables.mobius[target - n]
                     )
                     got = squarefree_count_in_ap(target, residue, modulus, tables)
                     assert got == want, (target, modulus, residue)
@@ -215,7 +239,7 @@ class TestSquarefreeCountInAp:
     def test_classes_partition(self, tables):
         # All classes together count the square-free values in [0, N-1].
         for target in (1000, 19_997):
-            whole = int(tables.is_squarefree[:target].sum())
+            whole = np.count_nonzero(tables.mobius[:target])
             for modulus in (7, 20):
                 split = sum(
                     squarefree_count_in_ap(target, a, modulus, tables)
@@ -429,7 +453,7 @@ class TestScanProperties:
         modulus, residue = unit
         is_prime = tables.smallest_prime_factor == np.arange(tables.limit + 1)
         is_prime[:2] = False
-        want = _brute_sums(target, residue, modulus, is_prime, tables.is_squarefree)
+        want = _brute_sums(target, residue, modulus, is_prime, tables.mobius != 0)
         with pytest.MonkeyPatch.context() as mp:
             _set_window_cap(mp, cap)
             r = count_representations(target, residue, modulus, tables, threads)
@@ -443,7 +467,7 @@ class TestScanProperties:
         modulus, residue = unit
         n = np.arange(1, target + 1)
         want = int(
-            np.count_nonzero((n % modulus == residue) & tables.is_squarefree[target - n])
+            np.count_nonzero((n % modulus == residue) & (tables.mobius[target - n] != 0))
         )
         with pytest.MonkeyPatch.context() as mp:
             _set_window_cap(mp, cap)
@@ -561,21 +585,7 @@ class TestCountClasses:
             assert list(got) == keys
             for (q, a), r in got.items():
                 want = count_representations(target, a, q, tables, threads)
-                assert (
-                    r.target,
-                    r.residue,
-                    r.modulus,
-                    r.unweighted,
-                    r.weighted,
-                    r.lambda_weighted,
-                ) == (
-                    want.target,
-                    want.residue,
-                    want.modulus,
-                    want.unweighted,
-                    want.weighted,
-                    want.lambda_weighted,
-                ), (q, a)
+                assert r == want, (q, a)
 
     def test_rejects_bad_input(self, tables):
         with pytest.raises(ValueError):

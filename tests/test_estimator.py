@@ -51,6 +51,7 @@ from sqfrep.estimator import (
     predicted_main_terms,
 )
 from sqfrep.oracle import alignment_term, dense_summary
+from vectors import entries
 
 
 def dense_int(values):
@@ -67,8 +68,8 @@ def brute_values(h):
 def brute_dot(h, vec):
     """[h | periodized vec], summed over n one term at a time."""
     values = brute_values(h)
-    entries = vec.entries
-    return sum(v * entries[n % vec.modulus] for n, v in enumerate(values, 1))
+    at = entries(vec)
+    return sum(v * at[n % vec.modulus] for n, v in enumerate(values, 1))
 
 
 # 1 and 2**53 are the denominators the CLI builds; 15 and 63 are the
@@ -243,9 +244,9 @@ class TestCrossProducts:
         length = 97
         for qa, (ua, _) in fam.items():
             for qb, (_, vb) in fam.items():
+                ua_at, vb_at = entries(ua), entries(vb)
                 brute = sum(
-                    ua.entries[n % qa] * vb.entries[n % qb]
-                    for n in range(1, length + 1)
+                    ua_at[n % qa] * vb_at[n % qb] for n in range(1, length + 1)
                 )
                 assert periodic_cross(ua, vb, length) == brute
 
@@ -556,10 +557,10 @@ class TestBreakdownAndPredictions:
             _, q2_part = cubefree_split(fq)
             gate = int(qprime % (q2_part.value**2) == 0)
             t = star_scale(fq)
-            theta = LocalVector.from_numerators(
+            theta = LocalVector(
                 q, t.numerator * (eta.numerators + kappa.numerators), 2 * t.denominator
             )
-            rho = LocalVector.from_numerators(
+            rho = LocalVector(
                 q,
                 gate * mobius(g1) * (eta.numerators - kappa.numerators),
                 2 * phi_qprime * euler_phi(g1),
@@ -627,7 +628,7 @@ class TestExactGlobalProducts:
         # an int64 dot wrapped 4 * 2**80 to 0, and the int64 class sum of
         # eight values 2**61 wrapped 2**64 to 0
         assert dense_summary([1 << 40] * 4, 1, [1]).inner() == 4 << 80
-        one = LocalVector.from_numerators(1, [1], 1)
+        one = LocalVector(1, [1], 1)
         assert _dot(dense_summary([1 << 61] * 8, 1, [1]), one) == 1 << 64
 
     def test_limb_products_of_log_numerators(self, tables):

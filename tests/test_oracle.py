@@ -19,6 +19,7 @@ from sqfrep.oracle import (
     squarefree_density_star,
     squarefree_star_row,
 )
+from vectors import entries
 
 # both target parities, trivial, prime, prime-power and composite moduli
 CONTEXTS = [
@@ -96,6 +97,6 @@ class TestGuards:
             collect([F(1, 2), F(3)], 2)
 
     def test_collect_empty_and_short(self):
-        assert collect([], 3).entries == (F(0), F(0), F(0))
+        assert entries(collect([], 3)) == (F(0), F(0), F(0))
         # j(1) = 7 lands in class 1, scaled by q = 4
-        assert collect([7], 4).entries == (F(0), F(28), F(0), F(0))
+        assert entries(collect([7], 4)) == (F(0), F(28), F(0), F(0))

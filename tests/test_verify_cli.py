@@ -160,9 +160,7 @@ class TestMutations:
     def test_off_by_one_collect_fails_adjoint(self, tables, monkeypatch):
         def off_by_one(values, q):
             v = collect(values, q)
-            return LocalVector.from_numerators(
-                q, np.roll(v.numerators, 1), v.denominator
-            )
+            return LocalVector(q, np.roll(v.numerators, 1), v.denominator)
 
         monkeypatch.setattr("sqfrep.verify.collect", off_by_one)
         adjoint = _small_local_suite(tables)["adjoint-identity"]
