@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestCountRepresentations:
                     target
                 ) * math.log(target)
 
-    def test_classes_partition_the_total(self, tables):
+    def test_classes_partition_the_total(self, tables, monkeypatch):
         # Summing over coprime classes recovers the q=1 count away from p|q.
         # The exact numerators close with the primes p | q whose mirror is
         # square-free, and with their proper powers (each weighs log p).
@@ -143,39 +144,36 @@ class TestCountRepresentations:
         def log_sum(values):
             return sum(log_numerators(np.array(values, dtype=np.int64)).tolist())
 
-        for cap in (None, 8 << 10):
-            with pytest.MonkeyPatch.context() as mp:
-                _set_window_cap(mp, cap)
-                for target in (1000, 1001):
-                    total = count_representations(target, 0, 1, tables)
-                    for modulus in (3, 4, 12):
-                        parts = [
-                            count_representations(target, a, modulus, tables)
-                            for a in range(modulus)
-                            if math.gcd(a, modulus) == 1
-                        ]
-                        whole = 0
-                        for p in range(2, target):
-                            if spf[p] == p and modulus % p != 0 and mobius[target - p]:
-                                whole += 1
-                        key = (cap, target, modulus)
-                        assert sum(r.unweighted for r in parts) == whole, key
-                        shared = [p for p in (2, 3) if modulus % p == 0]
-                        primes = [p for p in shared if mobius[target - p]]
-                        powers = [
-                            p
-                            for p in shared
-                            for k in range(2, target.bit_length())
-                            if p**k < target and mobius[target - p**k]
-                        ]
-                        assert (
-                            sum(r.prime_numerator for r in parts) + log_sum(primes)
-                            == total.prime_numerator
-                        ), key
-                        assert (
-                            sum(r.power_numerator for r in parts) + log_sum(powers)
-                            == total.power_numerator
-                        ), key
+        for key in product((None, 8 << 10), (1000, 1001), (3, 4, 12)):
+            cap, target, modulus = key
+            _set_window_cap(monkeypatch, cap)
+            total = count_representations(target, 0, 1, tables)
+            parts = [
+                count_representations(target, a, modulus, tables)
+                for a in range(modulus)
+                if math.gcd(a, modulus) == 1
+            ]
+            whole = 0
+            for p in range(2, target):
+                if spf[p] == p and modulus % p != 0 and mobius[target - p]:
+                    whole += 1
+            assert sum(r.unweighted for r in parts) == whole, key
+            shared = [p for p in (2, 3) if modulus % p == 0]
+            primes = [p for p in shared if mobius[target - p]]
+            powers = [
+                p
+                for p in shared
+                for k in range(2, target.bit_length())
+                if p**k < target and mobius[target - p**k]
+            ]
+            assert (
+                sum(r.prime_numerator for r in parts) + log_sum(primes)
+                == total.prime_numerator
+            ), key
+            assert (
+                sum(r.power_numerator for r in parts) + log_sum(powers)
+                == total.power_numerator
+            ), key
 
     def test_obstructed_class_is_exactly_zero(self, tables):
         # p^2 | q and p^2 | (target - a) force mu^2(target - p) = 0 everywhere.
@@ -466,9 +464,8 @@ class TestScanProperties:
     ):
         modulus, residue = unit
         n = np.arange(1, target + 1)
-        want = int(
-            np.count_nonzero((n % modulus == residue) & (tables.mobius[target - n] != 0))
-        )
+        mirror_free = tables.mobius[target - n] != 0
+        want = int(np.count_nonzero((n % modulus == residue) & mirror_free))
         with pytest.MonkeyPatch.context() as mp:
             _set_window_cap(mp, cap)
             got = squarefree_count_in_ap(target, residue, modulus, tables, threads)

@@ -66,7 +66,8 @@ def _census(monkeypatch, runs) -> set:
         def spy(self, name, cls=cls, names=names, original=cls.__getattribute__):
             if name in names:
                 code = sys._getframe(1).f_code
-                if code.co_filename.startswith(PACKAGE) and code.co_name != "__post_init__":
+                in_package = code.co_filename.startswith(PACKAGE)
+                if in_package and code.co_name != "__post_init__":
                     read.add(f"{cls.__name__}.{name}")
             return original(self, name)
 
@@ -77,7 +78,11 @@ def _census(monkeypatch, runs) -> set:
 
 
 def _fields() -> set:
-    return {f"{c.__name__}.{f.name}" for c in _dataclasses() for f in dataclasses.fields(c)}
+    return {
+        f"{cls.__name__}.{field.name}"
+        for cls in _dataclasses()
+        for field in dataclasses.fields(cls)
+    }
 
 
 class TestFieldCensus:
