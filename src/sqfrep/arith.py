@@ -321,6 +321,8 @@ def divisors_with_cofactor_mobius(f: FactoredInt):
 
 def require_unit(residue: int, modulus: int) -> int:
     """residue reduced into [0, modulus); ValueError unless it is a unit."""
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
     residue %= modulus
     if math.gcd(residue, modulus) != 1:
         raise ValueError(f"class {residue} is not a unit mod {modulus}")

@@ -57,7 +57,7 @@ A prime lane's hits are exactly its primes.  The von Mangoldt variants
 also need the proper prime powers p^k, k >= 2, which are few (5 against
 6.8 million prime hits for count_representations(10**9, 3, 7)), so
 _proper_powers lists those of the class once per scan, beside it, with
-mu^2(N - p^k) by trial division, and each consumer reduces them once.
+mu^2(N - p^k) by trial division, and _progression_sums reduces it once.
 
 An odd lane carries about twice the hits per entry, so a window's hits
 are reduced in pieces of 2**18 lane entries in all, split across the
@@ -66,16 +66,19 @@ scan holds one row and one piece's arrays per worker: tracemalloc peaks
 of count_representations(120000000, 3, 7) are 2.1 MiB with 1 thread and
 2.9-3.1 MiB with 2.
 
-`compare` needs every unit class a mod q for many q, and the estimator's
-f the class sums of one progression modulo every family modulus.
-count_classes and log_class_sums each make one scan: each piece's hits
-are reduced to exact per-class sums at the maximal moduli (those dividing
-no other in the set: 7 to 12 for 1..12), and every modulus is folded out
-of a multiple once the scan ends (_fold), so the cost is one sieve, not
-one per class, and no hit is kept past its piece.  Class sums bin their
-values with float64 bincounts of 32-bit limbs, exact in chunks of fewer
-than 2**21 hits, once per group of maximal moduli whose lcm stays at most
-CLASS_BIN_LIMIT: twice for 1..12 (mod 2,520 and 132).
+count_representations, count_classes, log_class_sums and psi_in_ap are
+views of one reduction, _progression_sums, of one lane, with or without
+the mirror, at a list of moduli: each piece's hits, and the proper powers
+once, are reduced to exact per-class counts and numerator sums at the
+maximal moduli (those dividing no other in the set: 7 to 12 for 1..12),
+and every modulus is folded out of a multiple once the scan ends (_fold),
+so the cost is one sieve, not one per class, and no hit outlives its
+piece.  The list [1] takes a plain count and sum, and only log_class_sums
+squares the numerators (for [f|f]): binning [1] made a count mod 7 at
+1.2e8 half again as slow, and squaring every piece a fifth.  Class sums
+bin their values with float64 bincounts of 32-bit limbs, exact in chunks
+of fewer than 2**21 hits, once per group of maximal moduli whose lcm
+stays at most CLASS_BIN_LIMIT: twice for 1..12 (mod 2,520 and 132).
 
 The base tables must reach the square root of the largest value touched: a
 lane is accepted only while its largest value is at most tables.limit**2.
@@ -152,7 +155,7 @@ def _check_window(lo: int, hi: int, tables: SieveTables) -> None:
         raise ValueError(f"bad window [{lo}, {hi})")
     if hi - 1 > tables.limit**2:
         raise CapacityError(
-            f"window reaches {hi - 1}, beyond limit^2 = {tables.limit**2}"
+            f"{hi - 1} is beyond the sieve coverage limit^2 = {tables.limit**2}"
         )
 
 
@@ -611,11 +614,45 @@ def _log_scan(
     return chain((leading,), chain.from_iterable(windows))
 
 
-def _check_coverage(target: int, tables: SieveTables) -> None:
-    if target > tables.limit**2:
-        raise CapacityError(
-            f"target {target} beyond sieve coverage {tables.limit**2}"
-        )
+def _progression_sums(
+    top, residue, modulus, moduli: list, tables, threads, mirror, squares=False
+) -> tuple[list, int]:
+    """Over the prime powers n = p^k <= top with n ≡ residue (mod modulus),
+    and with mirror - n square-free if there is a mirror: for each q in
+    moduli the rows (hits, primes, powers) of q Python ints each, hits[r]
+    the count of primes n ≡ r (mod q), primes[r] and powers[r] the exact
+    numerator sums of log p over those primes and over the proper powers;
+    and the exact sum of all squared numerators if `squares`, else 0."""
+    target, least = (top, 1) if mirror is None else (mirror, 3)
+    if target < least:
+        raise ValueError(f"target must be at least {least}")
+    if modulus < 1 or threads < 1 or any(q < 1 for q in moduli):
+        raise ValueError("every modulus and the thread count must be positive")
+    _check_window(0, target + 1, tables)
+    maximal = _maximal(moduli)
+    plain = maximal == [1]
+
+    def piece(values, nums) -> list:
+        """The piece's class counts and then its numerator sums at each
+        maximal modulus in turn, and last its squared numerators, flat."""
+        if plain:
+            flat = [values.size, exact_sum(nums)]
+        else:
+            rows = chain.from_iterable(exact_class_sums(nums, values, maximal))
+            flat = list(chain.from_iterable(rows))
+        flat.append(square_sum(nums) if squares else 0)
+        return flat
+
+    sums = [0] * (2 * sum(maximal) + 1)
+    for part in _log_scan(top, residue, modulus, tables, piece, threads, mirror):
+        sums = list(map(add, sums, part))
+    powers = piece(*_proper_powers(top, residue, modulus, tables, mirror))
+    rows, at = {}, 0
+    for m in maximal:
+        hits, primes = sums[at : at + m], sums[at + m : at + 2 * m]
+        rows[m] = np.array([hits, primes, powers[at + m : at + 2 * m]], dtype=object)
+        at += 2 * m
+    return _fold(rows, moduli), sums[-1] + powers[-1]
 
 
 def count_representations(
@@ -629,59 +666,26 @@ def count_representations(
     not square-free, so n = target never contributes.
     """
     residue = require_unit(residue, modulus)
-    if target < 3:
-        raise ValueError("target must be at least 3")
-    _check_coverage(target, tables)
-
-    def window(hits, nums):
-        return hits.size, exact_sum(nums)
-
-    unweighted = total = 0
-    for hits, sums in _log_scan(
-        target - 1, residue, modulus, tables, window, threads, mirror=target
-    ):
-        unweighted += hits
-        total += sums
-    _, powers = _proper_powers(target - 1, residue, modulus, tables, mirror=target)
-    return CountResult(unweighted, total, exact_sum(powers))
+    (((hits,), (primes,), (powers,)),), _ = _progression_sums(
+        target - 1, residue, modulus, [1], tables, threads, mirror=target
+    )
+    return CountResult(hits, primes, powers)
 
 
 def count_classes(
     target: int, moduli, tables: SieveTables, threads: int = 1
 ) -> dict[tuple[int, int], CountResult]:
     """count_representations for every unit class a mod q and every q in
-    moduli, keyed (q, a) in the order of moduli and then of a.
-
-    One scan of [2, target) on modulus 1 finds every hit; each piece is
-    reduced to exact per-class sums at the maximal moduli, and every
-    modulus is folded out of those once the scan is done, so no hit
-    outlives its piece and a piece costs a few list additions, not one per
-    modulus.
-    """
+    moduli, keyed (q, a) in the order of moduli and then of a, from one
+    scan of [2, target) on modulus 1 (_progression_sums)."""
     moduli = list(dict.fromkeys(moduli))
-    if any(q < 1 for q in moduli):
-        raise ValueError("moduli must be positive")
-    if target < 3:
-        raise ValueError("target must be at least 3")
-    _check_coverage(target, tables)
-    maximal = _maximal(moduli)
-
-    def window(hits, nums):
-        return exact_class_sums(nums, hits, maximal)
-
-    totals = {m: [[0] * m, [0] * m] for m in maximal}
-    for per_m in _log_scan(target - 1, 0, 1, tables, window, threads, mirror=target):
-        for m, piece in zip(maximal, per_m):
-            totals[m] = [list(map(add, old, new)) for old, new in zip(totals[m], piece)]
-    values, numerators = _proper_powers(target - 1, 0, 1, tables, mirror=target)
-    extras = exact_class_sums(numerators, values, moduli)
-    folded = _fold({m: np.array(t, dtype=object) for m, t in totals.items()}, moduli)
-    results = {}
-    for q, (q_counts, q_totals), (_, q_extras) in zip(moduli, folded, extras):
-        for a in range(q):
-            if math.gcd(a, q) == 1:
-                results[(q, a)] = CountResult(q_counts[a], q_totals[a], q_extras[a])
-    return results
+    rows, _ = _progression_sums(target - 1, 0, 1, moduli, tables, threads, target)
+    return {
+        (q, a): CountResult(hits[a], primes[a], powers[a])
+        for q, (hits, primes, powers) in zip(moduli, rows)
+        for a in range(q)
+        if math.gcd(a, q) == 1
+    }
 
 
 def squarefree_count_in_ap(
@@ -689,8 +693,8 @@ def squarefree_count_in_ap(
 ) -> int:
     """Count n in [1, target] with n ≡ residue (mod modulus) and
     target - n square-free (so n = target drops out via mu^2(0) = 0)."""
-    if modulus < 1 or target < 1:
-        raise ValueError("target and modulus must be positive")
+    if modulus < 1 or target < 1 or threads < 1:
+        raise ValueError("target, modulus and threads must be positive")
     # Count over m = target - n instead: the lane m ≡ target - residue in
     # [0, target).
     first = (target - residue) % modulus
@@ -718,26 +722,10 @@ def log_class_sums(
     modulus), weighted by the numerators of log p: for each q in moduli the
     exact per-class sums, sums[r] over n ≡ r (mod q), and the exact sum of
     the squared numerators."""
-    if target < 1:
-        raise ValueError("target must be positive")
-    _check_coverage(target, tables)
-    moduli = list(moduli)
-    maximal = _maximal(moduli)
-
-    def piece(hits, nums):
-        sums = [sums for _, sums in exact_class_sums(nums, hits, maximal)]
-        return sums, square_sum(nums)
-
-    totals = {m: [0] * m for m in maximal}
-    squares = 0
-    primes = _log_scan(target, residue, modulus, tables, piece, threads)
-    powers = piece(*_proper_powers(target, residue, modulus, tables, None))
-    for sums, square in chain(primes, [powers]):
-        for m, part in zip(maximal, sums):
-            totals[m] = list(map(add, totals[m], part))
-        squares += square
-    folded = _fold({m: np.array([t], dtype=object) for m, t in totals.items()}, moduli)
-    return [sums for (sums,) in folded], squares
+    rows, squares = _progression_sums(
+        target, residue, modulus, list(moduli), tables, threads, None, squares=True
+    )
+    return [list(map(add, primes, powers)) for _, primes, powers in rows], squares
 
 
 def psi_in_ap(
@@ -746,8 +734,10 @@ def psi_in_ap(
     """Chebyshev psi along a progression: sum of log p over prime powers
     p^k <= target with p^k ≡ residue (mod modulus)."""
     residue = require_unit(residue, modulus)
-    ((total,),), _ = log_class_sums(target, residue, modulus, [1], tables, threads)
-    return total / LOG_SCALE
+    ((_, (primes,), (powers,)),), _ = _progression_sums(
+        target, residue, modulus, [1], tables, threads, None
+    )
+    return (primes + powers) / LOG_SCALE
 
 
 # squarefree_class_counts handles about this many (d, c) terms per block,
@@ -771,7 +761,7 @@ def squarefree_class_counts(top: int, moduli, tables: SieveTables) -> list[list[
     moduli = list(moduli)
     if top < 0 or any(q < 1 for q in moduli):
         raise ValueError("top must be non-negative and every modulus positive")
-    _check_coverage(top, tables)
+    _check_window(0, top + 1, tables)
     mu = tables.mobius[: math.isqrt(top) + 1]
     roots = np.flatnonzero(mu).astype(np.int64)
     counted = {}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqfrep.arith import CapacityError, build_sieve, factorize
+from sqfrep.arith import CapacityError, build_sieve, factorize, require_unit
 import sqfrep.counting as counting
 from sqfrep.counting import (
     DEFAULT_WINDOW,
@@ -120,6 +120,21 @@ class TestCountRepresentations:
             count_representations(2, 0, 1, tables)
         with pytest.raises(CapacityError):
             count_representations(101**2, 0, 1, build_sieve(100))
+        # a modulus below 1 once gave 0 hits (-7) or a ZeroDivisionError
+        # (0), and 0 threads ran one worker
+        for bad in (
+            lambda: count_representations(100, 1, -7, tables),
+            lambda: count_representations(100, 1, 0, tables),
+            lambda: count_representations(100, 1, 7, tables, 0),
+            lambda: psi_in_ap(100, 1, -7, tables),
+            lambda: psi_in_ap(100, 1, 0, tables),
+            lambda: psi_in_ap(100, 1, 7, tables, 0),
+            lambda: squarefree_count_in_ap(100, 1, 7, tables, 0),
+            lambda: require_unit(1, -7),
+            lambda: require_unit(1, 0),
+        ):
+            with pytest.raises(ValueError):
+                bad()
 
     def test_lambda_adds_prime_powers(self, tables):
         r = count_representations(10, 0, 1, tables)
@@ -458,6 +473,56 @@ class TestScanProperties:
         assert (r.unweighted, r.weighted, r.lambda_weighted) == want[:3]
 
     @scan_settings
+    @given(
+        **inputs,
+        # 1, up to three moduli, and a proper divisor of each: a list with
+        # repeats and with moduli that divide others
+        moduli=st.lists(st.integers(2, 40), min_size=1, max_size=3).flatmap(
+            lambda qs: st.permutations(
+                [1, *qs, *(q // next(p for p in range(2, q + 1) if q % p == 0) for q in qs)]
+            )
+        ),
+    )
+    def test_lambda_sums_match_brute_force(
+        self, tables, target, unit, cap, threads, moduli
+    ):
+        modulus, residue = unit
+        is_prime = tables.smallest_prime_factor == np.arange(tables.limit + 1)
+        is_prime[:2] = False
+        psi = _brute_sums(target, residue, modulus, is_prime, tables.mobius != 0)[3]
+        values, nums = (
+            a.tolist() for a in _brute_prime_powers(target, residue, modulus, is_prime)
+        )
+        want = (
+            [_python_class_sums(values, nums, q)[1] for q in moduli],
+            sum(x * x for x in nums),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            _set_window_cap(mp, cap)
+            got = log_class_sums(target, residue, modulus, moduli, tables, threads)
+            assert psi_in_ap(target, residue, modulus, tables, threads) == psi
+        assert got == want
+
+    def test_one_scan_and_one_power_list_per_call(self, tables, monkeypatch):
+        calls = []
+        for name in ("_log_scan", "_proper_powers"):
+            wrapped = getattr(counting, name)
+            monkeypatch.setattr(
+                counting,
+                name,
+                lambda *a, _f=wrapped, _n=name, **k: calls.append(_n) or _f(*a, **k),
+            )
+        for call in (
+            lambda: count_representations(1000, 1, 3, tables),
+            lambda: count_classes(1000, range(1, 13), tables),
+            lambda: log_class_sums(1000, 1, 3, [1, 4, 6], tables),
+            lambda: psi_in_ap(1000, 1, 3, tables),
+        ):
+            calls.clear()
+            call()
+            assert sorted(calls) == ["_log_scan", "_proper_powers"]
+
+    @scan_settings
     @given(**inputs)
     def test_squarefree_count_matches_brute_force(
         self, tables, target, unit, cap, threads
@@ -591,6 +656,19 @@ class TestCountClasses:
             count_classes(100, [3, 0], tables)
         with pytest.raises(CapacityError):
             count_classes(101**2, [1], build_sieve(100))
+        # log_class_sums once summed modulo -7 as if modulo 7, failed mod 0
+        # with a numpy warning and mod -3 with numpy's shape error
+        for bad in (
+            lambda: count_classes(100, [-3], tables),
+            lambda: count_classes(100, [3], tables, 0),
+            lambda: log_class_sums(100, 1, -7, [1], tables),
+            lambda: log_class_sums(100, 1, 0, [1], tables),
+            lambda: log_class_sums(100, 1, 7, [0], tables),
+            lambda: log_class_sums(100, 1, 7, [4, -3], tables),
+            lambda: log_class_sums(100, 1, 7, [1], tables, 0),
+        ):
+            with pytest.raises(ValueError):
+                bad()
 
 
 def _lane_flags(lane, count, tables, lo, hi):

@@ -1,24 +1,38 @@
 """Verification suites plus the command-line surface: exit codes, schema
 round-trips, determinism, and the corrupted-fixture drill."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
 from sqfrep import cli
-from sqfrep.arith import ramanujan_table, star_scale
+from sqfrep.arith import (
+    MAX_Q1_BOUND,
+    MAX_Q2_BOUND,
+    MAX_Q_BOUND,
+    MAX_QPRIME_BOUND,
+    MAX_R_BOUND,
+    MAX_SEED,
+    ramanujan_table,
+    star_scale,
+)
 from sqfrep.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_ESTIMATE_Q1,
+    MAX_ESTIMATE_Q2,
     MAX_PRIME_CUTOFF,
+    MAX_VERIFY_LENGTH,
     SCHEMAS,
     build_parser,
     encode_csv,
@@ -523,6 +537,129 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+# The argv fuzz.  Per subcommand, each integer flag with a cap, as (flag,
+# small value, cap).  A run passes every such flag at its small value, so
+# no suite or sieve runs at a default bound, except one flag set to an
+# edge: its cap, cap + 1, or a value argparse may reject.
+_CAPPED = {
+    "verify": (
+        ("--q-max", 1, min(MAX_R_BOUND, MAX_Q_BOUND)),
+        ("--qprime", 1, MAX_QPRIME_BOUND),
+        ("--q1", 1, MAX_Q1_BOUND),
+        ("--q2", 1, MAX_Q2_BOUND),
+        ("--n", 10, MAX_VERIFY_LENGTH),
+        ("--seed", 0, MAX_SEED),
+    ),
+    "compare": (
+        ("--q-max", 3, MAX_Q_BOUND),
+        ("--p-cutoff", 100, MAX_PRIME_CUTOFF),
+        ("--threads", 1, MAX_THREADS),
+    ),
+    "estimate": (
+        ("--q1", 2, MAX_ESTIMATE_Q1),
+        ("--q2", 1, MAX_ESTIMATE_Q2),
+        ("--p-cutoff", 100, MAX_PRIME_CUTOFF),
+    ),
+    "series": (("--p-cutoff", 100, MAX_PRIME_CUTOFF),),
+    "count": (("--threads", 1, MAX_THREADS),),
+    "sieve-selftest": (("--seed", 0, MAX_SEED),),
+}
+# values argparse rejects for --n, which has no cap: 10**20 would pass and
+# build the largest sieve the CLI allows
+_BAD_N = ("0", "-1", "nan", "inf", "abc")
+# the verify suite that reads each verify flag
+_SUITE_OF = {"--q-max": "local", "--qprime": "local", "--seed": "local"}
+
+
+def _fuzz_argv(command, edge, extra):
+    """argv for command with its capped flags small but edge = (flag,
+    value), then the words of extra."""
+    argv = [command]
+    for flag, small, _ in _CAPPED[command]:
+        argv += [flag, edge[1] if flag == edge[0] else str(small)]
+    return [*argv, *extra]
+
+
+def _every_cap():
+    """argv that put each capped flag at its cap and at cap + 1, at the
+    least work: N = 3, one class per modulus for compare (every unit class
+    mod q <= 1000 takes 6 s), and for verify the one suite that reads the
+    flag (the arith suite at --q-max 1000 alone takes 0.8 s)."""
+    for command, flags in _CAPPED.items():
+        for flag, _, cap in flags:
+            extra = {
+                "verify": [_SUITE_OF.get(flag, "estimator")],
+                "compare": ["--n", "3", "--a", "1"],
+                "sieve-selftest": [],
+            }.get(command, ["--n", "3"])
+            for value in (cap, cap + 1):
+                yield _fuzz_argv(command, (flag, str(value)), extra)
+
+
+@st.composite
+def _drawn_argv(draw):
+    """argv of a drawn subcommand: N <= 10**5 or a rejected N, and perhaps
+    one capped flag at cap + 1 or a value argparse may reject (_every_cap
+    runs the caps themselves)."""
+    command = draw(st.sampled_from(sorted(_CAPPED)))
+    flag, _, cap = draw(st.sampled_from(_CAPPED[command]))
+    edge = (None, None)
+    if draw(st.booleans()):
+        edge = flag, draw(st.sampled_from((str(cap + 1), *_BAD_N, str(10**20))))
+    if command == "verify":
+        suite = draw(st.sampled_from(("arith", "local", "estimator", "all")))
+        return _fuzz_argv(command, edge, [suite])
+    extra = []
+    if command != "sieve-selftest":
+        n = st.one_of(st.integers(3, 10**5), st.integers(1, 2), st.sampled_from(_BAD_N))
+        for value in draw(st.lists(n, min_size=1, max_size=2)):
+            extra += ["--n", str(value)]
+    if command in ("count", "series"):
+        q = draw(st.integers(1, 30))
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        a = draw(st.one_of(st.sampled_from(units), st.integers(-3, 30)))
+        extra += ["--q", str(q), "--a", str(a)]
+    if command == "estimate":
+        extra += ["--weights", draw(st.sampled_from(("exact", "paper")))]
+    extra += ["--format", draw(st.sampled_from(("csv", "json")))]
+    return _fuzz_argv(command, edge, extra)
+
+
+def _at_every_cap(test):
+    """test with one explicit example per argv of _every_cap."""
+    for argv in _every_cap():
+        test = example(argv=argv, window_bytes=None)(test)
+    return test
+
+
+class TestArgvFuzz:
+    """cli.main over drawn argv and window caps lets no exception escape,
+    exits 0-3, prints nothing on a usage error and strict JSON when it prints
+    rows."""
+
+    @_at_every_cap
+    @settings(max_examples=200)
+    @given(
+        argv=_drawn_argv(),
+        window_bytes=st.sampled_from((None, "0", "1", "8191", "abc")),
+    )
+    def test_argv_keep_the_contract(self, argv, window_bytes):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            if window_bytes is None:
+                mp.delenv("SQFREP_MAX_WINDOW_BYTES", raising=False)
+            else:
+                mp.setenv("SQFREP_MAX_WINDOW_BYTES", window_bytes)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAPACITY)
+        if code == EXIT_USAGE:
+            assert out.getvalue() == ""
+        if code in (EXIT_OK, EXIT_VERIFY) and "json" in argv:
+            # rows print on a failed gate too
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def _recorder(monkeypatch, owner, name):
