@@ -4,13 +4,15 @@ pinned in sha256.txt, under every column of a settings matrix.
     python3 goldens/check.py            # check every cell
     python3 goldens/check.py --update   # re-pin sha256.txt, then check
 
-Each command runs as `python -m sqfrep.cli <command>` from the source tree
-next to this directory.  The columns are the default settings, the 8 KiB
-window cap, `--threads 2` (count and compare only) and numpy with its
-AVX-512 group masked (NPY_DISABLE_CPU_FEATURES=X86_V4).  A cell passes when
-its stdout SHA-256 and exit code equal the pinned ones.  --update pins the
-default column and then checks the others against it.  A change that alters
-output on purpose re-pins with --update and says so in CHANGES.md.
+Each command runs as `python -W error -m sqfrep.cli <command>` from the
+source tree next to this directory, so a warning (a numpy RuntimeWarning
+among them) fails its cell, as it fails the tests.  The columns are the
+default settings, the 8 KiB window cap, `--threads 2` (count and compare
+only) and numpy with its AVX-512 group masked
+(NPY_DISABLE_CPU_FEATURES=X86_V4).  A cell passes when its stdout SHA-256
+and exit code equal the pinned ones.  --update pins the default column and
+then checks the others against it.  A change that alters output on purpose
+re-pins with --update and says so in CHANGES.md.
 
 Stdlib only.  Exit code 0 when every cell passes, 1 otherwise.
 """
@@ -76,7 +78,8 @@ def run_cell(command: str, column: str) -> tuple[str, int]:
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     env.update(extra_env)
     proc = subprocess.run(
-        [sys.executable, "-m", "sqfrep.cli", *command.split(), *extra_args],
+        [sys.executable, "-W", "error", "-m", "sqfrep.cli", *command.split(),
+         *extra_args],
         env=env,
         cwd=ROOT,
         stdout=subprocess.PIPE,

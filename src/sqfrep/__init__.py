@@ -42,7 +42,6 @@ _HOMES = {
     "model_diff": "localmodel",
     "model_sum": "localmodel",
     "SeriesValue": "series",
-    "series_lower_bound": "series",
     "singular_series": "series",
     "singular_series_eulerform": "series",
     "CheckResult": "verify",

@@ -690,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="count vs singular-series prediction per progression"
     )
     c.set_defaults(run=cmd_compare)
-    c.add_argument("--n", action="append", type=int_in(1), required=True)
+    c.add_argument("--n", action="append", type=int_in(3), required=True)
     # count_classes holds tables of O(q) entries: compare takes the paper's
     # small moduli only, and `count --q` any modulus
     c.add_argument("--q-max", type=int_in(1, MAX_Q_BOUND), default=12)
@@ -737,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("count", help="representation counts by segmented sieve")
     n.set_defaults(run=cmd_count)
-    n.add_argument("--n", action="append", type=int_in(1), required=True)
+    n.add_argument("--n", action="append", type=int_in(3), required=True)
     n.add_argument("--q", type=int_in(1), default=1)
     n.add_argument("--a", type=int, default=0)
     n.add_argument("--threads", type=int_in(1, MAX_THREADS), default=1)

@@ -467,18 +467,14 @@ def exact_class_sums(numerators: np.ndarray, values: np.ndarray, moduli) -> list
 MIN_THREADED_WINDOW = 1 << 19
 
 
-# The most workers a scan takes: each holds a row of length + 1 bytes (1
-# MiB at the default window), so 64 workers hold about 64 MiB, while 1000
-# threads would start one worker per window (477 at N = 10**9 mod 1).
+# The most threads a count takes: each worker holds a row of length + 1 bytes
+# (1 MiB at the default window), up to one per window (477 at 10**9 mod 1).
 MAX_THREADS = 64
 
 
 def scan_workers(threads: int, windows: int, length: int) -> int:
-    """Workers for a scan of `windows` windows of `length` lane entries:
-    never more than there are windows, and one for windows shorter than
-    MIN_THREADED_WINDOW.  More than MAX_THREADS threads is a ValueError."""
-    if threads > MAX_THREADS:
-        raise ValueError(f"{threads} threads is above the cap {MAX_THREADS}")
+    """Workers for a scan of `windows` windows of `length` lane entries: at
+    most `windows`, and one for windows shorter than MIN_THREADED_WINDOW."""
     if length < MIN_THREADED_WINDOW:
         return 1
     return max(1, min(threads, windows))
@@ -628,6 +624,8 @@ def _progression_sums(
         raise ValueError(f"target must be at least {least}")
     if modulus < 1 or threads < 1 or any(q < 1 for q in moduli):
         raise ValueError("every modulus and the thread count must be positive")
+    if threads > MAX_THREADS:
+        raise ValueError(f"{threads} threads is above the cap {MAX_THREADS}")
     _check_window(0, target + 1, tables)
     maximal = _maximal(moduli)
     plain = maximal == [1]
@@ -695,6 +693,8 @@ def squarefree_count_in_ap(
     target - n square-free (so n = target drops out via mu^2(0) = 0)."""
     if modulus < 1 or target < 1 or threads < 1:
         raise ValueError("target, modulus and threads must be positive")
+    if threads > MAX_THREADS:
+        raise ValueError(f"{threads} threads is above the cap {MAX_THREADS}")
     # Count over m = target - n instead: the lane m ≡ target - residue in
     # [0, target).
     first = (target - residue) % modulus

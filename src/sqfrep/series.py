@@ -53,10 +53,6 @@ class SeriesValue:
         if self.tail_bound < 0:
             raise ValueError("tail bound must be non-negative")
 
-    def interval(self) -> tuple[float, float]:
-        spread = abs(self.value) * self.tail_bound
-        return (self.value - spread, self.value + spread)
-
 
 def _validate(a: int, q: FactoredInt, prime_cutoff: int) -> int:
     a = require_unit(a, q.value)
@@ -238,19 +234,3 @@ def singular_series_eulerform(
     )
     value = float(rational) * _SIX_OVER_PI_SQ * math.exp(log_rest)
     return SeriesValue(value, tail, False)
-
-
-def series_lower_bound(modulus: int) -> Fraction:
-    """Crude positive floor for any nonvanishing series value at this
-    progression modulus: (1/phi(modulus)) * prod_{p <= modulus} (1 - 1/(p+1)).
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    floor = Fraction(1)
-    phi = Fraction(modulus)
-    if modulus >= 2:
-        for p in primes_up_to(modulus).tolist():
-            floor *= Fraction(p, p + 1)
-            if modulus % p == 0:
-                phi *= Fraction(p - 1, p)
-    return floor / phi

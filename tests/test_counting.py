@@ -130,6 +130,9 @@ class TestCountRepresentations:
             lambda: psi_in_ap(100, 1, 0, tables),
             lambda: psi_in_ap(100, 1, 7, tables, 0),
             lambda: squarefree_count_in_ap(100, 1, 7, tables, 0),
+            # an empty lane once returned a result above the thread cap
+            lambda: count_representations(3, 1, 7, tables, threads=1000),
+            lambda: psi_in_ap(1, 1, 7, tables, threads=1000),
             lambda: require_unit(1, -7),
             lambda: require_unit(1, 0),
         ):
@@ -666,6 +669,9 @@ class TestCountClasses:
             lambda: log_class_sums(100, 1, 7, [0], tables),
             lambda: log_class_sums(100, 1, 7, [4, -3], tables),
             lambda: log_class_sums(100, 1, 7, [1], tables, 0),
+            # an empty lane once returned a result above the thread cap
+            lambda: log_class_sums(2, 0, 2, [1], tables, threads=1000),
+            lambda: count_classes(3, [1, 2], tables, threads=1000),
         ):
             with pytest.raises(ValueError):
                 bad()
@@ -1254,13 +1260,23 @@ class TestScanWorkers:
         import concurrent.futures
 
         assert scan_workers(MAX_THREADS, 1000, DEFAULT_WINDOW) == MAX_THREADS
-        for length in (DEFAULT_WINDOW, 1 << 10):
-            with pytest.raises(ValueError, match="above the cap"):
-                scan_workers(MAX_THREADS + 1, 1000, length)
-        # a count asks for its workers before the first window: no pool starts
+        # every entry point rejects the thread count before its first
+        # window, at any window length and on an empty lane: no pool starts
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
-        with pytest.raises(ValueError, match="above the cap"):
-            count_representations(3 * 10**8, 0, 1, tables, threads=1000)
+        over = MAX_THREADS + 1
+        for cap in (None, 8 << 10):
+            _set_window_cap(monkeypatch, cap)
+            for call in (
+                lambda: count_representations(3 * 10**8, 0, 1, tables, over),
+                lambda: count_representations(3, 1, 7, tables, over),
+                lambda: count_classes(3 * 10**8, [1, 2], tables, over),
+                lambda: log_class_sums(10**6, 1, 3, [1], tables, over),
+                lambda: psi_in_ap(10**6, 1, 3, tables, over),
+                lambda: squarefree_count_in_ap(10**6, 1, 3, tables, over),
+                lambda: squarefree_count_in_ap(1, 0, 7, tables, over),
+            ):
+                with pytest.raises(ValueError, match=f"{over} threads is above"):
+                    call()
 
     def test_benchmark_two_thread_count_keeps_two_workers(self):
         # count --n 1.2e8 --q 7 --threads 2 at the default window length: the

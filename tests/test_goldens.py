@@ -3,11 +3,13 @@ CLI processes under the settings columns, prints the pinned bytes.  The full
 corpus runs with `python3 goldens/check.py`."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "goldens"
 
 # a few seconds in all: the smaller jobs of the corpus, one per subcommand
 # form that the benchmark runs, plus the obstructed and JSON estimates
@@ -20,12 +22,18 @@ FAST = [
 ]
 
 
-@pytest.fixture(scope="module")
-def check():
-    spec = importlib.util.spec_from_file_location("golden_check", GOLDENS / "check.py")
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def check():
+    return _load("golden_check", GOLDENS / "check.py")
 
 
 def test_every_command_is_pinned(check):
@@ -33,6 +41,21 @@ def test_every_command_is_pinned(check):
     assert len(commands) == len(set(commands))
     assert set(check.load_golden()) == set(commands)
     assert set(FAST) <= set(commands)
+
+
+def test_corpus_covers_every_benchmark_job(check):
+    # as the corpus's header promises: each job without --threads (a column
+    # of the matrix, as the window cap of count-capped is) and with --seed 0
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    wanted = set()
+    for job in workloads.all_jobs("counting") + workloads.all_jobs("exact"):
+        argv = list(job.argv)
+        if "--threads" in argv:
+            del argv[argv.index("--threads") : argv.index("--threads") + 2]
+        if "--seed" in argv:
+            argv[argv.index("--seed") + 1] = "0"
+        wanted.add(" ".join(argv))
+    assert wanted - set(check.load_commands()) == set()
 
 
 def test_fast_subset_prints_the_pinned_bytes(check):

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqfrep import series
-from sqfrep.arith import factorize, primes_up_to
+from sqfrep.arith import euler_phi, factorize, primes_up_to
 from sqfrep.series import (
     SeriesValue,
-    series_lower_bound,
     singular_series,
     singular_series_eulerform,
 )
@@ -39,10 +38,6 @@ class TestSeriesValue:
             SeriesValue(0.5, 1e-9, True)
         with pytest.raises(ValueError):
             SeriesValue(0.0, 1e-9, False)
-
-    def test_interval(self):
-        v = SeriesValue(2.0, 0.25, False)
-        assert v.interval() == (1.5, 2.5)
 
     def test_six_over_pi_squared_is_pinned(self):
         # derived from localmodel.PI_SQ_OVER_6, the one spelling of the
@@ -181,26 +176,23 @@ class TestMonotoneRefinement:
             for cutoff in (100, 1000, P_UNIT, P_FINE):
                 cur = singular_series(n, a, q, cutoff)
                 if prev is not None:
-                    lo, hi = prev.interval()
-                    assert lo <= cur.value <= hi, (qv, cutoff)
+                    spread = abs(prev.value) * prev.tail_bound
+                    assert prev.value - spread <= cur.value, (qv, cutoff)
+                    assert cur.value <= prev.value + spread, (qv, cutoff)
                 prev = cur
 
 
 class TestLowerBound:
-    def test_frozen_values(self):
-        assert series_lower_bound(1) == F(1)
-        assert series_lower_bound(2) == F(2, 3)
-        assert series_lower_bound(6) == F(5, 24)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            series_lower_bound(0)
-
     def test_floors_computed_values(self, tables):
-        # A quarter of the floor is a comfortable sanity margin.
+        # The crude floor (1/phi(q)) * prod_{p <= q} p/(p+1) of every
+        # nonvanishing value at modulus q; a quarter of it is a comfortable
+        # sanity margin.
         for qv in (1, 2, 3, 5, 6, 10):
             q = factorize(qv, tables)
-            floor = float(series_lower_bound(qv)) / 4
+            floor = F(1, euler_phi(q))
+            for p in primes_up_to(qv).tolist():
+                floor *= F(p, p + 1)
+            floor = float(floor) / 4
             for nv in range(301, 331):
                 n = factorize(nv, tables)
                 for a in range(qv):

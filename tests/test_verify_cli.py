@@ -456,6 +456,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert "argument --threads:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--n", "2", "--q", "1"], ["compare", "--n", "2", "--q-max", "2"]],
+    )
+    def test_target_below_three_names_the_flag(self, argv, capsys):
+        # the parser took 1 and 2, and the library's "target must be at
+        # least 3" named no flag
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n: 2 is not an integer of at least 3" in captured.err
+
     def test_compare_takes_the_largest_small_modulus(self, tables, capsys):
         # one class, so its ratio is the gate's median: the exit code may be
         # either; the row must be there and exact
