@@ -224,8 +224,6 @@ def factorize(n: int, tables: SieveTables) -> FactoredInt:
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need a positive integer")
-    if n == 1:
-        return FactoredInt(1, ())
 
     fs: list[tuple[int, int]] = []
     if n <= tables.limit:
@@ -287,36 +285,22 @@ def divisors(f: FactoredInt) -> list[int]:
     return sorted(out)
 
 
-def divisor_factored(f: FactoredInt, exps: tuple[int, ...]) -> FactoredInt:
-    """The divisor of ``f`` with the given exponent vector, factored."""
-    val = 1
-    fs = []
-    for (p, e), k in zip(f.factors, exps):
-        if k < 0 or k > e:
-            raise ValueError("exponent vector out of range")
-        if k:
-            val *= p**k
-            fs.append((p, k))
-    return FactoredInt(val, tuple(fs))
-
-
 def divisors_with_cofactor_mobius(f: FactoredInt):
-    """Yield (divisor d of f, mu(f/d), d as FactoredInt).
-
-    Pairs with mu(f/d) = 0 are skipped; order is deterministic.
-    """
-    ranges = [range(e, -1, -1) for _, e in f.factors]
-    for exps in _cartesian(*ranges):
-        mu = 1
-        for (_, e), k in zip(f.factors, exps):
-            gap = e - k
-            if gap == 1:
-                mu = -mu
-            elif gap > 1:
-                mu = 0
-                break
-        if mu:
-            yield divisor_factored(f, exps), mu
+    """Yield (d, mu(f/d)) for the divisors d of f with mu(f/d) != 0, d as a
+    FactoredInt: f's exponents each lowered by 0 or 1, mu = (-1)^(number
+    lowered), in descending lexicographic order of the exponent vectors."""
+    terms = [(1, (), 1)]  # (d, its factors, mu(f/d)) over the primes so far
+    for p, e in f.factors:
+        low = p ** (e - 1)
+        top = ((p, e),)
+        lowered = () if e == 1 else ((p, e - 1),)
+        step = []
+        for d, fs, mu in terms:
+            step.append((d * low * p, fs + top, mu))
+            step.append((d * low, fs + lowered, -mu))
+        terms = step
+    for d, fs, mu in terms:
+        yield FactoredInt(d, fs), mu
 
 
 def require_unit(residue: int, modulus: int) -> int:

@@ -433,13 +433,10 @@ def cmd_estimate(args) -> int:
             raise ValueError(
                 f"--padding-constant / --padding-exponent at N={n}: {exc}"
             ) from exc
-        # [f|g] is the von Mangoldt-weighted count; below 3 there is no n
-        # with both f(n) and g(n) nonzero
-        direct = (
-            count_representations(n, ctx.residue, ctx.modulus, tables).lambda_weighted
-            if n >= 3
-            else 0.0
-        )
+        # [f|g], the von Mangoldt-weighted count
+        direct = count_representations(
+            n, ctx.residue, ctx.modulus, tables
+        ).lambda_weighted
         approx = float(estimate_inner(f, g, ms, w))
         sv = singular_series(factorize(n, tables), args.aprime, fqp, args.p_cutoff)
         series_n = sv.value * n
@@ -706,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="bilinear estimator experiment")
     e.set_defaults(run=cmd_estimate)
-    e.add_argument("--n", action="append", type=int_in(1), required=True)
+    e.add_argument("--n", action="append", type=int_in(3), required=True)
     e.add_argument("--qprime", type=int_in(1), default=1)
     e.add_argument("--aprime", type=int, default=0)
     e.add_argument("--q1", type=int_in(1, MAX_ESTIMATE_Q1), default=8)

@@ -33,7 +33,6 @@ from sqfrep.arith import (
     NUMERATOR_BOUND,
     FactoredInt,
     SieveTables,
-    cubefree_split,
     ramanujan_table,
     require_cubefree,
     require_int64,
@@ -110,26 +109,21 @@ def local_product(f: LocalVector, g: LocalVector) -> Fraction:
 def progression_split(
     ctx: ProgressionContext, q: FactoredInt
 ) -> tuple[FactoredInt, FactoredInt]:
-    """Split cubefree q against the context modulus.
+    """Split cubefree q against the context modulus q' as q = g1 * m2.
 
-    Writes q = g1 * m2 with g1 the square-free primes of q away from the
-    context modulus and m2 the rest: g1 = q1/(q1, q'), m2 = (q1, q') q2^2
-    in terms of the cubefree split q = q1 q2^2.  The parts are coprime.
+    g1 takes each prime p with p || q and p not dividing q', and m2 the rest
+    of q's prime powers, so g1 is square-free, the parts are coprime, and
+    both factor tuples ascend as q's do.  Rejects q with a cubic prime
+    factor (ValueError).
     """
-    q1, q2 = cubefree_split(q)
-    g1_factors = []
-    shared_factors = []
-    for p, _ in q1.factors:
-        if ctx.modulus % p == 0:
-            shared_factors.append((p, 1))
-        else:
-            g1_factors.append((p, 1))
-    m2_factors = sorted(shared_factors + [(p, 2) for p, _ in q2.factors])
-    g1 = FactoredInt(math.prod(p for p, _ in g1_factors), tuple(g1_factors))
-    m2 = FactoredInt(
-        math.prod(p**e for p, e in m2_factors), tuple(m2_factors)
+    require_cubefree(q)
+    g1, m2 = [], []
+    for p, e in q.factors:
+        (g1 if e == 1 and ctx.modulus % p else m2).append((p, e))
+    return (
+        FactoredInt(math.prod(p for p, _ in g1), tuple(g1)),
+        FactoredInt(math.prod(p**e for p, e in m2), tuple(m2)),
     )
-    return g1, m2
 
 
 def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVector:
@@ -137,7 +131,6 @@ def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVe
     form of (mirror_density_star / t(q) + sign rho_weight
     prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1).
     |numerator| <= 2 phi(q), since |c_r(n)| <= phi(r)."""
-    require_cubefree(q)
     g1, m2 = progression_split(ctx, q)
     a = np.arange(q.value, dtype=np.int64)
     # target and residue may pass int64: reduce them in Python ints first

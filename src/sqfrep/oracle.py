@@ -154,7 +154,6 @@ def prime_density_star_ungated(
 ) -> Fraction:
     """The sharpened prime density with the square-part divisibility gate
     removed: defined directly by its Ramanujan-sum product."""
-    require_cubefree(q)
     g1, m2 = progression_split(ctx, q)
     mu_g1 = mobius(g1)
     assert mu_g1 != 0  # g1 divides a square-free number

@@ -133,6 +133,10 @@ def _log_product(
     correctly).  math.fsum also rounds the exact sum correctly, so this is
     bit-identical to fsum over the explicit term list.  A plain running
     sum of the ~1e5 factors near 1 would drown the tail bound in roundoff.
+
+    An added term must be a multiple of the bulk's scale 2**-bits, as
+    log1p(1/(p^2-1)) is for every prime p <= cutoff: it is no smaller than
+    the least bulk term.  A finer term raises ValueError (negative shift).
     """
     bulk = _bulk_sum(prime_cutoff)
     total, bits = bulk.total, bulk.bits
@@ -141,11 +145,7 @@ def _log_product(
             total -= int(math.ldexp(bulk.term(p), bits))
     for t in added:
         num, den = t.as_integer_ratio()
-        shift = den.bit_length() - 1
-        if shift > bits:
-            total <<= shift - bits
-            bits = shift
-        total += num << (bits - shift)
+        total += num << (bits - den.bit_length() + 1)
     return total / (1 << bits)
 
 

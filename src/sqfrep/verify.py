@@ -285,31 +285,24 @@ def _model_mismatches(
     eta: LocalVector,
     kappa: LocalVector,
     star_row: tuple[np.ndarray, int],
-    tables: SieveTables,
 ) -> int:
-    """Entries of eta = model_sum and kappa = model_diff that differ from the
-    defining route (mirror_density_star / t(q) +/- rho_weight
-    prime_density_star_ungated)/2, rho_weight = phi(q') phi(g1) / mu(g1)."""
+    """Entries of eta = model_sum and kappa = model_diff whose doubles differ
+    from the defining route mirror_density_star / t(q) +/- c_{g1}(a)
+    c_{m2}(a - a'), which is prime_density_star_ungated times its rho
+    weight phi(q') phi(g1) / mu(g1)."""
     qv = q.value
     a = np.arange(qv, dtype=np.int64)
     star_num, star_den = star_row
     mirror = star_num[(ctx.target - a) % qv]  # times 6/pi^2, over star_den
     g1, m2 = progression_split(ctx, q)
-    mu_g1 = mobius(g1)
-    # prime_density_star_ungated: the Ramanujan-sum product over its denominator
-    ungated = mu_g1 * (
-        ramanujan_row(g1, a) * ramanujan_row(m2, np.abs(a - ctx.residue))
-    )
-    ungated_den = totient(ctx.modulus, tables) * euler_phi(g1)
+    ungated = ramanujan_row(g1, a) * ramanujan_row(m2, np.abs(a - ctx.residue))
     lift = 1 / (star_den * star_scale(q))
-    weight = Fraction(ungated_den, mu_g1) / ungated_den  # rho_weight / den
     bad = 0
     for vec, sign in ((eta, 1), (kappa, -1)):
-        # 2 vec = lift * mirror + sign * weight * ungated, denominators cleared
-        lhs = 2 * vec.numerators * (lift.denominator * weight.denominator)
+        # 2 vec = lift * mirror + sign * ungated, denominators cleared
+        lhs = 2 * vec.numerators * lift.denominator
         rhs = vec.denominator * (
-            lift.numerator * weight.denominator * mirror
-            + sign * weight.numerator * lift.denominator * ungated
+            lift.numerator * mirror + sign * lift.denominator * ungated
         )
         bad += int(np.count_nonzero(lhs != rhs))
     return bad
@@ -537,8 +530,7 @@ def run_local_suite(
                 nsum == Fraction(phi_q + align, 2)
                 and ndiff == Fraction(phi_q - align, 2)
                 and cross == 0
-                and _model_mismatches(ctx, f, eta, kappa, star_rows[f.value], tables)
-                == 0
+                and _model_mismatches(ctx, f, eta, kappa, star_rows[f.value]) == 0
             )
             rec_norm.check(
                 ok, lambda f=f, ctx=ctx: f"q={f.value} qprime={ctx.modulus}"

@@ -242,6 +242,16 @@ class TestRamanujanSum:
         # c_r(n) = sum over d | gcd(r, n) of d * mu(r / d).
         for r in range(1, 50):
             fr = factorize(r, tables)
+            # the yields are the divisors d with mu(r / d) != 0, each once
+            # and factored, against a brute-force list from the sieve
+            yields = list(divisors_with_cofactor_mobius(fr))
+            brute = [
+                (d, int(tables.mobius[r // d])) for d in range(1, r + 1) if r % d == 0
+            ]
+            assert sorted((d.value, m) for d, m in yields) == [
+                (d, m) for d, m in brute if m != 0
+            ]
+            assert all(d == factorize(d.value, tables) for d, _ in yields)
             for n in range(0, 20):
                 s = sum(
                     d.value * mu

@@ -262,10 +262,18 @@ class TestProgressionSplit:
         for modulus, residue in ((1, 0), (2, 1), (6, 1), (30, 7)):
             ctx = ProgressionContext(100, residue, modulus)
             for qv in cubefree_range(50):
-                g1, m2 = progression_split(ctx, factorize(qv, tables))
+                q = factorize(qv, tables)
+                g1, m2 = progression_split(ctx, q)
                 assert g1.value * m2.value == qv
                 assert math.gcd(g1.value, m2.value) == 1
                 assert mobius(g1) != 0
+                # g1 is exactly the primes p || q with p not dividing q'
+                assert g1.value == math.prod(
+                    p for p, e in q.factors if e == 1 and modulus % p
+                )
+                for part in (g1, m2):
+                    primes = [p for p, _ in part.factors]
+                    assert primes == sorted(set(primes))
 
     def test_alignment_is_bounded_by_phi(self, tables):
         for target in (30, 31, 36, 49):

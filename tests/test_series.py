@@ -220,8 +220,12 @@ class TestExactBulkSum:
     """The cached exact bulk sum is bit-identical to math.fsum."""
 
     def test_matches_fsum_of_the_term_list(self):
+        # An added term must lie on the bulk's scale 2**-bits.  The draws
+        # reach primes above the cutoff, whose terms may be finer: those
+        # lists raise (22 of the 64), and every other one sums bit for bit.
         rng = random.Random(11)
         for cutoff in BULK_CUTOFFS:
+            scale = 1 << series._bulk_sum(cutoff).bits
             primes = primes_up_to(max(cutoff, 100) * 2).tolist()
             for _ in range(12 if cutoff < 10**6 else 4):
                 dropped = set(rng.sample(primes, rng.randint(0, 6)))
@@ -229,9 +233,21 @@ class TestExactBulkSum:
                     math.log1p(1.0 / (p * p - 1.0))
                     for p in rng.sample(primes, rng.randint(0, 3))
                 ]
+                if any(t.as_integer_ratio()[1] > scale for t in added):
+                    with pytest.raises(ValueError, match="negative shift"):
+                        series._log_product(cutoff, dropped, added)
+                    continue
                 got = series._log_product(cutoff, dropped, added)
                 want = fsum_log_product(cutoff, dropped, added)
                 assert got.hex() == want.hex(), (cutoff, sorted(dropped), added)
+
+    @pytest.mark.parametrize("cutoff", BULK_CUTOFFS)
+    def test_patched_terms_lie_on_the_bulk_scale(self, cutoff):
+        # the eulerform patches log1p(1/(p^2-1)) only for primes p <= cutoff,
+        # and none of those terms is finer than the bulk's scale
+        scale = 1 << series._bulk_sum(cutoff).bits
+        for p in primes_up_to(cutoff).tolist():
+            assert math.log1p(1.0 / (p * p - 1.0)).as_integer_ratio()[1] <= scale
 
     def test_empty_bulk(self):
         assert series._log_product(2, {2}) == 0.0

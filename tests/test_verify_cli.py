@@ -458,15 +458,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["count", "--n", "2", "--q", "1"], ["compare", "--n", "2", "--q-max", "2"]],
+        [
+            ["count", "--n", "2", "--q", "1"],
+            ["compare", "--n", "2", "--q-max", "2"],
+            ["estimate", "--n", "2"],
+        ],
     )
     def test_target_below_three_names_the_flag(self, argv, capsys):
-        # the parser took 1 and 2, and the library's "target must be at
-        # least 3" named no flag
+        # the parser took 1 and 2: count and compare then failed on the
+        # library's "target must be at least 3", which named no flag, and
+        # estimate on its own gate, off by inf against a direct of 0
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --n: 2 is not an integer of at least 3" in captured.err
+
+    def test_estimate_with_no_representation_fails_its_gate(self, capsys):
+        # N = 3 with n = 3 mod 5 has no n <= N - 1 in the class, so direct is
+        # 0: the relative error is infinite, printed as null, and the gate fails
+        argv = ["estimate", "--n", "3", "--qprime", "5", "--aprime", "3"]
+        assert main([*argv, "--format", "json"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        (row,) = json.loads(captured.out, parse_constant=_reject_constant)
+        assert row["direct"] == 0.0
+        assert row["rel_error_direct"] is None
+        assert "N=3: estimate off by inf (direct)" in captured.err
 
     def test_compare_takes_the_largest_small_modulus(self, tables, capsys):
         # one class, so its ratio is the gate's median: the exit code may be
