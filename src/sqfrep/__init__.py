@@ -23,7 +23,6 @@ _HOMES = {
     "count_classes": "counting",
     "count_representations": "counting",
     "log_class_sums": "counting",
-    "psi_in_ap": "counting",
     "squarefree_class_counts": "counting",
     "squarefree_count_in_ap": "counting",
     "ModuliSet": "estimator",

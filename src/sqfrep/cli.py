@@ -293,6 +293,16 @@ def _tables_for(max_target: int):
     return build_sieve(min(limit, MAX_SIEVE_LIMIT))
 
 
+def _factor_modulus(q: int, tables):
+    """q factored with the target's tables, or, when those cannot certify
+    a large prime factor of q, with tables that cover q (still capped at
+    MAX_SIEVE_LIMIT)."""
+    try:
+        return factorize(q, tables)
+    except CapacityError:
+        return factorize(q, _tables_for(q))
+
+
 def _require_unit(flag: str, a: int, q: int, named: str) -> None:
     """A usage error unless the class a, the value of flag, is a unit mod
     q, which `named` names with its flag.  Commands check this before any
@@ -416,7 +426,7 @@ def cmd_estimate(args) -> int:
     _require_unit("--aprime", args.aprime, args.qprime, f"--qprime {args.qprime}")
     padding = _padding(args)
     tables = _tables_for(max(args.n))
-    fqp = factorize(args.qprime, tables)
+    fqp = _factor_modulus(args.qprime, tables)
     rows = []
     per_q_rows = []
     breached = False
@@ -505,7 +515,7 @@ def cmd_estimate(args) -> int:
 def cmd_series(args) -> int:
     _require_unit("--a", args.a, args.q, f"--q {args.q}")
     tables = _tables_for(max(args.n))
-    fq = factorize(args.q, tables)
+    fq = _factor_modulus(args.q, tables)
     rows = []
     for n in args.n:
         fn = factorize(n, tables)

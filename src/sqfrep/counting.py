@@ -66,7 +66,7 @@ scan holds one row and one piece's arrays per worker: tracemalloc peaks
 of count_representations(120000000, 3, 7) are 2.1 MiB with 1 thread and
 2.9-3.1 MiB with 2.
 
-count_representations, count_classes, log_class_sums and psi_in_ap are
+count_representations, count_classes and log_class_sums are
 views of one reduction, _progression_sums, of one lane, with or without
 the mirror, at a list of moduli: each piece's hits, and the proper powers
 once, are reduced to exact per-class counts and numerator sums at the
@@ -726,18 +726,6 @@ def log_class_sums(
         target, residue, modulus, list(moduli), tables, threads, None, squares=True
     )
     return [list(map(add, primes, powers)) for _, primes, powers in rows], squares
-
-
-def psi_in_ap(
-    target: int, residue: int, modulus: int, tables: SieveTables, threads: int = 1
-) -> float:
-    """Chebyshev psi along a progression: sum of log p over prime powers
-    p^k <= target with p^k ≡ residue (mod modulus)."""
-    residue = require_unit(residue, modulus)
-    ((_, (primes,), (powers,)),), _ = _progression_sums(
-        target, residue, modulus, [1], tables, threads, None
-    )
-    return (primes + powers) / LOG_SCALE
 
 
 # squarefree_class_counts handles about this many (d, c) terms per block,

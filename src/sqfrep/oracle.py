@@ -19,7 +19,10 @@ Two shapes of the same definitions live here:
 - row forms, every residue at once as int64 numerators over one
   denominator: `squarefree_density_row`, `squarefree_star_row`,
   `scaled_prime_density_rows` and `scaled_star_rows`.  The prime-side rows
-  are stacked over contexts, one row per context.
+  are stacked over contexts, one row per context.  A row form takes its
+  modulus factored and no sieve tables: every totient it needs is read off
+  the modulus's primes, while the per-entry `prime_density` keeps its
+  phi(lcm) definition, so the tests hold two routes to each other.
 
 `dense_summary` builds the estimator's Summary of a global function given
 value by value, from the definitions of its sums.
@@ -258,55 +261,36 @@ def squarefree_star_row(q: FactoredInt, periods: int = 1) -> tuple[np.ndarray, i
     return total, shared
 
 
-# (dv, q') -> dv phi(q') / phi(lcm(dv, q')); cleared when it reaches
-# _SCALE_CACHE_SIZE entries.  The value does not depend on the tables, which
-# only factor the arguments.
-_SCALES: dict[tuple[int, int], Fraction] = {}
-_SCALE_CACHE_SIZE = 1 << 14
-
-
-def _density_scale(dv: int, m: int, tables: SieveTables) -> Fraction:
-    """dv phi(m) / phi(lcm(dv, m)), from the totients of both moduli,
-    memoised on (dv, m)."""
-    scale = _SCALES.get((dv, m))
-    if scale is None:
-        scale = Fraction(dv * totient(m, tables), totient(math.lcm(dv, m), tables))
-        if len(_SCALES) >= _SCALE_CACHE_SIZE:
-            _SCALES.clear()
-        _SCALES[dv, m] = scale
-    return scale
-
-
 def scaled_prime_density_rows(
-    contexts: Sequence[ProgressionContext], dv: int, tables: SieveTables
+    contexts: Sequence[ProgressionContext], d: FactoredInt
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi(q') * prime_density(ctx, dv, a) for each context (rows) and each
-    residue a mod dv (columns), as int64 numerators over one denominator
+    """phi(q') * prime_density(ctx, d, a) for each context (rows) and each
+    residue a mod d (columns), as int64 numerators over one denominator
     per context.
 
-    The entry is dv phi(q') / phi(lcm(dv, q')) on the units a mod dv that
-    agree with the context residue mod gcd(dv, q'), and 0 elsewhere; in
-    lowest terms its numerator is at most dv phi(q') (checked).
+    The entry is d phi(q') / phi(lcm(d, q')) = d phi(g) / phi(d), with
+    g = gcd(d, q'), on the units a mod d that agree with the context
+    residue mod g, and 0 elsewhere; phi(g) is read off d's primes.  In
+    lowest terms the numerator is at most d phi(d) (checked).
     """
     moduli = np.array([ctx.modulus for ctx in contexts], dtype=np.int64)
     residues = np.array([ctx.residue for ctx in contexts], dtype=np.int64)
-    distinct = sorted(set(moduli.tolist()))
-    scales = [_density_scale(dv, m, tables) for m in distinct]
-    require_int64(max(s.numerator for s in scales))
-    which = np.searchsorted(distinct, moduli)
-    nums = np.array([s.numerator for s in scales], dtype=np.int64)[which]
-    dens = np.array([s.denominator for s in scales], dtype=np.int64)[which]
-    share = np.gcd(moduli, dv)[:, None]
-    a = np.arange(dv, dtype=np.int64)
-    mask = (np.gcd(a, dv) == 1) & ((a - residues[:, None]) % share == 0)
-    return mask * nums[:, None], dens
+    phi_d = euler_phi(d)
+    require_int64(d.value * phi_d)
+    phi_g = np.ones(len(contexts), dtype=np.int64)
+    for p, e in d.factors:
+        part = np.gcd(moduli, p**e)  # the p-part of g, 1 when p does not divide q'
+        phi_g *= np.maximum(part // p * (p - 1), 1)
+    nums = d.value * phi_g
+    common = np.gcd(nums, phi_d)
+    share = np.gcd(moduli, d.value)[:, None]
+    a = np.arange(d.value, dtype=np.int64)
+    mask = (np.gcd(a, d.value) == 1) & ((a - residues[:, None]) % share == 0)
+    return mask * (nums // common)[:, None], phi_d // common
 
 
 def scaled_star_rows(
-    contexts: Sequence[ProgressionContext],
-    q: FactoredInt,
-    tables: SieveTables,
-    periods: int = 1,
+    contexts: Sequence[ProgressionContext], q: FactoredInt, periods: int = 1
 ) -> tuple[np.ndarray, int]:
     """phi(q') * prime_density_star(ctx, q, a) for each context (rows) and
     every a in [0, periods * q) (columns), from the defining Moebius sum
@@ -320,7 +304,7 @@ def scaled_star_rows(
     """
     require_cubefree(q)
     terms = [
-        (cof_mu, d.value, *scaled_prime_density_rows(contexts, d.value, tables))
+        (cof_mu, d.value, *scaled_prime_density_rows(contexts, d))
         for d, cof_mu in divisors_with_cofactor_mobius(q)
     ]
     shared = math.lcm(*{int(x) for *_, dens in terms for x in dens.tolist()})

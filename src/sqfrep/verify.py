@@ -308,23 +308,18 @@ def _model_mismatches(
     return bad
 
 
-def _twist_closed_form(
-    ctx: ProgressionContext, q: FactoredInt, tables: SieveTables
-) -> Fraction:
-    """Multiplicative closed form of the twisted root-of-unity sum."""
+def _twist_closed_form(ctx: ProgressionContext, q: FactoredInt) -> Fraction:
+    """Multiplicative closed form of the twisted root-of-unity sum, for
+    cubefree q: one factor per prime power p^e of q."""
     out = Fraction(1)
     for p, e in q.factors:
-        fp = factorize(p if e == 1 else p * p, tables)
-        if e == 1:
-            if ctx.modulus % p == 0:
-                out *= p * ramanujan_sum(fp, ctx.target - ctx.residue)
-            else:
-                out *= Fraction(-p * ramanujan_sum(fp, ctx.target), p - 1)
+        fp = FactoredInt(p**e, ((p, e),))
+        if ctx.modulus % fp.value == 0:
+            out *= fp.value * ramanujan_sum(fp, ctx.target - ctx.residue)
+        elif e == 1:
+            out *= Fraction(-p * ramanujan_sum(fp, ctx.target), p - 1)
         else:
-            if ctx.modulus % (p * p) == 0:
-                out *= p * p * ramanujan_sum(fp, ctx.target - ctx.residue)
-            else:
-                return Fraction(0)
+            return Fraction(0)
     return out
 
 
@@ -400,7 +395,7 @@ def run_local_suite(
             continue
         qv = f.value
         sq_row, _ = squarefree_star_row(f, periods=2)
-        pr_row, _ = scaled_star_rows([probe], f, tables, periods=2)
+        pr_row, _ = scaled_star_rows([probe], f, periods=2)
         rec.bulk(
             (sq_row[:qv] != sq_row[qv:]) | (pr_row[0, :qv] != pr_row[0, qv:]),
             lambda a, f=f: f"q={f.value} a={a}",
@@ -412,10 +407,7 @@ def run_local_suite(
     rec = _Recorder("prime-density-multiplicativity")
     cubefree_30 = [f for f in cubefree if f.value <= 30]
     mult_ctx = _unit_contexts(min(qprime_bound, 12), 97)
-    rows = {
-        f.value: scaled_prime_density_rows(mult_ctx, f.value, tables)
-        for f in cubefree_30
-    }
+    rows = {f.value: scaled_prime_density_rows(mult_ctx, f) for f in cubefree_30}
     pairs = []
     bad = []
     for f1 in cubefree_30:
@@ -425,7 +417,8 @@ def run_local_suite(
                 continue
             n2, d2 = rows[f2.value]
             qv = f1.value * f2.value
-            n12, d12 = scaled_prime_density_rows(mult_ctx, qv, tables)
+            f12 = FactoredInt(qv, tuple(sorted(f1.factors + f2.factors)))
+            n12, d12 = scaled_prime_density_rows(mult_ctx, f12)
             a = np.arange(qv, dtype=np.int64)
             lhs = n12 * (d1 * d2)[:, None]
             rhs = n1[:, a % f1.value] * n2[:, a % f2.value] * d12[:, None]
@@ -450,7 +443,7 @@ def run_local_suite(
     bad = np.zeros((len(contexts), len(cubefree)), dtype=np.int64)
     for j, f in enumerate(cubefree):
         qv = f.value
-        num, den = scaled_star_rows(contexts, f, tables)
+        num, den = scaled_star_rows(contexts, f)
         # |c_{g1} c_{m2}| <= phi(g1) phi(m2) = phi(q) bounds both sides
         require_int64((int(np.abs(num).max(initial=0)) + den) * euler_phi(f))
         _, q2f = cubefree_split(f)
@@ -490,11 +483,14 @@ def run_local_suite(
             )
     results.append(rec.result())
 
+    # one star stack per q over the small contexts, read again by
+    # prime-model-twist-closed-form
     rec = _Recorder("prime-norm-identity")
     phi_small = [totient(ctx.modulus, tables) for ctx in small_ctx]
+    small_stacks = [scaled_star_rows(small_ctx, f) for f in cubefree_products]
     ok = np.zeros((len(small_ctx), len(cubefree_products)), dtype=bool)
     for j, f in enumerate(cubefree_products):
-        num, den = scaled_star_rows(small_ctx, f, tables)
+        num, den = small_stacks[j]
         require_int64(f.value * int(np.abs(num).max(initial=0)) ** 2)
         squares = (num * num).sum(axis=1).tolist()
         q1f, q2f = cubefree_split(f)
@@ -502,9 +498,12 @@ def run_local_suite(
             phi_qp = phi_small[c]
             got = Fraction(squares[c], f.value * den * den * phi_qp * phi_qp)
             if ctx.modulus % (q2f.value**2) == 0:
-                shared = math.gcd(q1f.value, ctx.modulus)
+                # phi(q2^2) = q2 phi(q2), and phi(gcd(q1, q')) from q1's primes
+                phi_shared = math.prod(
+                    p - 1 for p, _ in q1f.factors if ctx.modulus % p == 0
+                )
                 want = Fraction(
-                    totient(q2f.value**2, tables) * totient(shared, tables) ** 2,
+                    q2f.value * euler_phi(q2f) * phi_shared**2,
                     phi_qp**2 * euler_phi(q1f),
                 )
             else:
@@ -543,14 +542,17 @@ def run_local_suite(
     results.append(rec_norm.result())
     results.append(rec_sandwich.result())
 
-    # [theta|rho*] = t(q)/(q den phi(q')) * sum c_q(N-a) num[a]; |c_q| <= q
+    # [theta|rho*] = t(q)/(q den phi(q')) * sum c_q(N-a) num[a]; |c_q| <= q.
+    # One star stack per q over the sample contexts, read again by
+    # prime-model-twist-exponential
     rec = _Recorder("mirror-prime-cross-product")
     phi_sample = [totient(ctx.modulus, tables) for ctx in sample_ctx]
+    sample_stacks = [scaled_star_rows(sample_ctx, f) for f in cubefree_products]
     targets = np.array([ctx.target for ctx in sample_ctx], dtype=np.int64)
     ok = np.zeros((len(sample_ctx), len(cubefree_products)), dtype=bool)
     for j, f in enumerate(cubefree_products):
         qv = f.value
-        num, den = scaled_star_rows(sample_ctx, f, tables)
+        num, den = sample_stacks[j]
         require_int64(qv * qv * int(np.abs(num).max(initial=0)))
         a = np.arange(qv, dtype=np.int64)
         mirror = ramanujan_table(f)[(targets[:, None] - a) % qv]
@@ -575,17 +577,18 @@ def run_local_suite(
     ok = np.zeros((len(small_ctx), len(cubefree_products)), dtype=bool)
     for j, f in enumerate(cubefree_products):
         qv = f.value
-        num, den = scaled_star_rows(small_ctx, f, tables)
+        num, den = small_stacks[j]
         require_int64(qv * qv * int(np.abs(num).max(initial=0)))
         mirror = ramanujan_table(f)[(10_007 - np.arange(qv)) % qv]
         dots = (num @ mirror).tolist()
         for c, ctx in enumerate(small_ctx):
-            ok[c, j] = Fraction(dots[c], den) == _twist_closed_form(ctx, f, tables)
+            ok[c, j] = Fraction(dots[c], den) == _twist_closed_form(ctx, f)
     rec.bulk(~ok, lambda c, j: _context_label(small_ctx[c], cubefree_products[j]))
     results.append(rec.result())
 
     # the root-of-unity double sum, sum over units r of e(rN/q) times the
-    # DFT of the sharpened row at r, against the same closed form
+    # DFT of the sharpened row at r, against the same closed form; twist_q
+    # is a prefix of cubefree_products, so sample_stacks[j] is q's stack
     rec = _Recorder("prime-model-twist-exponential")
     twist_ctx = sample_ctx[:6]
     twist_q = [f for f in cubefree_products if f.value <= 36]
@@ -593,7 +596,8 @@ def run_local_suite(
     ok = np.zeros((len(twist_ctx), len(twist_q)), dtype=bool)
     for j, f in enumerate(twist_q):
         qv = f.value
-        num, den = scaled_star_rows(twist_ctx, f, tables)
+        num, den = sample_stacks[j]
+        num = num[: len(twist_ctx)]
         a = np.arange(qv, dtype=np.int64)
         r = np.arange(1, qv + 1, dtype=np.int64)
         r = r[np.gcd(r, qv) == 1]
@@ -604,7 +608,7 @@ def run_local_suite(
         twist = np.exp(2j * np.pi * ((targets[:, None] * r) % qv) / qv)
         total = (twist * dft).sum(axis=1)
         for c, ctx in enumerate(twist_ctx):
-            want = float(_twist_closed_form(ctx, f, tables))
+            want = float(_twist_closed_form(ctx, f))
             ok[c, j] = abs(total[c].imag) < 1e-8 and abs(total[c].real - want) < 1e-8
     rec.bulk(
         ~ok, lambda c, j: f"q={twist_q[j].value} qprime={twist_ctx[c].modulus}"
@@ -620,7 +624,7 @@ def run_local_suite(
     )
     for i, f in enumerate(cubefree_products):
         for d in divisors(f):
-            moebius_rows[i, d] = mobius(factorize(f.value // d, tables))
+            moebius_rows[i, d] = tables.mobius[f.value // d]
     k = np.arange(product_q_bound + 1, dtype=np.int64)
     totals = moebius_rows @ np.gcd(k[:, None], k) @ moebius_rows.T
     want = np.diag([euler_phi(f) for f in cubefree_products])

@@ -14,6 +14,7 @@ import sqfrep.counting as counting
 from sqfrep.counting import (
     DEFAULT_WINDOW,
     LOG_BITS,
+    LOG_SCALE,
     MAX_THREADS,
     MIN_THREADED_WINDOW,
     _StrikePlan,
@@ -24,7 +25,6 @@ from sqfrep.counting import (
     exact_class_sums,
     log_class_sums,
     log_numerators,
-    psi_in_ap,
     scan_workers,
     segmented_prime_sieve,
     segmented_squarefree_sieve,
@@ -126,13 +126,13 @@ class TestCountRepresentations:
             lambda: count_representations(100, 1, -7, tables),
             lambda: count_representations(100, 1, 0, tables),
             lambda: count_representations(100, 1, 7, tables, 0),
-            lambda: psi_in_ap(100, 1, -7, tables),
-            lambda: psi_in_ap(100, 1, 0, tables),
-            lambda: psi_in_ap(100, 1, 7, tables, 0),
+            lambda: log_class_sums(100, 1, -7, [1], tables),
+            lambda: log_class_sums(100, 1, 0, [1], tables),
+            lambda: log_class_sums(100, 1, 7, [1], tables, 0),
             lambda: squarefree_count_in_ap(100, 1, 7, tables, 0),
             # an empty lane once returned a result above the thread cap
             lambda: count_representations(3, 1, 7, tables, threads=1000),
-            lambda: psi_in_ap(1, 1, 7, tables, threads=1000),
+            lambda: log_class_sums(1, 1, 7, [1], tables, threads=1000),
             lambda: require_unit(1, -7),
             lambda: require_unit(1, 0),
         ):
@@ -319,6 +319,9 @@ class TestMobiusCounter:
 
 
 class TestPsiInAp:
+    """Chebyshev psi along a progression: log_class_sums at the modulus
+    list [1], whose one sum is psi's numerator over LOG_SCALE."""
+
     def test_classical_value(self, tables):
         # psi(100): 25 primes plus the proper powers 4,8,16,32,64,9,27,81,25,49.
         want = math.fsum(
@@ -327,16 +330,17 @@ class TestPsiInAp:
             if tables.smallest_prime_factor[p] == p
         )
         want += 5 * math.log(2) + 3 * math.log(3) + math.log(5) + math.log(7)
-        got = psi_in_ap(100, 0, 1, tables)
+        ((psi,),), _ = log_class_sums(100, 0, 1, [1], tables)
+        got = psi / LOG_SCALE
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(94.045, abs=0.01)
 
     def test_progression_split_sums_to_whole(self, tables):
         target = 30_000
-        whole = psi_in_ap(target, 0, 1, tables)
+        ((whole,),), _ = log_class_sums(target, 0, 1, [1], tables)
         for modulus in (3, 8):
-            split = math.fsum(
-                psi_in_ap(target, a, modulus, tables)
+            split = sum(
+                log_class_sums(target, a, modulus, [1], tables)[0][0][0]
                 for a in range(modulus)
                 if math.gcd(a, modulus) == 1
             )
@@ -348,29 +352,28 @@ class TestPsiInAp:
                 for k in range(1, 40)
                 if p**k <= target
             )
-            assert split + stray == pytest.approx(whole, abs=1e-9)
+            assert split / LOG_SCALE + stray == pytest.approx(
+                whole / LOG_SCALE, abs=1e-9
+            )
 
     def test_equidistribution(self, tables):
         target = 200_000
         expect = target / 4  # phi(5) = 4
         for residue in (1, 2, 3, 4):
-            got = psi_in_ap(target, residue, 5, tables)
-            assert abs(got - expect) / expect < 0.02
+            ((psi,),), _ = log_class_sums(target, residue, 5, [1], tables)
+            assert abs(psi / LOG_SCALE - expect) / expect < 0.02
 
     def test_large_modulus(self, tables):
-        assert psi_in_ap(10, 11, 1000, tables) == 0.0
-        assert psi_in_ap(1000, 997, 1000, tables) == pytest.approx(math.log(997))
-
-    def test_rejects_non_unit(self, tables):
-        with pytest.raises(ValueError):
-            psi_in_ap(100, 2, 4, tables)
+        assert log_class_sums(10, 11, 1000, [1], tables)[0] == [[0]]
+        ((psi,),), _ = log_class_sums(1000, 997, 1000, [1], tables)
+        assert psi / LOG_SCALE == pytest.approx(math.log(997))
 
 
 class TestCapacity:
     def test_psi_capacity(self):
         small = build_sieve(100)
         with pytest.raises(CapacityError):
-            psi_in_ap(100**2 + 1, 0, 1, small)
+            log_class_sums(100**2 + 1, 0, 1, [1], small)
 
 
 def _dense_flags(top):
@@ -438,13 +441,15 @@ class TestExactReduction:
             _set_window_cap(monkeypatch, cap)
             for threads in (1, 2):
                 r = count_representations(target, residue, modulus, tables, threads)
-                got_psi = psi_in_ap(target, residue, modulus, tables, threads)
+                ((got_psi,),), _ = log_class_sums(
+                    target, residue, modulus, [1], tables, threads
+                )
                 assert (r.unweighted, r.weighted.hex(), r.lambda_weighted.hex()) == (
                     unweighted,
                     weighted.hex(),
                     lam.hex(),
                 ), (cap, threads)
-                assert got_psi.hex() == psi.hex(), (cap, threads)
+                assert (got_psi / LOG_SCALE).hex() == psi.hex(), (cap, threads)
 
 
 def _unit_class(q):
@@ -503,8 +508,10 @@ class TestScanProperties:
         with pytest.MonkeyPatch.context() as mp:
             _set_window_cap(mp, cap)
             got = log_class_sums(target, residue, modulus, moduli, tables, threads)
-            assert psi_in_ap(target, residue, modulus, tables, threads) == psi
         assert got == want
+        # the one sum at modulus 1 is psi's numerator
+        (psi_numerator,) = got[0][moduli.index(1)]
+        assert psi_numerator / LOG_SCALE == psi
 
     def test_one_scan_and_one_power_list_per_call(self, tables, monkeypatch):
         calls = []
@@ -519,7 +526,6 @@ class TestScanProperties:
             lambda: count_representations(1000, 1, 3, tables),
             lambda: count_classes(1000, range(1, 13), tables),
             lambda: log_class_sums(1000, 1, 3, [1, 4, 6], tables),
-            lambda: psi_in_ap(1000, 1, 3, tables),
         ):
             calls.clear()
             call()
@@ -1204,11 +1210,13 @@ class TestLaneInvariance:
                         r = count_representations(
                             target, residue, modulus, tables, threads
                         )
-                        psi = psi_in_ap(target, residue, modulus, tables, threads)
+                        ((psi,),), _ = log_class_sums(
+                            target, residue, modulus, [1], tables, threads
+                        )
                         assert (r.unweighted, r.weighted, r.lambda_weighted) == sums[
                             :3
                         ], key
-                        assert psi == sums[3], key
+                        assert psi / LOG_SCALE == sums[3], key
 
     def test_pinned_weighted_count(self, tables, monkeypatch):
         want = float.fromhex("0x1.193ed2afa286fp+20")
@@ -1225,8 +1233,9 @@ class TestLaneInvariance:
         r = count_representations(101, 99 + modulus, modulus, tables)
         assert (r.unweighted, r.lambda_weighted) == (0, 0.0)  # 99 = 9 * 11
         assert count_representations(100, 97, modulus, tables).weighted == math.log(97)
-        assert psi_in_ap(101, 97, modulus, tables) == math.log(97)
-        assert psi_in_ap(101, 64, modulus, tables) == math.log(2)
+        for residue, p in ((97, 97), (64, 2)):
+            ((psi,),), _ = log_class_sums(101, residue, modulus, [1], tables)
+            assert psi / LOG_SCALE == math.log(p)
         assert squarefree_count_in_ap(101, 97, modulus, tables) == 0
         assert squarefree_count_in_ap(101, 96, modulus, tables) == 1
 
@@ -1235,7 +1244,7 @@ class TestLaneInvariance:
         with pytest.raises(OverflowError):
             count_representations(1000, 1, 3, huge)
         with pytest.raises(OverflowError):
-            psi_in_ap(1000, 1, 3, huge)
+            log_class_sums(1000, 1, 3, [1], huge)
         with pytest.raises(OverflowError):
             squarefree_count_in_ap(1000, 6, 12, huge)
         with pytest.raises(OverflowError):
@@ -1271,7 +1280,6 @@ class TestScanWorkers:
                 lambda: count_representations(3, 1, 7, tables, over),
                 lambda: count_classes(3 * 10**8, [1, 2], tables, over),
                 lambda: log_class_sums(10**6, 1, 3, [1], tables, over),
-                lambda: psi_in_ap(10**6, 1, 3, tables, over),
                 lambda: squarefree_count_in_ap(10**6, 1, 3, tables, over),
                 lambda: squarefree_count_in_ap(1, 0, 7, tables, over),
             ):
@@ -1331,7 +1339,9 @@ class TestScanWorkers:
         assert squarefree_count_in_ap(target, 4, 9, tables, 1) == (
             squarefree_count_in_ap(target, 4, 9, tables, 2)
         )
-        assert psi_in_ap(target, 1, 4, tables, 1) == psi_in_ap(target, 1, 4, tables, 2)
+        assert log_class_sums(target, 1, 4, [1], tables, 1) == log_class_sums(
+            target, 1, 4, [1], tables, 2
+        )
         classes_one = count_classes(target, range(1, 7), tables, 1)
         classes_two = count_classes(target, range(1, 7), tables, 2)
         assert [(r.weighted, r.unweighted) for r in classes_one.values()] == [
@@ -1418,7 +1428,6 @@ class TestOddLane:
                 log_class_sums(target, residue, modulus, [1], tables)
                 if math.gcd(residue, modulus) == 1:
                     count_representations(target, residue, modulus, tables)
-                    psi_in_ap(target, residue, modulus, tables)
         count_classes(target, range(1, 13), tables)
         primes = [lane for lane in lanes if lane[2] == 1]
         assert primes

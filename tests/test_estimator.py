@@ -22,8 +22,8 @@ import sqfrep.counting as counting
 from sqfrep.counting import (
     LOG_SCALE,
     count_representations,
+    log_class_sums,
     log_numerators,
-    psi_in_ap,
     square_sum,
     squarefree_count_in_ap,
 )
@@ -190,7 +190,7 @@ class TestGlobalBuilders:
         f = log_summary(ctx, [1, 101], tables)
         assert math.isclose(
             f.class_sums[1][0] / f.denominator,
-            psi_in_ap(100, 1, 1, tables),
+            log_class_sums(100, 1, 1, [1], tables)[0][0][0] / LOG_SCALE,
             rel_tol=1e-12,
         )
         values = f.class_sums[101]
@@ -204,7 +204,7 @@ class TestGlobalBuilders:
         assert values[27]  # 3^3 sits in the lane
         assert math.isclose(
             f.class_sums[1][0] / f.denominator,
-            psi_in_ap(200, 3, 4, tables),
+            log_class_sums(200, 3, 4, [1], tables)[0][0][0] / LOG_SCALE,
             rel_tol=1e-12,
         )
 

@@ -15,8 +15,8 @@ In the same runs a profile hook, on the main thread and on every scan
 worker, records each code object that starts.  A `def` (a function, method
 or nested function; lambdas and comprehensions are not counted) that none
 of the runs starts must be listed in FUNCTION_ALLOWED with its reason.  The
-package's memo caches are emptied first, so a `def` that runs only on a
-cache miss is seen too."""
+package's functools caches are emptied first, so a `def` that runs only on
+a cache miss is seen too."""
 
 import ast
 import contextlib
@@ -50,8 +50,6 @@ FUNCTION_ALLOWED = {
     "cli._suite": "runs only at import, to build SUITES",
     "cli.parse_csv": "the CSV reader that README documents; the tests read "
     "every CSV schema back with it",
-    "counting.psi_in_ap": "public view held to brute force and to the "
-    "estimator's class sums by the tests",
     "counting.squarefree_count_in_ap": "public view held to brute force and "
     "to the Moebius counter by the tests",
     "counting.squarefree_count_in_ap.window": "the window reduction of "
@@ -95,10 +93,10 @@ RUNS = [
 FAILING_RUNS = [["verify", "local", "--q-max", "12", "--qprime", "4"]]
 
 
-def _shifted_star_rows(contexts, q, tables, periods=1):
+def _shifted_star_rows(contexts, q, periods=1):
     """The fault of TestMutations in test_verify_cli.py: every star row
     shifted by one class."""
-    num, den = oracle.scaled_star_rows(contexts, q, tables, periods)
+    num, den = oracle.scaled_star_rows(contexts, q, periods)
     return np.roll(num, 1, axis=1), den
 
 
@@ -122,12 +120,11 @@ def _dataclasses() -> list:
 
 
 def _clear_caches() -> None:
-    """Empty every functools cache of the package and oracle's scale memo."""
+    """Empty every functools cache of the package."""
     for module in _modules():
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
                 obj.cache_clear()
-    oracle._SCALES.clear()
 
 
 def _module_name(path: str) -> str:

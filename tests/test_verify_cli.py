@@ -41,9 +41,10 @@ from sqfrep.cli import (
     parse_csv,
 )
 from sqfrep.counting import (
+    LOG_SCALE,
     MAX_THREADS,
     count_representations,
-    psi_in_ap,
+    log_class_sums,
     squarefree_count_in_ap,
 )
 from sqfrep.localmodel import LocalVector
@@ -161,8 +162,8 @@ class TestMutations:
             assert by_name[name].counterexample.startswith("r=9 "), name
 
     def test_shifted_star_row_fails_both_twist_checks(self, tables, monkeypatch):
-        def shifted(contexts, q, tables, periods=1):
-            num, den = scaled_star_rows(contexts, q, tables, periods)
+        def shifted(contexts, q, periods=1):
+            num, den = scaled_star_rows(contexts, q, periods)
             return np.roll(num, 1, axis=1), den
 
         monkeypatch.setattr("sqfrep.verify.scaled_star_rows", shifted)
@@ -544,6 +545,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == EXIT_CAPACITY
         assert "capacity" in err
+
+    @pytest.mark.parametrize(
+        "argv, code, key",
+        [
+            (["series", "--n", "10", "--q", "4294967311", "--a", "1"], EXIT_OK, "q"),
+            # no prime p <= N - 1 in the class, so direct is 0 and the
+            # command's own gate fails
+            (
+                ["estimate", "--n", "100000", "--qprime", "4294967311", "--aprime", "1"],
+                EXIT_VERIFY,
+                "qprime",
+            ),
+        ],
+    )
+    def test_prime_modulus_past_the_target_tables(self, argv, code, key, capsys):
+        # the prime 4294967311 is above 20_000**2, the reach of the tables
+        # --n sized: it used to exit 3 with advice to rebuild the tables,
+        # which no flag does; the modulus is now factored with tables that
+        # cover it
+        assert main([*argv, "--format", "json"]) == code
+        captured = capsys.readouterr()
+        (row,) = json.loads(captured.out, parse_constant=_reject_constant)
+        assert row[key] == 4294967311
+        assert "capacity" not in captured.err
+
+    def test_modulus_the_target_tables_factor_builds_no_larger_tables(
+        self, monkeypatch, capsys
+    ):
+        # every prime factor of 10**20 is small: the tables --n needs factor
+        # it, so no larger tables are built
+        limits = []
+        real = cli.build_sieve
+        monkeypatch.setattr(
+            cli, "build_sieve", lambda limit: limits.append(limit) or real(limit)
+        )
+        argv = ["estimate", "--n", "100000", "--qprime", str(10**20), "--aprime", "1"]
+        assert main(argv) == EXIT_VERIFY
+        capsys.readouterr()
+        assert limits == [20_000]
 
     def test_target_past_int64_is_a_capacity_error(self, capsys):
         # the model vectors reduce the target mod q before the sieve bound
@@ -1081,11 +1121,8 @@ class TestRows:
         )
         rows = json.loads(capsys.readouterr().out)
         got = rows[0]["estimate"]
-        want = (
-            psi_in_ap(2000, 0, 1, tables)
-            * squarefree_count_in_ap(2000, 0, 1, tables)
-            / 2000
-        )
+        ((psi,),), _ = log_class_sums(2000, 0, 1, [1], tables)
+        want = psi / LOG_SCALE * squarefree_count_in_ap(2000, 0, 1, tables) / 2000
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_estimate_defects_nonnegative_exact_mode(self, capsys):
