@@ -526,6 +526,7 @@ class TestScanProperties:
             lambda: count_representations(1000, 1, 3, tables),
             lambda: count_classes(1000, range(1, 13), tables),
             lambda: log_class_sums(1000, 1, 3, [1, 4, 6], tables),
+            lambda: log_class_sums(1000, 1, 3, [1], tables),
         ):
             calls.clear()
             call()
