@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -399,37 +398,3 @@ def star_scale(q: FactoredInt) -> Fraction:
     for p, _ in q.factors:
         out *= Fraction(-1, p * p - 1)
     return out
-
-
-def mobius_divisor_indicator(a: FactoredInt, d: int) -> int:
-    """Sum of mu(k/d) over divisors k of a that are multiples of d.
-
-    Computed as the literal double-condition sum (not the collapsed
-    indicator); equals 1 exactly when d = a.  Rejects d not dividing a.
-    """
-    vd = []
-    m = d
-    for p, e in a.factors:
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        if v > e:
-            raise ValueError(f"{d} does not divide {a.value}")
-        vd.append(v)
-    if m != 1:
-        raise ValueError(f"{d} does not divide {a.value}")
-
-    total = 0
-    ranges = [range(v, e + 1) for (_, e), v in zip(a.factors, vd)]
-    for exps in _cartesian(*ranges):
-        mu = 1
-        for k, v in zip(exps, vd):
-            gap = k - v
-            if gap == 1:
-                mu = -mu
-            elif gap > 1:
-                mu = 0
-                break
-        total += mu
-    return total

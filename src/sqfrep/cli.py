@@ -54,6 +54,7 @@ from sqfrep.arith import (
     CapacityError,
     Draws,
     build_sieve,
+    euler_phi,
     factorize,
 )
 from sqfrep.counting import (
@@ -497,7 +498,7 @@ def cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
         if args.per_q:
-            for row in per_q_breakdown(f, g, ms, w, tables):
+            for row in per_q_breakdown(f, g, ms, w, tables, euler_phi(fqp)):
                 per_q_rows.append({"N": n, **row})
     if args.per_q:
         _emit("sqfrep-estimate-per-q", per_q_rows, args)

@@ -296,10 +296,10 @@ def bessel_defect(h: Summary, ms: ModuliSet, weights: Weights):
 
 
 def predicted_main_terms(
-    ms: ModuliSet, q: int, tables: SieveTables
+    ms: ModuliSet, q: int, tables: SieveTables, phi_qprime: int
 ) -> dict[str, float]:
     """First-order predictions for the four global products against the
-    lifted model vectors, from the local cross products.
+    lifted model vectors, from the local cross products and phi(q').
 
     The diff-vector/log-weight prediction is +N [kappa|rho*]: expanding
     [psi*_q | f] over classes gives the same sign as the sum-vector case.
@@ -316,9 +316,7 @@ def predicted_main_terms(
     _, q2 = cubefree_split(fq)
     gate = int(ctx.modulus % (q2.value * q2.value) == 0)
     t = star_scale(fq)
-    c = Fraction(
-        gate * mobius(g1), euler_phi(factorize(ctx.modulus, tables)) * euler_phi(g1)
-    )
+    c = Fraction(gate * mobius(g1), phi_qprime * euler_phi(g1))
     eta_sq, kappa_sq = local_product(eta, eta), local_product(kappa, kappa)
     # theta is in units of 6/pi^2, so its products are divided by pi^2/6
     return {
@@ -335,6 +333,7 @@ def per_q_breakdown(
     ms: ModuliSet,
     weights: Weights,
     tables: SieveTables,
+    phi_qprime: int,
 ) -> list[dict]:
     """One row per modulus: norms, weights, the four exact products, the
     row's contribution to <f|g>, and the predicted main terms."""
@@ -344,7 +343,7 @@ def per_q_breakdown(
     rows = []
     for q in ms.members:
         eta, kappa = ms.vectors[q]
-        predicted = predicted_main_terms(ms, q, tables)
+        predicted = predicted_main_terms(ms, q, tables, phi_qprime)
         row = {
             "q": q,
             "exceptional": q in ms.exceptional,

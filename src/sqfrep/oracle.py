@@ -13,9 +13,9 @@ Two shapes of the same definitions live here:
 
 - per-entry forms, one residue at a time:
   `squarefree_density[_star]`, `mirror_density_star`,
-  `prime_density[_star][_ungated]`, `prime_model_twist`, plus `collect`
-  and `alignment_term`, the Ramanujan-sum product that is +-phi(q) exactly
-  on the members the estimator reads as exceptional or degenerate;
+  `prime_density[_star][_ungated]`, `prime_model_twist`, plus
+  `alignment_term`, the Ramanujan-sum product that is +-phi(q) exactly on
+  the members the estimator reads as exceptional or degenerate;
 - row forms, every residue at once as int64 numerators over one
   denominator: `squarefree_density_row`, `squarefree_star_row`,
   `scaled_prime_density_rows` and `scaled_star_rows`.  The prime-side rows
@@ -52,7 +52,7 @@ from sqfrep.arith import (
     require_int64,
 )
 from sqfrep.estimator import Summary
-from sqfrep.localmodel import LocalVector, ProgressionContext, progression_split
+from sqfrep.localmodel import ProgressionContext, progression_split
 
 
 def totient(n: int, tables: SieveTables) -> int:
@@ -184,28 +184,6 @@ def prime_model_twist(
         if rho_s:
             total += phi_ctx * rho_s * ramanujan_sum(q, ctx.target - a)
     return total
-
-
-def collect(values: Sequence[int], q: int) -> LocalVector:
-    """Collapse an integer function on [1, N] to residues mod q, scaled by q
-    so that the local product against any h equals the plain sum of
-    values * h(n).
-
-    Adjoint to the periodic lift of h:
-    [collect(j) | h]_q = sum_n j(n) h(n mod q).  The class sums are int64;
-    q * N * max|j| must stay below 2**63 (checked), and non-integer values
-    raise TypeError.
-    """
-    vals = np.asarray(values)
-    if vals.size and vals.dtype.kind not in "iu":
-        raise TypeError(f"collect takes integer values, got {vals.dtype}")
-    vals = vals.astype(np.int64)
-    require_int64(q * len(vals) * int(np.abs(vals).max(initial=0)))
-    # position n of the padded array holds j(n), so column n mod q sums a class
-    padded = np.zeros(-(-(len(vals) + 1) // q) * q, dtype=np.int64)
-    padded[1 : len(vals) + 1] = vals
-    sums = padded.reshape(-1, q).sum(axis=0)
-    return LocalVector(q, sums * q, 1)
 
 
 def dense_summary(

@@ -9,10 +9,12 @@ whole residue rows, or stacks of rows over progression contexts, as int64
 arrays and records them with `_Recorder.bulk`; a check whose case is one
 (context, q) pair, or one call of a scalar function, records it with
 `_Recorder.check`.  The defining-sum oracles the checks compare against
-(the divisor-sum forms of the square-free and prime densities,
-`collect` and the alignment term) live in `sqfrep.oracle`, so a closed form is never checked
-against a copy of itself.  Every int64 reduction has a bound stated next
-to it, or checked with `require_int64`.
+(the divisor-sum forms of the square-free and prime densities and the
+alignment term) live in `sqfrep.oracle`, so a closed form is never checked
+against a copy of itself.  Divisor detection and the adjoint identity run
+on the shipped kernels instead: the sieve's Moebius table and the scans'
+class sums.  Every int64 reduction has a bound stated next to it, or
+checked with `require_int64`.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from sqfrep.arith import (
     euler_phi,
     factorize,
     mobius,
-    mobius_divisor_indicator,
     ramanujan_row,
     ramanujan_sum,
     ramanujan_table,
     require_int64,
     star_scale,
 )
+from sqfrep.counting import exact_class_sums
 from sqfrep.estimator import (
     bessel_defect,
     build_moduli_set,
@@ -64,7 +66,6 @@ from sqfrep.localmodel import (
 )
 from sqfrep.oracle import (
     alignment_term,
-    collect,
     dense_summary,
     scaled_prime_density_rows,
     scaled_star_rows,
@@ -247,17 +248,17 @@ def run_arith_suite(tables: SieveTables, *, r_bound: int = 300) -> list[CheckRes
         rec.bulk(~ok, lambda n, f=f, z=z: f"r={f.value} n={n}: sum={complex(z[n])}")
     results.append(rec.result())
 
-    # mobius_divisor_indicator is a scalar function; it is checked one
-    # divisor at a time
+    # sum of mu(j) over the divisors j of a / d, mu from the sieve's table:
+    # 1 exactly when d = a.  Row d of the divisors x divisors grid flags the
+    # j dividing a / d; a <= 500 has at most 24 divisors, so int8 holds it
     rec = _Recorder("divisor-detection")
     for a in range(1, ARITH_DETECT + 1):
-        fa = factorize(a, tables)
-        for d in divisors(fa):
-            got = mobius_divisor_indicator(fa, d)
-            rec.check(
-                got == (1 if d == a else 0),
-                lambda a=a, d=d, got=got: f"a={a} d={d}: {got}",
-            )
+        divs = np.array(divisors(factorize(a, tables)), dtype=np.int64)
+        got = ((a // divs)[:, None] % divs == 0) @ tables.mobius[divs]
+        rec.bulk(
+            got != (divs == a),
+            lambda i, a=a, divs=divs, got=got: f"a={a} d={divs[i]}: {got[i]}",
+        )
     results.append(rec.result())
 
     rec = _Recorder("ramanujan-orthogonality")
@@ -406,8 +407,7 @@ def run_local_suite(
     # both products stay below 2^40 for q <= 900 and q' <= 12
     rec = _Recorder("prime-density-multiplicativity")
     cubefree_30 = [f for f in cubefree if f.value <= 30]
-    mult_ctx = _unit_contexts(min(qprime_bound, 12), 97)
-    rows = {f.value: scaled_prime_density_rows(mult_ctx, f) for f in cubefree_30}
+    rows = {f.value: scaled_prime_density_rows(small_ctx, f) for f in cubefree_30}
     pairs = []
     bad = []
     for f1 in cubefree_30:
@@ -418,7 +418,7 @@ def run_local_suite(
             n2, d2 = rows[f2.value]
             qv = f1.value * f2.value
             f12 = FactoredInt(qv, tuple(sorted(f1.factors + f2.factors)))
-            n12, d12 = scaled_prime_density_rows(mult_ctx, f12)
+            n12, d12 = scaled_prime_density_rows(small_ctx, f12)
             a = np.arange(qv, dtype=np.int64)
             lhs = n12 * (d1 * d2)[:, None]
             rhs = n1[:, a % f1.value] * n2[:, a % f2.value] * d12[:, None]
@@ -428,9 +428,9 @@ def run_local_suite(
         np.stack(bad, axis=1),  # contexts x pairs: the first failure is context-major
         lambda c, p: (
             f"q1={pairs[p][0].value} q2={pairs[p][1].value} "
-            f"qprime={mult_ctx[c].modulus} aprime={mult_ctx[c].residue}"
+            f"qprime={small_ctx[c].modulus} aprime={small_ctx[c].residue}"
         ),
-        cases=len(mult_ctx) * sum(f1.value * f2.value for f1, f2 in pairs),
+        cases=len(small_ctx) * sum(f1.value * f2.value for f1, f2 in pairs),
     )
     results.append(rec.result())
 
@@ -653,8 +653,13 @@ def run_local_suite(
         scaled = np.array(
             [e.numerator * (lcm // e.denominator) for e in entries], dtype=np.int64
         )
-        got = local_product(collect(j, q), LocalVector(q, scaled, lcm))
-        want = Fraction(int(np.dot(j, scaled[np.arange(1, length + 1) % q])), lcm)
+        # j's class sums from the scans' kernel, scaled by q: their local
+        # product with h is the plain sum of j(n) h(n mod q)
+        ns = np.arange(1, length + 1)
+        [(_, sums)] = exact_class_sums(j, ns, [q])
+        collected = LocalVector(q, [q * s for s in sums], 1)
+        got = local_product(collected, LocalVector(q, scaled, lcm))
+        want = Fraction(int(np.dot(j, scaled[ns % q])), lcm)
         rec.check(got == want, lambda q=q, length=length: f"q={q} N={length}")
     results.append(rec.result())
     return results
@@ -752,8 +757,9 @@ def run_estimator_suite(
         # the classification read off the vectors against the alignment
         # term, and against the vectors' norms
         for q, (eta, kappa) in ms.vectors.items():
-            phi = totient(q, tables)
-            align = alignment_term(ctx, factorize(q, tables))
+            fq = factorize(q, tables)
+            phi = euler_phi(fq)
+            align = alignment_term(ctx, fq)
             norm = local_product(kappa, kappa)
             zero_eta = local_product(eta, eta) == 0
             ok = (align == phi) == (norm == 0) == (q in ms.exceptional)

@@ -23,7 +23,6 @@ from sqfrep.arith import (
     euler_phi,
     factorize,
     mobius,
-    mobius_divisor_indicator,
     primes_up_to,
     ramanujan_row,
     ramanujan_sum,
@@ -286,19 +285,6 @@ class TestStarScale:
 
     def test_depends_only_on_radical(self, tables):
         assert star_scale(factorize(12, tables)) == star_scale(factorize(6, tables))
-
-
-class TestMobiusDivisorIndicator:
-    def test_detects_equality(self, tables):
-        for a in (1, 2, 12, 30, 36, 100):
-            fa = factorize(a, tables)
-            for d in divisors(fa):
-                expect = 1 if d == a else 0
-                assert mobius_divisor_indicator(fa, d) == expect, (a, d)
-
-    def test_rejects_non_divisor(self, tables):
-        with pytest.raises(ValueError):
-            mobius_divisor_indicator(factorize(12, tables), 5)
 
 
 class TestPrimesUpTo:

@@ -496,7 +496,7 @@ class TestBreakdownAndPredictions:
         w = compute_weights(ms)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        rows = per_q_breakdown(f, g, ms, w, tables)
+        rows = per_q_breakdown(f, g, ms, w, tables, 1)
         assert [row["q"] for row in rows] == list(ms.members)
         total = math.fsum(row["contribution"] for row in rows)
         assert total == pytest.approx(
@@ -514,7 +514,7 @@ class TestBreakdownAndPredictions:
         ctx = ProgressionContext(20_000, 1, 1)
         assert ctx.target % 3 == 2
         ms = build_moduli_set(3, 1, ctx, tables)
-        pred = predicted_main_terms(ms, 3, tables)
+        pred = predicted_main_terms(ms, 3, tables, 1)
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
         f = log_summary(ctx, ms.members, tables)
         fam = ms.vectors
@@ -528,7 +528,7 @@ class TestBreakdownAndPredictions:
         g = mirror_summary(ctx.target, ms.members, tables)
         fam = ms.vectors
         for q in ms.members:
-            pred = predicted_main_terms(ms, q, tables)
+            pred = predicted_main_terms(ms, q, tables, 1)
             got = float(_dot(g, fam[q][0]))
             if abs(pred["phi_g"]) > 1:
                 assert got == pytest.approx(pred["phi_g"], rel=0.05)
@@ -571,7 +571,7 @@ class TestBreakdownAndPredictions:
                 "f_psi": n * float(local_product(kappa, rho)),
                 "psi_g": n * (float(local_product(kappa, theta)) / PI_SQ_OVER_6),
             }
-            got = predicted_main_terms(ms, q, tables)
+            got = predicted_main_terms(ms, q, tables, phi_qprime)
             assert {k: v.hex() for k, v in got.items()} == {
                 k: v.hex() for k, v in want.items()
             }, q

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from sqfrep.arith import (
@@ -14,6 +15,7 @@ from sqfrep.arith import (
     ramanujan_sum,
     star_scale,
 )
+from sqfrep.counting import exact_class_sums
 from sqfrep.localmodel import (
     PI_SQ_OVER_6,
     ProgressionContext,
@@ -24,7 +26,6 @@ from sqfrep.localmodel import (
 )
 from sqfrep.oracle import (
     alignment_term,
-    collect,
     mirror_density_star,
     prime_density,
     prime_density_star,
@@ -515,18 +516,16 @@ class TestPrimeModelTwist:
 
 
 class TestPeriodizeCollect:
-    def test_collect_counts(self):
-        flat = collect([1] * 23, 5)
-        assert entries(flat) == (F(20), F(25), F(25), F(25), F(20))
-
     def test_adjoint_identity_exact(self, rng, tables):
-        # [collect(j) | h]_q == sum_n j(n) h(n) for integer-valued inputs.
+        # [q * class sums of j | h]_q == sum_n j(n) h(n) for integer-valued
+        # j, with the class sums from the scans' kernel
         for _ in range(20):
             q = rng.integers(1, 21)
             n = rng.integers(q, 1001)
-            j = [int(v) for v in rng.integers(-5, 6, size=n)]
+            j = rng.integers(-5, 6, size=n)
             h = vector(q, tuple(F(int(v)) for v in rng.integers(-9, 10, size=q)))
-            lhs = local_product(collect(j, q), h)
+            [(_, sums)] = exact_class_sums(j, np.arange(1, n + 1), [q])
+            lhs = local_product(vector(q, [q * s for s in sums]), h)
             h_at = entries(h)
-            rhs = sum(v * h_at[m % q] for m, v in enumerate(j, start=1))
+            rhs = sum(v * h_at[m % q] for m, v in enumerate(j.tolist(), start=1))
             assert lhs == F(rhs)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from sqfrep.arith import FactoredInt, euler_phi, factorize
 from sqfrep.localmodel import ProgressionContext
 from sqfrep.oracle import (
-    collect,
     prime_density,
     prime_density_star,
     scaled_prime_density_rows,
@@ -21,7 +20,6 @@ from sqfrep.oracle import (
     squarefree_density_star,
     squarefree_star_row,
 )
-from vectors import entries
 
 # both target parities, trivial, prime, prime-power and composite moduli
 CONTEXTS = [
@@ -121,16 +119,3 @@ class TestGuards:
         q = FactoredInt(p1 * p2, ((p1, 1), (p2, 1)))
         with pytest.raises(OverflowError):
             squarefree_star_row(q)
-
-    def test_collect_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            collect([1 << 50] * 10, 10_000)
-
-    def test_collect_rejects_fractions(self):
-        with pytest.raises(TypeError):
-            collect([F(1, 2), F(3)], 2)
-
-    def test_collect_empty_and_short(self):
-        assert entries(collect([], 3)) == (F(0), F(0), F(0))
-        # j(1) = 7 lands in class 1, scaled by q = 4
-        assert entries(collect([7], 4)) == (F(0), F(28), F(0), F(0))

@@ -2,11 +2,13 @@
 round-trips, determinism, and the corrupted-fixture drill."""
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,12 +45,13 @@ from sqfrep.cli import (
 from sqfrep.counting import (
     LOG_SCALE,
     MAX_THREADS,
+    CountResult,
     count_representations,
+    exact_class_sums,
     log_class_sums,
     squarefree_count_in_ap,
 )
-from sqfrep.localmodel import LocalVector
-from sqfrep.oracle import collect, scaled_star_rows
+from sqfrep.oracle import scaled_star_rows
 from sqfrep.verify import (
     CheckResult,
     run_arith_suite,
@@ -81,6 +84,27 @@ class TestSuites:
         results = run_estimator_suite(tables, q1_bound=3, q2_bound=1, length_bound=400)
         for r in results:
             assert r.passed, f"{r.name}: {r.counterexample}"
+
+    @pytest.mark.parametrize(
+        "suite, keyword, cap",
+        [
+            (run_arith_suite, "r_bound", MAX_R_BOUND),
+            (run_local_suite, "q_bound", MAX_Q_BOUND),
+            (run_local_suite, "qprime_bound", MAX_QPRIME_BOUND),
+            (run_estimator_suite, "q1_bound", MAX_Q1_BOUND),
+            (run_estimator_suite, "q2_bound", MAX_Q2_BOUND),
+        ],
+    )
+    @pytest.mark.parametrize("past", ["below", "above"])
+    def test_suites_reject_bounds_past_their_caps(
+        self, tables, suite, keyword, cap, past
+    ):
+        # the parser rejects these flags first, so only a library call
+        # reaches the suites' own guards
+        value = 0 if past == "below" else cap + 1
+        want = rf"^{keyword} must lie in \[1, {cap}\], got {value}$"
+        with pytest.raises(ValueError, match=want):
+            suite(tables, **{keyword: value})
 
 
 # Case counts printed by the three verify jobs of the benchmark; they pin
@@ -173,14 +197,27 @@ class TestMutations:
             assert by_name[name].failures > 0
 
     def test_off_by_one_collect_fails_adjoint(self, tables, monkeypatch):
-        def off_by_one(values, q):
-            v = collect(values, q)
-            return LocalVector(q, np.roll(v.numerators, 1), v.denominator)
+        def off_by_one(numerators, values, moduli):
+            return [
+                (counts, sums[-1:] + sums[:-1])
+                for counts, sums in exact_class_sums(numerators, values, moduli)
+            ]
 
-        monkeypatch.setattr("sqfrep.verify.collect", off_by_one)
+        monkeypatch.setattr("sqfrep.verify.exact_class_sums", off_by_one)
         adjoint = _small_local_suite(tables)["adjoint-identity"]
         assert not adjoint.passed
         assert adjoint.counterexample.startswith("q=")
+
+    def test_flipped_mobius_entry_fails_divisor_detection(self, tables):
+        mobius = tables.mobius.copy()
+        mobius[6] = -mobius[6]
+        flipped = dataclasses.replace(tables, mobius=mobius)
+        by_name = {r.name: r for r in run_arith_suite(flipped, r_bound=20)}
+        detection = by_name.pop("divisor-detection")
+        assert detection.failures == 379
+        assert detection.counterexample == "a=6 d=1: -2"
+        # no other arithmetic check reads the table
+        assert all(r.passed for r in by_name.values())
 
     def test_untouched_small_suite_passes(self, tables):
         for r in _small_local_suite(tables).values():
@@ -557,17 +594,27 @@ class TestExitCodes:
                 EXIT_VERIFY,
                 "qprime",
             ),
+            # the per-q predictions take phi(q') from the CLI's factorization
+            (
+                [
+                    "estimate", "--n", "100000", "--qprime", "4294967311",
+                    "--aprime", "1", "--per-q",
+                ],
+                EXIT_VERIFY,
+                "N",
+            ),
         ],
     )
     def test_prime_modulus_past_the_target_tables(self, argv, code, key, capsys):
         # the prime 4294967311 is above 20_000**2, the reach of the tables
         # --n sized: it used to exit 3 with advice to rebuild the tables,
         # which no flag does; the modulus is now factored with tables that
-        # cover it
+        # cover it.  Every row echoes the value of the flag named by key
         assert main([*argv, "--format", "json"]) == code
         captured = capsys.readouterr()
-        (row,) = json.loads(captured.out, parse_constant=_reject_constant)
-        assert row[key] == 4294967311
+        rows = json.loads(captured.out, parse_constant=_reject_constant)
+        value = int(argv[argv.index(f"--{key.lower()}") + 1])
+        assert rows and all(row[key] == value for row in rows)
         assert "capacity" not in captured.err
 
     def test_modulus_the_target_tables_factor_builds_no_larger_tables(
@@ -700,6 +747,58 @@ def _at_every_cap(test):
     for argv in _every_cap():
         test = example(argv=argv, window_bytes=None)(test)
     return test
+
+
+class TestSafetyGates:
+    """A result the mathematics rules out fails its command with exit 1,
+    and the rows still print.  Each fault is planted on a name `cli` calls;
+    unplanted, each command exits 0."""
+
+    def _run(self, argv, capsys):
+        code = main([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out, parse_constant=_reject_constant), err
+
+    def test_obstructed_class_with_a_nonzero_count(self, monkeypatch, capsys):
+        # 3001 ≡ 1 (mod 4): N - p is divisible by 4 for every p ≡ 1 (mod 4)
+        argv = ["compare", "--n", "3001", "--q", "4"]
+        assert self._run(argv, capsys)[0] == EXIT_OK
+        real = cli.count_classes
+
+        def planted(n, q_values, tables, threads):
+            counts = real(n, q_values, tables, threads)
+            counts[4, 1] = counts[4, 3]
+            return counts
+
+        monkeypatch.setattr(cli, "count_classes", planted)
+        code, rows, err = self._run(argv, capsys)
+        assert code == EXIT_VERIFY
+        line = "obstructed class (N=3001, q=4, a=1) has nonzero count "
+        assert any(x.startswith(line) for x in err.splitlines())
+        assert [(r["a"], r["vanished"]) for r in rows] == [(1, True), (3, False)]
+
+    def test_obstructed_context_with_a_nonzero_direct(self, monkeypatch, capsys):
+        argv = ["estimate", "--n", "1001", "--qprime", "4", "--aprime", "1"]
+        assert self._run(argv, capsys)[0] == EXIT_OK
+        monkeypatch.setattr(
+            cli, "count_representations", lambda *args: CountResult(1, LOG_SCALE, 0)
+        )
+        code, rows, err = self._run(argv, capsys)
+        assert code == EXIT_VERIFY
+        assert (
+            "obstructed context at N=1001 has nonzero direct product 1.0"
+            in err.splitlines()
+        )
+        assert [(r["N"], r["direct"]) for r in rows] == [(1001, 1.0)]
+
+    def test_negative_defect_under_exact_weights(self, monkeypatch, capsys):
+        argv = ["estimate", "--n", "3001"]
+        assert self._run(argv, capsys)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "bessel_defect", lambda h, ms, w: Fraction(-1))
+        code, rows, err = self._run(argv, capsys)
+        assert code == EXIT_VERIFY
+        assert "negative defect at N=3001" in err.splitlines()
+        assert [(r["defect_f"], r["defect_g"]) for r in rows] == [(-1.0, -1.0)]
 
 
 class TestArgvFuzz:
