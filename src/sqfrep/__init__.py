@@ -24,7 +24,6 @@ _HOMES = {
     "count_representations": "counting",
     "log_class_sums": "counting",
     "squarefree_class_counts": "counting",
-    "squarefree_count_in_ap": "counting",
     "ModuliSet": "estimator",
     "Summary": "estimator",
     "Weights": "estimator",

@@ -349,6 +349,7 @@ def cmd_compare(args) -> int:
             named = f"--q {q}" if args.q is not None else f"{q} (--q-max {args.q_max})"
             _require_unit("--a", args.a, q, named)
     tables = _tables_for(max(args.n))
+    factored = {q: factorize(q, tables) for q in q_values}
     rows = []
     consistent = True
     for n in args.n:
@@ -359,8 +360,7 @@ def cmd_compare(args) -> int:
         print(
             f"count N={n} classes={len(counts)}: {elapsed:.3f}s", file=sys.stderr
         )
-        for q in q_values:
-            fq = factorize(q, tables)
+        for q, fq in factored.items():
             residues = (
                 [args.a % q]
                 if args.a is not None
@@ -498,7 +498,7 @@ def cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
         if args.per_q:
-            for row in per_q_breakdown(f, g, ms, w, tables, euler_phi(fqp)):
+            for row in per_q_breakdown(f, g, ms, w, euler_phi(fqp)):
                 per_q_rows.append({"N": n, **row})
     if args.per_q:
         _emit("sqfrep-estimate-per-q", per_q_rows, args)

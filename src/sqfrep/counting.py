@@ -686,30 +686,6 @@ def count_classes(
     }
 
 
-def squarefree_count_in_ap(
-    target: int, residue: int, modulus: int, tables: SieveTables, threads: int = 1
-) -> int:
-    """Count n in [1, target] with n ≡ residue (mod modulus) and
-    target - n square-free (so n = target drops out via mu^2(0) = 0)."""
-    if modulus < 1 or target < 1 or threads < 1:
-        raise ValueError("target, modulus and threads must be positive")
-    if threads > MAX_THREADS:
-        raise ValueError(f"{threads} threads is above the cap {MAX_THREADS}")
-    # Count over m = target - n instead: the lane m ≡ target - residue in
-    # [0, target).
-    first = (target - residue) % modulus
-    count = -(-(target - first) // modulus)
-    if count < 1:
-        return 0
-    length = min(window_length(), count)
-    plan = _StrikePlan([(first, modulus, 2)], count, tables, length)
-
-    def window(_lo: int, flags: np.ndarray) -> int:
-        return int(np.count_nonzero(flags))
-
-    return sum(_scan(count, plan.flags, window, threads, length))
-
-
 def log_class_sums(
     target: int,
     residue: int,

@@ -36,6 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from sqfrep.arith import (
+    FactoredInt,
     SieveTables,
     cubefree_split,
     euler_phi,
@@ -67,7 +68,8 @@ class ModuliSet:
     target - residue).  degenerate: q whose sum vector vanishes instead;
     possible because one of the two split parts is even.  Both are read off
     the vectors; `verify` checks them against the alignment term c_{g1}(N)
-    c_{m2}(N - a') = +-phi(q) (`oracle.alignment_term`).  vectors: q ->
+    c_{m2}(N - a') = +-phi(q) (`oracle.alignment_term`).  factored: q ->
+    its FactoredInt, the one factorization of each member.  vectors: q ->
     (sum vector eta, difference vector kappa), built once with the set.
     """
 
@@ -75,6 +77,7 @@ class ModuliSet:
     members: tuple[int, ...]
     exceptional: frozenset[int]
     degenerate: frozenset[int]
+    factored: Mapping[int, FactoredInt] = field(compare=False)
     vectors: Mapping[int, tuple[LocalVector, LocalVector]] = field(compare=False)
 
 
@@ -155,29 +158,36 @@ def build_moduli_set(
     q1_bound: int, q2_bound: int, ctx: ProgressionContext, tables: SieveTables
 ) -> ModuliSet:
     """Enumerate the moduli family, classify each member and build its
-    model vectors."""
+    model vectors.  Each (q1, q2) pair is factored once, as q1 q2; q's
+    factors are those primes, squared where they divide q2."""
     if q1_bound < 1 or q2_bound < 1:
         raise ValueError("bounds must be at least 1")
-    # q1 q2 square-free: q1 and q2 are square-free and coprime
-    members = sorted(
-        q1 * q2 * q2
-        for q2 in range(1, q2_bound + 1)
-        for q1 in range(1, q1_bound + 1)
-        if factorize(q1 * q2, tables).is_squarefree
-    )
-    vectors = {}
-    for q in members:
-        fq = factorize(q, tables)
-        vectors[q] = (model_sum(ctx, fq, tables), model_diff(ctx, fq, tables))
+    factored = {}
+    for q2 in range(1, q2_bound + 1):
+        for q1 in range(1, q1_bound + 1):
+            # q1 q2 square-free: q1 and q2 are square-free and coprime
+            f = factorize(q1 * q2, tables)
+            if f.is_squarefree:
+                q = q1 * q2 * q2
+                factored[q] = FactoredInt(
+                    q, tuple((p, 2 if q2 % p == 0 else 1) for p, _ in f.factors)
+                )
+    factored = dict(sorted(factored.items()))
+    members = tuple(factored)
+    vectors = {
+        q: (model_sum(ctx, fq, tables), model_diff(ctx, fq, tables))
+        for q, fq in factored.items()
+    }
 
     def vanishing(side: int) -> frozenset[int]:
         return frozenset(q for q in members if not vectors[q][side].numerators.any())
 
     return ModuliSet(
         context=ctx,
-        members=tuple(members),
+        members=members,
         exceptional=vanishing(1),
         degenerate=vanishing(0),
+        factored=factored,
         vectors=vectors,
     )
 
@@ -295,9 +305,7 @@ def bessel_defect(h: Summary, ms: ModuliSet, weights: Weights):
     return h.inner() - estimate_inner(h, h, ms, weights)
 
 
-def predicted_main_terms(
-    ms: ModuliSet, q: int, tables: SieveTables, phi_qprime: int
-) -> dict[str, float]:
+def predicted_main_terms(ms: ModuliSet, q: int, phi_qprime: int) -> dict[str, float]:
     """First-order predictions for the four global products against the
     lifted model vectors, from the local cross products and phi(q').
 
@@ -306,12 +314,13 @@ def predicted_main_terms(
     """
     ctx = ms.context
     n = ctx.target
-    fq = factorize(q, tables)
+    fq = ms.factored[q]
     eta, kappa = ms.vectors[q]
     # theta = t(q) (eta + kappa) is mirror_density_star and rho = c (eta -
-    # kappa) prime_density_star, c = gate mu(g1) / (phi(q') phi(g1)), gated
-    # to 0 unless q2^2 divides q' (verify checks both entrywise); [eta|kappa]
-    # = 0 (model-norm-identities), so each product is a multiple of a norm
+    # kappa) prime_density_star (tests/oracles.py), c = gate mu(g1) /
+    # (phi(q') phi(g1)), gated to 0 unless q2^2 divides q' (verify checks
+    # both entrywise); [eta|kappa] = 0 (model-norm-identities), so each
+    # product is a multiple of a norm
     g1, _ = progression_split(ctx, fq)
     _, q2 = cubefree_split(fq)
     gate = int(ctx.modulus % (q2.value * q2.value) == 0)
@@ -332,7 +341,6 @@ def per_q_breakdown(
     g: Summary,
     ms: ModuliSet,
     weights: Weights,
-    tables: SieveTables,
     phi_qprime: int,
 ) -> list[dict]:
     """One row per modulus: norms, weights, the four exact products, the
@@ -343,7 +351,7 @@ def per_q_breakdown(
     rows = []
     for q in ms.members:
         eta, kappa = ms.vectors[q]
-        predicted = predicted_main_terms(ms, q, tables, phi_qprime)
+        predicted = predicted_main_terms(ms, q, phi_qprime)
         row = {
             "q": q,
             "exceptional": q in ms.exceptional,

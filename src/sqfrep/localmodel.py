@@ -9,10 +9,11 @@ cubefree q against the progression modulus.
 
 The densities these vectors stand for (the square-free family, plain,
 sharpened and mirrored through N - a, and the prime-progression family,
-plain, sharpened and ungated) are computed from their defining sums in
-`sqfrep.oracle`, which only `verify` and the tests import; `verify` (the
-model-norm-identities check) compares every model-vector entry with the
-defining combination of the sharpened densities.  The alignment term
+plain, sharpened and ungated) are computed from their defining sums, as
+rows in `sqfrep.oracle`, which only `verify` imports, and one residue at a
+time in `tests/oracles.py`; `verify` (the model-norm-identities check)
+compares every model-vector entry with the defining combination of the
+sharpened densities.  The alignment term
 c_{g1}(N) c_{m2}(N - a'), +-phi(q) exactly when a model vector vanishes,
 is an oracle there too: the estimator reads which vectors vanish off the
 vectors, and `verify` compares the two.  The square-free
@@ -129,7 +130,8 @@ def progression_split(
 def _model_vector(ctx: ProgressionContext, q: FactoredInt, sign: int) -> LocalVector:
     """Entries (c_q(N - a) + sign c_{g1}(a) c_{m2}(a - a'))/2, the closed
     form of (mirror_density_star / t(q) + sign rho_weight
-    prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1).
+    prime_density_star_ungated)/2 with rho_weight = phi(q') phi(g1) / mu(g1)
+    (the per-entry forms in tests/oracles.py).
     |numerator| <= 2 phi(q), since |c_r(n)| <= phi(r)."""
     g1, m2 = progression_split(ctx, q)
     a = np.arange(q.value, dtype=np.int64)

@@ -9,7 +9,7 @@ whole residue rows, or stacks of rows over progression contexts, as int64
 arrays and records them with `_Recorder.bulk`; a check whose case is one
 (context, q) pair, or one call of a scalar function, records it with
 `_Recorder.check`.  The defining-sum oracles the checks compare against
-(the divisor-sum forms of the square-free and prime densities and the
+(the divisor-sum rows of the square-free and prime densities and the
 alignment term) live in `sqfrep.oracle`, so a closed form is never checked
 against a copy of itself.  Divisor detection and the adjoint identity run
 on the shipped kernels instead: the sieve's Moebius table and the scans'
@@ -290,7 +290,8 @@ def _model_mismatches(
     """Entries of eta = model_sum and kappa = model_diff whose doubles differ
     from the defining route mirror_density_star / t(q) +/- c_{g1}(a)
     c_{m2}(a - a'), which is prime_density_star_ungated times its rho
-    weight phi(q') phi(g1) / mu(g1)."""
+    weight phi(q') phi(g1) / mu(g1) (both per-entry forms are in
+    tests/oracles.py)."""
     qv = q.value
     a = np.arange(qv, dtype=np.int64)
     star_num, star_den = star_row
@@ -757,7 +758,7 @@ def run_estimator_suite(
         # the classification read off the vectors against the alignment
         # term, and against the vectors' norms
         for q, (eta, kappa) in ms.vectors.items():
-            fq = factorize(q, tables)
+            fq = ms.factored[q]
             phi = euler_phi(fq)
             align = alignment_term(ctx, fq)
             norm = local_product(kappa, kappa)

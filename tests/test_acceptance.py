@@ -18,7 +18,6 @@ from sqfrep.arith import Draws, factorize
 from sqfrep.counting import (
     count_representations,
     segmented_prime_sieve,
-    squarefree_count_in_ap,
     window_length,
 )
 from sqfrep.estimator import (
@@ -29,7 +28,6 @@ from sqfrep.estimator import (
     mirror_summary,
 )
 from sqfrep.localmodel import PI_SQ_OVER_6, ProgressionContext
-from sqfrep.oracle import squarefree_density
 from sqfrep.series import singular_series, singular_series_eulerform
 from sqfrep.verify import (
     DEFAULT_SEED,
@@ -37,6 +35,7 @@ from sqfrep.verify import (
     run_estimator_suite,
     run_local_suite,
 )
+from oracles import squarefree_count_in_ap, squarefree_density
 
 
 def _line(name: str, ok: bool, detail: str) -> None:

@@ -29,11 +29,10 @@ from sqfrep.counting import (
     segmented_prime_sieve,
     segmented_squarefree_sieve,
     squarefree_class_counts,
-    squarefree_count_in_ap,
     window_length,
 )
 from sqfrep.localmodel import PI_SQ_OVER_6
-from sqfrep.oracle import squarefree_density
+from oracles import squarefree_count_in_ap, squarefree_density
 
 
 class TestSegmentedSquarefree:
@@ -129,7 +128,6 @@ class TestCountRepresentations:
             lambda: log_class_sums(100, 1, -7, [1], tables),
             lambda: log_class_sums(100, 1, 0, [1], tables),
             lambda: log_class_sums(100, 1, 7, [1], tables, 0),
-            lambda: squarefree_count_in_ap(100, 1, 7, tables, 0),
             # an empty lane once returned a result above the thread cap
             lambda: count_representations(3, 1, 7, tables, threads=1000),
             lambda: log_class_sums(1, 1, 7, [1], tables, threads=1000),
@@ -234,6 +232,8 @@ class TestCountRepresentations:
 
 
 class TestSquarefreeCountInAp:
+    """The window-sieve class count of tests/oracles.py."""
+
     def test_frozen_small_cases(self, tables):
         assert squarefree_count_in_ap(10, 0, 1, tables) == 6
         assert squarefree_count_in_ap(10, 0, 10, tables) == 0
@@ -284,11 +284,9 @@ class TestMobiusCounter:
 
     @staticmethod
     def _sieved(top, modulus, tables):
-        # m = top + 1 - n runs over [0, top] as n runs over [1, top + 1]
-        return [
-            squarefree_count_in_ap(top + 1, (top + 1 - r) % modulus, modulus, tables)
-            for r in range(modulus)
-        ]
+        # the square-free m in [0, top] by class, from one window sieve
+        flags = segmented_squarefree_sieve(0, top + 1, tables)
+        return [int(np.count_nonzero(flags[r::modulus])) for r in range(modulus)]
 
     @settings(max_examples=25)
     @given(top=st.integers(0, 10**7), data=st.data())
@@ -316,6 +314,18 @@ class TestMobiusCounter:
         assert sum(counts) == 6_083
         with pytest.raises(CapacityError):
             squarefree_class_counts(100**2 + 1, [3], small)
+
+    def test_int64_guard_at_its_bound(self, tables):
+        # 2 top + q^2 must stay below 2**63.  Tables that claim a limit of
+        # 2**32 let top reach that bound while the Moebius table keeps its
+        # 20,001 entries, so the counter sums mu(d) top // d^2 over d <= 20,000
+        huge = replace(tables, limit=1 << 32)
+        top = (1 << 62) - 1
+        mobius = tables.mobius.tolist()
+        want = sum(mobius[d] * (top // (d * d)) for d in range(1, len(mobius)))
+        assert squarefree_class_counts(top, [1], huge) == [[want]]
+        with pytest.raises(OverflowError):
+            squarefree_class_counts(top + 1, [1], huge)
 
 
 class TestPsiInAp:
@@ -531,20 +541,6 @@ class TestScanProperties:
             calls.clear()
             call()
             assert sorted(calls) == ["_log_scan", "_proper_powers"]
-
-    @scan_settings
-    @given(**inputs)
-    def test_squarefree_count_matches_brute_force(
-        self, tables, target, unit, cap, threads
-    ):
-        modulus, residue = unit
-        n = np.arange(1, target + 1)
-        mirror_free = tables.mobius[target - n] != 0
-        want = int(np.count_nonzero((n % modulus == residue) & mirror_free))
-        with pytest.MonkeyPatch.context() as mp:
-            _set_window_cap(mp, cap)
-            got = squarefree_count_in_ap(target, residue, modulus, tables, threads)
-        assert got == want
 
 
 def _trial_division(vals, primes):
@@ -1011,9 +1007,6 @@ class TestFusedPlan:
                 two.weighted.hex(),
                 two.lambda_weighted.hex(),
             )
-            assert squarefree_count_in_ap(target, residue, modulus, tables, 1) == (
-                squarefree_count_in_ap(target, residue, modulus, tables, 2)
-            )
         classes = [count_classes(3_000_017, (1, 4, 6), tables, t) for t in (1, 2)]
         assert [(r.unweighted, r.weighted.hex()) for r in classes[0].values()] == [
             (r.unweighted, r.weighted.hex()) for r in classes[1].values()
@@ -1123,10 +1116,16 @@ class TestOneRowFlags:
 class TestKnownAnswers:
     """Published counts at 10^8 (OEIS A071172 and A006880)."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_squarefree_count_at_1e8(self, tables, threads):
-        # n = 10^8 - m for square-free m in [1, 10^8); 10^8 itself is not
-        assert squarefree_count_in_ap(10**8, 0, 1, tables, threads) == 60_792_694
+    def test_squarefree_count_at_1e8(self, tables):
+        # the square-free m in [1, 10^8): by the Moebius counter and by
+        # window sieves, which share no code
+        assert squarefree_class_counts(10**8 - 1, [1], tables) == [[60_792_694]]
+        width, top = 1 << 22, 10**8
+        total = sum(
+            int(np.count_nonzero(segmented_squarefree_sieve(lo, min(lo + width, top), tables)))
+            for lo in range(0, top, width)
+        )
+        assert total == 60_792_694
 
     def test_prime_count_at_1e8(self, tables):
         width, top = 1 << 22, 10**8
@@ -1174,17 +1173,11 @@ class TestLaneInvariance:
     @pytest.mark.parametrize("target", (3, 29, 4_097, 100_003))
     def test_all_scans_match_brute_force(self, tables, monkeypatch, target):
         is_prime, squarefree = _dense_flags(target)
-        n = np.arange(1, target + 1)
         for modulus in self.MODULI:
             for residue in range(modulus):
                 unit = math.gcd(residue, modulus) == 1
                 if unit:
                     sums = _brute_sums(target, residue, modulus, is_prime, squarefree)
-                want_sf = int(
-                    np.count_nonzero(
-                        (n % modulus == residue) & squarefree[target - n]
-                    )
-                )
                 vals, nums = (
                     a.tolist()
                     for a in _brute_prime_powers(target, residue, modulus, is_prime)
@@ -1200,14 +1193,10 @@ class TestLaneInvariance:
                     _set_window_cap(monkeypatch, cap)
                     got = log_class_sums(target, residue, modulus, moduli, tables)
                     assert got == want_pp, (modulus, residue, cap)
+                    if not unit:
+                        continue
                     for threads in (1, 2):
                         key = (modulus, residue, cap, threads)
-                        got = squarefree_count_in_ap(
-                            target, residue, modulus, tables, threads
-                        )
-                        assert got == want_sf, key
-                        if not unit:
-                            continue
                         r = count_representations(
                             target, residue, modulus, tables, threads
                         )
@@ -1237,8 +1226,6 @@ class TestLaneInvariance:
         for residue, p in ((97, 97), (64, 2)):
             ((psi,),), _ = log_class_sums(101, residue, modulus, [1], tables)
             assert psi / LOG_SCALE == math.log(p)
-        assert squarefree_count_in_ap(101, 97, modulus, tables) == 0
-        assert squarefree_count_in_ap(101, 96, modulus, tables) == 1
 
     def test_tables_beyond_int64_raise_from_every_scan(self, tables):
         huge = replace(tables, limit=1 << 32)
@@ -1246,8 +1233,6 @@ class TestLaneInvariance:
             count_representations(1000, 1, 3, huge)
         with pytest.raises(OverflowError):
             log_class_sums(1000, 1, 3, [1], huge)
-        with pytest.raises(OverflowError):
-            squarefree_count_in_ap(1000, 6, 12, huge)
         with pytest.raises(OverflowError):
             count_classes(1000, [1, 3], huge)
 
@@ -1281,8 +1266,6 @@ class TestScanWorkers:
                 lambda: count_representations(3, 1, 7, tables, over),
                 lambda: count_classes(3 * 10**8, [1, 2], tables, over),
                 lambda: log_class_sums(10**6, 1, 3, [1], tables, over),
-                lambda: squarefree_count_in_ap(10**6, 1, 3, tables, over),
-                lambda: squarefree_count_in_ap(1, 0, 7, tables, over),
             ):
                 with pytest.raises(ValueError, match=f"{over} threads is above"):
                     call()
@@ -1336,9 +1319,6 @@ class TestScanWorkers:
             two.weighted.hex(),
             two.unweighted,
             two.lambda_weighted.hex(),
-        )
-        assert squarefree_count_in_ap(target, 4, 9, tables, 1) == (
-            squarefree_count_in_ap(target, 4, 9, tables, 2)
         )
         assert log_class_sums(target, 1, 4, [1], tables, 1) == log_class_sums(
             target, 1, 4, [1], tables, 2

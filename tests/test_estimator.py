@@ -25,7 +25,6 @@ from sqfrep.counting import (
     log_class_sums,
     log_numerators,
     square_sum,
-    squarefree_count_in_ap,
 )
 from sqfrep.localmodel import (
     PI_SQ_OVER_6,
@@ -51,6 +50,7 @@ from sqfrep.estimator import (
     predicted_main_terms,
 )
 from sqfrep.oracle import alignment_term, dense_summary
+from oracles import squarefree_count_in_ap
 from vectors import entries
 
 
@@ -134,6 +134,27 @@ class TestModuliSet:
         assert len(set(ms.members)) == len(ms.members)
         for q in ms.members:
             assert factorize(q, tables).is_cubefree
+
+    def test_one_factorization_per_pair(self, tables, monkeypatch):
+        # each (q1, q2) pair is factored once, as q1 q2, and q's factors are
+        # read off it: the per-q predictions factor nothing
+        calls = []
+
+        def counted(n, tables):
+            calls.append(n)
+            return factorize(n, tables)
+
+        monkeypatch.setattr("sqfrep.estimator.factorize", counted)
+        ctx = ProgressionContext(3001, 2, 3)
+        ms = build_moduli_set(20, 5, ctx, tables)
+        assert len(calls) == 20 * 5
+        assert list(ms.factored) == list(ms.members)
+        for q, fq in ms.factored.items():
+            assert fq == factorize(q, tables)
+        f = log_summary(ctx, ms.members, tables)
+        g = mirror_summary(ctx.target, ms.members, tables)
+        per_q_breakdown(f, g, ms, compute_weights(ms), 2)
+        assert len(calls) == 20 * 5
 
     def test_trivial_modulus_always_exceptional(self, tables):
         for ctx in (
@@ -256,6 +277,18 @@ class TestCrossProducts:
         for q, (eta, _) in fam.items():
             norm = local_product(eta, eta)
             assert periodic_cross(eta, eta, 120) == 120 * norm
+
+    def test_int64_guard_at_its_bound(self):
+        # lcm * max|u| * max|v| must stay below 2**63: isqrt(2**63 - 1)
+        # squared is just under, one more is over
+        edge = math.isqrt((1 << 63) - 1)
+        u = LocalVector(1, [edge], 1)
+        assert periodic_cross(u, u, 3) == 3 * edge * edge
+        over = LocalVector(1, [edge + 1], 1)
+        with pytest.raises(OverflowError):
+            periodic_cross(over, over, 1)
+        with pytest.raises(OverflowError):
+            periodic_cross(LocalVector(1, [1 << 61], 1), LocalVector(1, [4], 1), 1)
 
 
 class TestWeights:
@@ -496,7 +529,7 @@ class TestBreakdownAndPredictions:
         w = compute_weights(ms)
         f = log_summary(ctx, ms.members, tables)
         g = mirror_summary(ctx.target, ms.members, tables)
-        rows = per_q_breakdown(f, g, ms, w, tables, 1)
+        rows = per_q_breakdown(f, g, ms, w, 1)
         assert [row["q"] for row in rows] == list(ms.members)
         total = math.fsum(row["contribution"] for row in rows)
         assert total == pytest.approx(
@@ -514,7 +547,7 @@ class TestBreakdownAndPredictions:
         ctx = ProgressionContext(20_000, 1, 1)
         assert ctx.target % 3 == 2
         ms = build_moduli_set(3, 1, ctx, tables)
-        pred = predicted_main_terms(ms, 3, tables, 1)
+        pred = predicted_main_terms(ms, 3, 1)
         assert pred["f_psi"] == pytest.approx(ctx.target * 0.75)
         f = log_summary(ctx, ms.members, tables)
         fam = ms.vectors
@@ -528,7 +561,7 @@ class TestBreakdownAndPredictions:
         g = mirror_summary(ctx.target, ms.members, tables)
         fam = ms.vectors
         for q in ms.members:
-            pred = predicted_main_terms(ms, q, tables, 1)
+            pred = predicted_main_terms(ms, q, 1)
             got = float(_dot(g, fam[q][0]))
             if abs(pred["phi_g"]) > 1:
                 assert got == pytest.approx(pred["phi_g"], rel=0.05)
@@ -571,7 +604,7 @@ class TestBreakdownAndPredictions:
                 "f_psi": n * float(local_product(kappa, rho)),
                 "psi_g": n * (float(local_product(kappa, theta)) / PI_SQ_OVER_6),
             }
-            got = predicted_main_terms(ms, q, tables, phi_qprime)
+            got = predicted_main_terms(ms, q, phi_qprime)
             assert {k: v.hex() for k, v in got.items()} == {
                 k: v.hex() for k, v in want.items()
             }, q

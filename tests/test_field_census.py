@@ -50,24 +50,6 @@ FUNCTION_ALLOWED = {
     "cli._suite": "runs only at import, to build SUITES",
     "cli.parse_csv": "the CSV reader that README documents; the tests read "
     "every CSV schema back with it",
-    "counting.squarefree_count_in_ap": "public view held to brute force and "
-    "to the Moebius counter by the tests",
-    "counting.squarefree_count_in_ap.window": "the window reduction of "
-    "squarefree_count_in_ap",
-    "oracle.squarefree_density": "per-entry reference: tests hold "
-    "squarefree_density_row to it",
-    "oracle.squarefree_density_star": "per-entry defining sum: tests hold it to "
-    "t(q) c_q(a)",
-    "oracle.mirror_density_star": "per-entry reference: tests hold the model "
-    "vectors to it",
-    "oracle.prime_density": "per-entry reference: tests hold "
-    "scaled_prime_density_rows to it",
-    "oracle.prime_density_star": "per-entry defining sum: tests hold it to the "
-    "gated closed form",
-    "oracle.prime_density_star_ungated": "per-entry reference: tests hold the "
-    "model vectors to it",
-    "oracle.prime_model_twist": "per-entry reference: tests hold it to the "
-    "root-of-unity double sum",
 }
 
 RUNS = [

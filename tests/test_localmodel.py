@@ -24,8 +24,8 @@ from sqfrep.localmodel import (
     model_sum,
     progression_split,
 )
-from sqfrep.oracle import (
-    alignment_term,
+from sqfrep.oracle import alignment_term
+from oracles import (
     mirror_density_star,
     prime_density,
     prime_density_star,

@@ -11,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 from sqfrep.arith import FactoredInt, euler_phi, factorize
 from sqfrep.localmodel import ProgressionContext
 from sqfrep.oracle import (
-    prime_density,
-    prime_density_star,
     scaled_prime_density_rows,
     scaled_star_rows,
-    squarefree_density,
     squarefree_density_row,
-    squarefree_density_star,
     squarefree_star_row,
+)
+from oracles import (
+    prime_density,
+    prime_density_star,
+    squarefree_density,
+    squarefree_density_star,
 )
 
 # both target parities, trivial, prime, prime-power and composite moduli

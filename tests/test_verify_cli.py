@@ -49,7 +49,6 @@ from sqfrep.counting import (
     count_representations,
     exact_class_sums,
     log_class_sums,
-    squarefree_count_in_ap,
 )
 from sqfrep.oracle import scaled_star_rows
 from sqfrep.verify import (
@@ -58,6 +57,7 @@ from sqfrep.verify import (
     run_estimator_suite,
     run_local_suite,
 )
+from oracles import squarefree_count_in_ap
 
 
 def _reject_constant(name):
